@@ -20,15 +20,14 @@ that envelope are reported by a slope-jump scan at junction vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_sft import Sft
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
-from .max_face import face_subshift, karp_max_mean
+from .max_face import face_subshift
 from .potential import PotentialLC
 from .rotation_geometry import RotationPolytope, _snap, rotation_set
 from .thermodynamics import equilibrium_markov, parry_measure
@@ -95,11 +94,6 @@ def _tangential_values(vals, e0, tangent, exact: bool):
         num = sum((x - a) * t for x, a, t in zip(vec, e0, tangent))
         out.append(num / tt if exact else float(num) / float(tt))
     return out
-
-
-def _edges_of(matrix):
-    n = len(matrix)
-    return [(a, b) for a in range(n) for b in range(n) if matrix[a][b]]
 
 
 def _component_curve(comp_id, comp, Phi, e0, tangent, exact, n_samples, vmax):

@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from bisect import bisect_right
 from datetime import datetime, timezone
@@ -42,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-THREADS_ENV = "THERMOSHIFT_THREADS"
 
 
 class UsageError(Exception):
@@ -113,17 +110,6 @@ def _parse_alpha(text: str, exact: bool):
         raise InvalidArgumentError(f"cannot parse direction '{text}': {e}") from e
 
 
-def _threads_hint() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
 # -- serialization helpers -------------------------------------------------
 
 def _num(x):
@@ -176,7 +162,6 @@ def _emit(args, command: str, input_hash: str, payload: dict, warnings: list,
         "command": command,
         "input_hash": input_hash,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "threads": _threads_hint(),
         "warnings": warnings,
         "payload": payload,
     }

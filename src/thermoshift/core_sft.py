@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -119,30 +119,57 @@ class SccComponent:
     is_nontrivial: bool
 
 
-def _digraph(transition) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(transition)))
-    for i, row in enumerate(transition):
-        for j, v in enumerate(row):
-            if v:
-                g.add_edge(i, j)
-    return g
+def scc_of_edges(n: int, edges) -> list[SccComponent]:
+    """SCCs of the digraph on states 0..n-1, ordered by smallest state.
+
+    Iterative Tarjan (1972) on successor lists, O(n + m).  A finished
+    component's states get low = n, so no on-stack flags are needed.
+    """
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    todo = [iter(s) for s in succ]
+    index, low, pos = [-1] * n, [0] * n, [0] * n
+    stack: list[int] = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        work = [root] if index[root] < 0 else []
+        while work:
+            v = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = counter
+                counter += 1
+                pos[v] = len(stack)
+                stack.append(v)
+            for w in todo[v]:
+                if index[w] < 0:
+                    work.append(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    comp = sorted(stack[pos[v]:])
+                    del stack[pos[v]:]
+                    for w in comp:
+                        low[w] = n
+                    comps.append(SccComponent(tuple(comp), len(comp) > 1 or v in succ[v]))
+    comps.sort(key=lambda c: c.states[0])
+    return comps
+
+
+def matrix_edges(M) -> list[tuple[int, int]]:
+    """Edges (i, j) of the positive entries of a square matrix."""
+    rows, cols = np.nonzero(np.asarray(M) > 0)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def strongly_connected_components(sft: Sft) -> list[SccComponent]:
     """SCCs of the transition graph, ordered by smallest contained state."""
-    return scc_of_matrix(sft.transition)
-
-
-def scc_of_matrix(transition) -> list[SccComponent]:
-    g = _digraph(transition)
-    comps = []
-    for nodes in nx.strongly_connected_components(g):
-        states = tuple(sorted(nodes))
-        nontrivial = any(g.has_edge(u, v) for u in states for v in states)
-        comps.append(SccComponent(states, nontrivial))
-    comps.sort(key=lambda c: c.states[0])
-    return comps
+    return scc_of_edges(sft.d, sft.edges())
 
 
 def is_transitive(sft: Sft) -> bool:
@@ -175,11 +202,15 @@ class RecodedSft:
     def block_index(self) -> dict[tuple[int, ...], int]:
         return _block_index(self)
 
-    def edges(self):
-        for i, row in enumerate(self.transition):
-            for j, v in enumerate(row):
-                if v:
-                    yield (i, j)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Transitions (i, j) in row-major order, built once per recoding."""
+        return self._edges
+
+    @functools.cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        n = self.n
+        return tuple((i, j) for i, row in enumerate(self.transition)
+                     for j in compress(range(n), row))
 
 
 @functools.lru_cache(maxsize=256)
@@ -237,12 +268,6 @@ class PerronData:
     residual: float = field(default=0.0)
 
 
-def _is_irreducible(M: np.ndarray) -> bool:
-    support = tuple(tuple(1 if x > 0 else 0 for x in row) for row in M)
-    comps = scc_of_matrix(support)
-    return len(comps) == 1 and comps[0].is_nontrivial
-
-
 def _power_vector(M: np.ndarray, tol: float, max_iter: int, seed: int) -> tuple[float, np.ndarray] | None:
     """Power iteration on M + cI (primitive for irreducible M)."""
     n = M.shape[0]
@@ -298,7 +323,8 @@ def perron_data(M, tol: float = 1e-13, max_iter: int = 100_000) -> PerronData:
         raise InvalidArgumentError("perron_data needs a nonnegative matrix")
     if not M.any():
         raise InvalidArgumentError("perron_data: zero matrix has no Perron data")
-    if not _is_irreducible(M):
+    comps = scc_of_edges(M.shape[0], matrix_edges(M))
+    if len(comps) != 1 or not comps[0].is_nontrivial:
         raise ReducibleMatrixError("matrix is reducible; split into components first")
 
     def one_side(A: np.ndarray) -> tuple[float, np.ndarray]:

@@ -13,28 +13,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
-from .core_sft import RecodedSft, perron_data, recode_to_one_step
+from .core_sft import RecodedSft, perron_data, recode_to_one_step, scc_of_edges
 from .errors import InvalidArgumentError
 from .potential import PotentialLC, scalarize
 
 TIGHT_TOL = 1e-9
 
 
-def _scc_list(n: int, edges):
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    sccs = []
-    eset = set(edges)
-    for comp in nx.strongly_connected_components(g):
-        comp = sorted(comp)
-        nontrivial = len(comp) > 1 or (comp[0], comp[0]) in eset
-        if nontrivial:
-            sccs.append(comp)
-    sccs.sort(key=lambda c: c[0])
-    return sccs
+def _cyclic_components(n: int, edges):
+    """Nontrivial SCCs as sorted state lists, plus a state -> component
+    id lookup (-1 for states on no cycle)."""
+    sccs = [list(c.states) for c in scc_of_edges(n, edges) if c.is_nontrivial]
+    comp_of = [-1] * n
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = i
+    return sccs, comp_of
 
 
 def karp_max_mean(n: int, edges, weight):
@@ -43,16 +37,21 @@ def karp_max_mean(n: int, edges, weight):
     ``weight`` maps (u, v) to a Fraction or float; exact in, exact out.
     Raises InvalidArgumentError when the graph has no cycle.
     """
+    sccs, comp_of = _cyclic_components(n, edges)
+    local = [0] * n
+    for comp in sccs:
+        for i, v in enumerate(comp):
+            local[v] = i
+    comp_preds = [[[] for _ in comp] for comp in sccs]
+    comp_w = [{} for _ in sccs]
+    for (u, v) in edges:
+        c = comp_of[u]
+        if c >= 0 and c == comp_of[v]:
+            lu, lv = local[u], local[v]
+            comp_preds[c][lv].append(lu)
+            comp_w[c][(lu, lv)] = weight(u, v)
     best = None
-    for comp in _scc_list(n, edges):
-        idx = {v: i for i, v in enumerate(comp)}
-        sub = [(idx[u], idx[v]) for (u, v) in edges if u in idx and v in idx]
-        m = len(comp)
-        preds = [[] for _ in range(m)]
-        for (u, v) in sub:
-            preds[v].append(u)
-        wloc = {(idx[u], idx[v]): weight(u, v) for (u, v) in edges
-                if u in idx and v in idx}
+    for m, preds, wloc in zip(map(len, sccs), comp_preds, comp_w):
         D = [[None] * m for _ in range(m + 1)]
         D[0][0] = 0
         for k in range(1, m + 1):
@@ -104,19 +103,10 @@ def tight_recurrent_part(n: int, edges, weight, beta, u, tol=0.0):
                  if abs(float(u[a] + weight(a, b) - beta - u[b])) <= tol * scale]
     else:
         tight = [(a, b) for (a, b) in edges if u[a] + weight(a, b) - beta == u[b]]
-    sccs = _scc_list(n, tight)
-    keep = {v for comp in sccs for v in comp}
-    rec_edges = [(a, b) for (a, b) in tight if a in keep and b in keep]
-    rec_edges = [(a, b) for (a, b) in rec_edges
-                 if _same_comp(sccs, a, b)]
+    sccs, comp_of = _cyclic_components(n, tight)
+    rec_edges = [(a, b) for (a, b) in tight
+                 if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
     return rec_edges, sccs
-
-
-def _same_comp(sccs, a, b):
-    for comp in sccs:
-        if a in comp:
-            return b in comp
-    return False
 
 
 def find_cycle(edges):
@@ -190,7 +180,7 @@ def _build_components(recoded, rec_edges, sccs):
 def max_mean_data(recoded: RecodedSft, weights, exact: bool):
     """(beta, potentials, recurrent tight edges, SCC node lists)."""
     n = recoded.n
-    edges = [(a, b) for a in range(n) for b in range(n) if recoded.transition[a][b]]
+    edges = recoded.edges()
 
     def wfun(a, b):
         return weights[a]
@@ -251,7 +241,7 @@ def lex_extreme_cycle(recoded: RecodedSft, vecs, directions):
     support-oracle hull construction without orbit enumeration.
     """
     n = recoded.n
-    edges = [(a, b) for a in range(n) for b in range(n) if recoded.transition[a][b]]
+    edges = recoded.edges()
     for d in directions:
         w = [sum(di * xi for di, xi in zip(d, vecs[a])) for a in range(n)]
 

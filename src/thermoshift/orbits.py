@@ -12,8 +12,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from .core_sft import Sft, recode_to_one_step
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -70,6 +68,7 @@ def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[E
 
     Raises ResourceLimitError when more than ``cap`` orbits exist.
     """
+    import networkx as nx       # loaded only when a census is taken
     recoded = recode_to_one_step(sft, k)
     g = nx.DiGraph()
     g.add_nodes_from(range(recoded.n))

@@ -129,7 +129,10 @@ def _tri_normal(pts, tri):
 
 
 def _hull_3d(points):
-    """Incremental exact hull; returns (vertex ids, triangles) over points."""
+    """Incremental exact hull; returns outward triangles over point ids.
+
+    Points inside a facet or on an edge may appear as triangle corners.
+    """
     pts = list(points)
     n = len(pts)
     i0 = 0
@@ -172,8 +175,7 @@ def _hull_3d(points):
         faces -= vis
         for (u, v) in horizon:
             faces.add((u, v, p))
-    verts = sorted({i for f in faces for i in f})
-    return verts, sorted(faces)
+    return sorted(faces)
 
 
 @dataclass(frozen=True)
@@ -282,18 +284,24 @@ def _build_hull(m, unique_points):
         return frame, verts, facets
     # r == 3 implies m == 3 (m > 3 never builds a hull): work in ambient
     pts = list(unique_points)
-    vert_ids, triangles = _hull_3d(pts)
-    verts = sorted(pts[i] for i in vert_ids)
-    vid = {p: i for i, p in enumerate(verts)}
+    triangles = _hull_3d(pts)
     groups: dict[tuple, set] = {}
     for tri in triangles:
         nrm = _primitive(_tri_normal(pts, tri))
         off = _dot(nrm, pts[tri[0]])
-        groups.setdefault((nrm, off), set()).update(tri)
-    facets = []
-    for (nrm, off), members in sorted(groups.items()):
-        ids = tuple(sorted(vid[pts[i]] for i in members))
-        facets.append(Facet(ids, nrm, off, True))
+        groups.setdefault((nrm, off), set()).update(pts[i] for i in tri)
+    # the triangulation may use points inside a facet or on an edge; the
+    # corners of a facet are the 2-d hull of its points, projected along
+    # an axis the facet is not parallel to
+    corners = {}
+    for (nrm, off), members in groups.items():
+        axis = next(i for i, x in enumerate(nrm) if x != 0)
+        flat = {p[:axis] + p[axis + 1:]: p for p in members}
+        corners[nrm, off] = [flat[q] for q in _hull_2d(list(flat))]
+    verts = sorted({p for cs in corners.values() for p in cs})
+    vid = {p: i for i, p in enumerate(verts)}
+    facets = [Facet(tuple(sorted(vid[p] for p in cs)), nrm, off, True)
+              for (nrm, off), cs in sorted(corners.items())]
     return frame, verts, facets
 
 

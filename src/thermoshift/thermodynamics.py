@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import networkx as nx
 import numpy as np
 
-from .core_sft import Sft, recode_to_one_step
+from .core_sft import Sft, matrix_edges, recode_to_one_step, scc_of_edges
 from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
 from .max_face import karp_max_mean
@@ -82,15 +81,8 @@ def markov_entropy(p, P) -> float:
     return h
 
 
-def _require_irreducible(matrix, what: str):
-    g = nx.DiGraph()
-    n = len(matrix)
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j]:
-                g.add_edge(i, j)
-    if not nx.is_strongly_connected(g):
+def _require_irreducible(n: int, edges, what: str):
+    if len(scc_of_edges(n, edges)) != 1:
         raise NotTransitiveError(f"{what} needs an irreducible transition structure")
 
 
@@ -184,9 +176,7 @@ def _beta_and_weights(phi: PotentialLC):
     vals = [phi.value(b)[0] for b in recoded.states]
     if exact:
         vals = [Fraction(v) for v in vals]
-    n = recoded.n
-    edges = [(a, b) for a in range(n) for b in range(n) if recoded.transition[a][b]]
-    beta = karp_max_mean(n, edges, lambda a, b: vals[a])
+    beta = karp_max_mean(recoded.n, recoded.edges(), lambda a, b: vals[a])
     weights = [v - beta for v in vals]
     return recoded, beta, weights
 
@@ -196,7 +186,7 @@ def pressure(phi: PotentialLC, t: float = 1.0) -> float:
     if phi.m != 1:
         raise InvalidArgumentError("pressure takes a scalar potential")
     recoded, beta, weights = _beta_and_weights(phi)
-    _require_irreducible(recoded.transition, "pressure")
+    _require_irreducible(recoded.n, recoded.edges(), "pressure")
     n = recoded.n
     if all(abs(t * float(w)) < _EXP_SAFE for w in weights):
         M = np.array([[math.exp(t * float(weights[i])) if recoded.transition[i][j] else 0.0
@@ -230,7 +220,7 @@ def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     if phi.m != 1:
         raise InvalidArgumentError("equilibrium_markov takes a scalar potential")
     recoded, beta, weights = _beta_and_weights(phi)
-    _require_irreducible(recoded.transition, "equilibrium_markov")
+    _require_irreducible(recoded.n, recoded.edges(), "equilibrium_markov")
     n = recoded.n
     adj = recoded.transition
     triple = None
@@ -302,8 +292,8 @@ def parry_from_matrix(matrix, labels=None, blocks=None) -> MarkovMeasure:
     Convenience for maximizing-face components whose states are blocks
     of a larger shift.
     """
-    _require_irreducible(matrix, "parry_from_matrix")
     n = len(matrix)
+    _require_irreducible(n, matrix_edges(matrix), "parry_from_matrix")
     M = np.array(matrix, dtype=float)
     got = _spectral_double(M)
     if got is None:

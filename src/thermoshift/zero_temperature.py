@@ -14,12 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import networkx as nx
-from networkx.algorithms.isomorphism import DiGraphMatcher
-
 from .core_sft import is_transitive, recode_to_one_step
 from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
-                     ResourceLimitError, UnderflowError)
+                     UnderflowError)
 from .max_face import FaceSubshift, face_subshift, max_entropy_components
 from .potential import PotentialLC
 from .thermodynamics import MarkovMeasure, equilibrium_markov, parry_from_matrix
@@ -96,6 +93,8 @@ def classify(phi: PotentialLC) -> ClassificationResult:
 def _weighted_automorphisms(phi: PotentialLC, limit: int = 5000):
     """Automorphisms of the recoded graph preserving the weight of each
     state, as permutations of state indices."""
+    import networkx as nx       # loaded only when the shortcut runs
+    from networkx.algorithms.isomorphism import DiGraphMatcher
     recoded = recode_to_one_step(phi.sft, phi.k)
     g = nx.DiGraph()
     for i in range(recoded.n):

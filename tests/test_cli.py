@@ -6,7 +6,7 @@ import pytest
 
 from thermoshift import NumericError
 from thermoshift.cache import CACHE_ENV, entry_path
-from thermoshift.cli import THREADS_ENV, main
+from thermoshift.cli import main
 
 
 @pytest.fixture(autouse=True)
@@ -157,12 +157,6 @@ def test_cache_env_is_honoured(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     run_json(capsys, "orbits", "--shift", "golden", "--k", "3")
     assert entry_path(tmp_path, get_shift("golden"), 3).exists()
-
-
-def test_threads_env_is_recorded(capsys, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "4")
-    env = run_json(capsys, "classify", "--potential", "fix0")
-    assert env["threads"] == 4
 
 
 def test_version_flag(capsys):

@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft,
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
-from thermoshift.core_sft import perron_data
+from thermoshift.core_sft import perron_data, scc_of_edges
 
 
 def test_full_shift_basics():
@@ -41,6 +44,50 @@ def test_transitivity():
     comps = strongly_connected_components(Sft.from_matrix([[1, 0], [0, 1]]))
     assert [c.states for c in comps] == [(0,), (1,)]
     assert all(c.is_nontrivial for c in comps)
+
+
+def _reach(n, edges):
+    """Reflexive-transitive closure by repeated relaxation."""
+    reach = [{v} for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            if not reach[b] <= reach[a]:
+                reach[a] |= reach[b]
+                changed = True
+    return reach
+
+
+def test_scc_matches_mutual_reachability(rng):
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.0, 0.02, 0.05, 0.1, 0.3))
+        edges = [(a, b) for a in range(n) for b in range(n) if rng.random() < p]
+        rng.shuffle(edges)
+        reach = _reach(n, edges)
+        comps = scc_of_edges(n, edges)
+        expected = sorted({tuple(sorted(w for w in reach[v] if v in reach[w]))
+                           for v in range(n)})
+        # partition, in order of smallest state, each sorted
+        assert [c.states for c in comps] == expected
+        eset = set(edges)
+        for c in comps:
+            assert c.is_nontrivial == (len(c.states) > 1 or
+                                       (c.states[0], c.states[0]) in eset)
+    # deep chain: an iterative pass needs no recursion headroom
+    n = 5000
+    chain = [(i, i + 1) for i in range(n - 1)]
+    assert len(scc_of_edges(n, chain)) == n
+    ring = scc_of_edges(n, chain + [(n - 1, 0)])
+    assert len(ring) == 1 and ring[0].is_nontrivial
+
+
+def test_import_leaves_networkx_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import thermoshift; "
+            "assert 'networkx' not in sys.modules, 'networkx was imported'")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True)
 
 
 def test_recode_block_counts_follow_fibonacci():

@@ -73,7 +73,8 @@ def _directions(m):
 def test_hull_is_exactly_the_hull_of_orbit_averages(rng, m):
     # certificate of hull equality: (a) every vertex is an orbit average,
     # (b) no orbit average falls outside, (c) support values over a grid
-    # of integer directions agree exactly
+    # of integer directions agree exactly, (d) every reported vertex is
+    # extreme: its vertex direction exposes it and no other point
     for _ in range(15):
         sft = random_transitive_sft(rng)
         k = rng.choice((1, 2))
@@ -89,6 +90,12 @@ def test_hull_is_exactly_the_hull_of_orbit_averages(rng, m):
             sup_verts = max(sum(a * x for a, x in zip(d, v))
                             for v in poly.vertices)
             assert sup_pts == sup_verts
+        if poly.affine_dim == m:
+            for i, v in enumerate(poly.vertices):
+                d = poly.vertex_direction(i)
+                vals = {p: sum(a * x for a, x in zip(d, p)) for p in pts}
+                top = max(vals.values())
+                assert [p for p, x in vals.items() if x == top] == [v]
 
 
 def test_support_oracle_fallback_matches_enumeration():

@@ -354,17 +354,15 @@ def _cmd_cohom(args) -> int:
     else:
         psi = PotentialLC.constant(phi.sft, 0, k=1,
                                    mode="float" if phi.mode == "float" else "exact")
-    k = max(phi.k, psi.k)
-    orbits = cached_elementary_orbits(phi.sft, k, enabled=not args.no_cache)
-    report = cohomology_test(phi, psi, orbits=orbits)
+    report = cohomology_test(phi, psi)
     payload = {
         "cohomologous": report.cohomologous,
         "constant": _num(report.constant) if report.constant is not None else None,
         "tolerance_limited": report.tolerance_limited,
         "spread": float(report.spread),
         "witness": None if report.witness is None else {
-            "low_orbit": _seg_str(orbits[report.witness[0]].segment),
-            "high_orbit": _seg_str(orbits[report.witness[1]].segment),
+            "low_orbit": _seg_str(report.witness[0]),
+            "high_orbit": _seg_str(report.witness[1]),
         },
     }
     h = _input_hash("cohom", args, phi, phi.sft,
@@ -390,8 +388,6 @@ def _add_common(sp, with_potential: bool):
     sp.add_argument("--mode", choices=("exact", "float"),
                     help="value arithmetic for file inputs (default: as stored)")
     sp.add_argument("--out", help="directory for result files")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="skip the on-disk orbit cache")
     if with_potential:
         sp.add_argument("--potential", required=True,
                         help="builtin potential name or potential JSON file")
@@ -411,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbits", help="enumerate elementary periodic orbits")
     _add_common(sp, with_potential=False)
+    sp.add_argument("--no-cache", action="store_true",
+                    help="skip the on-disk orbit cache")
 
     sp = sub.add_parser("rotset", help="rotation-set polytope of a potential")
     _add_common(sp, with_potential=True)

@@ -34,8 +34,9 @@ def _cyclic_components(n: int, edges):
 def karp_max_mean(n: int, edges, weight):
     """Maximum cycle mean of an edge-weighted digraph.
 
-    ``weight`` maps (u, v) to a Fraction or float; exact in, exact out.
-    Raises InvalidArgumentError when the graph has no cycle.
+    ``weight`` maps (u, v) to an int, Fraction or float; exact in, exact
+    out (exact weights are scaled to ints by the lcm of their
+    denominators).  Raises InvalidArgumentError when the graph has no cycle.
     """
     sccs, comp_of = _cyclic_components(n, edges)
     local = [0] * n
@@ -50,6 +51,12 @@ def karp_max_mean(n: int, edges, weight):
             lu, lv = local[u], local[v]
             comp_preds[c][lv].append(lu)
             comp_w[c][(lu, lv)] = weight(u, v)
+    ws = [x for cw in comp_w for x in cw.values()]
+    exact = all(isinstance(x, (int, Fraction)) for x in ws)
+    if exact:
+        scale = math.lcm(*(x.denominator for x in ws))
+        comp_w = [{e: x.numerator * (scale // x.denominator) for e, x in cw.items()}
+                  for cw in comp_w]
     best = None
     for m, preds, wloc in zip(map(len, sccs), comp_preds, comp_w):
         D = [[None] * m for _ in range(m + 1)]
@@ -60,15 +67,19 @@ def karp_max_mean(n: int, edges, weight):
                          if D[k - 1][u] is not None]
                 if cands:
                     D[k][v] = max(cands)
+        lcm_m = math.lcm(*range(1, m + 1))   # exact means as ints over lcm(1..m)
         comp_best = None
         for v in range(m):
             if D[m][v] is None:
                 continue
-            vals = [(D[m][v] - D[k][v]) / (m - k) for k in range(m)
-                    if D[k][v] is not None]
+            vals = [(D[m][v] - D[k][v]) * (lcm_m // (m - k)) if exact
+                    else (D[m][v] - D[k][v]) / (m - k)
+                    for k in range(m) if D[k][v] is not None]
             lo = min(vals)
             comp_best = lo if comp_best is None else max(comp_best, lo)
         if comp_best is not None:
+            if exact:
+                comp_best = Fraction(comp_best, lcm_m * scale)
             best = comp_best if best is None else max(best, comp_best)
     if best is None:
         raise InvalidArgumentError("graph has no cycle")
@@ -238,19 +249,18 @@ def lex_extreme_cycle(recoded: RecodedSft, vecs, directions):
     given exact directions; returns (cycle state ids, mean vector).
 
     ``vecs`` is one rational m-vector per recoded state.  Used for
-    support-oracle hull construction without orbit enumeration.
+    support-oracle hull construction without orbit enumeration; the tight
+    test runs on integer reduced weights (w - beta) * den.
     """
     n = recoded.n
     edges = recoded.edges()
     for d in directions:
         w = [sum(di * xi for di, xi in zip(d, vecs[a])) for a in range(n)]
-
-        def wfun(a, b, w=w):
-            return w[a]
-
-        beta = karp_max_mean(n, edges, wfun)
-        u = longest_path_potentials(n, edges, wfun, beta)
-        edges, _ = tight_recurrent_part(n, edges, wfun, beta, u, 0.0)
+        beta = karp_max_mean(n, edges, lambda a, b: w[a])
+        den = math.lcm(beta.denominator, *(x.denominator for x in w))
+        r = [int((x - beta) * den) for x in w]
+        u = longest_path_potentials(n, edges, lambda a, b: r[a], 0)
+        edges, _ = tight_recurrent_part(n, edges, lambda a, b: r[a], 0, u, 0.0)
     cyc = find_cycle(edges)
     p = len(cyc)
     mean = tuple(sum(vecs[v][i] for v in cyc) / p for i in range(len(vecs[0])))

@@ -52,16 +52,6 @@ class OrbitMeasure:
         return Fraction(1, self.orbit.period)
 
 
-def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, int]:
-    """Index of the lexicographically least rotation (unique for prime period)."""
-    n = len(seq)
-    best = 0
-    for r in range(1, n):
-        if tuple(seq[(r + j) % n] for j in range(n)) < tuple(seq[(best + j) % n] for j in range(n)):
-            best = r
-    return best, n
-
-
 @functools.lru_cache(maxsize=64)
 def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[ElementaryOrbit, ...]:
     """All k-elementary periodic orbits, sorted by (period, segment).
@@ -83,9 +73,11 @@ def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[E
     out = []
     for cycle in raw:
         seg = tuple(recoded.states[s][0] for s in cycle)
-        r, n = _canonical_rotation(seg)
-        segment = tuple(seg[(r + j) % n] for j in range(n))
-        state_cycle = tuple(cycle[(r + j) % n] for j in range(n))
+        n = len(seg)
+        # the least rotation is unique, since the period is prime
+        r = min(range(n), key=lambda i: seg[i:] + seg[:i])
+        segment = seg[r:] + seg[:r]
+        state_cycle = tuple(cycle[r:] + cycle[:r])
         out.append(ElementaryOrbit(
             k=k, period=n, segment=segment,
             state_cycle=state_cycle, cylinders=frozenset(state_cycle)))

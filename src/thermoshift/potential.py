@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .core_sft import Sft, recode_to_one_step
 from .errors import InvalidArgumentError
-from .orbits import birkhoff_average, elementary_orbits
 
 FLOAT_EQ_TOL = 1e-9
 
@@ -202,43 +201,45 @@ def embed_direction(phi: PotentialLC) -> tuple[float, ...]:
 
 @dataclass
 class CohomologyReport:
-    """Outcome of the orbit-average cohomology criterion."""
+    """Outcome of the cycle-mean cohomology criterion; ``witness`` holds
+    the canonical segments (low, high) of a min- and a max-mean orbit."""
 
     cohomologous: bool
     constant: object | None
-    witness: tuple[int, int] | None
+    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
     tolerance_limited: bool
     spread: float
 
 
-def cohomology_test(phi: PotentialLC, psi: PotentialLC, orbits=None,
+def cohomology_test(phi: PotentialLC, psi: PotentialLC,
                     tol: float = FLOAT_EQ_TOL) -> CohomologyReport:
     """Decide whether phi - psi is cohomologous to a constant.
 
-    Equivalent to all elementary-orbit averages of phi - psi at window
-    max(k_phi, k_psi) agreeing; the common value is the constant.  In
-    float mode, agreement within ``tol`` counts but is flagged.
+    Livsic: the max and min cycle means of phi - psi at window
+    max(k_phi, k_psi) agree, and the common value is the constant.  In
+    float mode, agreement within ``tol`` counts but is flagged, and the
+    constant is the midpoint.
     """
+    from .max_face import find_cycle, max_mean_data   # max_face imports this module
     if phi.m != 1 or psi.m != 1:
         raise InvalidArgumentError("cohomology test applies to scalar potentials")
     if phi.sft != psi.sft:
         raise InvalidArgumentError("potentials live on different shifts")
-    k = max(phi.k, psi.k)
-    if orbits is None:
-        orbits = elementary_orbits(phi.sft, k)
+    recoded = recode_to_one_step(phi.sft, max(phi.k, psi.k))
     exact = phi.mode == "exact" and psi.mode == "exact"
-    diffs = []
-    for o in orbits:
-        a = birkhoff_average(o, phi)[0]
-        b = birkhoff_average(o, psi)[0]
-        diffs.append(a - b if exact else float(a) - float(b))
-    lo = min(range(len(diffs)), key=lambda i: diffs[i])
-    hi = max(range(len(diffs)), key=lambda i: diffs[i])
-    spread = float(diffs[hi] - diffs[lo])
-    if exact:
-        if diffs[lo] == diffs[hi]:
-            return CohomologyReport(True, diffs[0], None, False, 0.0)
-        return CohomologyReport(False, None, (lo, hi), False, spread)
-    if spread <= tol:
-        return CohomologyReport(True, sum(diffs) / len(diffs), None, spread > 0.0, spread)
-    return CohomologyReport(False, None, (lo, hi), False, spread)
+    w = [phi.value(b)[0] - psi.value(b)[0] if exact
+         else float(phi.value(b)[0]) - float(psi.value(b)[0]) for b in recoded.states]
+    hi, _, hi_edges, _, _ = max_mean_data(recoded, w, exact)
+    neg_lo, _, lo_edges, _, _ = max_mean_data(recoded, [-x for x in w], exact)
+    lo = -neg_lo
+    spread = float(hi - lo)
+    if (lo == hi) if exact else (spread <= tol):
+        return CohomologyReport(True, hi if exact else (hi + lo) / 2, None,
+                                spread > 0.0, spread)
+
+    def segment(edges):
+        seg = tuple(recoded.states[v][0] for v in find_cycle(edges))
+        return min(seg[r:] + seg[:r] for r in range(len(seg)))
+
+    return CohomologyReport(False, None, (segment(lo_edges), segment(hi_edges)),
+                            False, spread)

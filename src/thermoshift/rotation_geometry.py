@@ -3,9 +3,11 @@
 The rotation set of an m-vector potential is the convex hull of the
 Birkhoff averages of the elementary periodic orbits.  All hull geometry
 here runs in exact rational arithmetic; float-mode potentials are
-snapped to a 1e-9 grid first.  Explicit vertex/facet structure is built
-for m <= 3 (interval, monotone chain, incremental hull); larger m stays
-query-only through directional argmax.
+snapped to a 1e-9 grid first.  Without an orbit list, support queries
+(one max-cycle-mean run per direction) grow the affine span and then,
+for m <= 3, certify every facet; vertex/facet structure is built for
+m <= 3 (interval, monotone chain, incremental hull), larger m stays
+query-only.
 """
 
 from __future__ import annotations
@@ -13,15 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DegenerateFaceError, InvalidArgumentError, ResourceLimitError,
-                     UnsupportedDimensionError)
+from .core_sft import recode_to_one_step
+from .errors import DegenerateFaceError, InvalidArgumentError, UnsupportedDimensionError
+from .max_face import lex_extreme_cycle
 from .orbits import birkhoff_average, elementary_orbits
 from .potential import PotentialLC
 
 SNAP_DEN = 10**9
-
-# (sft, k, cap) triples whose cycle census already blew the cap once
-_BLOWN_CAPS: set = set()
 
 
 def _snap(x) -> Fraction:
@@ -33,8 +33,10 @@ def _snap(x) -> Fraction:
 
 
 def orbit_averages(Phi: PotentialLC, orbits) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact orbit averages; float potentials are snapped to the grid."""
-    return tuple(tuple(_snap(x) for x in birkhoff_average(o, Phi)) for o in orbits)
+    """Exact orbit averages of the values snapped to the grid: the points
+    the support queries of rotation_set see."""
+    snapped = [[tuple(map(_snap, Phi.value(b))) for b in o.blocks(Phi.k)] for o in orbits]
+    return tuple(tuple(sum(c) / len(vs) for c in zip(*vs)) for vs in snapped)
 
 
 # -- exact affine frame ----------------------------------------------------
@@ -79,13 +81,6 @@ class _AffineFrame:
         for f, (_, c, _) in zip(coeffs, self._ech):
             for j, cj in enumerate(c):
                 out[j] += f * cj
-        return tuple(out)
-
-    def to_ambient(self, coords):
-        out = list(self.origin)
-        for c, b in zip(coords, self.basis):
-            for i, bi in enumerate(b):
-                out[i] += c * bi
         return tuple(out)
 
 
@@ -204,14 +199,6 @@ class RotationPolytope:
     query_only: bool
     frame: _AffineFrame | None = field(default=None, repr=False)
 
-    def vertex_index(self, point) -> int | None:
-        if self.vertices is None:
-            return None
-        for i, v in enumerate(self.vertices):
-            if v == tuple(point):
-                return i
-        return None
-
     def membership(self, point) -> str:
         """'interior', 'boundary', or 'outside' relative to the affine hull."""
         if self.query_only:
@@ -314,82 +301,92 @@ def _primitive(vec):
     return tuple(Fraction(i // g) for i in ints)
 
 
-def rotation_set(Phi: PotentialLC, orbits=None, cap: int = 10**6) -> RotationPolytope:
-    """Rotation polytope of a vector potential from its orbit averages.
-
-    When no orbit list is given and enumeration would blow past ``cap``,
-    the same hull is built from exact directional max-cycle-mean queries
-    (m <= 2 only); generator_points is then empty.
-    """
-    if orbits is None:
-        key = (Phi.sft, Phi.k, cap)
-        if key in _BLOWN_CAPS:
-            if Phi.m > 2:
-                raise ResourceLimitError(f"orbit enumeration exceeded cap {cap}")
-            return _support_polytope(Phi)
-        try:
-            orbits = elementary_orbits(Phi.sft, Phi.k, cap)
-        except ResourceLimitError:
-            _BLOWN_CAPS.add(key)
-            if Phi.m > 2:
-                raise
-            return _support_polytope(Phi)
-    avgs = orbit_averages(Phi, orbits)
-    gens = list(enumerate(avgs))
-    unique = sorted(set(avgs))
-    if Phi.m > 3:
-        frame = _AffineFrame(unique)
-        return RotationPolytope(Phi.m, gens, frame.dim, None, None, True, frame)
-    frame, verts, facets = _build_hull(Phi.m, unique)
-    poly = RotationPolytope(Phi.m, gens, frame.dim, verts, facets, False, frame)
-    return poly
+def _complement(basis, m):
+    """Exact basis of the orthogonal complement of span(basis) in Q^m:
+    Gram-Schmidt over the basis, then over the unit vectors."""
+    units = [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)]
+    ortho = []
+    for v in [*basis, *units]:
+        for q in ortho:
+            f = _dot(v, q) / _dot(q, q)
+            v = tuple(a - f * b for a, b in zip(v, q))
+        if any(v):
+            ortho.append(v)
+    return ortho[len(basis):]
 
 
-def _support_vertex(recoded, vecs, direction, secondary):
-    from .max_face import lex_extreme_cycle
-    _, mean = lex_extreme_cycle(recoded, vecs, [direction, secondary])
-    return mean
+def _outward_normals(dim, verts, facets):
+    """(ambient outward normal, point on it) for every facet; degenerate
+    hulls lift them from ambient vertices: +-(hi - lo) on a segment, and
+    e x (e x (c - a)), e = b - a, on edge a -> b of a polygon in 3-space
+    (in its plane, pointing away from the vertex c)."""
+    if dim == 1:
+        lo, hi = verts
+        e = tuple(b - a for a, b in zip(lo, hi))
+        return [(tuple(-x for x in e), lo), (e, hi)]
+    out = []
+    for f in facets:
+        a = verts[f.vertex_ids[0]]
+        if f.ambient:
+            out.append((f.normal, a))
+        else:
+            b = verts[f.vertex_ids[1]]
+            c = verts[(f.vertex_ids[1] + 1) % len(verts)]
+            e = _sub3(b, a)
+            out.append((_cross3(e, _cross3(e, _sub3(c, a))), a))
+    return out
 
 
-def _support_polytope(Phi: PotentialLC) -> RotationPolytope:
-    """Hull of cycle averages via exact support queries, m in {1, 2}."""
-    from .core_sft import recode_to_one_step
-    from .max_face import lex_extreme_cycle
+def _support_hull(Phi: PotentialLC):
+    """(frame, vertices, facets) of the rotation set from support queries,
+    each the mean of one cycle maximizing d . Phi, asked once per
+    direction; vertices and facets are None for m > 3."""
     recoded = recode_to_one_step(Phi.sft, Phi.k)
     vecs = [tuple(_snap(x) for x in Phi.value(b)) for b in recoded.states]
-    if Phi.m == 1:
-        _, lo = lex_extreme_cycle(recoded, vecs, [(Fraction(-1),)])
-        _, hi = lex_extreme_cycle(recoded, vecs, [(Fraction(1),)])
-        pts = sorted({lo, hi})
-        frame, verts, facets = _build_hull(1, pts)
-        return RotationPolytope(1, [], frame.dim, verts, facets, False, frame)
-    one = Fraction(1)
-    right = _support_vertex(recoded, vecs, (one, 0 * one), (0 * one, one))
-    left = _support_vertex(recoded, vecs, (-one, 0 * one), (0 * one, -one))
-    if right == left:
-        # zero- or one-dimensional in the vertical direction
-        top = _support_vertex(recoded, vecs, (0 * one, one), (one, 0 * one))
-        bot = _support_vertex(recoded, vecs, (0 * one, -one), (one, 0 * one))
-        pts = sorted({right, top, bot})
-        frame, verts, facets = _build_hull(2, pts)
-        return RotationPolytope(2, [], frame.dim, verts, facets, False, frame)
+    answers = {}
 
-    found = {right, left}
+    def support(d):
+        d = _primitive(d)
+        if d not in answers:
+            answers[d] = lex_extreme_cycle(recoded, vecs, [d])[1]
+        return answers[d]
 
-    def expand(a, b):
-        # outward normal of the directed chord a -> b (hull will be CCW)
-        nrm = (b[1] - a[1], a[0] - b[0])
-        tang = (b[0] - a[0], b[1] - a[1])
-        p = _support_vertex(recoded, vecs, nrm, tang)
-        if _dot(nrm, p) > _dot(nrm, a):
-            found.add(p)
-            expand(a, p)
-            expand(p, b)
+    m = Phi.m
+    pts = {support((1,) + (0,) * (m - 1))}
+    while True:
+        frame = _AffineFrame(sorted(pts))
+        found = {support(tuple(s * x for x in v))
+                 for v in _complement(frame.basis, m) for s in (1, -1)}
+        pts |= found
+        if all(frame.coords(p) is not None for p in found):
+            break
+    if m > 3:
+        return frame, None, None
+    while True:
+        frame, verts, facets = _build_hull(m, sorted(pts))
+        beyond = {p for nrm, a in _outward_normals(frame.dim, verts, facets)
+                  for p in [support(nrm)] if _dot(nrm, p) > _dot(nrm, a)}
+        if not beyond:
+            return frame, verts, facets
+        pts |= beyond
 
-    expand(left, right)
-    expand(right, left)
-    frame, verts, facets = _build_hull(2, sorted(found))
-    return RotationPolytope(2, [], frame.dim, verts, facets, False, frame)
+
+def rotation_set(Phi: PotentialLC, orbits=None) -> RotationPolytope:
+    """Rotation polytope of a vector potential.
+
+    Given an orbit list, the hull of its averages, which generator_points
+    lists.  Otherwise the hull comes from exact support queries and no
+    orbit is enumerated; generator_points is then empty.
+    """
+    m, gens = Phi.m, []
+    if orbits is None:
+        frame, verts, facets = _support_hull(Phi)
+    else:
+        avgs = orbit_averages(Phi, orbits)
+        gens, unique = list(enumerate(avgs)), sorted(set(avgs))
+        frame, verts, facets = ((_AffineFrame(unique), None, None) if m > 3
+                                else _build_hull(m, unique))
+    return RotationPolytope(m, gens, frame.dim, verts, facets, m > 3, frame)
 
 
 @dataclass

@@ -159,6 +159,12 @@ def test_cache_env_is_honoured(capsys, monkeypatch, tmp_path):
     assert entry_path(tmp_path, get_shift("golden"), 3).exists()
 
 
+def test_only_orbits_takes_no_cache(capsys):
+    assert run_json(capsys, "orbits", "--shift", "golden", "--k", "2",
+                    "--no-cache")["payload"]["count"] == 3
+    assert run(capsys, "rotset", "--potential", "trivec", "--no-cache")[0] == 1
+
+
 def test_version_flag(capsys):
     rc, out, _ = run(capsys, "--version")
     assert rc == 0

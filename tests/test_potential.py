@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (brute_max_cycle_mean, random_rational_values,
+                     random_transitive_sft, word_average)
 from thermoshift import (CohomologyReport, InvalidArgumentError, PotentialLC,
-                         Sft, cohomology_test, scalarize, universal_potential)
+                         Sft, cohomology_test, recode_to_one_step, scalarize,
+                         universal_potential)
 from thermoshift.potential import embed_coordinates, embed_direction
 
 
@@ -103,6 +106,7 @@ def test_cohomology_witness_on_failure():
     rep = cohomology_test(phi, zero)
     assert not rep.cohomologous and rep.constant is None
     assert rep.witness is not None and rep.spread == 1.0
+    assert rep.witness[1] == (0,)       # the fixed point 0 has mean 1
 
 
 def test_cohomology_float_tolerance_flag():
@@ -115,6 +119,39 @@ def test_cohomology_float_tolerance_flag():
     assert rep.cohomologous and rep.tolerance_limited
     assert abs(rep.constant - 1.0) < 1e-9
     assert 0 < rep.spread <= 1e-9
+
+
+def test_cohomology_matches_brute_cycle_means(rng):
+    for trial in range(60):
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        psi = PotentialLC.from_block_values(sft, 1, random_rational_values(rng, sft, 1))
+        if trial % 2:
+            # coboundary plus a constant, cohomologous to that constant
+            g = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(sft.d)]
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 5)))
+            blocks = recode_to_one_step(sft, 2).states
+            phi = PotentialLC.from_block_values(
+                sft, 2, {b: g[b[1]] - g[b[0]] + c + psi.value(b)[0] for b in blocks})
+        else:
+            phi = PotentialLC.from_block_values(sft, k, random_rational_values(rng, sft, k))
+        k = max(phi.k, psi.k)
+        w = {b: phi.value(b)[0] - psi.value(b)[0]
+             for b in recode_to_one_step(sft, k).states}
+        hi = brute_max_cycle_mean(sft.transition, w, k)
+        lo = -brute_max_cycle_mean(sft.transition, {b: -x for b, x in w.items()}, k)
+        rep = cohomology_test(phi, psi)
+        assert rep.cohomologous == (lo == hi)
+        assert rep.spread == float(hi - lo)
+        if trial % 2:
+            assert rep.cohomologous and rep.constant == c
+        if rep.cohomologous:
+            assert rep.constant == hi and rep.witness is None
+        else:
+            low, high = rep.witness
+            assert word_average(low, w, k) == lo and word_average(high, w, k) == hi
+            assert all(min(seg[r:] + seg[:r] for r in range(len(seg))) == seg
+                       for seg in rep.witness)
 
 
 def test_cohomology_requires_matching_shifts():

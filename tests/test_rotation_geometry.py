@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from oracles import random_rational_values, random_transitive_sft
-from thermoshift import (PotentialLC, ResourceLimitError, Sft, birkhoff_average,
-                         elementary_orbits, face_in_direction, face_segment,
-                         genericity_check, get_potential, rotation_set)
+import thermoshift
+from thermoshift import (PotentialLC, Sft, birkhoff_average, cohomology_test,
+                         elementary_orbits, face_entropy_curve, face_in_direction,
+                         face_segment, genericity_check, get_potential, rotation_set)
 from thermoshift.rotation_geometry import orbit_averages
 
 
@@ -98,22 +100,83 @@ def test_hull_is_exactly_the_hull_of_orbit_averages(rng, m):
                 assert [p for p, x in vals.items() if x == top] == [v]
 
 
-def test_support_oracle_fallback_matches_enumeration():
-    Phi = get_potential("trivec")
-    full = rotation_set(Phi)
-    limited = rotation_set(Phi, cap=3)   # forces the support-function path
-    assert limited.generator_points == []
-    assert set(limited.vertices) == set(full.vertices)
-    assert limited.affine_dim == 2
+def _assert_same_hull(Phi):
+    # the support-query hull against the hull of the enumerated orbits
+    orbits = elementary_orbits(Phi.sft, Phi.k)
+    oracle, census = rotation_set(Phi), rotation_set(Phi, orbits=orbits)
+    avgs = orbit_averages(Phi, orbits)
+    assert oracle.generator_points == [] and census.generator_points
+    assert oracle.affine_dim == census.affine_dim
+    assert oracle.query_only == census.query_only == (Phi.m > 3)
+    if oracle.query_only:
+        # the oracle's affine frame holds every orbit average
+        assert all(oracle.frame.coords(a) is not None for a in avgs)
+        return
+    assert set(oracle.vertices) == set(census.vertices)
+    if oracle.affine_dim == Phi.m and oracle.facets and oracle.facets[0].ambient:
+        assert oracle.vertices == census.vertices
+        assert oracle.facets == census.facets
+    assert all(oracle.membership(a) != "outside" for a in avgs)
 
 
-def test_support_oracle_unavailable_beyond_plane():
-    sft = Sft.full(2)
-    vals = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (1, 0): (0, 0, 1),
-            (1, 1): (0, 0, 0)}
-    Phi = PotentialLC.from_block_values(sft, 2, vals, m=3)
-    with pytest.raises(ResourceLimitError):
-        rotation_set(Phi, cap=2)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_support_hull_matches_orbit_hull(rng, m):
+    for _ in range(25):
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        vals = random_rational_values(rng, sft, k, m=m)
+        _assert_same_hull(PotentialLC.from_block_values(sft, k, vals, m=m))
+
+
+def test_support_hull_matches_orbit_hull_on_degenerate_inputs(rng):
+    for _ in range(15):
+        # a segment in the plane: every value lies on one line
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        line = (rng.randint(-3, 3), rng.randint(1, 3))
+        vals = {b: tuple(Fraction(x) * c for c in line)
+                for b, x in random_rational_values(rng, sft, k).items()}
+        _assert_same_hull(PotentialLC.from_block_values(sft, k, vals, m=2))
+        # a 3-state shift with k = 1 has three values: a planar hull in Q^3
+        sft3 = random_transitive_sft(rng, 3, 3)
+        Phi = PotentialLC.from_block_values(
+            sft3, 1, random_rational_values(rng, sft3, 1, m=3), m=3)
+        _assert_same_hull(Phi)
+    simplex = {(0,): (1, 0, 0), (1,): (0, 1, 0), (2,): (0, 0, 1)}
+    planar = rotation_set(PotentialLC.from_block_values(Sft.full(3), 1, simplex, m=3))
+    assert planar.affine_dim == 2 and len(planar.vertices) == 3
+
+
+def test_float_support_hull_matches_orbit_hull(rng):
+    # float values are snapped to the grid one by one on both paths
+    for _ in range(10):
+        sft = random_transitive_sft(rng)
+        vals = random_rational_values(rng, sft, 2, m=2)
+        fvals = {b: tuple(float(x) for x in v) for b, v in vals.items()}
+        _assert_same_hull(PotentialLC.from_block_values(sft, 2, fvals, m=2, mode="float"))
+
+
+def test_geometry_and_cohomology_take_no_orbit_census(monkeypatch):
+    vals = {b: (Fraction(b[0]), Fraction(b[0] * b[1]), Fraction(b[0] * b[1] * b[2]))
+            for b in itertools.product(range(2), repeat=3)}
+    solid = PotentialLC.from_block_values(Sft.full(2), 3, vals, m=3)
+    want = rotation_set(solid, orbits=elementary_orbits(solid.sft, 3))
+    assert want.affine_dim == 3
+
+    def census(*args, **kwargs):
+        raise AssertionError("orbit census taken")
+
+    for module in [thermoshift, *vars(thermoshift).values()]:
+        if hasattr(module, "elementary_orbits"):
+            monkeypatch.setattr(module, "elementary_orbits", census)
+    assert rotation_set(get_potential("trivec")).affine_dim == 2
+    assert rotation_set(get_potential("kinkvec")).affine_dim == 2
+    got = rotation_set(solid)
+    assert got.vertices == want.vertices and got.facets == want.facets
+    curve = face_entropy_curve(get_potential("kinkvec"), (0, -1))
+    assert len(curve.hull) == 3
+    fix0 = get_potential("fix0")
+    assert not cohomology_test(fix0, PotentialLC.constant(fix0.sft, 0)).cohomologous
 
 
 def _edge_face_potential():

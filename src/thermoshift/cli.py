@@ -209,7 +209,7 @@ def _cmd_rotset(args) -> int:
         "query_only": poly.query_only,
         "vertices": [_vec(v) for v in poly.vertices] if poly.vertices else [],
         "facets": [{"vertex_ids": list(f.vertex_ids), "normal": _vec(f.normal),
-                    "offset": _num(f.offset), "ambient": f.ambient}
+                    "offset": _num(f.offset)}
                    for f in (poly.facets or [])],
     }
     h = _input_hash("rotset", args, phi, phi.sft, {})

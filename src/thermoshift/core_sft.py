@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import (
     EmptyShiftError,
     InvalidArgumentError,
     NumericError,
-    ReducibleMatrixError,
+    UnderflowError,
 )
 
 
@@ -254,95 +256,217 @@ def recode_to_one_step(sft: Sft, k: int) -> RecodedSft:
     return RecodedSft(sft, k, tuple(blocks), tuple(tuple(r) for r in rows))
 
 
-@dataclass
-class PerronData:
-    """Perron root with right and left eigenvectors.
 
-    Normalization: entries of ``right`` sum to 1 and ``left @ right == 1``.
-    ``residual`` is the worst relative eigen-residual of the pair.
+
+# -- the Perron engine -------------------------------------------------------
+
+GAP_FLOOR = 1e-5         # below this relative gap, doubles are not trusted
+DPS_CAP = 5000           # hard ceiling on escalated working precision
+_EXP_SAFE = 700.0        # |exponent| beyond which doubles underflow
+_CW_TOL = 1e-13          # accepted Collatz-Wielandt excess of the vector
+_POLISH_STEPS = 500      # bound on subtraction-free polishing steps
+_SHIFTS = np.array([0.0, 0.125, 0.5, 1.0])   # candidate power-step shifts
+
+
+class PerronSolve:
+    """Perron root of the transfer matrix exp(t * w[a]) on edges a -> b,
+    with the Markov kernel it induces; the stationary vector of the
+    kernel is computed when first read.
+
+    ``gap`` is the relative distance from the root to the rest of the
+    spectrum; ``precision`` is "double" or "mp[digits]".
     """
 
-    lam: float
-    right: np.ndarray
-    left: np.ndarray
-    residual: float = field(default=0.0)
+    def __init__(self, log_lam: float, transition: np.ndarray, gap: float,
+                 precision: str, stationary: np.ndarray | None = None):
+        self.log_lam = log_lam
+        self.transition = transition
+        self.gap = gap
+        self.precision = precision
+        if stationary is not None:
+            self.stationary = stationary
+
+    @functools.cached_property
+    def stationary(self) -> np.ndarray:
+        p = _gth_stationary(self.transition)
+        if not np.isfinite(p).all():
+            raise NumericError("state reduction of the kernel underflowed")
+        return p
 
 
-def _power_vector(M: np.ndarray, tol: float, max_iter: int, seed: int) -> tuple[float, np.ndarray] | None:
-    """Power iteration on M + cI (primitive for irreducible M)."""
-    n = M.shape[0]
-    c = max(float(np.abs(M).sum(axis=1).max()) / 2.0, 1e-30)
-    shifted = M + c * np.eye(n)
-    rng = np.random.default_rng(seed)
-    v = np.ones(n) if seed == 0 else rng.random(n) + 0.5
-    v /= v.sum()
-    lam = 0.0
-    for it in range(max_iter):
-        w = shifted @ v
-        s = w.sum()
-        if not np.isfinite(s) or s <= 0:
-            return None
-        v = w / s
-        if it % 8 == 7 or it == max_iter - 1:
-            Mv = M @ v
-            # Rayleigh-style estimate restricted to sizeable entries
-            mask = v > v.max() * 1e-12
-            lam = float((v[mask] @ Mv[mask]) / (v[mask] @ v[mask]))
-            scale = max(abs(lam), 1e-300) * max(float(v.max()), 1e-300)
-            res = float(np.abs(Mv - lam * v).max()) / scale
-            if res <= tol:
-                return lam, v
+def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
+    """Perron data of exp(t * w) on an irreducible digraph, each entry to
+    relative accuracy; the weights w have maximum cycle mean 0.
+
+    The matrix is scaled by a max-plus eigenvector h of w (h[a] =
+    max_b w[a] + h[b]; a diagonal scaling is an exact similarity), so
+    that every entry of B = exp(t (w[a] + h[b] - h[a])) is at most 1 and
+    every row has a 1 (Akian, Bapat and Gaubert 1998).  One dense
+    eigensolve of B gives the root, the relative gap and a start vector,
+    which power steps polish until the Collatz-Wielandt bounds
+    min(By/y) <= lam <= max(By/y) agree to _CW_TOL.  The kernel is
+    B[a, b] y[b] / (lam y[a]); its stationary vector comes from GTH state
+    reduction (O'Cinneide 1993).  Escalates to mpmath when the gap is
+    below GAP_FLOOR, a scaled entry underflows, or the polish does not
+    certify.
+    """
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    src, dst = ends[:, 0], ends[:, 1]
+    w = np.array([float(x) for x in weights])
+    W = np.full((n, n), -np.inf)
+    W[src, dst] = w[src]
+    h = _maxplus_potentials(W)
+    s = t * (w[src] + h[dst] - h[src])
+    if not -_EXP_SAFE < s.min() <= s.max() < _EXP_SAFE:
+        return _escalate(n, edges, weights, t)
+    B = np.zeros((n, n))
+    B[src, dst] = np.exp(s)
+    evals, evecs = np.linalg.eig(B)
+    i = int(np.argmax(evals.real))
+    lam = max(float(evals[i].real), 1.0)    # B has a cycle of 1s
+    mu = np.delete(evals, i) / lam
+    gap = float(np.abs(mu - 1.0).min(initial=1.0))
+    if gap < GAP_FLOOR:
+        return _escalate(n, edges, weights, t)
+    y = _polish(B, np.abs(evecs[:, i].real), lam, mu)
+    if y is None:
+        return _escalate(n, edges, weights, t)
+    P = B * y / (lam * y[:, None])
+    P /= P.sum(axis=1, keepdims=True)
+    if not P[src, dst].min() > 0.0:
+        return _escalate(n, edges, weights, t)
+    return PerronSolve(math.log(lam), P, gap, "double")
+
+
+def _maxplus_potentials(W: np.ndarray) -> np.ndarray:
+    """A max-plus eigenvector h = max_b (W[a, b] + h[b]) of log weights
+    whose maximal cycle mean is 0: the column of the Kleene star
+    (Floyd-Warshall on maximal path weights) at a state on a heaviest
+    cycle."""
+    D = W.copy()
+    for k in range(len(D)):
+        np.maximum(D, D[:, k, None] + D[k], out=D)
+    c = int(np.argmax(D.diagonal()))
+    h = D[:, c].copy()
+    h[c] = 0.0
+    return h
+
+
+def _polish(B: np.ndarray, y: np.ndarray, lam: float, mu: np.ndarray):
+    """Positive y whose Collatz-Wielandt ratios By/y agree to _CW_TOL.
+
+    Power steps on B, alternating with steps on B + c lam I, are free of
+    subtraction; the shift c is chosen from the other eigenvalues mu
+    (over lam) to contract fastest.  Modes that contract by less than
+    half in two steps (nearly uncoupled parts) would need about 1/gap
+    steps, and with them a small excess bounds the error only by about
+    excess / gap: once the other modes are gone (the excess is certified
+    or stalls), the filter (B - m lam I) removes each such m, at a
+    cancellation cost of lam / |lam - m|.  None if that fails.
+    """
+    rates = np.abs(mu[:, None] * (mu[:, None] + _SHIFTS)) / (1.0 + _SHIFTS)
+    c = _SHIFTS[np.argmin(rates.max(axis=0, initial=0.0))]
+    slow = mu[(np.abs(mu * (mu + c)) > 0.5 * (1.0 + c)) & (mu.imag >= 0.0)]
+    seen = [np.inf, np.inf]     # excesses so far; a stall spans two steps
+    for step in range(_POLISH_STEPS):
+        By = B @ y
+        excess = np.inf
+        if y.min() > 0.0:
+            r = By / y
+            excess = r.max() / r.min() - 1.0
+        if slow.size and (excess <= _CW_TOL or excess > 0.9 * seen[-2]):
+            y = _deflate(B, y, lam, slow)
+            if not y.min() > 0.0:
+                return None
+            slow = slow[:0]
+            y /= y.max()
+            continue
+        if excess <= _CW_TOL:
+            return y
+        seen.append(excess)
+        y = By + c * lam * y if step % 2 else By
+        y /= y.max()
     return None
 
 
-def _eig_vector(M: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eig(M)
-    i = int(np.argmax(vals.real))
-    lam = float(vals[i].real)
-    v = vecs[:, i].real
-    if v.sum() < 0:
-        v = -v
-    v = np.clip(v, 0.0, None)
-    if v.sum() <= 0:
-        raise NumericError("eigensolver returned a non-positive Perron candidate")
-    return lam, v / v.sum()
+def _deflate(B: np.ndarray, y: np.ndarray, lam: float, modes) -> np.ndarray:
+    """y with the eigencomponents of the eigenvalues lam * modes removed;
+    a complex mode stands for its conjugate pair too."""
+    for m in modes * lam:
+        By = B @ y
+        if m.imag == 0.0:
+            y = By - m.real * y
+        else:
+            y = B @ By - 2.0 * m.real * By + abs(m) ** 2 * y
+    return y
 
 
-def perron_data(M, tol: float = 1e-13, max_iter: int = 100_000) -> PerronData:
-    """Perron root and eigenvectors of an irreducible nonnegative matrix.
+def _gth_stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible stochastic matrix by GTH state
+    reduction (Grassmann, Taksar and Heyman 1985): the pivots are sums of
+    off-diagonal entries, so nothing is subtracted."""
+    A = P.copy()
+    n = len(A)
+    for k in range(n - 1, 0, -1):
+        row = A[k, :k]
+        col = A[:k, k] / row.sum()
+        A[:k, k] = col
+        A[:k, :k] += col[:, None] * row
+    x = np.ones(n)
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+        if x[k] > 1.0:          # keep the largest mass at 1: no overflow
+            x[:k + 1] /= x[k]
+    return x / x.sum()
 
-    Power iteration with a diagonal shift and deflation-free restarts;
-    falls back to the dense eigensolver if iteration stalls.  Raises
-    ReducibleMatrixError on reducible input and InvalidArgumentError on
-    zero or negative input.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise InvalidArgumentError("perron_data needs a square nonempty matrix")
-    if (M < 0).any():
-        raise InvalidArgumentError("perron_data needs a nonnegative matrix")
-    if not M.any():
-        raise InvalidArgumentError("perron_data: zero matrix has no Perron data")
-    comps = scc_of_edges(M.shape[0], matrix_edges(M))
-    if len(comps) != 1 or not comps[0].is_nontrivial:
-        raise ReducibleMatrixError("matrix is reducible; split into components first")
 
-    def one_side(A: np.ndarray) -> tuple[float, np.ndarray]:
-        for seed in (0, 1, 2):
-            got = _power_vector(A, tol, max_iter, seed)
-            if got is not None:
-                return got
-        return _eig_vector(A)
+def _needed_dps(weights, t) -> int:
+    span = max(float(w) for w in weights) - min(float(w) for w in weights)
+    return min(DPS_CAP, 60 + int(0.55 * abs(t) * span) + 8 * len(weights))
 
-    lam_r, v = one_side(M)
-    lam_l, u = one_side(M.T)
-    lam = (lam_r + lam_l) / 2.0
-    v = v / v.sum()
-    u = u / float(u @ v)
-    scale = max(abs(lam), 1e-300)
-    res_r = float(np.abs(M @ v - lam * v).max()) / (scale * float(np.abs(v).max()))
-    res_l = float(np.abs(u @ M - lam * u).max()) / (scale * float(np.abs(u).max()))
-    residual = max(res_r, res_l)
-    if residual > 1e-12:
-        raise NumericError(f"perron residual {residual:.3e} exceeds 1e-12")
-    return PerronData(lam=lam, right=v, left=u, residual=residual)
+
+def _escalate(n, edges, weights, t) -> PerronSolve:
+    """Rerun in mpmath at a precision sized from t and the weight span,
+    doubling it while the gap is not resolved."""
+    dps = _needed_dps(weights, t)
+    if dps >= DPS_CAP:
+        raise UnderflowError(f"Perron solve at t={t} needs more than {DPS_CAP} digits")
+    for _ in range(3):
+        got = _spectral_mp(n, edges, weights, t, dps)
+        if got is not None and got.gap > 10.0 ** (-(dps - 25)):
+            return got
+        dps = min(DPS_CAP, dps * 2)
+    raise NumericError(f"leading eigenpair not certified at t={t}")
+
+
+def _spectral_mp(n, edges, weights, t, dps) -> PerronSolve | None:
+    """The same Perron data from mpmath eigensolves at dps digits."""
+    import mpmath as mp     # only the escalated path needs it
+
+    def mpf(w):
+        if isinstance(w, Fraction):
+            return mp.mpf(w.numerator) / w.denominator
+        return mp.mpf(float(w))
+
+    with mp.workdps(dps):
+        ew = [mp.e ** (mpf(w) * t) for w in weights]
+        M = mp.zeros(n)
+        for a, b in edges:
+            M[a, b] = ew[a]
+        E, EL, ER = mp.eig(M, left=True, right=True)
+        idx = max(range(n), key=lambda i: mp.re(E[i]))
+        lam = mp.re(E[idx])
+        sep = min((abs(E[i] - lam) for i in range(n) if i != idx), default=lam)
+        gap = float(sep / lam) if lam > 0 else -1.0
+        v = [mp.re(ER[i, idx]) for i in range(n)]
+        u = [mp.re(EL[idx, i]) for i in range(n)]
+        v, u = ([x if max(vec, key=abs) > 0 else -x for x in vec] for vec in (v, u))
+        if lam <= 0 or min(v) <= 0 or min(u) <= 0:
+            return None
+        P = np.zeros((n, n))
+        for a, b in edges:
+            P[a, b] = float(ew[a] * v[b] / (lam * v[a]))
+        z = mp.fsum(x * y for x, y in zip(u, v))
+        p = np.array([float(x * y / z) for x, y in zip(u, v)])
+        return PerronSolve(float(mp.log(lam)), P / P.sum(axis=1, keepdims=True),
+                           gap, f"mp[{dps}]", p)

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_sft import RecodedSft, perron_data, recode_to_one_step, scc_of_edges
+from .core_sft import (RecodedSft, matrix_edges, perron, recode_to_one_step,
+                       scc_of_edges)
 from .errors import InvalidArgumentError
 from .potential import PotentialLC, scalarize
 
@@ -174,7 +175,7 @@ def _component_entropy(matrix) -> float:
     n = len(matrix)
     if n == 1:
         return 0.0
-    return float(math.log(perron_data(matrix).lam))
+    return perron(n, matrix_edges(matrix), [0] * n).log_lam
 
 
 def _build_components(recoded, rec_edges, sccs):

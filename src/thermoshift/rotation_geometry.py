@@ -177,14 +177,14 @@ def _hull_3d(points):
 class Facet:
     """A facet given by vertex indices, an outward normal, and its offset.
 
-    ``ambient`` tells whether the normal lives in ambient coordinates
-    (full-dimensional hull) or in the affine frame of a degenerate hull.
+    The normal is ambient; for a degenerate hull it lies in the affine
+    span and is built from the vertices alone, so the same point set
+    always gives the same facets.
     """
 
     vertex_ids: tuple[int, ...]
     normal: tuple
     offset: Fraction
-    ambient: bool
 
 
 @dataclass
@@ -204,14 +204,13 @@ class RotationPolytope:
         if self.query_only:
             raise UnsupportedDimensionError("membership needs an explicit hull (m <= 3)")
         pt = tuple(_snap(x) for x in point)
-        co = self.frame.coords(pt)
-        if co is None:
+        if self.frame.coords(pt) is None:
             return "outside"
         if self.affine_dim == 0:
             return "interior"
         on_facet = False
         for f in self.facets:
-            val = _dot(f.normal, pt) if f.ambient else _dot(f.normal, co)
+            val = _dot(f.normal, pt)
             if val > f.offset:
                 return "outside"
             if val == f.offset:
@@ -224,12 +223,6 @@ class RotationPolytope:
             raise UnsupportedDimensionError("vertex_direction needs an explicit hull")
         if self.affine_dim == 0:
             return tuple(Fraction(0) for _ in range(self.m))
-        if self.affine_dim == 1:
-            tangent = self.frame.basis[0]
-            sign = 1 if vertex_id == 1 else -1
-            return tuple(sign * t for t in tangent)
-        if not self.facets or not self.facets[0].ambient:
-            raise UnsupportedDimensionError("vertex_direction needs ambient facet normals")
         total = [Fraction(0)] * self.m
         for f in self.facets:
             if vertex_id in f.vertex_ids:
@@ -248,26 +241,34 @@ def _build_hull(m, unique_points):
     if r == 1:
         order = sorted(unique_points, key=lambda p: frame.coords(p)[0])
         lo, hi = order[0], order[-1]
-        facets = [Facet((0,), (Fraction(-1),), -frame.coords(lo)[0], False),
-                  Facet((1,), (Fraction(1),), frame.coords(hi)[0], False)]
-        return frame, [lo, hi], facets
+        e = _primitive(tuple(b - a for a, b in zip(lo, hi)))
+        neg = tuple(-x for x in e)
+        return frame, [lo, hi], [Facet((0,), neg, _dot(neg, lo)),
+                                 Facet((1,), e, _dot(e, hi))]
     if r == 2:
-        # full-dimensional in the plane: hull the ambient points directly so
-        # CCW orientation (and hence outward normals) is meaningful; for a
-        # planar set in 3-space, hull in the affine frame instead
-        ambient = (m == 2)
-        if ambient:
-            work = {p: p for p in unique_points}
-        else:
-            work = {p: frame.coords(p) for p in unique_points}
+        # hull in the plane's own coordinates (the ambient ones when m = 2)
+        # so that CCW order is meaningful
+        work = {p: p if m == 2 else frame.coords(p) for p in unique_points}
         inv = {w: p for p, w in work.items()}
-        hull = _hull_2d(list(work.values()))
-        verts = [inv[c] for c in hull]
+        verts = [inv[c] for c in _hull_2d(list(work.values()))]
+        if m == 3:
+            # the frame's orientation depends on which points built it:
+            # start at the lex-min vertex, towards its lex-smaller neighbour
+            i = verts.index(min(verts))
+            verts = verts[i:] + verts[:i]
+            if verts[-1] < verts[1]:
+                verts = verts[:1] + verts[:0:-1]
         facets = []
-        for i in range(len(hull)):
-            a, b = hull[i], hull[(i + 1) % len(hull)]
-            nrm = (b[1] - a[1], a[0] - b[0])
-            facets.append(Facet((i, (i + 1) % len(hull)), nrm, _dot(nrm, a), ambient))
+        for i, a in enumerate(verts):
+            j = (i + 1) % len(verts)
+            b, c = verts[j], verts[(j + 1) % len(verts)]
+            if m == 2:
+                nrm = (b[1] - a[1], a[0] - b[0])
+            else:
+                # e x (e x (c - a)), e = b - a: in the plane, away from c
+                e = _sub3(b, a)
+                nrm = _primitive(_cross3(e, _cross3(e, _sub3(c, a))))
+            facets.append(Facet((i, j), nrm, _dot(nrm, a)))
         return frame, verts, facets
     # r == 3 implies m == 3 (m > 3 never builds a hull): work in ambient
     pts = list(unique_points)
@@ -287,7 +288,7 @@ def _build_hull(m, unique_points):
         corners[nrm, off] = [flat[q] for q in _hull_2d(list(flat))]
     verts = sorted({p for cs in corners.values() for p in cs})
     vid = {p: i for i, p in enumerate(verts)}
-    facets = [Facet(tuple(sorted(vid[p] for p in cs)), nrm, off, True)
+    facets = [Facet(tuple(sorted(vid[p] for p in cs)), nrm, off)
               for (nrm, off), cs in sorted(corners.items())]
     return frame, verts, facets
 
@@ -313,28 +314,6 @@ def _complement(basis, m):
         if any(v):
             ortho.append(v)
     return ortho[len(basis):]
-
-
-def _outward_normals(dim, verts, facets):
-    """(ambient outward normal, point on it) for every facet; degenerate
-    hulls lift them from ambient vertices: +-(hi - lo) on a segment, and
-    e x (e x (c - a)), e = b - a, on edge a -> b of a polygon in 3-space
-    (in its plane, pointing away from the vertex c)."""
-    if dim == 1:
-        lo, hi = verts
-        e = tuple(b - a for a, b in zip(lo, hi))
-        return [(tuple(-x for x in e), lo), (e, hi)]
-    out = []
-    for f in facets:
-        a = verts[f.vertex_ids[0]]
-        if f.ambient:
-            out.append((f.normal, a))
-        else:
-            b = verts[f.vertex_ids[1]]
-            c = verts[(f.vertex_ids[1] + 1) % len(verts)]
-            e = _sub3(b, a)
-            out.append((_cross3(e, _cross3(e, _sub3(c, a))), a))
-    return out
 
 
 def _support_hull(Phi: PotentialLC):
@@ -364,8 +343,8 @@ def _support_hull(Phi: PotentialLC):
         return frame, None, None
     while True:
         frame, verts, facets = _build_hull(m, sorted(pts))
-        beyond = {p for nrm, a in _outward_normals(frame.dim, verts, facets)
-                  for p in [support(nrm)] if _dot(nrm, p) > _dot(nrm, a)}
+        beyond = {p for f in facets for p in [support(f.normal)]
+                  if _dot(f.normal, p) > f.offset}
         if not beyond:
             return frame, verts, facets
         pts |= beyond

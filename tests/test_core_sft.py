@@ -3,12 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft,
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
-from thermoshift.core_sft import perron_data, scc_of_edges
+from thermoshift.core_sft import matrix_edges, perron, scc_of_edges
 
 
 def test_full_shift_basics():
@@ -115,16 +116,18 @@ def test_recode_structure():
 
 
 def test_perron_closed_forms():
-    golden = Sft.from_matrix([[1, 1], [1, 0]])
-    pd = perron_data(golden.matrix().astype(float))
-    assert abs(pd.lam - (1 + math.sqrt(5)) / 2) < 1e-12
-    hub = Sft.from_matrix([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
-    pd = perron_data(hub.matrix().astype(float))
-    assert abs(pd.lam - (1 + math.sqrt(2))) < 1e-12
-    pd = perron_data(Sft.full(3).matrix().astype(float))
-    assert abs(pd.lam - 3.0) < 1e-12
-    assert pd.right.min() > 0 and pd.left.min() > 0
-    assert pd.residual < 1e-12
+    # zero weights: the Perron root of the 0/1 matrix and its Parry kernel
+    for rows, lam in (([[1, 1], [1, 0]], (1 + math.sqrt(5)) / 2),
+                      ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], 1 + math.sqrt(2)),
+                      ([[1, 1, 1]] * 3, 3.0)):
+        n = len(rows)
+        sol = perron(n, matrix_edges(rows), [0] * n)
+        assert abs(math.exp(sol.log_lam) - lam) < 1e-12
+        assert sol.precision == "double" and sol.stationary.min() > 0
+        P = sol.transition
+        assert np.all((P > 0) == np.array(rows, dtype=bool))
+        assert np.abs(P.sum(axis=1) - 1).max() < 1e-14
+        assert np.abs(sol.stationary @ P - sol.stationary).max() < 1e-14
 
 
 def test_json_round_trip():

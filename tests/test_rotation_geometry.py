@@ -112,10 +112,14 @@ def _assert_same_hull(Phi):
         # the oracle's affine frame holds every orbit average
         assert all(oracle.frame.coords(a) is not None for a in avgs)
         return
-    assert set(oracle.vertices) == set(census.vertices)
-    if oracle.affine_dim == Phi.m and oracle.facets and oracle.facets[0].ambient:
-        assert oracle.vertices == census.vertices
-        assert oracle.facets == census.facets
+    # facets are ambient and built from the vertices alone, so they agree
+    # on degenerate hulls too; each supports the hull at its vertices
+    assert oracle.vertices == census.vertices
+    assert oracle.facets == census.facets
+    for f in oracle.facets:
+        vals = [sum(a * x for a, x in zip(f.normal, v)) for v in oracle.vertices]
+        assert max(vals) == f.offset
+        assert {i for i, x in enumerate(vals) if x == f.offset} == set(f.vertex_ids)
     assert all(oracle.membership(a) != "outside" for a in avgs)
 
 

@@ -1,14 +1,20 @@
+import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import GOLDEN, LOG_GOLDEN, LOG_SILVER
+from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, mp_equilibrium,
+                     random_rational_values)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, UnderflowError, equilibrium_markov, get_potential,
                          get_shift, parry_measure, pressure)
-from thermoshift.thermodynamics import parry_from_matrix
+from thermoshift.core_sft import GAP_FLOOR
+from thermoshift.thermodynamics import markov_entropy, parry_from_matrix
 
 SQ5 = math.sqrt(5.0)
 SQ2 = math.sqrt(2.0)
@@ -132,3 +138,107 @@ def test_extreme_t_underflows_cleanly():
         equilibrium_markov(get_potential("twofix"), t=2.0e4)
     with pytest.raises(UnderflowError):
         pressure(get_potential("twofix"), t=2.0e4)
+
+
+def _assert_matches_oracle(phi, values, t):
+    """Every stationary and kernel entry within 1e-10 relative of an
+    mpmath solve; entries below the double range must read as tiny.
+    Returns the measure and the oracle's gap."""
+    span = float(max(values.values()) - min(values.values()))
+    p, P, gap = mp_equilibrium(phi.sft.transition, values, phi.k, t,
+                               dps=30 + int(t * span / 2.3))
+    mu = equilibrium_markov(phi, t)
+    pairs = list(zip(mu.stationary, p))
+    pairs += [(x, y) for row, want in zip(mu.transition, P)
+              for x, y in zip(row, want)]
+    for got, want in pairs:
+        if want > 1e-300:
+            assert abs(got - want) <= 1e-10 * want, (t, mu.precision, got, want)
+        else:
+            assert got < 1e-290
+    return mu, gap
+
+
+def test_equilibrium_matches_mp_oracle_entrywise(rng):
+    # seeded full-shift potentials against an independent mpmath solve of
+    # the unscaled transfer matrix; doubles are used unless the gap has
+    # collapsed or a kernel entry lies below the double range
+    for d, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+        sft = Sft.full(d)
+        values = random_rational_values(rng, sft, k)
+        phi = PotentialLC.from_block_values(sft, k, values)
+        for t in (0.25, 1.0, 4.0, 16.0, 64.0):
+            mu, gap = _assert_matches_oracle(phi, values, t)
+            representable = mu.transition[mu.transition > 0].min() > 1e-300
+            if gap >= GAP_FLOOR and representable:
+                assert mu.precision == "double", (d, k, t, float(gap))
+
+
+def test_n64_low_temperature_solve_stays_in_doubles(rng):
+    sft = Sft.full(4)
+    phi = PotentialLC.from_block_values(sft, 3, random_rational_values(rng, sft, 3))
+    mu = equilibrium_markov(phi, 16.0)
+    assert mu.precision == "double"
+    p, P = mu.stationary, mu.transition
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-14
+    assert np.all(np.abs(p @ P - p) <= 1e-12 * p)
+
+
+# Fixed low-temperature benchmark potentials (full3 k=3, full2 k=4, full2
+# k=2), block values in lexicographic block order.  Dense eig on the
+# unscaled transfer matrix got their t = 4 masses wrong by 1e-4 relative
+# while passing its positivity test.
+SILENT_ERROR_CASES = (
+    (3, 3, "2/3 7/3 0 3/2 -5/2 -1 2 8 -5/3 -5/3 -3/2 7/3 -1 1/4 1 -4 1/3 2 0 "
+           "-1/3 -4 -2 -3/2 4 6 7 7/4", (4.0,)),
+    (2, 4, "-1/3 -3/4 4 -2/3 3/2 3/4 7/4 -1/2 1 -4 -1/2 0 3/2 2 -7/2 3/2",
+     (4.0, 16.0)),
+    (2, 2, "-1/2 3/2 -1 -8", (4.0, 16.0)),
+    (2, 2, "-2 7/2 -3 4", (4.0, 16.0)),
+)
+
+
+@pytest.mark.parametrize("d, k, text, temps", SILENT_ERROR_CASES)
+def test_low_temperature_masses_are_entrywise_accurate(d, k, text, temps):
+    sft = Sft.full(d)
+    blocks = sorted(itertools.product(range(d), repeat=k))
+    values = {b: Fraction(v) for b, v in zip(blocks, text.split())}
+    phi = PotentialLC.from_block_values(sft, k, values)
+    for t in temps:
+        mu, _ = _assert_matches_oracle(phi, values, t)
+        assert mu.precision == "double"
+
+
+def test_nearly_uncoupled_fixed_points_stay_in_doubles():
+    # two maximizing fixed points, 000 and 111, joined only through
+    # blocks of value -2: at t = 4 and 5 the relative gap is about
+    # exp(-2t), above GAP_FLOOR, and plain power steps would need 1e4 to
+    # 1e5 steps to balance the two
+    sft = Sft.full(2)
+    blocks = sorted(itertools.product(range(2), repeat=3))
+    values = dict(zip(blocks, map(Fraction, (0, -1, -2, -2, -2, 0, 0, 0))))
+    phi = PotentialLC.from_block_values(sft, 3, values)
+    for t in (4.0, 5.0):
+        mu, gap = _assert_matches_oracle(phi, values, t)
+        assert GAP_FLOOR < gap < 1e-3 and mu.precision == "double"
+
+
+def test_markov_entropy_matches_the_double_sum(rng):
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        P = np.array([[rng.random() if rng.random() < 0.6 else 0.0
+                       for _ in range(n)] for _ in range(n)])
+        P[np.arange(n), np.arange(n)] += 0.1
+        P /= P.sum(axis=1, keepdims=True)
+        p = np.array([rng.random() for _ in range(n)])
+        p /= p.sum()
+        want = -sum(p[i] * P[i, j] * math.log(P[i, j])
+                    for i in range(n) for j in range(n) if P[i, j] > 0)
+        assert math.isclose(markov_entropy(p, P), want, rel_tol=1e-15, abs_tol=1e-15)
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import thermoshift; "
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True)

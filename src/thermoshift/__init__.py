@@ -15,8 +15,8 @@ from .errors import (DegenerateFaceError, EmptyShiftError, InvalidArgumentError,
                      UnderflowError, UnsupportedDimensionError)
 from .core_sft import (RecodedSft, SccComponent, Sft, is_transitive,
                        recode_to_one_step, strongly_connected_components)
-from .orbits import (ElementaryOrbit, OrbitMeasure, birkhoff_average,
-                     elementary_orbits, permutability_classes)
+from .orbits import (ElementaryOrbit, birkhoff_average, elementary_orbits,
+                     permutability_classes)
 from .potential import (CohomologyReport, PotentialLC, cohomology_test,
                         scalarize, universal_potential)
 from .rotation_geometry import (FaceFingerprint, GenericityReport,
@@ -43,7 +43,7 @@ __all__ = [
     "UnderflowError", "NumericError",
     # shifts and orbits
     "Sft", "RecodedSft", "SccComponent", "recode_to_one_step", "is_transitive",
-    "strongly_connected_components", "ElementaryOrbit", "OrbitMeasure",
+    "strongly_connected_components", "ElementaryOrbit",
     "elementary_orbits", "birkhoff_average", "permutability_classes",
     # potentials
     "PotentialLC", "scalarize", "universal_potential", "CohomologyReport",

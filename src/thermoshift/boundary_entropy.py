@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft
+from .core_sft import Sft, matrix_edges, perron
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
-from .potential import PotentialLC
+from .potential import PotentialLC, scalarize
 from .rotation_geometry import RotationPolytope, _snap, rotation_set
-from .thermodynamics import equilibrium_markov, parry_measure
+from .thermodynamics import equilibrium_markov, markov_entropy
 
 DEFAULT_SAMPLES = 201
 DEFAULT_VMAX = 50.0
@@ -80,52 +80,43 @@ class FaceCurve:
         return self.hull[0].h, self.hull[-1].h
 
 
-def _component_potentials(comp, Phi: PotentialLC):
-    """Restricted shift of a face component and its vector values."""
-    sub = Sft(tuple(tuple(row) for row in comp.matrix), comp.labels())
-    vals = [Phi.value(b) for b in comp.blocks]
-    return sub, vals
+def _component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
+    """Exact anchors and tan-grid samples (s(v), h(v)) of one component.
 
-
-def _tangential_values(vals, e0, tangent, exact: bool):
+    psi is the tangential coordinate of the values on the component; the
+    equilibrium state of v . psi has max cycle mean v * s_hi for v >= 0
+    and v * s_lo for v < 0, so each sample is one Perron solve.
+    """
     tt = sum(t * t for t in tangent)
-    out = []
-    for vec in vals:
-        num = sum((x - a) * t for x, a, t in zip(vec, e0, tangent))
-        out.append(num / tt if exact else float(num) / float(tt))
-    return out
-
-
-def _component_curve(comp_id, comp, Phi, e0, tangent, exact, n_samples, vmax):
-    sub, vals = _component_potentials(comp, Phi)
-    psi = _tangential_values(vals, e0, tangent, exact)
+    psi = []
+    for i in comp.state_ids:
+        num = sum((x - a) * t for x, a, t in zip(vecs[i], e0, tangent))
+        psi.append(num / tt if exact else float(num) / float(tt))
     n = len(psi)
-    mode = "exact" if exact else "float"
-    psi_pot = PotentialLC(sub, 1, 1, {(i,): (psi[i],) for i in range(n)}, mode)
-    hi_face = face_subshift(psi_pot)
-    pts = []
+    sub = Sft(comp.matrix, comp.labels())
+
+    def face(sign):
+        vals = {(i,): (sign * x,) for i, x in enumerate(psi)}
+        return face_subshift(PotentialLC(sub, 1, 1, vals, "exact" if exact else "float"))
+
+    hi_face = face(1)
     if hi_face.is_whole_shift:
         # tangentially constant component: one exact point at its mean
-        s0 = float(hi_face.beta)
-        pts.append(CurvePoint(s0, comp.entropy, comp_id, "point", -1))
-        return pts
-    neg_pot = PotentialLC(sub, 1, 1, {(i,): (-psi[i],) for i in range(n)}, mode)
-    lo_face = face_subshift(neg_pot)
-    s_hi, h_hi = float(hi_face.beta), hi_face.entropy
-    s_lo, h_lo = -float(lo_face.beta), lo_face.entropy
-    pts.append(CurvePoint(s_lo, h_lo, comp_id, "anchor", -1))
-    pts.append(CurvePoint(s_hi, h_hi, comp_id, "anchor", -1))
+        return [CurvePoint(float(hi_face.beta), comp.entropy, comp.index, "point", -1)]
+    lo_face = face(-1)
+    s_hi, s_lo = float(hi_face.beta), -float(lo_face.beta)
+    pts = [CurvePoint(s_lo, lo_face.entropy, comp.index, "anchor", -1),
+           CurvePoint(s_hi, hi_face.entropy, comp.index, "anchor", -1)]
+    edges = matrix_edges(comp.matrix)
+    psi = [float(x) for x in psi]
     th_max = math.atan(vmax)
-    thetas = np.linspace(-th_max, th_max, n_samples)
-    for i, th in enumerate(thetas):
+    for i, th in enumerate(np.linspace(-th_max, th_max, n_samples)):
         v = math.tan(th)
-        pot_v = PotentialLC(sub, 1, 1,
-                            {(j,): (v * float(psi[j]),) for j in range(n)},
-                            "float")
-        mu = equilibrium_markov(pot_v, t=1.0)
-        s = float(sum(float(p) * float(ps)
-                      for p, ps in zip(mu.stationary, psi)))
-        pts.append(CurvePoint(s, mu.entropy, comp_id, "sample", i))
+        beta = v * (s_hi if v >= 0 else s_lo)
+        sol = perron(n, edges, [v * x - beta for x in psi])
+        s = float(sum(float(p) * x for p, x in zip(sol.stationary, psi)))
+        h = markov_entropy(sol.stationary, sol.transition)
+        pts.append(CurvePoint(s, h, comp.index, "sample", i))
     return pts
 
 
@@ -177,11 +168,11 @@ def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES
     e0, e1 = sorted(face_verts)
     tangent = tuple(b - a for a, b in zip(e0, e1))
     face = face_subshift(Phi, alpha)
-    exact = Phi.mode == "exact"
+    vecs = Phi.state_values()
     points = []
     for comp in face.components:
-        points.extend(_component_curve(comp.index, comp, Phi, e0, tangent,
-                                       exact, n_samples, vmax))
+        points.extend(_component_curve(comp, vecs, e0, tangent, Phi.mode == "exact",
+                                       n_samples, vmax))
     hull = _upper_hull(points)
     labels = [c.labels() for c in face.components]
     return FaceCurve(alpha, e0, e1, tangent, face.beta, labels, points, hull,
@@ -229,18 +220,12 @@ def differentiability_scan(curve: FaceCurve, threshold: float | None = None,
 
 # -- interior duality ------------------------------------------------------
 
-def _scaled_potential(Phi: PotentialLC, v):
-    vals = {}
-    for b, vec in Phi.values.items():
-        vals[b] = (float(sum(float(x) * float(y) for x, y in zip(v, vec))),)
-    return PotentialLC(Phi.sft, Phi.k, 1, vals, "float")
-
-
 def _dual_value_grad(Phi, w, v):
-    mu = equilibrium_markov(_scaled_potential(Phi, v), t=1.0)
-    r = mu.rotation_vector(Phi)
+    """P(v . Phi) - v . w, its gradient (the rotation error of the
+    equilibrium state of v . Phi) and that state."""
+    mu = equilibrium_markov(scalarize(Phi, v), t=1.0)
     g = mu.pressure - sum(a * b for a, b in zip(v, w))
-    grad = tuple(ri - wi for ri, wi in zip(r, w))
+    grad = tuple(ri - wi for ri, wi in zip(mu.rotation_vector(Phi), w))
     return g, grad, mu
 
 
@@ -252,65 +237,42 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
 
     Returns (entropy, dual_v, measure).  Raises OutOfDomainError for
     boundary or exterior w; boundary profiles come from the face curves.
+    The dual v runs over the direction space of the rotation set, in
+    orthonormal coordinates x: damped Newton steps on a central-difference
+    Hessian of the gradient, or gradient steps where it is not positive
+    definite.
     """
     if Phi.m != 2:
         raise UnsupportedDimensionError("interior duality implemented for m = 2")
     if poly is None:
         poly = rotation_set(Phi)
-    w_exact = tuple(_snap(x) for x in w)
-    side = poly.membership(w_exact)
+    side = poly.membership(tuple(_snap(x) for x in w))
     if side != "interior":
         raise OutOfDomainError(f"rotation vector is {side}; need interior")
     w = tuple(float(x) for x in w)
-    if poly.affine_dim == 0:
-        mu = parry_measure(Phi.sft)
-        return mu.entropy, (0.0, 0.0), mu
-    if poly.affine_dim == 1:
-        basis = tuple(float(x) for x in poly.frame.basis[0])
-        nb = math.hypot(*basis)
-        tangent = (basis[0] / nb, basis[1] / nb)
-        x = 0.0
-        for _ in range(max_iter):
-            v = (x * tangent[0], x * tangent[1])
-            g, grad, mu = _dual_value_grad(Phi, w, v)
-            gt = grad[0] * tangent[0] + grad[1] * tangent[1]
-            if abs(gt) < tol:
-                return g, v, mu
-            eps = 1e-5 * (1.0 + abs(x))
-            vp = ((x + eps) * tangent[0], (x + eps) * tangent[1])
-            _, gp, _ = _dual_value_grad(Phi, w, vp)
-            gpt = gp[0] * tangent[0] + gp[1] * tangent[1]
-            curv = (gpt - gt) / eps
-            step = -gt / curv if curv > 1e-14 else -gt
-            x = x + _damped(lambda y: _dual_value_grad(
-                Phi, w, (y * tangent[0], y * tangent[1]))[0], x, step, g)
-        raise NumericError("interior duality did not converge")
-    v = (0.0, 0.0)
+    r = poly.affine_dim
+    # rows: an orthonormal basis of the directions of the affine hull
+    Q = np.linalg.qr(np.array(poly.frame.basis, dtype=float).reshape(r, 2).T)[0].T
+
+    def at(x):
+        g, grad, mu = _dual_value_grad(Phi, w, tuple(map(float, x @ Q)))
+        return g, Q @ grad, mu
+
+    x = np.zeros(r)
     for _ in range(max_iter):
-        g, grad, mu = _dual_value_grad(Phi, w, v)
-        if max(abs(grad[0]), abs(grad[1])) < tol:
-            return g, v, mu
-        eps = 1e-5 * (1.0 + math.hypot(*v))
-        H = [[0.0, 0.0], [0.0, 0.0]]
-        for j in range(2):
-            vp = list(v)
-            vp[j] += eps
-            _, gp, _ = _dual_value_grad(Phi, w, tuple(vp))
-            vm = list(v)
-            vm[j] -= eps
-            _, gm, _ = _dual_value_grad(Phi, w, tuple(vm))
-            for i in range(2):
-                H[i][j] = (gp[i] - gm[i]) / (2.0 * eps)
-        H[0][1] = H[1][0] = 0.5 * (H[0][1] + H[1][0])
-        det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
-        if det > 1e-18 and H[0][0] > 0.0:
-            dx = -(H[1][1] * grad[0] - H[0][1] * grad[1]) / det
-            dy = -(H[0][0] * grad[1] - H[1][0] * grad[0]) / det
-        else:
-            dx, dy = -grad[0], -grad[1]
-        scale = _damped(lambda s: _dual_value_grad(
-            Phi, w, (v[0] + s * dx, v[1] + s * dy))[0], 0.0, 1.0, g)
-        v = (v[0] + scale * dx, v[1] + scale * dy)
+        g, grad, mu = at(x)
+        if np.abs(grad).max(initial=0.0) < tol:
+            return g, tuple(map(float, x @ Q)), mu
+        eps = 1e-5 * (1.0 + np.linalg.norm(x))
+        H = np.column_stack([(at(x + eps * e)[1] - at(x - eps * e)[1]) / (2.0 * eps)
+                             for e in np.eye(r)])
+        H = 0.5 * (H + H.T)
+        try:
+            np.linalg.cholesky(H)
+            dx = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            dx = -grad
+        x = x + _damped(lambda s: at(x + s * dx)[0], 0.0, 1.0, g) * dx
     raise NumericError("interior duality did not converge")
 
 

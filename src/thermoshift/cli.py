@@ -240,7 +240,7 @@ def _cmd_classify(args) -> int:
                              "measure": _measure_summary(mu)}
                             for i, (w, mu) in zip(res.max_entropy_ids, res.limit)]
     elif res.case == CASE_MULTI_COMPONENT:
-        sym = symmetry_coefficients(phi, res) if phi.mode == "exact" else None
+        sym = symmetry_coefficients(phi, res)
         if sym is not None:
             payload["coefficients"] = _vec(sym)
             payload["coefficient_method"] = "symmetry"

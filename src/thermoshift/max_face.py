@@ -32,12 +32,12 @@ def _cyclic_components(n: int, edges):
     return sccs, comp_of
 
 
-def karp_max_mean(n: int, edges, weight):
-    """Maximum cycle mean of an edge-weighted digraph.
+def karp_max_mean(n: int, edges, w):
+    """Maximum cycle mean of a digraph whose edge a -> b weighs w[a].
 
-    ``weight`` maps (u, v) to an int, Fraction or float; exact in, exact
-    out (exact weights are scaled to ints by the lcm of their
-    denominators).  Raises InvalidArgumentError when the graph has no cycle.
+    Weights are ints, Fractions or floats; exact in, exact out (exact
+    weights are scaled to ints by the lcm of their denominators).
+    Raises InvalidArgumentError when the graph has no cycle.
     """
     sccs, comp_of = _cyclic_components(n, edges)
     local = [0] * n
@@ -45,26 +45,23 @@ def karp_max_mean(n: int, edges, weight):
         for i, v in enumerate(comp):
             local[v] = i
     comp_preds = [[[] for _ in comp] for comp in sccs]
-    comp_w = [{} for _ in sccs]
-    for (u, v) in edges:
-        c = comp_of[u]
-        if c >= 0 and c == comp_of[v]:
-            lu, lv = local[u], local[v]
-            comp_preds[c][lv].append(lu)
-            comp_w[c][(lu, lv)] = weight(u, v)
-    ws = [x for cw in comp_w for x in cw.values()]
-    exact = all(isinstance(x, (int, Fraction)) for x in ws)
+    for (a, b) in edges:
+        c = comp_of[a]
+        if c >= 0 and c == comp_of[b]:
+            comp_preds[c][local[b]].append(local[a])
+    exact = all(isinstance(x, (int, Fraction)) for x in w)
     if exact:
-        scale = math.lcm(*(x.denominator for x in ws))
-        comp_w = [{e: x.numerator * (scale // x.denominator) for e, x in cw.items()}
-                  for cw in comp_w]
+        scale = math.lcm(*(x.denominator for x in w))
+        w = [x.numerator * (scale // x.denominator) for x in w]
     best = None
-    for m, preds, wloc in zip(map(len, sccs), comp_preds, comp_w):
+    for comp, preds in zip(sccs, comp_preds):
+        m = len(comp)
+        wloc = [w[v] for v in comp]
         D = [[None] * m for _ in range(m + 1)]
         D[0][0] = 0
         for k in range(1, m + 1):
             for v in range(m):
-                cands = [D[k - 1][u] + wloc[(u, v)] for u in preds[v]
+                cands = [D[k - 1][u] + wloc[u] for u in preds[v]
                          if D[k - 1][u] is not None]
                 if cands:
                     D[k][v] = max(cands)
@@ -87,8 +84,8 @@ def karp_max_mean(n: int, edges, weight):
     return best
 
 
-def longest_path_potentials(n: int, edges, weight, beta):
-    """Node potentials u with u[v] >= u[u] + (w - beta) for every edge.
+def longest_path_potentials(n: int, edges, w, beta):
+    """Node potentials u with u[b] >= u[a] + w[a] - beta for every edge.
 
     Bellman-Ford style relaxation from a zero baseline; converges since
     no reduced cycle is positive.
@@ -97,7 +94,7 @@ def longest_path_potentials(n: int, edges, weight, beta):
     for _ in range(n):
         changed = False
         for (a, b) in edges:
-            cand = u[a] + weight(a, b) - beta
+            cand = u[a] + w[a] - beta
             if cand > u[b]:
                 u[b] = cand
                 changed = True
@@ -106,19 +103,35 @@ def longest_path_potentials(n: int, edges, weight, beta):
     return u
 
 
-def tight_recurrent_part(n: int, edges, weight, beta, u, tol=0.0):
+def tight_recurrent_part(n: int, edges, w, beta, u, tol=0.0):
     """Tight edges and the nontrivial SCCs of the subgraph they span."""
     if tol:
-        scale = 1.0 + max((abs(float(weight(a, b))) for (a, b) in edges),
-                          default=0.0)
+        scale = 1.0 + max((abs(float(w[a])) for (a, _) in edges), default=0.0)
         tight = [(a, b) for (a, b) in edges
-                 if abs(float(u[a] + weight(a, b) - beta - u[b])) <= tol * scale]
+                 if abs(float(u[a] + w[a] - beta - u[b])) <= tol * scale]
     else:
-        tight = [(a, b) for (a, b) in edges if u[a] + weight(a, b) - beta == u[b]]
+        tight = [(a, b) for (a, b) in edges if u[a] + w[a] - beta == u[b]]
     sccs, comp_of = _cyclic_components(n, tight)
     rec_edges = [(a, b) for (a, b) in tight
                  if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
     return rec_edges, sccs
+
+
+def max_mean_data(n: int, edges, w):
+    """(beta, recurrent tight edges, SCC node lists) of the max cycle
+    mean of edges a -> b weighing w[a].
+
+    Exact weights are tested for tightness on the integers
+    (w - beta) * den; float weights within TIGHT_TOL of their scale.
+    """
+    beta = karp_max_mean(n, edges, w)
+    if isinstance(beta, Fraction):
+        den = math.lcm(beta.denominator, *(x.denominator for x in w))
+        r = [int((x - beta) * den) for x in w]
+        u = longest_path_potentials(n, edges, r, 0)
+        return (beta, *tight_recurrent_part(n, edges, r, 0, u))
+    u = longest_path_potentials(n, edges, w, beta)
+    return (beta, *tight_recurrent_part(n, edges, w, beta, u, TIGHT_TOL))
 
 
 def find_cycle(edges):
@@ -189,21 +202,6 @@ def _build_components(recoded, rec_edges, sccs):
     return comps
 
 
-def max_mean_data(recoded: RecodedSft, weights, exact: bool):
-    """(beta, potentials, recurrent tight edges, SCC node lists)."""
-    n = recoded.n
-    edges = recoded.edges()
-
-    def wfun(a, b):
-        return weights[a]
-
-    beta = karp_max_mean(n, edges, wfun)
-    u = longest_path_potentials(n, edges, wfun, beta)
-    tol = 0.0 if exact else TIGHT_TOL
-    rec_edges, sccs = tight_recurrent_part(n, edges, wfun, beta, u, tol)
-    return beta, u, rec_edges, sccs, edges
-
-
 def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
     """Maximizing subshift of alpha . Phi (or of a scalar phi directly).
 
@@ -221,15 +219,12 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
             raise InvalidArgumentError("scalar potential required when no direction given")
         direction = None
     recoded = recode_to_one_step(phi.sft, phi.k)
-    exact = phi.mode == "exact"
-    weights = [phi.value(b)[0] for b in recoded.states]
-    if exact:
-        weights = [Fraction(w) for w in weights]
-    beta, u, rec_edges, sccs, edges = max_mean_data(recoded, weights, exact)
+    edges = recoded.edges()
+    beta, rec_edges, sccs = max_mean_data(
+        recoded.n, edges, [x for (x,) in phi.state_values()])
     comps = _build_components(recoded, rec_edges, sccs)
-    whole = set(rec_edges) == set(edges)
     return FaceSubshift(direction, beta, recoded, tuple(sorted(rec_edges)),
-                        comps, whole, phi.mode)
+                        comps, len(rec_edges) == len(edges), phi.mode)
 
 
 def max_entropy_components(face: FaceSubshift, tol: float = TIGHT_TOL):
@@ -250,18 +245,14 @@ def lex_extreme_cycle(recoded: RecodedSft, vecs, directions):
     given exact directions; returns (cycle state ids, mean vector).
 
     ``vecs`` is one rational m-vector per recoded state.  Used for
-    support-oracle hull construction without orbit enumeration; the tight
-    test runs on integer reduced weights (w - beta) * den.
+    support-oracle hull construction without orbit enumeration; each
+    direction restricts the search to the recurrent tight edges of the
+    previous one.
     """
-    n = recoded.n
     edges = recoded.edges()
     for d in directions:
-        w = [sum(di * xi for di, xi in zip(d, vecs[a])) for a in range(n)]
-        beta = karp_max_mean(n, edges, lambda a, b: w[a])
-        den = math.lcm(beta.denominator, *(x.denominator for x in w))
-        r = [int((x - beta) * den) for x in w]
-        u = longest_path_potentials(n, edges, lambda a, b: r[a], 0)
-        edges, _ = tight_recurrent_part(n, edges, lambda a, b: r[a], 0, u, 0.0)
+        w = [sum(di * xi for di, xi in zip(d, vec)) for vec in vecs]
+        _, edges, _ = max_mean_data(recoded.n, edges, w)
     cyc = find_cycle(edges)
     p = len(cyc)
     mean = tuple(sum(vecs[v][i] for v in cyc) / p for i in range(len(vecs[0])))

@@ -41,17 +41,6 @@ class ElementaryOrbit:
                 for i in range(n)]
 
 
-@dataclass(frozen=True)
-class OrbitMeasure:
-    """Uniform invariant measure on an elementary orbit."""
-
-    orbit: ElementaryOrbit
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.orbit.period)
-
-
 @functools.lru_cache(maxsize=64)
 def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[ElementaryOrbit, ...]:
     """All k-elementary periodic orbits, sorted by (period, segment).

@@ -60,6 +60,14 @@ class PotentialLC:
                 if self.mode == "float" and not isinstance(x, float):
                     raise InvalidArgumentError("float potential holds a non-float value")
 
+    def state_values(self) -> tuple:
+        """The value vector of each state of ``recode_to_one_step(sft, k)``,
+        in state order; exact values as Fraction."""
+        blocks = recode_to_one_step(self.sft, self.k).states
+        if self.mode == "exact":
+            return tuple(tuple(map(_as_fraction, self.values[b])) for b in blocks)
+        return tuple(self.values[b] for b in blocks)
+
     def value(self, block: tuple[int, ...]) -> tuple:
         """Value on the cylinder of the leading k symbols of ``block``."""
         key = tuple(block[: self.k])
@@ -186,8 +194,7 @@ def embed_coordinates(phi: PotentialLC) -> tuple:
     """Cylinder-basis coordinates of a scalar potential (state order)."""
     if phi.m != 1:
         raise InvalidArgumentError("embed applies to scalar potentials")
-    recoded = recode_to_one_step(phi.sft, phi.k)
-    return tuple(phi.values[blk][0] for blk in recoded.states)
+    return tuple(x for (x,) in phi.state_values())
 
 
 def embed_direction(phi: PotentialLC) -> tuple[float, ...]:
@@ -229,8 +236,8 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC,
     exact = phi.mode == "exact" and psi.mode == "exact"
     w = [phi.value(b)[0] - psi.value(b)[0] if exact
          else float(phi.value(b)[0]) - float(psi.value(b)[0]) for b in recoded.states]
-    hi, _, hi_edges, _, _ = max_mean_data(recoded, w, exact)
-    neg_lo, _, lo_edges, _, _ = max_mean_data(recoded, [-x for x in w], exact)
+    hi, hi_edges, _ = max_mean_data(recoded.n, recoded.edges(), w)
+    neg_lo, lo_edges, _ = max_mean_data(recoded.n, recoded.edges(), [-x for x in w])
     lo = -neg_lo
     spread = float(hi - lo)
     if (lo == hi) if exact else (spread <= tol):

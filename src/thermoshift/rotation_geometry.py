@@ -321,7 +321,7 @@ def _support_hull(Phi: PotentialLC):
     each the mean of one cycle maximizing d . Phi, asked once per
     direction; vertices and facets are None for m > 3."""
     recoded = recode_to_one_step(Phi.sft, Phi.k)
-    vecs = [tuple(_snap(x) for x in Phi.value(b)) for b in recoded.states]
+    vecs = [tuple(map(_snap, vec)) for vec in Phi.state_values()]
     answers = {}
 
     def support(d):

@@ -19,7 +19,6 @@ from t and the weight range and recorded as ``mp[digits]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,12 +84,10 @@ def _solve(phi: PotentialLC, t: float, what: str):
     if phi.m != 1:
         raise InvalidArgumentError(f"{what} takes a scalar potential")
     recoded = recode_to_one_step(phi.sft, phi.k)
-    vals = [phi.value(b)[0] for b in recoded.states]
-    if phi.mode == "exact":
-        vals = [Fraction(v) for v in vals]
+    vals = [x for (x,) in phi.state_values()]
     edges = recoded.edges()
     _require_irreducible(recoded.n, edges, what)
-    beta = karp_max_mean(recoded.n, edges, lambda a, b: vals[a])
+    beta = karp_max_mean(recoded.n, edges, vals)
     return recoded, beta, perron(recoded.n, edges, [v - beta for v in vals], t)
 
 

@@ -72,7 +72,6 @@ def classify(phi: PotentialLC) -> ClassificationResult:
     if face.is_whole_shift:
         # every measure has average beta; the equilibrium path is frozen
         # at the measure of maximal entropy
-        whole = face.components[0]
         limit = [(Fraction(1), component_parry(face, 0))]
         return ClassificationResult(CASE_COHOMOLOGOUS, face.beta, face,
                                     (0,), False, face.beta, limit)
@@ -95,16 +94,14 @@ def _weighted_automorphisms(phi: PotentialLC, limit: int = 5000):
     state, as permutations of state indices."""
     import networkx as nx       # loaded only when the shortcut runs
     from networkx.algorithms.isomorphism import DiGraphMatcher
-    recoded = recode_to_one_step(phi.sft, phi.k)
     g = nx.DiGraph()
-    for i in range(recoded.n):
-        g.add_node(i, w=phi.value(recoded.states[i])[0])
-    for (a, b) in recoded.edges():
-        g.add_edge(a, b)
+    for i, (x,) in enumerate(phi.state_values()):
+        g.add_node(i, w=x)
+    g.add_edges_from(recode_to_one_step(phi.sft, phi.k).edges())
     matcher = DiGraphMatcher(g, g, node_match=lambda x, y: x["w"] == y["w"])
     autos = []
     for iso in matcher.isomorphisms_iter():
-        autos.append(tuple(iso[i] for i in range(recoded.n)))
+        autos.append(tuple(iso[i] for i in g))
         if len(autos) >= limit:
             break
     return autos

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import LOG_GOLDEN, dual_grid_entropy
+import thermoshift.max_face as max_face
+import thermoshift.thermodynamics as thermodynamics
+from oracles import LOG_GOLDEN, dual_grid_entropy, numpy_pressure
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          OutOfDomainError, PotentialLC, Sft,
                          UnsupportedDimensionError, differentiability_scan,
-                         equilibrium_markov, face_entropy_curve, get_potential,
-                         get_shift, localized_entropy_interior,
+                         equilibrium_markov, face_entropy_curve, face_subshift,
+                         get_potential, get_shift, localized_entropy_interior,
                          recode_to_one_step)
 
 LOG2 = math.log(2.0)
@@ -67,6 +69,55 @@ def test_single_component_face_curve():
     assert differentiability_scan(curve).smooth
 
 
+def _tilted_equilibrium(Phi, curve, point):
+    """(s, h) of the equilibrium state of v * psi on the point's face
+    component, rebuilt as a PotentialLC and solved by equilibrium_markov."""
+    comp = face_subshift(Phi, curve.direction).components[point.comp]
+    tt = sum(t * t for t in curve.tangent)
+    psi = [float(sum((x - a) * t for x, a, t in zip(Phi.value(b), curve.e0, curve.tangent)) / tt)
+           for b in comp.blocks]
+    th_max = math.atan(curve.vmax)
+    v = math.tan(-th_max + 2.0 * th_max * point.idx / (curve.n_samples - 1))
+    sub = Sft(comp.matrix, comp.labels())
+    pot = PotentialLC(sub, 1, 1, {(j,): (v * x,) for j, x in enumerate(psi)}, "float")
+    mu = equilibrium_markov(pot, t=1.0)
+    return sum(float(p) * x for p, x in zip(mu.stationary, psi)), mu.entropy
+
+
+@pytest.mark.parametrize("Phi, alpha", [
+    (get_potential("trivec"), (0, -1)),
+    (get_potential("trivec"), (2, 1)),
+    (_edge_face_potential(), (-2, -1)),
+])
+def test_face_curve_samples_are_equilibrium_states(Phi, alpha):
+    curve = face_entropy_curve(Phi, alpha)
+    samples = [p for p in curve.points if p.kind == "sample"]
+    assert samples
+    for p in samples:
+        s, h = _tilted_equilibrium(Phi, curve, p)
+        assert abs(p.s - s) <= 1e-12 * max(1.0, abs(s))
+        assert abs(p.h - h) <= 1e-12 * max(1.0, abs(h))
+
+
+def test_face_curve_karp_runs_do_not_grow_with_samples(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return karp(*args)
+
+    karp = max_face.karp_max_mean
+    monkeypatch.setattr(max_face, "karp_max_mean", counting)
+    monkeypatch.setattr(thermodynamics, "karp_max_mean", counting)
+    Phi = get_potential("trivec")
+    counts = []
+    for n_samples in (9, 201):
+        calls.clear()
+        face_entropy_curve(Phi, (0, -1), n_samples=n_samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_affine_face_of_two_fixed_points():
     vals = {(0, 0): (0, 0), (1, 1): (1, 0),
             (0, 1): (Fraction(1, 2), 1), (1, 0): (Fraction(1, 2), 1)}
@@ -107,12 +158,32 @@ def test_interior_entropy_matches_grid_duality():
     assert nu.rotation_vector(Phi) == pytest.approx(w, abs=1e-6)
 
 
-def test_interior_entropy_on_a_segment():
-    phi = PotentialLC.from_block_values(
+def _segment_potential():
+    return PotentialLC.from_block_values(
         Sft.full(2), 1, {(0,): (0, 0), (1,): (1, 2)}, m=2)
+
+
+def test_interior_entropy_on_a_segment():
+    phi = _segment_potential()
     h, v, nu = localized_entropy_interior(phi, (Fraction(1, 3), Fraction(2, 3)))
     want = -(1 / 3) * math.log(1 / 3) - (2 / 3) * math.log(2 / 3)
     assert h == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("Phi, w", [
+    (get_potential("trivec"), (Fraction(1, 2), Fraction(1, 3))),
+    (get_potential("trivec"), (Fraction(1, 4), Fraction(1, 10))),
+    (get_potential("kinkvec"), (Fraction(1, 2), Fraction(1, 2))),
+    (_segment_potential(), (Fraction(1, 3), Fraction(2, 3))),
+])
+def test_interior_certificate(Phi, w):
+    # the measure has rotation vector w, and h = P(v . Phi) - v . w with
+    # the pressure from an independent dense eigensolve
+    h, v, mu = localized_entropy_interior(Phi, w)
+    assert all(abs(r - float(x)) <= 1e-8 for r, x in zip(mu.rotation_vector(Phi), w))
+    tilted = {b: sum(a * float(x) for a, x in zip(v, vec)) for b, vec in Phi.values.items()}
+    P = numpy_pressure(Phi.sft.transition, tilted, Phi.k, 1.0)
+    assert h == pytest.approx(P - sum(a * float(x) for a, x in zip(v, w)), abs=1e-9)
 
 
 def test_interior_entropy_domain_errors():

@@ -79,6 +79,10 @@ def test_universal_potential_and_embedding():
     assert uni.m == 3
     vecs = sorted(uni.values.values())
     assert vecs == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # state i of the recoding carries the i-th basis vector
+    assert uni.state_values() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ints = PotentialLC(golden, 1, 1, {(0,): (3,), (1,): (-1,)}, "exact")
+    assert [type(x) for (x,) in ints.state_values()] == [Fraction, Fraction]
     phi = PotentialLC.from_matrix(golden, [[3, 4], [0, 0]])
     coords = embed_coordinates(phi)
     assert coords == (Fraction(3), Fraction(4), Fraction(0))

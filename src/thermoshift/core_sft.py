@@ -202,7 +202,8 @@ class RecodedSft:
         return np.array(self.transition, dtype=np.uint8)
 
     def block_index(self) -> dict[tuple[int, ...], int]:
-        return _block_index(self)
+        """State id of each k-block, built once per recoding."""
+        return self._index
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Transitions (i, j) in row-major order, built once per recoding."""
@@ -214,10 +215,9 @@ class RecodedSft:
         return tuple((i, j) for i, row in enumerate(self.transition)
                      for j in compress(range(n), row))
 
-
-@functools.lru_cache(maxsize=256)
-def _block_index(recoded: RecodedSft) -> dict[tuple[int, ...], int]:
-    return {blk: i for i, blk in enumerate(recoded.states)}
+    @functools.cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {blk: i for i, blk in enumerate(self.states)}
 
 
 @functools.lru_cache(maxsize=256)

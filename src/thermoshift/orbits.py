@@ -2,8 +2,10 @@
 
 A periodic word of prime period n is k-elementary when the k-blocks
 read off at its n positions are pairwise distinct.  Those orbits are
-exactly the simple cycles of the recoded one-step graph, so enumeration
-is Johnson-style cycle listing on that graph.
+exactly the simple cycles of the recoded one-step graph, which are
+listed by Johnson's algorithm ("Finding all the elementary circuits of
+a directed graph", SIAM J. Comput. 1975) on successor lists, without
+recursion.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_sft import Sft, recode_to_one_step
+from .core_sft import Sft, recode_to_one_step, scc_of_edges
 from .errors import InvalidArgumentError, ResourceLimitError
 
 DEFAULT_ORBIT_CAP = 10**6
@@ -41,21 +43,69 @@ class ElementaryOrbit:
                 for i in range(n)]
 
 
+def _circuits(n: int, edges):
+    """Elementary circuits of the digraph on states 0..n-1, as tuples.
+
+    A worklist holds nontrivial SCCs as sorted state tuples.  Each round
+    lists the circuits through a component's least state s with Johnson's
+    blocked-set search, then queues the nontrivial SCCs left once s is
+    removed, so each round only touches the states of its component.
+    """
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    work = [c.states for c in scc_of_edges(n, edges) if c.is_nontrivial]
+    while work:
+        comp = work.pop()
+        local = {v: i for i, v in enumerate(comp)}
+        adj = [[local[w] for w in succ[v] if w in local] for v in comp]
+        # Johnson's search from local state 0: a blocked state stays off
+        # the path until a circuit through it closes; waiting[w] lists
+        # the states to unblock together with w
+        blocked = [True] + [False] * (len(comp) - 1)
+        waiting = [set() for _ in comp]
+        stack = [[0, iter(adj[0]), False]]     # state, successors, closed
+        while stack:
+            top = stack[-1]
+            for w in top[1]:
+                if w == 0:
+                    yield tuple(comp[f[0]] for f in stack)
+                    top[2] = True
+                elif not blocked[w]:
+                    blocked[w] = True
+                    stack.append([w, iter(adj[w]), False])
+                    break
+            else:
+                v, _, closed = stack.pop()
+                if not closed:
+                    for w in adj[v]:
+                        waiting[w].add(v)
+                    continue
+                if stack:
+                    stack[-1][2] = True
+                release = [v]
+                while release:
+                    u = release.pop()
+                    if blocked[u]:
+                        blocked[u] = False
+                        release.extend(waiting[u])
+                        waiting[u].clear()
+        rest = [(a - 1, b - 1) for a in range(1, len(comp)) for b in adj[a] if b]
+        work.extend(tuple(comp[v + 1] for v in c.states)
+                    for c in scc_of_edges(len(comp) - 1, rest) if c.is_nontrivial)
+
+
 @functools.lru_cache(maxsize=64)
 def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[ElementaryOrbit, ...]:
     """All k-elementary periodic orbits, sorted by (period, segment).
 
     Raises ResourceLimitError when more than ``cap`` orbits exist.
     """
-    import networkx as nx       # loaded only when a census is taken
     recoded = recode_to_one_step(sft, k)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(recoded.n))
-    g.add_edges_from(recoded.edges())
     # count raw cycles first so a blown cap aborts cheaply, before any
     # canonicalization work
     raw = []
-    for count, cycle in enumerate(nx.simple_cycles(g)):
+    for count, cycle in enumerate(_circuits(recoded.n, recoded.edges())):
         if count >= cap:
             raise ResourceLimitError(f"orbit enumeration exceeded cap {cap}")
         raw.append(cycle)
@@ -66,7 +116,7 @@ def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[E
         # the least rotation is unique, since the period is prime
         r = min(range(n), key=lambda i: seg[i:] + seg[:i])
         segment = seg[r:] + seg[:r]
-        state_cycle = tuple(cycle[r:] + cycle[:r])
+        state_cycle = cycle[r:] + cycle[:r]
         out.append(ElementaryOrbit(
             k=k, period=n, segment=segment,
             state_cycle=state_cycle, cylinders=frozenset(state_cycle)))

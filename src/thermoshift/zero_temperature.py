@@ -91,19 +91,33 @@ def classify(phi: PotentialLC) -> ClassificationResult:
 
 def _weighted_automorphisms(phi: PotentialLC, limit: int = 5000):
     """Automorphisms of the recoded graph preserving the weight of each
-    state, as permutations of state indices."""
-    import networkx as nx       # loaded only when the shortcut runs
-    from networkx.algorithms.isomorphism import DiGraphMatcher
-    g = nx.DiGraph()
-    for i, (x,) in enumerate(phi.state_values()):
-        g.add_node(i, w=x)
-    g.add_edges_from(recode_to_one_step(phi.sft, phi.k).edges())
-    matcher = DiGraphMatcher(g, g, node_match=lambda x, y: x["w"] == y["w"])
-    autos = []
-    for iso in matcher.isomorphisms_iter():
-        autos.append(tuple(iso[i] for i in g))
-        if len(autos) >= limit:
-            break
+    state, as permutations of state indices.
+
+    The k-block recoding is the (k-1)-fold line digraph of the base
+    graph, which has no sources or sinks, so its automorphisms are
+    exactly the coordinatewise actions of the symbol permutations that
+    preserve the transition matrix; the search backtracks over those.
+    """
+    T, d = phi.sft.transition, phi.sft.d
+    recoded = recode_to_one_step(phi.sft, phi.k)
+    index, vals = recoded.block_index(), phi.state_values()
+    autos, pi, options = [], [], [iter(range(d))]
+    while options and len(autos) < limit:
+        a = len(pi)
+        for c in options[-1]:
+            if c not in pi and all(T[c][p] == T[a][b] and T[p][c] == T[b][a]
+                                   for b, p in enumerate(pi + [c])):
+                pi.append(c)
+                options.append(iter(range(d)))
+                break
+        else:
+            options.pop()
+            if a == d:
+                sigma = tuple(index[tuple(pi[s] for s in blk)]
+                              for blk in recoded.states)
+                if all(vals[j] == x for j, x in zip(sigma, vals)):
+                    autos.append(sigma)
+            del pi[-1:]
     return autos
 
 

@@ -105,6 +105,18 @@ def brute_recoded_graph(transition, k: int):
     return blocks, edges
 
 
+def brute_weighted_automorphisms(transition, values: dict, k: int) -> set:
+    """Every permutation of the recoded states (as a tuple of state
+    indices) that maps the edge set onto itself and keeps each state's
+    value, by trying all n! permutations; meant for n <= 8."""
+    blocks, edges = brute_recoded_graph(transition, k)
+    pairs = {(i, j) for i, outs in edges.items() for j in outs}
+    vals = [values[b] for b in blocks]
+    return {perm for perm in itertools.permutations(range(len(blocks)))
+            if all(vals[perm[i]] == vals[i] for i in range(len(blocks)))
+            and {(perm[i], perm[j]) for i, j in pairs} == pairs}
+
+
 def brute_max_cycle_mean(transition, values: dict, k: int) -> Fraction:
     """Exact maximum cycle mean via depth-first simple-cycle search."""
     blocks, edges = brute_recoded_graph(transition, k)

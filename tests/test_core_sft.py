@@ -85,10 +85,20 @@ def test_scc_matches_mutual_reachability(rng):
 
 
 def test_import_leaves_networkx_unloaded():
+    # neither the import nor the census, the symmetry shortcut or the CLI
+    # may load networkx
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import thermoshift; "
-            "assert 'networkx' not in sys.modules, 'networkx was imported'")
-    subprocess.run([sys.executable, "-c", code, str(src)], check=True)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from thermoshift import (Sft, classify, cli, elementary_orbits,\n"
+        "                         get_potential, symmetry_coefficients)\n"
+        "assert len(elementary_orbits(Sft.full(3), 2)) == 148\n"
+        "phi = get_potential('twofix')\n"
+        "assert symmetry_coefficients(phi, classify(phi)) is not None\n"
+        "assert cli.main(['classify', '--potential', 'threefix_a']) == 0\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                   stdout=subprocess.DEVNULL)
 
 
 def test_recode_block_counts_follow_fibonacci():

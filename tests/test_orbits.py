@@ -17,6 +17,8 @@ def _segments(orbits):
     ([[1, 1], [1, 1]], 2),
     ([[1, 1], [1, 0]], 2),
     ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], 2),
+    ([[1, 1], [1, 0]], 4),
+    ([[1, 1], [1, 1]], 3),
 ])
 def test_enumeration_matches_word_search(rows, k):
     sft = Sft.from_matrix(rows)
@@ -28,6 +30,17 @@ def test_enumeration_matches_word_search(rows, k):
     assert _segments(orbits) == expected
     longer = brute_elementary_segments(sft.transition, k, max_period + 2)
     assert longer == expected
+
+
+def test_long_ring_is_one_orbit():
+    # the single cycle is longer than the default recursion limit
+    n = 1100
+    ring = Sft.from_matrix([[1 if j == (i + 1) % n else 0 for j in range(n)]
+                            for i in range(n)])
+    orbits = elementary_orbits(ring, 1)
+    assert len(orbits) == 1
+    assert orbits[0].period == n
+    assert orbits[0].segment == tuple(range(n))
 
 
 def test_segments_are_canonical_rotations():

@@ -1,12 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import LOG_GOLDEN
+from oracles import (LOG_GOLDEN, brute_recoded_graph,
+                     brute_weighted_automorphisms, random_transitive_sft)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
-                         Sft, classify, get_potential, ground_state_check,
+                         Sft, classify, get_potential, get_shift,
+                         ground_state_check, recode_to_one_step,
                          symmetry_coefficients, zt_coefficients)
+from thermoshift.zero_temperature import _weighted_automorphisms
 
 
 def test_fixed_point_classifications():
@@ -71,6 +75,33 @@ def test_symmetry_unavailable_raises_or_falls_back():
     assert symmetry_coefficients(phi, res) is None
     with pytest.raises(InvalidArgumentError):
         zt_coefficients(phi, method="symmetry")
+
+
+@pytest.mark.parametrize("palette", [(0,), (0, 1), (0, 1, 2)])
+def test_weighted_automorphisms_match_brute_force(palette):
+    # the search only tries symbol permutations; the oracle tries every
+    # permutation of the recoded states, so agreement pins the fact that
+    # the k-block recoding has no automorphisms beyond the symbol ones
+    rng = random.Random(len(palette))
+    shifts = [get_shift(name) for name in ("full2", "full3", "golden", "hub3")]
+    shifts += [random_transitive_sft(rng, 2, 4) for _ in range(8)]
+    nontrivial = 0
+    for sft in shifts:
+        for k in range(1, 5):
+            rec = recode_to_one_step(sft, k)
+            if rec.n > 8:
+                break
+            vals = {b: rng.choice(palette) for b in rec.states}
+            phi = PotentialLC.from_block_values(sft, k, vals)
+            blocks, _ = brute_recoded_graph(sft.transition, k)
+            pos = {b: i for i, b in enumerate(blocks)}
+            idx = rec.block_index()
+            got = {tuple(pos[rec.states[sigma[idx[b]]]] for b in blocks)
+                   for sigma in _weighted_automorphisms(phi)}
+            expected = brute_weighted_automorphisms(sft.transition, vals, k)
+            assert got == expected, (sft.transition, k, vals)
+            nontrivial += len(expected) > 1
+    assert nontrivial > 0
 
 
 def test_trivial_coefficients_on_single_component():

@@ -259,8 +259,9 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
         return g, Q @ grad, mu
 
     x = np.zeros(r)
+    point = at(x)
     for _ in range(max_iter):
-        g, grad, mu = at(x)
+        g, grad, mu = point
         if np.abs(grad).max(initial=0.0) < tol:
             return g, tuple(map(float, x @ Q)), mu
         eps = 1e-5 * (1.0 + np.linalg.norm(x))
@@ -272,15 +273,18 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
             dx = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
             dx = -grad
-        x = x + _damped(lambda s: at(x + s * dx)[0], 0.0, 1.0, g) * dx
+        step, point = _damped(lambda s: at(x + s * dx), g)
+        x = x + step * dx
     raise NumericError("interior duality did not converge")
 
 
-def _damped(value_at, base, step, current):
-    """Largest halved step from ``base`` that does not increase the value."""
-    s = step
+def _damped(evaluate, current):
+    """(s, evaluate(s)) for the largest halved step s from 1, at most 40
+    halvings, whose value (first item) does not exceed ``current``."""
+    s = 1.0
     for _ in range(40):
-        if value_at(base + s) <= current + 1e-15 * (1.0 + abs(current)):
-            return s
+        got = evaluate(s)
+        if got[0] <= current + 1e-15 * (1.0 + abs(current)):
+            return s, got
         s *= 0.5
-    return s
+    return s, evaluate(s)

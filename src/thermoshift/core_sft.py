@@ -266,6 +266,8 @@ _EXP_SAFE = 700.0        # |exponent| beyond which doubles underflow
 _CW_TOL = 1e-13          # accepted Collatz-Wielandt excess of the vector
 _POLISH_STEPS = 500      # bound on subtraction-free polishing steps
 _SHIFTS = np.array([0.0, 0.125, 0.5, 1.0])   # candidate power-step shifts
+_TIE_TOL = 1e-9          # relative slack under which weights count as tied
+_AGG_ROUNDS = 8          # bound on aggregation rounds
 
 
 class PerronSolve:
@@ -274,7 +276,8 @@ class PerronSolve:
     kernel is computed when first read.
 
     ``gap`` is the relative distance from the root to the rest of the
-    spectrum; ``precision`` is "double" or "mp[digits]".
+    spectrum, at most 1 (estimated from the coupling matrix after
+    aggregation); ``precision`` is "double" or "mp[digits]".
     """
 
     def __init__(self, log_lam: float, transition: np.ndarray, gap: float,
@@ -298,39 +301,28 @@ def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     """Perron data of exp(t * w) on an irreducible digraph, each entry to
     relative accuracy; the weights w have maximum cycle mean 0.
 
-    The matrix is scaled by a max-plus eigenvector h of w (h[a] =
-    max_b w[a] + h[b]; a diagonal scaling is an exact similarity), so
+    The matrix is scaled by a balanced max-plus eigenvector h of w (h[a]
+    = max_b w[a] + h[b]; a diagonal scaling is an exact similarity), so
     that every entry of B = exp(t (w[a] + h[b] - h[a])) is at most 1 and
     every row has a 1 (Akian, Bapat and Gaubert 1998).  One dense
     eigensolve of B gives the root, the relative gap and a start vector,
-    which power steps polish until the Collatz-Wielandt bounds
-    min(By/y) <= lam <= max(By/y) agree to _CW_TOL.  The kernel is
+    which power steps polish until the Collatz-Wielandt bounds min(By/y)
+    <= lam <= max(By/y) agree to _CW_TOL; below GAP_FLOOR, or if that
+    fails, tied critical classes go to ``_aggregate``.  The kernel is
     B[a, b] y[b] / (lam y[a]); its stationary vector comes from GTH state
-    reduction (O'Cinneide 1993).  Escalates to mpmath when the gap is
-    below GAP_FLOOR, a scaled entry underflows, or the polish does not
-    certify.
+    reduction (O'Cinneide 1993).  Escalates to mpmath when a scaled entry
+    leaves the double range, the solve does not certify, or a kernel
+    entry underflows.
     """
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     src, dst = ends[:, 0], ends[:, 1]
     w = np.array([float(x) for x in weights])
     W = np.full((n, n), -np.inf)
     W[src, dst] = w[src]
-    h = _maxplus_potentials(W)
-    s = t * (w[src] + h[dst] - h[src])
-    if not -_EXP_SAFE < s.min() <= s.max() < _EXP_SAFE:
+    got = _perron_pair(W, t)
+    if got is None:
         return _escalate(n, edges, weights, t)
-    B = np.zeros((n, n))
-    B[src, dst] = np.exp(s)
-    evals, evecs = np.linalg.eig(B)
-    i = int(np.argmax(evals.real))
-    lam = max(float(evals[i].real), 1.0)    # B has a cycle of 1s
-    mu = np.delete(evals, i) / lam
-    gap = float(np.abs(mu - 1.0).min(initial=1.0))
-    if gap < GAP_FLOOR:
-        return _escalate(n, edges, weights, t)
-    y = _polish(B, np.abs(evecs[:, i].real), lam, mu)
-    if y is None:
-        return _escalate(n, edges, weights, t)
+    B, _, lam, y, gap = got
     P = B * y / (lam * y[:, None])
     P /= P.sum(axis=1, keepdims=True)
     if not P[src, dst].min() > 0.0:
@@ -338,18 +330,144 @@ def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     return PerronSolve(math.log(lam), P, gap, "double")
 
 
-def _maxplus_potentials(W: np.ndarray) -> np.ndarray:
-    """A max-plus eigenvector h = max_b (W[a, b] + h[b]) of log weights
-    whose maximal cycle mean is 0: the column of the Kleene star
-    (Floyd-Warshall on maximal path weights) at a state on a heaviest
-    cycle."""
+def _perron_pair(W: np.ndarray, t: float = 1.0):
+    """(B, h, lam, y, gap) of B = exp(t (W[a, b] + h[b] - h[a])) for log
+    weights W (-inf off the edges) of maximal cycle mean 0, with y
+    certified entrywise; None when doubles cannot certify it."""
+    h, classes = _maxplus_potentials(W)
+    src, dst = np.nonzero(W > -np.inf)
+    s = t * (W[src, dst] + h[dst] - h[src])
+    if not -_EXP_SAFE < s.min() <= s.max() < _EXP_SAFE:
+        return None
+    B = np.zeros(W.shape)
+    B[src, dst] = np.exp(s)
+    evals, evecs = np.linalg.eig(B)
+    i = int(np.argmax(evals.real))
+    lam = max(float(evals[i].real), 1.0)    # B has a cycle of 1s
+    mu = np.delete(evals, i) / lam
+    gap = float(np.abs(mu - 1.0).min(initial=1.0))
+    y = _polish(B, np.abs(evecs[:, i].real), lam, mu) if gap >= GAP_FLOOR else None
+    if y is not None:
+        return B, h, lam, y, gap
+    got = _aggregate(B, classes) if len(classes) > 1 else None
+    return None if got is None else (B, h, *got)
+
+
+def _maxplus_potentials(W: np.ndarray):
+    """A balanced max-plus eigenvector h = max_b (W[a, b] + h[b]) of log
+    weights with maximal cycle mean 0, and the critical classes (states
+    with D[a, b] + D[b, a] = 0 in the Kleene star D, up to rounding).  h
+    is the max of the Kleene columns at one state c_i per class plus g, a
+    max-plus eigenvector of D[c_i, c_j] less its maximal cycle mean, so
+    that paths between classes keep equal slack and none is tight."""
     D = W.copy()
-    for k in range(len(D)):
+    for k in range(len(D)):                 # Floyd-Warshall, max-plus
         np.maximum(D, D[:, k, None] + D[k], out=D)
-    c = int(np.argmax(D.diagonal()))
+    diag = D.diagonal()
+    c = int(diag.argmax())
     h = D[:, c].copy()
     h[c] = 0.0
-    return h
+    tol = _TIE_TOL * (1.0 - diag.min())
+    crit = diag >= -tol
+    if np.count_nonzero(h + D[c] >= -tol) == np.count_nonzero(crit):
+        return h, [np.flatnonzero(crit)]    # one class
+    crit = np.flatnonzero(crit)
+    first = ((D + D.T)[crit][:, crit] >= -tol).argmax(axis=1)
+    classes = [crit[first == f] for f in sorted(set(first.tolist()))]
+    reps = [int(k[np.argmax(diag[k])]) for k in classes]
+    M = D[reps][:, reps]
+    np.fill_diagonal(M, -np.inf)
+    g = _maxplus_potentials(M - _max_cycle_mean(M))[0]
+    return (D[:, reps] + g).max(axis=1), classes
+
+
+def _max_cycle_mean(M: np.ndarray) -> float:
+    """Karp's maximal cycle mean of a strongly connected log-weight
+    matrix, with walks allowed to start anywhere."""
+    n = len(M)
+    F = np.zeros((n + 1, n))        # F[k, v]: heaviest k-edge walk to v
+    for k in range(n):
+        F[k + 1] = (F[k, :, None] + M).max(axis=0)
+    return float(((F[n] - F[:n]) / (n - np.arange(n))[:, None]).min(axis=0).max())
+
+
+def _aggregate(B: np.ndarray, classes):
+    """(lam, y, gap) of B by iterative aggregation-disaggregation over
+    its tied classes (Koury, McAllister and Stewart 1984), or None.  The
+    dominant classes have 0/1 matrices A_i of tight edges with the top
+    Perron root rho and vectors s_i, l_i (l_i s_i = 1).  Each round
+    eliminates the other states from (rho + delta) I - B (only pivots
+    subtract; row k keeps the multipliers of y[k]); with E the complement
+    less the A_i, delta and the class weights are the Perron pair of C_ij
+    = l_i E_ij u_j, sums of positive products (Meyer 1989), and a bordered
+    solve of (rho - A_i) + (delta - E_ii) corrects each shape u_i.
+    """
+    top = []
+    for K in classes:
+        W_A = np.where(B[np.ix_(K, K)] > 1.0 - _TIE_TOL, 0.0, -np.inf)
+        right, left = _perron_pair(W_A), _perron_pair(W_A.T)
+        if right is None or left is None:
+            return None
+        top.append((right[2], K, right[0], right[3], left[3] / (left[3] @ right[3])))
+    rho = max(x[0] for x in top)
+    top = [x for x in top if x[0] >= rho * (1.0 - _TIE_TOL)]
+    if len(top) < 2:
+        return None
+    rhos, Ks, As, ss, ls = zip(*top)
+    m = sum(map(len, Ks))
+    order = np.concatenate([*Ks, np.setdiff1d(np.arange(len(B)), np.concatenate(Ks))])
+    ends = np.cumsum([0, *map(len, Ks)])
+    cuts = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    B0 = B[np.ix_(order, order)]
+    inner = np.zeros((m, m), dtype=bool)        # the diagonal blocks
+    for cut, A in zip(cuts, As):
+        B0[cut, cut][A == 1.0] = 0.0            # E leaves out the A_i
+        inner[cut, cut] = True
+    delta, u = 0.0, ss
+    for _ in range(_AGG_ROUNDS):
+        S = B0.copy()
+        for k in range(len(B) - 1, m - 1, -1):
+            piv = rho + delta - S[k, k]
+            if not piv > 0.0:
+                return None
+            S[k, :k] /= piv
+            S[:k, :k] += S[:k, k, None] * S[k, :k]
+        E = S[:m, :m]
+        C = np.array([[l @ E[ci, cj] @ uj for cj, uj in zip(cuts, u)]
+                      for ci, l in zip(cuts, ls)])
+        W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
+        if len(scc_of_edges(len(C), matrix_edges(C))) != 1:
+            return None                 # a coupling underflowed
+        mean = _max_cycle_mean(W)
+        got = _perron_pair(W - mean)
+        if got is None:
+            return None
+        _, h, new_delta, c, gap = got
+        new_delta, c = new_delta * math.exp(mean), np.exp(h - h.max()) * c
+        f = np.where(inner, 0.0, E) @ np.concatenate([ci * ui for ci, ui in zip(c, u)])
+        new_u = []
+        for cut, ci, rho_i, A, s, l in zip(cuts, c, rhos, As, ss, ls):
+            k, Eii = len(s), E[cut, cut]
+            bordered = np.zeros((k + 1, k + 1))
+            bordered[:k, :k] = rho_i * np.eye(k) - A + (new_delta * np.eye(k) - Eii)
+            bordered[:k, k], bordered[k, :k] = s, l
+            rhs = np.append(f[cut] / ci + Eii @ s - new_delta * s, 0.0)
+            new_u.append(s + np.linalg.solve(bordered, rhs)[:k])
+        done = abs(new_delta - delta) <= _CW_TOL * new_delta and all(
+            np.all(np.abs(a - b) <= _CW_TOL * b) for a, b in zip(new_u, u))
+        delta, u = new_delta, new_u
+        if done:
+            break
+    else:
+        return None
+    x = np.concatenate([*(ci * ui for ci, ui in zip(c, u)), np.zeros(len(B) - m)])
+    for k in range(m, len(B)):      # the eliminated states, last eliminated first
+        x[k] = S[k, :k] @ x[:k]
+    y = x[np.argsort(order)]
+    r = B @ y / y                   # Collatz-Wielandt ratios, as in _polish
+    if not (y.min() > 0.0 and r.max() / r.min() - 1.0 <= _CW_TOL):
+        return None
+    return rho + delta, y, gap * delta / (rho + delta)
 
 
 def _polish(B: np.ndarray, y: np.ndarray, lam: float, mu: np.ndarray):
@@ -426,17 +544,14 @@ def _needed_dps(weights, t) -> int:
 
 
 def _escalate(n, edges, weights, t) -> PerronSolve:
-    """Rerun in mpmath at a precision sized from t and the weight span,
-    doubling it while the gap is not resolved."""
+    """Rerun in mpmath at a precision sized from t and the weight span."""
     dps = _needed_dps(weights, t)
     if dps >= DPS_CAP:
         raise UnderflowError(f"Perron solve at t={t} needs more than {DPS_CAP} digits")
-    for _ in range(3):
-        got = _spectral_mp(n, edges, weights, t, dps)
-        if got is not None and got.gap > 10.0 ** (-(dps - 25)):
-            return got
-        dps = min(DPS_CAP, dps * 2)
-    raise NumericError(f"leading eigenpair not certified at t={t}")
+    got = _spectral_mp(n, edges, weights, t, dps)
+    if got is None or not got.gap > 10.0 ** (-(dps - 25)):
+        raise NumericError(f"leading eigenpair not certified at t={t}")
+    return got
 
 
 def _spectral_mp(n, edges, weights, t, dps) -> PerronSolve | None:

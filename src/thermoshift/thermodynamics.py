@@ -10,10 +10,10 @@ scales the transfer matrix by max-plus potentials so that each entry is
 at most 1, solves it in doubles, certifies the Perron vector entrywise
 by a Collatz-Wielandt bound, and takes the stationary vector from GTH
 state reduction, so that masses far below 1e-16 keep their relative
-accuracy.  mpmath is used only when the relative spectral gap has
-collapsed below GAP_FLOOR (nearly uncoupled maximizing components at low
-temperature) or a scaled entry underflows; the precision is then sized
-from t and the weight range and recorded as ``mp[digits]``.
+accuracy, also when tied maximizing components decouple at low
+temperature (aggregation over them).  mpmath is used only when a scaled
+entry leaves the double range or a solve does not certify; the precision
+is then sized from t and the weight range and recorded as ``mp[digits]``.
 """
 
 from __future__ import annotations
@@ -100,8 +100,9 @@ def pressure(phi: PotentialLC, t: float = 1.0) -> float:
 def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     """Equilibrium state of t * phi as a Markov measure on k-blocks.
 
-    Doubles are used unless the spectral gap has collapsed or a scaled
-    entry underflows; then the computation reruns in mpmath.
+    Doubles are used, whatever the spectral gap, unless a scaled entry
+    leaves the double range or a solve does not certify; then the
+    computation reruns in mpmath.
     """
     recoded, beta, sol = _solve(phi, t, "equilibrium_markov")
     labels = tuple("".join(map(str, b)) if max(b) < 10 else ",".join(map(str, b))

@@ -89,41 +89,53 @@ def classify(phi: PotentialLC) -> ClassificationResult:
 
 # -- symmetry shortcut -----------------------------------------------------
 
-def _weighted_automorphisms(phi: PotentialLC, limit: int = 5000):
-    """Automorphisms of the recoded graph preserving the weight of each
-    state, as permutations of state indices.
+def _weighted_automorphisms(phi: PotentialLC):
+    """A generating set of the automorphisms of the recoded graph that
+    preserve the weight of each state, as permutations of state indices.
 
     The k-block recoding is the (k-1)-fold line digraph of the base
     graph, which has no sources or sinks, so its automorphisms are
     exactly the coordinatewise actions of the symbol permutations that
-    preserve the transition matrix; the search backtracks over those.
+    preserve the transition matrix.  For each symbol a and image c > a,
+    a backtracking search finds one that fixes the symbols before a and
+    sends a to c, cutting a branch as soon as a block whose symbols are
+    all assigned changes value; these coset representatives of the
+    stabiliser chain generate the group (as in Schreier-Sims).
     """
     T, d = phi.sft.transition, phi.sft.d
     recoded = recode_to_one_step(phi.sft, phi.k)
     index, vals = recoded.block_index(), phi.state_values()
-    autos, pi, options = [], [], [iter(range(d))]
-    while options and len(autos) < limit:
-        a = len(pi)
-        for c in options[-1]:
-            if c not in pi and all(T[c][p] == T[a][b] and T[p][c] == T[b][a]
-                                   for b, p in enumerate(pi + [c])):
-                pi.append(c)
-                options.append(iter(range(d)))
-                break
-        else:
-            options.pop()
-            if a == d:
-                sigma = tuple(index[tuple(pi[s] for s in blk)]
-                              for blk in recoded.states)
-                if all(vals[j] == x for j, x in zip(sigma, vals)):
-                    autos.append(sigma)
-            del pi[-1:]
-    return autos
+    closing = [[(i, blk) for i, blk in enumerate(recoded.states) if max(blk) == a]
+               for a in range(d)]           # blocks whose largest symbol is a
+
+    def fits(pi, c):
+        a, pi = len(pi), pi + [c]
+        return (c not in pi[:a]
+                and all(T[c][p] == T[a][b] and T[p][c] == T[b][a]
+                        for b, p in enumerate(pi))
+                and all(vals[index[tuple(pi[s] for s in blk)]] == vals[i]
+                        for i, blk in closing[a]))
+
+    def complete(pi, choices=range(d)):
+        if len(pi) == d:
+            return pi
+        for c in choices:
+            if fits(pi, c):
+                got = complete(pi + [c])
+                if got is not None:
+                    return got
+        return None
+
+    found = (complete(list(range(a)), [c]) for a in range(d) for c in range(a + 1, d))
+    return [tuple(index[tuple(pi[s] for s in blk)] for blk in recoded.states)
+            for pi in found if pi is not None]
 
 
 def symmetry_coefficients(phi: PotentialLC, res: ClassificationResult):
     """Exact equal coefficients when weight-preserving graph symmetries
-    act transitively on the maximal entropy components; None otherwise."""
+    act transitively on the maximal entropy components (a union-find
+    over the generators: orbits are Schreier graph components); None
+    otherwise."""
     if phi.mode != "exact":
         return None
     ids = res.max_entropy_ids
@@ -141,14 +153,11 @@ def symmetry_coefficients(phi: PotentialLC, res: ClassificationResult):
 
     for sigma in _weighted_automorphisms(phi):
         for i in ids:
-            image = frozenset(sigma[s] for s in state_sets[i])
-            j = by_states.get(image)
-            if j is not None and find(i) != find(j):
+            j = by_states.get(frozenset(sigma[s] for s in state_sets[i]))
+            if j is not None:
                 parent[find(i)] = find(j)
-        if len({find(i) for i in ids}) == 1:
-            r = len(ids)
-            return tuple(Fraction(1, r) for _ in ids)
-    return None
+    joined = len({find(i) for i in ids}) == 1
+    return tuple(Fraction(1, len(ids)) for _ in ids) if joined else None
 
 
 # -- numerical sweep -------------------------------------------------------

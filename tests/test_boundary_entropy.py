@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import thermoshift.boundary_entropy as boundary_entropy
 import thermoshift.max_face as max_face
 import thermoshift.thermodynamics as thermodynamics
 from oracles import LOG_GOLDEN, dual_grid_entropy, numpy_pressure
@@ -184,6 +185,26 @@ def test_interior_certificate(Phi, w):
     tilted = {b: sum(a * float(x) for a, x in zip(v, vec)) for b, vec in Phi.values.items()}
     P = numpy_pressure(Phi.sft.transition, tilted, Phi.k, 1.0)
     assert h == pytest.approx(P - sum(a * float(x) for a, x in zip(v, w)), abs=1e-9)
+
+
+@pytest.mark.parametrize("name, w, solves", [
+    ("trivec", (Fraction(1, 4), Fraction(1, 10)), 45),
+    ("trivec", (Fraction(1, 2), Fraction(1, 3)), 26),
+    ("kinkvec", (Fraction(1, 2), Fraction(1, 2)), 21),
+])
+def test_interior_solves_each_point_once(monkeypatch, name, w, solves):
+    # the point a damped step accepts is the next Newton iterate, and its
+    # equilibrium state is reused rather than solved again
+    points = []
+
+    def counting(Phi, w, v):
+        points.append(v)
+        return dual(Phi, w, v)
+
+    dual = boundary_entropy._dual_value_grad
+    monkeypatch.setattr(boundary_entropy, "_dual_value_grad", counting)
+    localized_entropy_interior(get_potential(name), w)
+    assert len(set(points)) == len(points) == solves
 
 
 def test_interior_entropy_domain_errors():

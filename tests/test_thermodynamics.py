@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, mp_equilibrium,
-                     random_rational_values)
+                     numpy_pressure, random_rational_values)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, UnderflowError, equilibrium_markov, get_potential,
                          get_shift, parry_measure, pressure)
@@ -98,9 +99,12 @@ def test_equilibrium_closed_form_three_symbols():
     assert marg == pytest.approx(want, abs=1e-10)
 
 
-def test_low_temperature_escalates_precision():
-    mu = equilibrium_markov(get_potential("twofix"), t=40.0)
-    assert mu.precision.startswith("mp")
+def test_low_temperature_tie_solves_in_doubles():
+    # twofix at t = 40: two tied fixed points, relative gap about 4e-18
+    phi = get_potential("twofix")
+    values = {b: v[0] for b, v in phi.values.items()}
+    mu, _ = _assert_matches_oracle(phi, values, 40.0)
+    assert mu.precision == "double"
     assert mu.mass((0, 0)) == pytest.approx(0.5, abs=1e-8)
     assert mu.mass((1, 1)) == pytest.approx(0.5, abs=1e-8)
     assert mu.mass((0, 1)) == pytest.approx(0.0, abs=1e-8)
@@ -161,16 +165,15 @@ def _assert_matches_oracle(phi, values, t):
 
 def test_equilibrium_matches_mp_oracle_entrywise(rng):
     # seeded full-shift potentials against an independent mpmath solve of
-    # the unscaled transfer matrix; doubles are used unless the gap has
-    # collapsed or a kernel entry lies below the double range
+    # the unscaled transfer matrix; doubles are used, whatever the gap,
+    # unless a kernel entry lies below the double range
     for d, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
         sft = Sft.full(d)
         values = random_rational_values(rng, sft, k)
         phi = PotentialLC.from_block_values(sft, k, values)
         for t in (0.25, 1.0, 4.0, 16.0, 64.0):
             mu, gap = _assert_matches_oracle(phi, values, t)
-            representable = mu.transition[mu.transition > 0].min() > 1e-300
-            if gap >= GAP_FLOOR and representable:
+            if mu.transition[mu.transition > 0].min() > 1e-300:
                 assert mu.precision == "double", (d, k, t, float(gap))
 
 
@@ -221,6 +224,61 @@ def test_nearly_uncoupled_fixed_points_stay_in_doubles():
     for t in (4.0, 5.0):
         mu, gap = _assert_matches_oracle(phi, values, t)
         assert GAP_FLOOR < gap < 1e-3 and mu.precision == "double"
+
+
+# Two tied components on full4 with k = 2: value 4 on their blocks and
+# seeded integers in [-3, 2] elsewhere.
+TIED_COMPONENTS = {"two 2-cycles": {(0, 1), (1, 0), (2, 3), (3, 2)},
+                   "two golden means": {(0, 0), (0, 1), (1, 0),
+                                        (2, 2), (2, 3), (3, 2)}}
+
+
+def _tied_potential(name):
+    if name in TIED_COMPONENTS:
+        rng = random.Random(name)
+        values = {b: Fraction(4) if b in TIED_COMPONENTS[name]
+                  else Fraction(rng.randint(-3, 2))
+                  for b in itertools.product(range(4), repeat=2)}
+        return PotentialLC.from_block_values(Sft.full(4), 2, values), values
+    phi = get_potential(name)
+    return phi, {b: v[0] for b, v in phi.values.items()}
+
+
+@pytest.mark.parametrize("t", [4.0, 8.0, 16.0, 32.0, 64.0])
+@pytest.mark.parametrize("name", [*TIED_COMPONENTS, "threefix_a", "threefix_b",
+                                  "threefix_c", "twofix_skew"])
+def test_collapsed_gaps_match_the_oracle_in_doubles(name, t):
+    # tied maximizing components decouple as t grows: the relative gap
+    # falls from about 1e-6 at t = 4 to 1e-195 at t = 128 on threefix_a
+    phi, values = _tied_potential(name)
+    mu, gap = _assert_matches_oracle(phi, values, t)
+    assert mu.precision == "double"
+    if t >= 8.0:
+        assert gap < GAP_FLOOR
+
+
+@pytest.mark.parametrize("t", [4.0, 16.0, 64.0])
+def test_symmetric_tie_keeps_its_symmetry(t):
+    # threefix_b: the symmetric group permutes the three fixed points,
+    # so their masses agree, and the pressure matches a dense eigensolve
+    phi, values = _tied_potential("threefix_b")
+    mu = equilibrium_markov(phi, t)
+    assert mu.precision == "double"
+    masses = [mu.mass((s, s)) for s in range(3)]
+    assert max(masses) - min(masses) <= 1e-12 * max(masses)
+    want = numpy_pressure(phi.sft.transition, values, phi.k, t)
+    assert mu.pressure == pytest.approx(want, rel=1e-12)
+
+
+def test_sweeps_never_load_mpmath():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import thermoshift as ts\n"
+            "for name in ('twofix', 'twofix_skew', 'threefix_a', 'threefix_b',"
+            " 'threefix_c'):\n"
+            "    ts.zt_coefficients(ts.get_potential(name), method='sweep')\n"
+            "ts.equilibrium_markov(ts.get_potential('twofix'), 40.0)\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True)
 
 
 def test_markov_entropy_matches_the_double_sum(rng):

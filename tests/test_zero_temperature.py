@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -77,11 +78,26 @@ def test_symmetry_unavailable_raises_or_falls_back():
         zt_coefficients(phi, method="symmetry")
 
 
+def _generated_group(gens, n):
+    """Every product of the permutations gens (tuples over range(n))."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[i] for i in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
 @pytest.mark.parametrize("palette", [(0,), (0, 1), (0, 1, 2)])
 def test_weighted_automorphisms_match_brute_force(palette):
-    # the search only tries symbol permutations; the oracle tries every
-    # permutation of the recoded states, so agreement pins the fact that
-    # the k-block recoding has no automorphisms beyond the symbol ones
+    # the search only tries symbol permutations and returns generators;
+    # the oracle tries every permutation of the recoded states, so
+    # agreement of the groups pins the fact that the k-block recoding has
+    # no automorphisms beyond the symbol ones
     rng = random.Random(len(palette))
     shifts = [get_shift(name) for name in ("full2", "full3", "golden", "hub3")]
     shifts += [random_transitive_sft(rng, 2, 4) for _ in range(8)]
@@ -96,12 +112,23 @@ def test_weighted_automorphisms_match_brute_force(palette):
             blocks, _ = brute_recoded_graph(sft.transition, k)
             pos = {b: i for i, b in enumerate(blocks)}
             idx = rec.block_index()
-            got = {tuple(pos[rec.states[sigma[idx[b]]]] for b in blocks)
-                   for sigma in _weighted_automorphisms(phi)}
+            gens = [tuple(pos[rec.states[sigma[idx[b]]]] for b in blocks)
+                    for sigma in _weighted_automorphisms(phi)]
+            got = _generated_group(gens, len(blocks))
             expected = brute_weighted_automorphisms(sft.transition, vals, k)
             assert got == expected, (sft.transition, k, vals)
             nontrivial += len(expected) > 1
     assert nontrivial > 0
+
+
+def test_symmetry_on_a_large_symmetric_group():
+    # full 8-shift, value 4 on the eight fixed points: the symmetric group
+    # S_8 permutes them transitively
+    values = {b: 4 if b[0] == b[1] else 0 for b in itertools.product(range(8), repeat=2)}
+    phi = PotentialLC.from_block_values(Sft.full(8), 2, values)
+    res = classify(phi)
+    assert len(res.max_entropy_ids) == 8
+    assert symmetry_coefficients(phi, res) == (Fraction(1, 8),) * 8
 
 
 def test_trivial_coefficients_on_single_component():

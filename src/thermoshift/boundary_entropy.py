@@ -10,9 +10,11 @@ there.  A one-dimensional face is the rotation interval of its
 maximizing subshift; each transitive component contributes the curve
 (s(v), h(v)) of its equilibrium states for a tangential dual parameter
 v, swept on a tan-spaced grid so the slope (which equals -v) is
-resolved evenly.  Component endpoints are anchored exactly: the extreme
-tangential mean is a max cycle mean, and the entropy there is the top
-entropy of the sub-face it cuts out.  The entropy profile of the whole
+resolved evenly.  The one spectral engine solves all samples of a
+component as one stack (``core_sft.perron_stack``); the interior Newton
+steps are single solves.  Component endpoints are anchored exactly: the
+extreme tangential mean is a max cycle mean, and the entropy there is
+the top entropy of the sub-face it cuts out.  The entropy profile of the whole
 face is the upper concave envelope of all contributions, and corners of
 that envelope are reported by a slope-jump scan at junction vertices.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, matrix_edges, perron
+from .core_sft import Sft, matrix_edges, perron_stack
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
@@ -85,7 +87,8 @@ def _component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
 
     psi is the tangential coordinate of the values on the component; the
     equilibrium state of v . psi has max cycle mean v * s_hi for v >= 0
-    and v * s_lo for v < 0, so each sample is one Perron solve.
+    and v * s_lo for v < 0, so each sample is one lane of a stacked
+    Perron solve.
     """
     tt = sum(t * t for t in tangent)
     psi = []
@@ -107,16 +110,15 @@ def _component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
     s_hi, s_lo = float(hi_face.beta), -float(lo_face.beta)
     pts = [CurvePoint(s_lo, lo_face.entropy, comp.index, "anchor", -1),
            CurvePoint(s_hi, hi_face.entropy, comp.index, "anchor", -1)]
-    edges = matrix_edges(comp.matrix)
-    psi = [float(x) for x in psi]
+    psi = np.array([float(x) for x in psi])
     th_max = math.atan(vmax)
-    for i, th in enumerate(np.linspace(-th_max, th_max, n_samples)):
-        v = math.tan(th)
-        beta = v * (s_hi if v >= 0 else s_lo)
-        sol = perron(n, edges, [v * x - beta for x in psi])
-        s = float(sum(float(p) * x for p, x in zip(sol.stationary, psi)))
-        h = markov_entropy(sol.stationary, sol.transition)
-        pts.append(CurvePoint(s, h, comp.index, "sample", i))
+    v = np.array([math.tan(th) for th in np.linspace(-th_max, th_max, n_samples)])
+    beta = v * np.where(v >= 0, s_hi, s_lo)
+    _, P, p = perron_stack(n, matrix_edges(comp.matrix), v[:, None] * psi - beta[:, None])
+    s = sum(p[:, i] * x for i, x in enumerate(psi))    # state by state, as p . psi sums
+    h = markov_entropy(p, P)
+    pts.extend(CurvePoint(float(a), float(b), comp.index, "sample", i)
+               for i, (a, b) in enumerate(zip(s, h)))
     return pts
 
 

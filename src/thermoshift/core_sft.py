@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -312,65 +312,134 @@ def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     B[a, b] y[b] / (lam y[a]); its stationary vector comes from GTH state
     reduction (O'Cinneide 1993).  Escalates to mpmath when a scaled entry
     leaves the double range, the solve does not certify, or a kernel
-    entry underflows.
+    entry underflows.  The same stages solve many weight rows at once in
+    ``perron_stack``.
     """
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    src, dst = ends[:, 0], ends[:, 1]
-    w = np.array([float(x) for x in weights])
+    src, dst = _ends(edges)
+    w = np.fromiter(map(float, weights), float, n)
     W = np.full((n, n), -np.inf)
     W[src, dst] = w[src]
     got = _perron_pair(W, t)
     if got is None:
         return _escalate(n, edges, weights, t)
     B, _, lam, y, gap = got
-    P = B * y / (lam * y[:, None])
-    P /= P.sum(axis=1, keepdims=True)
-    if not P[src, dst].min() > 0.0:
+    P, positive = _kernel(B, lam, y, src, dst)
+    if not positive:
         return _escalate(n, edges, weights, t)
     return PerronSolve(math.log(lam), P, gap, "double")
+
+
+def perron_stack(n: int, edges, weights):
+    """(log_lam, transition, stationary) of ``perron`` at t = 1 for each
+    row of the (S, n) state weights on one edge set, as stacked arrays.
+
+    The rows are solved together, stage by stage; a row with several
+    critical classes gets its balanced potentials alone.  A row leaves the
+    stack and is solved by ``perron`` alone (aggregation, then mpmath)
+    when a scaled entry leaves the double range, its gap is below
+    GAP_FLOOR, its polish does not certify, or its kernel underflows.
+    """
+    src, dst = _ends(edges)
+    weights = np.asarray(weights, dtype=float)
+    W = np.full((n, n, len(weights)), -np.inf)
+    W[src, dst] = weights.T[src]
+    D, h, tol, crit, one = _kleene(W)
+    for i in np.flatnonzero(~one):      # tied critical classes: balance them as perron does
+        h[:, i] = _balance(D[..., i], tol[i], crit[:, i])[0]
+    B, ok = _scale(W[src, dst], h, src, dst, 1.0)
+    lanes = np.flatnonzero(ok)
+    B = B.transpose(2, 0, 1)[lanes]
+    lam, y, _, ok = _certify(B)
+    lanes, lam = lanes[ok], lam[ok]
+    P, ok = _kernel(B[ok], lam[:, None], y[ok], src, dst)
+    lanes, lam, P = lanes[ok], lam[ok], P[ok]
+    log_lam = np.full(len(weights), np.nan)
+    kernel = np.zeros((len(weights), n, n))
+    p = np.full(weights.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):    # underflow: non-finite p
+        log_lam[lanes], kernel[lanes], p[lanes] = np.log(lam), P, _gth_stationary(P)
+    for i in np.flatnonzero(~np.isfinite(p).all(axis=1)):
+        sol = perron(n, edges, weights[i])
+        log_lam[i], kernel[i], p[i] = sol.log_lam, sol.transition, sol.stationary
+    return log_lam, kernel, p
+
+
+def _ends(edges):
+    """Arrays of the sources and the targets of a list of edges."""
+    ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges))
+    return ends[0::2], ends[1::2]
 
 
 def _perron_pair(W: np.ndarray, t: float = 1.0):
     """(B, h, lam, y, gap) of B = exp(t (W[a, b] + h[b] - h[a])) for log
     weights W (-inf off the edges) of maximal cycle mean 0, with y
     certified entrywise; None when doubles cannot certify it."""
+    if W.shape == (1, 1):           # a loop of weight 0: its own Perron pair
+        return np.ones((1, 1)), np.zeros(1), 1.0, np.ones(1), 1.0
     h, classes = _maxplus_potentials(W)
     src, dst = np.nonzero(W > -np.inf)
-    s = t * (W[src, dst] + h[dst] - h[src])
-    if not -_EXP_SAFE < s.min() <= s.max() < _EXP_SAFE:
+    B, ok = _scale(W[src, dst], h, src, dst, t)
+    if not ok:
         return None
-    B = np.zeros(W.shape)
-    B[src, dst] = np.exp(s)
-    evals, evecs = np.linalg.eig(B)
-    i = int(np.argmax(evals.real))
-    lam = max(float(evals[i].real), 1.0)    # B has a cycle of 1s
-    mu = np.delete(evals, i) / lam
-    gap = float(np.abs(mu - 1.0).min(initial=1.0))
-    y = _polish(B, np.abs(evecs[:, i].real), lam, mu) if gap >= GAP_FLOOR else None
-    if y is not None:
-        return B, h, lam, y, gap
+    lam, y, gap, ok = _certify(B)
+    if ok:
+        return B, h, float(lam), y, float(gap)
     got = _aggregate(B, classes) if len(classes) > 1 else None
     return None if got is None else (B, h, *got)
+
+
+# The stages below take one solve, or a stack of them (``perron_stack``):
+# on the last axis in the max-plus and scaling stages, where values with
+# one entry per lane broadcast against it, and on the first axis from the
+# eigensolve on, as in numpy.linalg, where such values take a trailing
+# axis (lam[..., None]).  ``perron`` does not run as a stack of one: with
+# the indexing that needs, the single solves of the low-temperature
+# benchmark ran about a fifth slower.
+
+def _lanes(i) -> tuple:
+    """Index of every lane, to go with an index i per lane: () for one
+    solve, (0..S-1,) for a stack."""
+    return (np.arange(len(i)),) if i.ndim else ()
+
+
+def _kleene(W: np.ndarray):
+    """(D, h, tol, crit, one) of log weights W of maximal cycle mean 0:
+    the max-plus Kleene star D (Floyd-Warshall), its column h at a state
+    c of largest D[c, c] with h[c] = 0, the tie tolerance, the critical
+    states (D[a, a] = 0 up to tol) and whether they form one class."""
+    D = W.copy()
+    for k in range(len(D)):
+        np.maximum(D, D[:, k, None] + D[k], out=D)
+    diag = D.diagonal().T
+    c = diag.argmax(axis=0)
+    lanes = _lanes(c)
+    h = D[(slice(None), c, *lanes)].copy()
+    h[(c, *lanes)] = 0.0
+    tol = _TIE_TOL * (1.0 - diag.min(axis=0))
+    crit = diag >= -tol
+    # states tight with c are critical (D[a, a] >= D[a, c] + D[c, a]), and
+    # they are all of them exactly when the critical states form one class
+    one = ((h + D[(c, slice(None), *lanes)].T >= -tol) == crit).all(axis=0)
+    return D, h, tol, crit, one
 
 
 def _maxplus_potentials(W: np.ndarray):
     """A balanced max-plus eigenvector h = max_b (W[a, b] + h[b]) of log
     weights with maximal cycle mean 0, and the critical classes (states
-    with D[a, b] + D[b, a] = 0 in the Kleene star D, up to rounding).  h
-    is the max of the Kleene columns at one state c_i per class plus g, a
-    max-plus eigenvector of D[c_i, c_j] less its maximal cycle mean, so
-    that paths between classes keep equal slack and none is tight."""
-    D = W.copy()
-    for k in range(len(D)):                 # Floyd-Warshall, max-plus
-        np.maximum(D, D[:, k, None] + D[k], out=D)
+    with D[a, b] + D[b, a] = 0 in the Kleene star D, up to rounding)."""
+    D, h, tol, crit, one = _kleene(W)
+    if one:
+        return h, [np.flatnonzero(crit)]
+    return _balance(D, tol, crit)
+
+
+def _balance(D: np.ndarray, tol: float, crit: np.ndarray):
+    """(h, classes) of ``_maxplus_potentials`` for a Kleene star D with
+    several critical classes: h is the max of the Kleene columns at one
+    state c_i per class plus g, a max-plus eigenvector of D[c_i, c_j] less
+    its maximal cycle mean, so that paths between classes keep equal slack
+    and none is tight."""
     diag = D.diagonal()
-    c = int(diag.argmax())
-    h = D[:, c].copy()
-    h[c] = 0.0
-    tol = _TIE_TOL * (1.0 - diag.min())
-    crit = diag >= -tol
-    if np.count_nonzero(h + D[c] >= -tol) == np.count_nonzero(crit):
-        return h, [np.flatnonzero(crit)]    # one class
     crit = np.flatnonzero(crit)
     first = ((D + D.T)[crit][:, crit] >= -tol).argmax(axis=1)
     classes = [crit[first == f] for f in sorted(set(first.tolist()))]
@@ -379,6 +448,33 @@ def _maxplus_potentials(W: np.ndarray):
     np.fill_diagonal(M, -np.inf)
     g = _maxplus_potentials(M - _max_cycle_mean(M))[0]
     return (D[:, reps] + g).max(axis=1), classes
+
+
+def _scale(w: np.ndarray, h: np.ndarray, src, dst, t: float):
+    """B = exp(t (w + h[dst] - h[src])) on the edges, for edge weights w and
+    potentials h, and whether every scaled entry stays inside the double
+    range."""
+    s = t * (w + h[dst] - h[src])
+    ok = (s.min(axis=0) > -_EXP_SAFE) & (s.max(axis=0) < _EXP_SAFE)
+    B = np.zeros((len(h),) + h.shape)
+    B[src, dst] = np.exp(np.minimum(s, _EXP_SAFE))     # no overflow where not ok
+    return B, ok
+
+
+def _certify(B: np.ndarray):
+    """(lam, y, gap, ok) of B: one eigensolve gives the root, the relative
+    gap and a start vector, which ``_polish`` certifies where the gap is at
+    least GAP_FLOOR (ok)."""
+    evals, evecs = np.linalg.eig(B)
+    i = evals.real.argmax(axis=-1)
+    lanes = _lanes(i)
+    lam = np.maximum(evals[(*lanes, i)].real, 1.0)     # B has a cycle of 1s
+    mu = evals / lam[..., None]
+    mu[(*lanes, i)] = 0.0           # the root's own mode: every step removes it
+    gap = np.abs(mu - 1.0).min(axis=-1, initial=1.0)
+    y, ok = _polish(B, np.abs(evecs[(*lanes, slice(None), i)].real), lam, mu,
+                    gap >= GAP_FLOOR)
+    return lam, y, gap, ok
 
 
 def _max_cycle_mean(M: np.ndarray) -> float:
@@ -470,8 +566,11 @@ def _aggregate(B: np.ndarray, classes):
     return rho + delta, y, gap * delta / (rho + delta)
 
 
-def _polish(B: np.ndarray, y: np.ndarray, lam: float, mu: np.ndarray):
-    """Positive y whose Collatz-Wielandt ratios By/y agree to _CW_TOL.
+def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
+    """(y, ok): positive y whose Collatz-Wielandt ratios By/y agree to
+    _CW_TOL, and whether that was reached, for one solve or each lane of
+    a stack; lanes not ok on entry fail at once, and the root's own entry
+    of mu is 0.
 
     Power steps on B, alternating with steps on B + c lam I, are free of
     subtraction; the shift c is chosen from the other eigenvalues mu
@@ -480,31 +579,59 @@ def _polish(B: np.ndarray, y: np.ndarray, lam: float, mu: np.ndarray):
     steps, and with them a small excess bounds the error only by about
     excess / gap: once the other modes are gone (the excess is certified
     or stalls), the filter (B - m lam I) removes each such m, at a
-    cancellation cost of lam / |lam - m|.  None if that fails.
+    cancellation cost of lam / |lam - m|.  A lane fails if that fails.
+    The lanes take the same steps and leave the stack when done; each
+    lane's slow modes are filtered on their own.
     """
-    rates = np.abs(mu[:, None] * (mu[:, None] + _SHIFTS)) / (1.0 + _SHIFTS)
-    c = _SHIFTS[np.argmin(rates.max(axis=0, initial=0.0))]
-    slow = mu[(np.abs(mu * (mu + c)) > 0.5 * (1.0 + c)) & (mu.imag >= 0.0)]
-    seen = [np.inf, np.inf]     # excesses so far; a stall spans two steps
+    if not np.count_nonzero(ok):
+        return y, ok
+    norm = 1.0 + _SHIFTS
+    grow = np.abs(mu[..., None] * (mu[..., None] + _SHIFTS))   # |mu (mu + c)| for each c
+    j = (grow / norm).max(axis=-2, initial=0.0).argmin(axis=-1)
+    lanes = _lanes(j)
+    slow = (grow > 0.5 * norm)[(*lanes, slice(None), j)] & (mu.imag >= 0.0)
+    pending = np.count_nonzero(slow)    # slow modes still in y
+    cl = (_SHIFTS[j] * lam)[..., None]
+    older = last = np.inf * lam     # the last two excesses: a stall spans two steps
+    out = None                      # y of a stack, once lanes have left it
     for step in range(_POLISH_STEPS):
-        By = B @ y
-        excess = np.inf
-        if y.min() > 0.0:
-            r = By / y
-            excess = r.max() / r.min() - 1.0
-        if slow.size and (excess <= _CW_TOL or excess > 0.9 * seen[-2]):
-            y = _deflate(B, y, lam, slow)
-            if not y.min() > 0.0:
-                return None
-            slow = slow[:0]
-            y /= y.max()
-            continue
-        if excess <= _CW_TOL:
-            return y
-        seen.append(excess)
-        y = By + c * lam * y if step % 2 else By
-        y /= y.max()
-    return None
+        By = (B @ y[..., None])[..., 0]
+        # a zero in y (only before y first turns positive) gives a nan
+        # excess: neither certified nor a stall
+        r = By / (y if y.min() > 0.0 else np.where(y > 0.0, y, np.nan))
+        excess = r.max(axis=-1) / r.min(axis=-1) - 1.0
+        done = ok & (excess <= _CW_TOL)
+        gone = done | ~ok
+        new = By + cl * y if step % 2 else By
+        if pending:
+            flat = ok & slow.any(axis=-1) & (done | (excess > 0.9 * older))
+            if np.count_nonzero(flat):
+                done, gone = done & ~flat, np.array(gone & ~flat)
+                for i in np.ndindex(flat.shape):   # () for one solve
+                    if flat[i]:
+                        new[i] = _deflate(B[i], y[i], lam[i], mu[i][slow[i]])
+                        gone[i] = not new[i].min() > 0.0
+                        slow[i] = False
+                pending = np.count_nonzero(slow)
+        older, last = last, excess
+        left = np.count_nonzero(gone)
+        if left == gone.size:
+            break
+        if left:                    # some lanes of a stack leave
+            if out is None:
+                out, certified = np.empty_like(y), np.zeros(len(y), dtype=bool)
+                live = np.arange(len(y))
+            out[live[done]], certified[live[done]] = y[done], True
+            keep = ~gone
+            B, new, lam, mu, slow, cl, older, last, ok, live = (
+                x[keep] for x in (B, new, lam, mu, slow, cl, older, last, ok, live))
+        y = new / new.max(axis=-1, keepdims=True)
+    else:
+        done = np.zeros_like(ok)
+    if out is None:
+        return y, done
+    out[live], certified[live] = y, done
+    return out, certified
 
 
 def _deflate(B: np.ndarray, y: np.ndarray, lam: float, modes) -> np.ndarray:
@@ -519,23 +646,35 @@ def _deflate(B: np.ndarray, y: np.ndarray, lam: float, modes) -> np.ndarray:
     return y
 
 
+def _kernel(B: np.ndarray, lam, y: np.ndarray, src, dst):
+    """Row-stochastic kernels B[a, b] y[b] / (lam y[a]) of B with leading
+    stack axes, and whether each is positive on the edges; lam
+    broadcasts against y."""
+    P = B * y[..., None, :] / (lam * y)[..., None]
+    P /= P.sum(axis=-1, keepdims=True)
+    return P, P[..., src, dst].min(axis=-1) > 0.0
+
+
 def _gth_stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible stochastic matrix by GTH state
-    reduction (Grassmann, Taksar and Heyman 1985): the pivots are sums of
-    off-diagonal entries, so nothing is subtracted."""
-    A = P.copy()
+    """Stationary vector of an irreducible stochastic matrix, or of each of
+    a stack, by GTH state reduction (Grassmann, Taksar and Heyman 1985):
+    the pivots are sums of off-diagonal entries, so nothing is subtracted.
+    It runs on a transposed view, which puts the lanes of a stack last,
+    so that values of one lane broadcast and a single matrix runs on
+    scalars."""
+    A = P.copy().T                  # A[b, a] = P[a, b], P's memory layout
     n = len(A)
     for k in range(n - 1, 0, -1):
-        row = A[k, :k]
-        col = A[:k, k] / row.sum()
-        A[:k, k] = col
-        A[:k, :k] += col[:, None] * row
-    x = np.ones(n)
+        row = A[:k, k]
+        col = A[k, :k] / row.sum(axis=0)
+        A[k, :k] = col
+        A[:k, :k] += row[:, None] * col
+    x = np.ones(A.shape[1:])
     for k in range(1, n):
-        x[k] = x[:k] @ A[:k, k]
-        if x[k] > 1.0:          # keep the largest mass at 1: no overflow
-            x[:k + 1] /= x[k]
-    return x / x.sum()
+        x[k] = np.vecdot(A[k, :k], x[:k], axis=0)
+        if max(x[k].flat) > 1.0:    # keep the largest mass of each at 1: no overflow
+            x[:k + 1] /= np.maximum(x[k], 1.0)
+    return (x / x.sum(axis=0)).T
 
 
 def _needed_dps(weights, t) -> int:

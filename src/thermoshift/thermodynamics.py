@@ -14,6 +14,9 @@ accuracy, also when tied maximizing components decouple at low
 temperature (aggregation over them).  mpmath is used only when a scaled
 entry leaves the double range or a solve does not certify; the precision
 is then sized from t and the weight range and recorded as ``mp[digits]``.
+The engine's stages also take a stack axis: ``core_sft.perron_stack``
+solves many weight rows on one edge set at once (the face-curve samples),
+and ``markov_entropy`` takes stacked chains.
 """
 
 from __future__ import annotations
@@ -66,11 +69,13 @@ class MarkovMeasure:
 
 
 def markov_entropy(p, P) -> float:
-    """Entropy rate of a stationary Markov chain, in nats."""
+    """Entropy rate of a stationary Markov chain, in nats; for chains
+    stacked on a leading axis, the array of their rates."""
     p = np.asarray(p, dtype=float)
     P = np.asarray(P, dtype=float)
     logs = np.log(P, out=np.zeros_like(P), where=P > 0.0)
-    return float(0.0 - (p[:, None] * P * logs).sum())   # 0.0, never -0.0
+    h = 0.0 - (p[..., :, None] * P * logs).sum(axis=(-2, -1))    # 0.0, never -0.0
+    return float(h) if h.ndim == 0 else h
 
 
 def _require_irreducible(n: int, edges, what: str):

@@ -1,18 +1,22 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import thermoshift.boundary_entropy as boundary_entropy
+import thermoshift.core_sft as core_sft
 import thermoshift.max_face as max_face
 import thermoshift.thermodynamics as thermodynamics
-from oracles import LOG_GOLDEN, dual_grid_entropy, numpy_pressure
+from oracles import (LOG_GOLDEN, dual_grid_entropy, numpy_pressure,
+                     random_rational_values, random_transitive_sft)
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          OutOfDomainError, PotentialLC, Sft,
                          UnsupportedDimensionError, differentiability_scan,
                          equilibrium_markov, face_entropy_curve, face_subshift,
                          get_potential, get_shift, localized_entropy_interior,
-                         recode_to_one_step)
+                         recode_to_one_step, rotation_set)
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -117,6 +121,108 @@ def test_face_curve_karp_runs_do_not_grow_with_samples(monkeypatch):
         face_entropy_curve(Phi, (0, -1), n_samples=n_samples)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_face_curve_stacks_do_not_grow_with_samples(monkeypatch):
+    # one stacked Perron solve per non-constant component, whatever the grid
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return stack(*args)
+
+    stack = boundary_entropy.perron_stack
+    monkeypatch.setattr(boundary_entropy, "perron_stack", counting)
+    for Phi, alpha in ((get_potential("trivec"), (0, -1)),
+                       (get_potential("trivec"), (2, 1)),
+                       (get_potential("kinkvec"), (0, -1))):
+        for n_samples in (9, 201):
+            calls.clear()
+            curve = face_entropy_curve(Phi, alpha, n_samples=n_samples)
+            arcs = {p.comp for p in curve.points if p.kind == "sample"}
+            assert len(calls) == len(arcs)
+
+
+def _planar_facet_curves(count, seed):
+    """Face curves on every edge of the rotation polygons of seeded m = 2
+    potentials."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        Phi = PotentialLC.from_block_values(
+            sft, k, random_rational_values(rng, sft, k, m=2), m=2)
+        poly = rotation_set(Phi)
+        if poly.affine_dim != 2:
+            continue
+        made += 1
+        for f in poly.facets:
+            face_entropy_curve(Phi, f.normal, poly=poly)
+
+
+def test_stacked_lanes_match_single_solves(monkeypatch):
+    # every lane of every stacked solve a face curve makes agrees entry by
+    # entry with perron on that lane's weights alone.  The inputs include
+    # lanes with tied critical classes, which stay in the stack unless
+    # their gap collapses (then they leave for aggregation), and lanes
+    # whose slow modes are deflated inside the stack
+    stacks, alone, deflated = [], [], []
+
+    def recording(n, edges, weights):
+        got = stack(n, edges, weights)
+        stacks.append((n, edges, np.array(weights), got))
+        return got
+
+    def leaving(n, edges, weights, t=1.0):
+        alone.append((n, edges, list(weights)))
+        core_sft._deflate = deflate     # deflations of single solves do not count
+        try:
+            return perron(n, edges, weights, t)
+        finally:
+            core_sft._deflate = counting_deflate
+
+    def counting_deflate(*args):
+        deflated.append(1)
+        return deflate(*args)
+
+    stack, perron, deflate = core_sft.perron_stack, core_sft.perron, core_sft._deflate
+    monkeypatch.setattr(boundary_entropy, "perron_stack", recording)
+    monkeypatch.setattr(core_sft, "perron", leaving)
+    monkeypatch.setattr(core_sft, "_deflate", counting_deflate)
+    face_entropy_curve(get_potential("trivec"), (0, -1))
+    face_entropy_curve(get_potential("kinkvec"), (0, -1))
+    face_entropy_curve(_edge_face_potential(), (-2, -1))
+    _planar_facet_curves(20, seed=9)
+    # twofix's tied fixed points decouple as t grows: aggregation, alone
+    Phi = get_potential("twofix")
+    recoded = recode_to_one_step(Phi.sft, Phi.k)
+    vals = [x for (x,) in Phi.state_values()]
+    beta = max_face.karp_max_mean(recoded.n, recoded.edges(), vals)
+    recording(recoded.n, recoded.edges(),
+              [[t * float(x - beta) for x in vals] for t in (1, 4, 16, 40)])
+    monkeypatch.undo()
+
+    lanes = 0
+    for n, edges, weights, (log_lam, P, p) in stacks:
+        for row, a, A, x in zip(weights, log_lam, P, p):
+            sol = perron(n, edges, row)
+            assert abs(a - sol.log_lam) <= 1e-13 * abs(sol.log_lam)
+            assert np.all(np.abs(A - sol.transition) <= 1e-13 * sol.transition)
+            assert np.all(np.abs(x - sol.stationary) <= 1e-13 * sol.stationary)
+            lanes += 1
+    assert lanes > 10000
+
+    def tied(n, edges, row):
+        W = np.full((n, n), -np.inf)
+        for a, b in edges:
+            W[a, b] = row[a]
+        return len(core_sft._maxplus_potentials(W)[1]) > 1
+
+    assert any(tied(*lane) for lane in alone)
+    assert sum(tied(n, edges, row) for n, edges, weights, _ in stacks
+               for row in weights) > len(alone)
+    assert deflated
 
 
 def test_affine_face_of_two_fixed_points():

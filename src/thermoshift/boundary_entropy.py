@@ -3,7 +3,8 @@
 Interior points go through Legendre duality: the maximal entropy at
 rotation vector w is inf_v [P(v . Phi) - v . w], minimized by a damped
 Newton iteration whose gradient is the rotation error of the current
-equilibrium state.
+equilibrium state and whose Hessian is the asymptotic covariance of Phi
+under it.
 
 Boundary faces need more care because the infimum is not attained
 there.  A one-dimensional face is the rotation interval of its
@@ -26,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, matrix_edges, perron_stack
+from .core_sft import Sft, matrix_edges, perron, perron_stack
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
-from .potential import PotentialLC, scalarize
+from .potential import PotentialLC
 from .rotation_geometry import RotationPolytope, _snap, rotation_set
-from .thermodynamics import equilibrium_markov, markov_entropy
+from .thermodynamics import _measure, markov_entropy
 
 DEFAULT_SAMPLES = 201
 DEFAULT_VMAX = 50.0
@@ -222,13 +223,27 @@ def differentiability_scan(curve: FaceCurve, threshold: float | None = None,
 
 # -- interior duality ------------------------------------------------------
 
-def _dual_value_grad(Phi, w, v):
+def _dual_value_grad(X, edges, corners, w, v):
     """P(v . Phi) - v . w, its gradient (the rotation error of the
-    equilibrium state of v . Phi) and that state."""
-    mu = equilibrium_markov(scalarize(Phi, v), t=1.0)
-    g = mu.pressure - sum(a * b for a, b in zip(v, w))
-    grad = tuple(ri - wi for ri, wi in zip(mu.rotation_vector(Phi), w))
-    return g, grad, mu
+    equilibrium state of v . Phi), beta(v) and the Perron solve of
+    v . Phi - beta(v) on the recoding of Phi, whose states have the value
+    rows X and the given edges.  beta(v), the maximum cycle mean of
+    v . Phi, is the largest v . x over the corners x of the rotation set."""
+    beta = float((corners @ v).max())
+    sol = perron(len(X), edges, X @ v - beta)
+    return float(sol.log_lam + beta - v @ w), sol.stationary @ X - w, beta, sol
+
+
+def _covariance(p, P, X):
+    """Asymptotic covariance matrix of the Birkhoff sums of the columns of
+    X (one row per state) under the stationary chain (p, P), which is the
+    Hessian of the pressure (Parry and Pollicott 1990, ch. 4): G + G' -
+    F' D F with G = F' D Z F, for the centred values F = X - p X, D =
+    diag(p) and the fundamental matrix Z = (I - P + 1 p)^-1."""
+    F = X - p @ X
+    DF = p[:, None] * F
+    G = DF.T @ np.linalg.solve(np.eye(len(p)) - P + p, F)
+    return G + G.T - DF.T @ F
 
 
 def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
@@ -240,9 +255,10 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
     Returns (entropy, dual_v, measure).  Raises OutOfDomainError for
     boundary or exterior w; boundary profiles come from the face curves.
     The dual v runs over the direction space of the rotation set, in
-    orthonormal coordinates x: damped Newton steps on a central-difference
-    Hessian of the gradient, or gradient steps where it is not positive
-    definite.
+    orthonormal coordinates x: damped Newton steps on the exact Hessian
+    (the asymptotic covariance of Phi under the current equilibrium
+    state), or gradient steps where it is not positive definite.  Each
+    point is one Perron solve on the recoding of Phi, with no Karp run.
     """
     if Phi.m != 2:
         raise UnsupportedDimensionError("interior duality implemented for m = 2")
@@ -251,25 +267,25 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
     side = poly.membership(tuple(_snap(x) for x in w))
     if side != "interior":
         raise OutOfDomainError(f"rotation vector is {side}; need interior")
-    w = tuple(float(x) for x in w)
+    w = np.array([float(x) for x in w])
     r = poly.affine_dim
     # rows: an orthonormal basis of the directions of the affine hull
     Q = np.linalg.qr(np.array(poly.frame.basis, dtype=float).reshape(r, 2).T)[0].T
+    X = np.array(Phi.state_values(), dtype=float)
+    corners = np.array(poly.vertices, dtype=float)
+    edges = Phi._recoded.edges()
 
     def at(x):
-        g, grad, mu = _dual_value_grad(Phi, w, tuple(map(float, x @ Q)))
-        return g, Q @ grad, mu
+        g, grad, beta, sol = _dual_value_grad(X, edges, corners, w, x @ Q)
+        return g, Q @ grad, beta, sol
 
     x = np.zeros(r)
     point = at(x)
     for _ in range(max_iter):
-        g, grad, mu = point
+        g, grad, beta, sol = point
         if np.abs(grad).max(initial=0.0) < tol:
-            return g, tuple(map(float, x @ Q)), mu
-        eps = 1e-5 * (1.0 + np.linalg.norm(x))
-        H = np.column_stack([(at(x + eps * e)[1] - at(x - eps * e)[1]) / (2.0 * eps)
-                             for e in np.eye(r)])
-        H = 0.5 * (H + H.T)
+            return g, tuple(map(float, x @ Q)), _measure(Phi, beta, sol, 1.0)
+        H = Q @ _covariance(sol.stationary, sol.transition, X) @ Q.T
         try:
             np.linalg.cholesky(H)
             dx = np.linalg.solve(H, -grad)

@@ -176,7 +176,12 @@ def strongly_connected_components(sft: Sft) -> list[SccComponent]:
 
 def is_transitive(sft: Sft) -> bool:
     """True when the transition graph is a single (nontrivial) SCC."""
-    comps = strongly_connected_components(sft)
+    return _is_irreducible(sft.d, sft.edges())
+
+
+def _is_irreducible(n: int, edges) -> bool:
+    """True when the digraph on states 0..n-1 is one nontrivial SCC."""
+    comps = scc_of_edges(n, edges)
     return len(comps) == 1 and comps[0].is_nontrivial
 
 
@@ -273,7 +278,9 @@ _AGG_ROUNDS = 8          # bound on aggregation rounds
 class PerronSolve:
     """Perron root of the transfer matrix exp(t * w[a]) on edges a -> b,
     with the Markov kernel it induces; the stationary vector of the
-    kernel is computed when first read.
+    kernel is computed when first read.  If its state reduction
+    underflows, the solve is redone in mpmath and every field takes the
+    values of that solve.
 
     ``gap`` is the relative distance from the root to the rest of the
     spectrum, at most 1 (estimated from the coupling matrix after
@@ -281,20 +288,60 @@ class PerronSolve:
     """
 
     def __init__(self, log_lam: float, transition: np.ndarray, gap: float,
-                 precision: str, stationary: np.ndarray | None = None):
+                 precision: str, stationary: np.ndarray | None = None,
+                 escalate=None):
         self.log_lam = log_lam
         self.transition = transition
         self.gap = gap
         self.precision = precision
+        self._escalate = escalate
         if stationary is not None:
             self.stationary = stationary
 
     @functools.cached_property
     def stationary(self) -> np.ndarray:
         p = _gth_stationary(self.transition)
-        if not np.isfinite(p).all():
-            raise NumericError("state reduction of the kernel underflowed")
-        return p
+        if np.isfinite(p).all():
+            return p
+        sol = self._escalate()
+        self.log_lam, self.transition, self.gap, self.precision = (
+            sol.log_lam, sol.transition, sol.gap, sol.precision)
+        return sol.stationary
+
+
+class Transfer:
+    """The transfer matrix exp(t * w[a]) on the edges a -> b of an
+    irreducible digraph, for weights w with maximum cycle mean 0, with
+    the parts of its Perron solves that do not depend on t: the edge
+    arrays, the log weights W and their balanced max-plus potentials and
+    critical classes (none for a single state, its own Perron pair).
+    They are built with the object and are read-only, so ``solve`` runs
+    only the stages that depend on t.
+    """
+
+    def __init__(self, n: int, edges, weights):
+        self.n, self.edges, self.weights = n, edges, weights
+        src, dst = self.ends = _ends(edges)
+        w = np.fromiter(map(float, weights), float, n)
+        W = self.log_weights = np.full((n, n), -np.inf)
+        W[src, dst] = w[src]
+        self.potentials = None
+        if n > 1:
+            self.potentials = h, classes = _maxplus_potentials(W)
+            _readonly(h, *classes)
+        _readonly(src, dst, W)
+
+    def solve(self, t: float = 1.0) -> PerronSolve:
+        """The Perron data of exp(t * w), as ``perron`` describes it."""
+        escalate = functools.partial(_escalate, self.n, self.edges, self.weights, t)
+        got = _perron_pair(self.log_weights, t, self.potentials, self.ends)
+        if got is None:
+            return escalate()
+        B, _, lam, y, gap = got
+        P, positive = _kernel(B, lam, y, *self.ends)
+        if not positive:
+            return escalate()
+        return PerronSolve(math.log(lam), P, gap, "double", escalate=escalate)
 
 
 def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
@@ -312,21 +359,11 @@ def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     B[a, b] y[b] / (lam y[a]); its stationary vector comes from GTH state
     reduction (O'Cinneide 1993).  Escalates to mpmath when a scaled entry
     leaves the double range, the solve does not certify, or a kernel
-    entry underflows.  The same stages solve many weight rows at once in
-    ``perron_stack``.
+    entry or the state reduction underflows.  A ``Transfer`` keeps the
+    parts that do not depend on t for many solves; the same stages solve
+    many weight rows at once in ``perron_stack``.
     """
-    src, dst = _ends(edges)
-    w = np.fromiter(map(float, weights), float, n)
-    W = np.full((n, n), -np.inf)
-    W[src, dst] = w[src]
-    got = _perron_pair(W, t)
-    if got is None:
-        return _escalate(n, edges, weights, t)
-    B, _, lam, y, gap = got
-    P, positive = _kernel(B, lam, y, src, dst)
-    if not positive:
-        return _escalate(n, edges, weights, t)
-    return PerronSolve(math.log(lam), P, gap, "double")
+    return Transfer(n, edges, weights).solve(t)
 
 
 def perron_stack(n: int, edges, weights):
@@ -356,8 +393,7 @@ def perron_stack(n: int, edges, weights):
     log_lam = np.full(len(weights), np.nan)
     kernel = np.zeros((len(weights), n, n))
     p = np.full(weights.shape, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):    # underflow: non-finite p
-        log_lam[lanes], kernel[lanes], p[lanes] = np.log(lam), P, _gth_stationary(P)
+    log_lam[lanes], kernel[lanes], p[lanes] = np.log(lam), P, _gth_stationary(P)
     for i in np.flatnonzero(~np.isfinite(p).all(axis=1)):
         sol = perron(n, edges, weights[i])
         log_lam[i], kernel[i], p[i] = sol.log_lam, sol.transition, sol.stationary
@@ -370,14 +406,23 @@ def _ends(edges):
     return ends[0::2], ends[1::2]
 
 
-def _perron_pair(W: np.ndarray, t: float = 1.0):
+def _readonly(*arrays) -> None:
+    """Mark arrays that many solves share read-only, so that a stage
+    writing into one fails instead of changing later solves."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _perron_pair(W: np.ndarray, t: float = 1.0, potentials=None, ends=None):
     """(B, h, lam, y, gap) of B = exp(t (W[a, b] + h[b] - h[a])) for log
     weights W (-inf off the edges) of maximal cycle mean 0, with y
-    certified entrywise; None when doubles cannot certify it."""
+    certified entrywise; None when doubles cannot certify it.  The
+    max-plus potentials (h, classes) and the edge arrays of W are
+    computed unless given."""
     if W.shape == (1, 1):           # a loop of weight 0: its own Perron pair
         return np.ones((1, 1)), np.zeros(1), 1.0, np.ones(1), 1.0
-    h, classes = _maxplus_potentials(W)
-    src, dst = np.nonzero(W > -np.inf)
+    h, classes = _maxplus_potentials(W) if potentials is None else potentials
+    src, dst = np.nonzero(W > -np.inf) if ends is None else ends
     B, ok = _scale(W[src, dst], h, src, dst, t)
     if not ok:
         return None
@@ -655,10 +700,12 @@ def _kernel(B: np.ndarray, lam, y: np.ndarray, src, dst):
     return P, P[..., src, dst].min(axis=-1) > 0.0
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _gth_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary vector of an irreducible stochastic matrix, or of each of
     a stack, by GTH state reduction (Grassmann, Taksar and Heyman 1985):
     the pivots are sums of off-diagonal entries, so nothing is subtracted.
+    Where a pivot underflows to 0, the masses come out non-finite.
     It runs on a transposed view, which puts the lanes of a stack last,
     so that values of one lane broadcast and a single matrix runs on
     scalars."""
@@ -683,18 +730,15 @@ def _needed_dps(weights, t) -> int:
 
 
 def _escalate(n, edges, weights, t) -> PerronSolve:
-    """Rerun in mpmath at a precision sized from t and the weight span."""
-    dps = _needed_dps(weights, t)
-    if dps >= DPS_CAP:
-        raise UnderflowError(f"Perron solve at t={t} needs more than {DPS_CAP} digits")
-    got = _spectral_mp(n, edges, weights, t, dps)
-    if got is None or not got.gap > 10.0 ** (-(dps - 25)):
-        raise NumericError(f"leading eigenpair not certified at t={t}")
-    return got
+    """Rerun in mpmath, from a precision sized from t and the weight span."""
+    return _spectral_mp(n, edges, weights, t, _needed_dps(weights, t))
 
 
-def _spectral_mp(n, edges, weights, t, dps) -> PerronSolve | None:
-    """The same Perron data from mpmath eigensolves at dps digits."""
+def _spectral_mp(n, edges, weights, t, dps) -> PerronSolve:
+    """The same Perron data from mpmath eigensolves, from dps digits on.
+    The digits double until both eigenvectors are positive and satisfy
+    their equations to 1e-20 relative in every entry; past DPS_CAP digits
+    it raises UnderflowError."""
     import mpmath as mp     # only the escalated path needs it
 
     def mpf(w):
@@ -702,25 +746,38 @@ def _spectral_mp(n, edges, weights, t, dps) -> PerronSolve | None:
             return mp.mpf(w.numerator) / w.denominator
         return mp.mpf(float(w))
 
-    with mp.workdps(dps):
-        ew = [mp.e ** (mpf(w) * t) for w in weights]
-        M = mp.zeros(n)
-        for a, b in edges:
-            M[a, b] = ew[a]
-        E, EL, ER = mp.eig(M, left=True, right=True)
-        idx = max(range(n), key=lambda i: mp.re(E[i]))
-        lam = mp.re(E[idx])
-        sep = min((abs(E[i] - lam) for i in range(n) if i != idx), default=lam)
-        gap = float(sep / lam) if lam > 0 else -1.0
-        v = [mp.re(ER[i, idx]) for i in range(n)]
-        u = [mp.re(EL[idx, i]) for i in range(n)]
-        v, u = ([x if max(vec, key=abs) > 0 else -x for x in vec] for vec in (v, u))
-        if lam <= 0 or min(v) <= 0 or min(u) <= 0:
-            return None
-        P = np.zeros((n, n))
-        for a, b in edges:
-            P[a, b] = float(ew[a] * v[b] / (lam * v[a]))
-        z = mp.fsum(x * y for x, y in zip(u, v))
-        p = np.array([float(x * y / z) for x, y in zip(u, v)])
-        return PerronSolve(float(mp.log(lam)), P / P.sum(axis=1, keepdims=True),
-                           gap, f"mp[{dps}]", p)
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    while dps < DPS_CAP:
+        with mp.workdps(dps):
+            ew = [mp.e ** (mpf(w) * t) for w in weights]
+            M = mp.zeros(n)
+            for a, b in edges:
+                M[a, b] = ew[a]
+            E, EL, ER = mp.eig(M, left=True, right=True)
+            idx = max(range(n), key=lambda i: mp.re(E[i]))
+            lam = mp.re(E[idx])
+            v = [mp.re(ER[i, idx]) for i in range(n)]
+            u = [mp.re(EL[idx, i]) for i in range(n)]
+            v, u = ([x if max(vec, key=abs) > 0 else -x for x in vec] for vec in (v, u))
+            # (M v)[a] / (lam v[a]) and (u M)[b] / (lam u[b]), each to be 1
+            right = (ew[a] * mp.fsum(v[b] for b in succ[a]) / (lam * v[a]) for a in range(n))
+            left = (mp.fsum(u[a] * ew[a] for a in pred[b]) / (lam * u[b]) for b in range(n))
+            tol = mp.mpf(10) ** -20
+            if lam > 0 and min(v) > 0 and min(u) > 0 and all(
+                    abs(r - 1) < tol for r in chain(right, left)):
+                sep = min((abs(E[i] - lam) for i in range(n) if i != idx), default=lam)
+                gap = float(sep / lam)
+                if not gap > 10.0 ** (-(dps - 25)):
+                    raise NumericError(f"leading eigenpair not certified at t={t}")
+                P = np.zeros((n, n))
+                for a, b in edges:
+                    P[a, b] = float(ew[a] * v[b] / (lam * v[a]))
+                z = mp.fsum(x * y for x, y in zip(u, v))
+                p = np.array([float(x * y / z) for x, y in zip(u, v)])
+                return PerronSolve(float(mp.log(lam)), P / P.sum(axis=1, keepdims=True),
+                                   gap, f"mp[{dps}]", p)
+        dps *= 2
+    raise UnderflowError(f"Perron solve at t={t} needs more than {DPS_CAP} digits")

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .core_sft import (RecodedSft, matrix_edges, perron, recode_to_one_step,
-                       scc_of_edges)
+from .core_sft import RecodedSft, matrix_edges, perron, scc_of_edges
 from .errors import InvalidArgumentError
-from .potential import PotentialLC, scalarize
+
+if TYPE_CHECKING:
+    from .potential import PotentialLC
 
 TIGHT_TOL = 1e-9
 
@@ -44,27 +46,28 @@ def karp_max_mean(n: int, edges, w):
     for comp in sccs:
         for i, v in enumerate(comp):
             local[v] = i
-    comp_preds = [[[] for _ in comp] for comp in sccs]
+    comp_edges = [[] for _ in sccs]
     for (a, b) in edges:
         c = comp_of[a]
         if c >= 0 and c == comp_of[b]:
-            comp_preds[c][local[b]].append(local[a])
+            comp_edges[c].append((local[a], local[b]))
     exact = all(isinstance(x, (int, Fraction)) for x in w)
     if exact:
         scale = math.lcm(*(x.denominator for x in w))
         w = [x.numerator * (scale // x.denominator) for x in w]
     best = None
-    for comp, preds in zip(sccs, comp_preds):
+    for comp, cedges in zip(sccs, comp_edges):
         m = len(comp)
         wloc = [w[v] for v in comp]
         D = [[None] * m for _ in range(m + 1)]
         D[0][0] = 0
-        for k in range(1, m + 1):
-            for v in range(m):
-                cands = [D[k - 1][u] + wloc[u] for u in preds[v]
-                         if D[k - 1][u] is not None]
-                if cands:
-                    D[k][v] = max(cands)
+        for prev, cur in zip(D, D[1:]):     # one pass over the edges per level
+            for a, b in cedges:
+                x = prev[a]
+                if x is not None:
+                    x += wloc[a]
+                    if cur[b] is None or x > cur[b]:
+                        cur[b] = x
         lcm_m = math.lcm(*range(1, m + 1))   # exact means as ints over lcm(1..m)
         comp_best = None
         for v in range(m):
@@ -125,13 +128,19 @@ def max_mean_data(n: int, edges, w):
     (w - beta) * den; float weights within TIGHT_TOL of their scale.
     """
     beta = karp_max_mean(n, edges, w)
+    return (beta, *_tight_data(n, edges, w, beta))
+
+
+def _tight_data(n: int, edges, w, beta):
+    """(recurrent tight edges, SCC node lists) of ``max_mean_data`` for a
+    known maximum cycle mean beta."""
     if isinstance(beta, Fraction):
         den = math.lcm(beta.denominator, *(x.denominator for x in w))
         r = [int((x - beta) * den) for x in w]
         u = longest_path_potentials(n, edges, r, 0)
-        return (beta, *tight_recurrent_part(n, edges, r, 0, u))
+        return tight_recurrent_part(n, edges, r, 0, u)
     u = longest_path_potentials(n, edges, w, beta)
-    return (beta, *tight_recurrent_part(n, edges, w, beta, u, TIGHT_TOL))
+    return tight_recurrent_part(n, edges, w, beta, u, TIGHT_TOL)
 
 
 def find_cycle(edges):
@@ -212,19 +221,18 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
     if alpha is not None:
         if len(tuple(alpha)) != phi.m:
             raise InvalidArgumentError("direction length must equal potential dimension")
+        from .potential import scalarize    # potential imports this module
         phi = scalarize(phi, alpha)
         direction = tuple(alpha)
     else:
         if phi.m != 1:
             raise InvalidArgumentError("scalar potential required when no direction given")
         direction = None
-    recoded = recode_to_one_step(phi.sft, phi.k)
-    edges = recoded.edges()
-    beta, rec_edges, sccs = max_mean_data(
-        recoded.n, edges, [x for (x,) in phi.state_values()])
+    recoded = phi._recoded
+    rec_edges, sccs = phi._tight      # beta and the tight edges, kept with phi
     comps = _build_components(recoded, rec_edges, sccs)
-    return FaceSubshift(direction, beta, recoded, tuple(sorted(rec_edges)),
-                        comps, len(rec_edges) == len(edges), phi.mode)
+    return FaceSubshift(direction, phi._beta, recoded, tuple(sorted(rec_edges)),
+                        comps, len(rec_edges) == len(recoded.edges()), phi.mode)
 
 
 def max_entropy_components(face: FaceSubshift, tol: float = TIGHT_TOL):

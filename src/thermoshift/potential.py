@@ -8,13 +8,18 @@ machinery; vector potentials define rotation sets.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .core_sft import Sft, recode_to_one_step
+from .core_sft import (RecodedSft, Sft, Transfer, _is_irreducible,
+                       recode_to_one_step)
 from .errors import InvalidArgumentError
+from .max_face import _tight_data, find_cycle, karp_max_mean, max_mean_data
 
 FLOAT_EQ_TOL = 1e-9
 
@@ -29,17 +34,27 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class PotentialLC:
-    """A locally constant m-vector potential with window k."""
+    """A locally constant m-vector potential with window k.
+
+    A potential is immutable: its fields cannot be assigned and
+    ``values`` is a read-only mapping.  So the data that its solves share
+    is kept with it, each piece built on first use: the recoding and the
+    state values, the irreducibility of the recoding, the maximum cycle
+    mean beta and the tight edges of a scalar potential, and the
+    transfer matrix of phi - beta with its max-plus scaling
+    (``core_sft.Transfer``).
+    """
 
     sft: Sft
     k: int
     m: int
-    values: dict[tuple[int, ...], tuple]
+    values: Mapping[tuple[int, ...], tuple]
     mode: str  # "exact" or "float"
 
     def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         if self.mode not in ("exact", "float"):
             raise InvalidArgumentError("mode must be 'exact' or 'float'")
         recoded = recode_to_one_step(self.sft, self.k)
@@ -60,13 +75,51 @@ class PotentialLC:
                 if self.mode == "float" and not isinstance(x, float):
                     raise InvalidArgumentError("float potential holds a non-float value")
 
+    def __reduce__(self):
+        # a read-only mapping does not pickle; the copy rebuilds its own data
+        return PotentialLC, (self.sft, self.k, self.m, dict(self.values), self.mode)
+
     def state_values(self) -> tuple:
         """The value vector of each state of ``recode_to_one_step(sft, k)``,
         in state order; exact values as Fraction."""
-        blocks = recode_to_one_step(self.sft, self.k).states
+        return self._state_values
+
+    # -- the data shared by solves, each piece built on first use ----------
+
+    @functools.cached_property
+    def _recoded(self) -> RecodedSft:
+        return recode_to_one_step(self.sft, self.k)
+
+    @functools.cached_property
+    def _state_values(self) -> tuple:
+        blocks = self._recoded.states
         if self.mode == "exact":
             return tuple(tuple(map(_as_fraction, self.values[b])) for b in blocks)
         return tuple(self.values[b] for b in blocks)
+
+    @functools.cached_property
+    def _irreducible(self) -> bool:
+        return _is_irreducible(self._recoded.n, self._recoded.edges())
+
+    @functools.cached_property
+    def _beta(self):
+        """Maximum cycle mean of a scalar potential (Karp)."""
+        return karp_max_mean(self._recoded.n, self._recoded.edges(),
+                             [x for (x,) in self._state_values])
+
+    @functools.cached_property
+    def _tight(self) -> tuple:
+        """(recurrent tight edges, SCC node lists) of a scalar potential,
+        as ``max_face.max_mean_data`` gives them."""
+        return _tight_data(self._recoded.n, self._recoded.edges(),
+                           [x for (x,) in self._state_values], self._beta)
+
+    @functools.cached_property
+    def _transfer(self) -> Transfer:
+        """The transfer matrix of a scalar phi - beta on the recoding."""
+        beta = self._beta
+        return Transfer(self._recoded.n, self._recoded.edges(),
+                        [x - beta for (x,) in self._state_values])
 
     def value(self, block: tuple[int, ...]) -> tuple:
         """Value on the cylinder of the leading k symbols of ``block``."""
@@ -227,7 +280,6 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC,
     float mode, agreement within ``tol`` counts but is flagged, and the
     constant is the midpoint.
     """
-    from .max_face import find_cycle, max_mean_data   # max_face imports this module
     if phi.m != 1 or psi.m != 1:
         raise InvalidArgumentError("cohomology test applies to scalar potentials")
     if phi.sft != psi.sft:

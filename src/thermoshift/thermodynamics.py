@@ -12,9 +12,19 @@ by a Collatz-Wielandt bound, and takes the stationary vector from GTH
 state reduction, so that masses far below 1e-16 keep their relative
 accuracy, also when tied maximizing components decouple at low
 temperature (aggregation over them).  mpmath is used only when a scaled
-entry leaves the double range or a solve does not certify; the precision
-is then sized from t and the weight range and recorded as ``mp[digits]``.
-The engine's stages also take a stack axis: ``core_sft.perron_stack``
+entry leaves the double range, a solve does not certify, or the kernel
+or its state reduction underflows.  The precision starts from a size
+set by t and the weight range, doubles until both eigenvectors satisfy
+their equations to 1e-20 relative in every entry, and is recorded as
+``mp[digits]``.
+
+A potential is immutable and keeps what its solves share: the first
+solve builds the recoding, the irreducibility check, beta (Karp) and the
+log weights of phi - beta with their max-plus potentials
+(``core_sft.Transfer``), and every later ``pressure`` or
+``equilibrium_markov`` call, at any t, runs only the stages that depend
+on t: the scaling, the eigensolve and polish, the kernel and GTH.  The
+engine's stages also take a stack axis: ``core_sft.perron_stack``
 solves many weight rows on one edge set at once (the face-curve samples),
 and ``markov_entropy`` takes stacked chains.
 """
@@ -25,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, matrix_edges, perron, recode_to_one_step, scc_of_edges
+from .core_sft import Sft, _is_irreducible, matrix_edges, perron
 from .errors import InvalidArgumentError, NotTransitiveError
-from .max_face import karp_max_mean
 from .potential import PotentialLC
 
 
@@ -78,27 +87,20 @@ def markov_entropy(p, P) -> float:
     return float(h) if h.ndim == 0 else h
 
 
-def _require_irreducible(n: int, edges, what: str):
-    comps = scc_of_edges(n, edges)
-    if len(comps) != 1 or not comps[0].is_nontrivial:
-        raise NotTransitiveError(f"{what} needs an irreducible transition structure")
-
-
 def _solve(phi: PotentialLC, t: float, what: str):
-    """(recoding, beta, Perron solve) of t * phi on the one-step recoding."""
+    """(beta, Perron solve) of t * phi on the one-step recoding; the
+    recoding, the irreducibility check, beta and the max-plus scaling
+    are the potential's own, built by its first solve."""
     if phi.m != 1:
         raise InvalidArgumentError(f"{what} takes a scalar potential")
-    recoded = recode_to_one_step(phi.sft, phi.k)
-    vals = [x for (x,) in phi.state_values()]
-    edges = recoded.edges()
-    _require_irreducible(recoded.n, edges, what)
-    beta = karp_max_mean(recoded.n, edges, vals)
-    return recoded, beta, perron(recoded.n, edges, [v - beta for v in vals], t)
+    if not phi._irreducible:
+        raise NotTransitiveError(f"{what} needs an irreducible transition structure")
+    return phi._beta, phi._transfer.solve(t)
 
 
 def pressure(phi: PotentialLC, t: float = 1.0) -> float:
     """Topological pressure of t * phi for a scalar potential."""
-    _, beta, sol = _solve(phi, t, "pressure")
+    beta, sol = _solve(phi, t, "pressure")
     return sol.log_lam + t * float(beta)
 
 
@@ -109,10 +111,17 @@ def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     leaves the double range or a solve does not certify; then the
     computation reruns in mpmath.
     """
-    recoded, beta, sol = _solve(phi, t, "equilibrium_markov")
+    beta, sol = _solve(phi, t, "equilibrium_markov")
+    return _measure(phi, beta, sol, t)
+
+
+def _measure(Phi: PotentialLC, beta, sol, t: float) -> MarkovMeasure:
+    """The Markov measure of a Perron solve on the recoding of Phi, whose
+    pressure is the solve's log root plus t * beta."""
+    states = Phi._recoded.states
     labels = tuple("".join(map(str, b)) if max(b) < 10 else ",".join(map(str, b))
-                   for b in recoded.states)
-    return MarkovMeasure(labels, recoded.states, sol.stationary, sol.transition,
+                   for b in states)
+    return MarkovMeasure(labels, states, sol.stationary, sol.transition,
                          markov_entropy(sol.stationary, sol.transition),
                          pressure=sol.log_lam + t * float(beta),
                          beta=beta, t=t, gap=sol.gap, precision=sol.precision)
@@ -133,7 +142,8 @@ def parry_from_matrix(matrix, labels=None, blocks=None) -> MarkovMeasure:
     """
     n = len(matrix)
     edges = matrix_edges(matrix)
-    _require_irreducible(n, edges, "parry_from_matrix")
+    if not _is_irreducible(n, edges):
+        raise NotTransitiveError("parry_from_matrix needs an irreducible transition structure")
     sol = perron(n, edges, [0] * n)
     if labels is None:
         labels = tuple(str(i) for i in range(n))

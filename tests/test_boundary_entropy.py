@@ -8,7 +8,6 @@ import pytest
 import thermoshift.boundary_entropy as boundary_entropy
 import thermoshift.core_sft as core_sft
 import thermoshift.max_face as max_face
-import thermoshift.thermodynamics as thermodynamics
 from oracles import (LOG_GOLDEN, dual_grid_entropy, numpy_pressure,
                      random_rational_values, random_transitive_sft)
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
@@ -104,22 +103,13 @@ def test_face_curve_samples_are_equilibrium_states(Phi, alpha):
         assert abs(p.h - h) <= 1e-12 * max(1.0, abs(h))
 
 
-def test_face_curve_karp_runs_do_not_grow_with_samples(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return karp(*args)
-
-    karp = max_face.karp_max_mean
-    monkeypatch.setattr(max_face, "karp_max_mean", counting)
-    monkeypatch.setattr(thermodynamics, "karp_max_mean", counting)
+def test_face_curve_karp_runs_do_not_grow_with_samples(karp_calls):
     Phi = get_potential("trivec")
     counts = []
     for n_samples in (9, 201):
-        calls.clear()
+        karp_calls.clear()
         face_entropy_curve(Phi, (0, -1), n_samples=n_samples)
-        counts.append(len(calls))
+        counts.append(len(karp_calls))
     assert counts[0] == counts[1] > 0
 
 
@@ -294,23 +284,28 @@ def test_interior_certificate(Phi, w):
 
 
 @pytest.mark.parametrize("name, w, solves", [
-    ("trivec", (Fraction(1, 4), Fraction(1, 10)), 45),
-    ("trivec", (Fraction(1, 2), Fraction(1, 3)), 26),
-    ("kinkvec", (Fraction(1, 2), Fraction(1, 2)), 21),
+    ("trivec", (Fraction(1, 4), Fraction(1, 10)), 13),
+    ("trivec", (Fraction(1, 2), Fraction(1, 3)), 6),
+    ("kinkvec", (Fraction(1, 2), Fraction(1, 2)), 5),
 ])
-def test_interior_solves_each_point_once(monkeypatch, name, w, solves):
+def test_interior_solves_each_point_once(monkeypatch, karp_calls, name, w, solves):
     # the point a damped step accepts is the next Newton iterate, and its
-    # equilibrium state is reused rather than solved again
+    # equilibrium state is reused rather than solved again; the Hessian
+    # comes from that state, not from more solves, and no solve runs Karp
+    Phi = get_potential(name)
+    poly = rotation_set(Phi)
+    karp_calls.clear()
     points = []
 
-    def counting(Phi, w, v):
-        points.append(v)
-        return dual(Phi, w, v)
+    def counting(*args):
+        points.append(tuple(args[-1]))
+        return dual(*args)
 
     dual = boundary_entropy._dual_value_grad
     monkeypatch.setattr(boundary_entropy, "_dual_value_grad", counting)
-    localized_entropy_interior(get_potential(name), w)
+    localized_entropy_interior(Phi, w, poly=poly)
     assert len(set(points)) == len(points) == solves
+    assert not karp_calls
 
 
 def test_interior_entropy_domain_errors():

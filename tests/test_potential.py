@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,8 +9,8 @@ import pytest
 from oracles import (brute_max_cycle_mean, random_rational_values,
                      random_transitive_sft, word_average)
 from thermoshift import (CohomologyReport, InvalidArgumentError, PotentialLC,
-                         Sft, cohomology_test, recode_to_one_step, scalarize,
-                         universal_potential)
+                         Sft, cohomology_test, get_potential, pressure,
+                         recode_to_one_step, scalarize, universal_potential)
 from thermoshift.potential import embed_coordinates, embed_direction
 
 
@@ -42,6 +45,37 @@ def test_mode_enforcement():
                     "float")
     with pytest.raises(InvalidArgumentError):
         PotentialLC(full2, 1, 1, {(0,): (0.0,), (1,): (0.0,)}, "fuzzy")
+
+
+def test_potentials_are_immutable():
+    values = {(0,): (Fraction(1),), (1,): (Fraction(2),)}
+    phi = PotentialLC(Sft.full(2), 1, 1, values, "exact")
+    values[(0,)] = (Fraction(5),)          # the potential keeps its own copy
+    assert phi.value((0,)) == (Fraction(1),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.k = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.values = {}
+    with pytest.raises(TypeError):
+        phi.values[(0,)] = (Fraction(3),)
+    assert phi == PotentialLC(Sft.full(2), 1, 1, {(0,): (1,), (1,): (2,)}, "exact")
+    pressure(phi, 1.0)
+    for twin in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+        assert twin == phi and pressure(twin, 1.0) == pressure(phi, 1.0)
+
+
+def test_shared_solve_data_is_read_only():
+    # a stage that wrote into the arrays every solve of the potential
+    # shares would fail here rather than corrupt later solves
+    phi = get_potential("twofix")
+    pressure(phi, 40.0)
+    transfer = phi._transfer
+    h, classes = transfer.potentials
+    assert len(classes) == 2
+    for a in (transfer.log_weights, *transfer.ends, h, *classes):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_scalarize_exact_and_float():

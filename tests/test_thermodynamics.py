@@ -201,15 +201,71 @@ SILENT_ERROR_CASES = (
 )
 
 
+def _benchmark_potential(d, k, text):
+    blocks = sorted(itertools.product(range(d), repeat=k))
+    return PotentialLC.from_block_values(Sft.full(d), k, dict(zip(blocks, text.split())))
+
+
 @pytest.mark.parametrize("d, k, text, temps", SILENT_ERROR_CASES)
 def test_low_temperature_masses_are_entrywise_accurate(d, k, text, temps):
-    sft = Sft.full(d)
-    blocks = sorted(itertools.product(range(d), repeat=k))
-    values = {b: Fraction(v) for b, v in zip(blocks, text.split())}
-    phi = PotentialLC.from_block_values(sft, k, values)
+    phi = _benchmark_potential(d, k, text)
+    values = {b: v[0] for b, v in phi.values.items()}
     for t in temps:
         mu, _ = _assert_matches_oracle(phi, values, t)
         assert mu.precision == "double"
+
+
+def _fingerprint(phi, what, t):
+    """Every output of one solve, as bytes or exact text."""
+    if what == "pressure":
+        return repr(pressure(phi, t))
+    mu = equilibrium_markov(phi, t)
+    return (mu.stationary.tobytes(), mu.transition.tobytes(), repr(mu.pressure),
+            repr(mu.gap), mu.precision, repr(mu.entropy))
+
+
+@pytest.mark.parametrize("name", ["benchmark 0", "benchmark 1", "benchmark 2",
+                                  "benchmark 3", "threefix_a", "threefix_b",
+                                  "threefix_c", "twofix", "gold0"])
+def test_solves_sharing_a_potential_match_fresh_solves(name):
+    # the data a potential keeps from its first solve gives, at every t
+    # and in any order, the bits a solve of a new equal potential gives
+    if name.startswith("benchmark"):
+        d, k, text, _ = SILENT_ERROR_CASES[int(name.split()[1])]
+        make = lambda: _benchmark_potential(d, k, text)      # noqa: E731
+    else:
+        make = lambda: get_potential(name)                  # noqa: E731
+    calls = [(what, 2.0 ** e) for what in ("pressure", "equilibrium")
+             for e in range(-2, 7)]
+    random.Random(name).shuffle(calls)
+    shared = make()
+    for what, t in calls:
+        assert _fingerprint(shared, what, t) == _fingerprint(make(), what, t), (what, t)
+
+
+# Solves at t = 64 that leave the double range (transition matrix, k and
+# block values).  On the first, the mpmath eigenvectors at the precision
+# sized from t miss their equations in the smallest entries; on the
+# second, GTH state reduction of the double kernel underflows.
+ESCALATED_CASES = {
+    "tiny eigenvector entries": (
+        ((1, 0, 1), (1, 1, 1), (0, 1, 1)), 3,
+        "000:2 002:0 021:-1 022:-1 100:-1 102:-1 110:-1 111:0 112:1 121:1 "
+        "122:1 210:-1 211:-1 212:1 221:2 222:-2"),
+    "state reduction underflow": (
+        ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 0)), 2,
+        "00:1 03:1 11:2 12:1 20:-2 21:-1 23:1 30:0 32:-2"),
+}
+
+
+@pytest.mark.parametrize("name", ESCALATED_CASES)
+def test_escalated_solves_match_the_oracle_entrywise(name):
+    rows, k, text = ESCALATED_CASES[name]
+    values = {tuple(map(int, b)): Fraction(v)
+              for b, v in (item.split(":") for item in text.split())}
+    phi = PotentialLC.from_block_values(Sft.from_matrix(rows), k, values)
+    mu, _ = _assert_matches_oracle(phi, values, 64.0)
+    assert mu.precision.startswith("mp[")
 
 
 def test_nearly_uncoupled_fixed_points_stay_in_doubles():

@@ -9,7 +9,7 @@ from oracles import (LOG_GOLDEN, brute_recoded_graph,
                      brute_weighted_automorphisms, random_transitive_sft)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, classify, get_potential, get_shift,
-                         ground_state_check, recode_to_one_step,
+                         ground_state_check, pressure, recode_to_one_step,
                          symmetry_coefficients, zt_coefficients)
 from thermoshift.zero_temperature import _weighted_automorphisms
 
@@ -156,6 +156,17 @@ def test_sweep_with_a_starved_component():
     out = zt_coefficients(get_potential("threefix_c"), t_max=2.0 ** 12,
                           method="sweep")
     assert out.coefficients == pytest.approx((0.5, 0.5, 0.0), abs=1e-4)
+
+
+def test_sweep_runs_karp_once_per_potential(karp_calls):
+    # beta and the max-plus scaling are built by the first solve of a
+    # potential and shared by every later one, whatever t
+    phi = get_potential("threefix_a")
+    out = zt_coefficients(phi, method="sweep")
+    assert out.method == "sweep" and len(out.t_values) > 4
+    for t in (0.5, 2.0, 8.0, 32.0):
+        pressure(phi, t)
+    assert len(karp_calls) == 1
 
 
 def test_short_schedule_reports_unconverged():

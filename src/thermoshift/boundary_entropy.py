@@ -258,7 +258,7 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
     orthonormal coordinates x: damped Newton steps on the exact Hessian
     (the asymptotic covariance of Phi under the current equilibrium
     state), or gradient steps where it is not positive definite.  Each
-    point is one Perron solve on the recoding of Phi, with no Karp run.
+    point is one Perron solve on the recoding of Phi, with no max-plus pass.
     """
     if Phi.m != 2:
         raise UnsupportedDimensionError("interior duality implemented for m = 2")
@@ -284,7 +284,9 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
     for _ in range(max_iter):
         g, grad, beta, sol = point
         if np.abs(grad).max(initial=0.0) < tol:
-            return g, tuple(map(float, x @ Q)), _measure(Phi, beta, sol, 1.0)
+            recoded = Phi._recoded
+            return g, tuple(map(float, x @ Q)), _measure(sol, recoded.labels,
+                                                          recoded.states, 1.0, beta)
         H = Q @ _covariance(sol.stationary, sol.transition, X) @ Q.T
         try:
             np.linalg.cholesky(H)

@@ -29,7 +29,7 @@ from . import __version__
 from . import builtins as registry
 from .boundary_entropy import differentiability_scan, face_entropy_curve
 from .cache import atomic_write_text, cached_elementary_orbits
-from .core_sft import Sft
+from .core_sft import Sft, _block_label
 from .errors import (InvalidArgumentError, NumericError, ResourceLimitError,
                      ThermoshiftError, UnderflowError)
 from .potential import PotentialLC, cohomology_test
@@ -127,12 +127,6 @@ def _vec(xs):
     return [_num(x) for x in xs]
 
 
-def _seg_str(segment) -> str:
-    if all(s < 10 for s in segment):
-        return "".join(str(s) for s in segment)
-    return ",".join(str(s) for s in segment)
-
-
 def _measure_summary(mu) -> dict:
     return {
         "states": list(mu.state_labels),
@@ -193,7 +187,7 @@ def _cmd_orbits(args) -> int:
         "k": args.k,
         "count": len(orbits),
         "histogram": [[p, hist[p]] for p in sorted(hist)],
-        "orbits": [{"period": o.period, "segment": _seg_str(o.segment)}
+        "orbits": [{"period": o.period, "segment": _block_label(o.segment)}
                    for o in orbits],
     }
     h = _input_hash("orbits", args, None, sft, {"k": args.k})
@@ -361,8 +355,8 @@ def _cmd_cohom(args) -> int:
         "tolerance_limited": report.tolerance_limited,
         "spread": float(report.spread),
         "witness": None if report.witness is None else {
-            "low_orbit": _seg_str(report.witness[0]),
-            "high_orbit": _seg_str(report.witness[1]),
+            "low_orbit": _block_label(report.witness[0]),
+            "high_orbit": _block_label(report.witness[1]),
         },
     }
     h = _input_hash("cohom", args, phi, phi.sft,

@@ -224,6 +224,17 @@ class RecodedSft:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {blk: i for i, blk in enumerate(self.states)}
 
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each state's ``_block_label``, built once per recoding."""
+        return tuple(map(_block_label, self.states))
+
+
+def _block_label(blk) -> str:
+    """A block as text: its symbols run together, or comma-separated when
+    one of them has two digits or more."""
+    return "".join(map(str, blk)) if max(blk) < 10 else ",".join(map(str, blk))
+
 
 @functools.lru_cache(maxsize=256)
 def recode_to_one_step(sft: Sft, k: int) -> RecodedSft:

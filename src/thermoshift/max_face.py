@@ -2,19 +2,21 @@
 
 The states of X are the admissible k-blocks (the one-step recoding);
 the weight of an edge is the potential value at its source block.
-Karp's algorithm gives the maximum cycle mean beta exactly on rational
-weights; node potentials from a longest-path relaxation then cut out
-the tight edges, whose recurrent part carries every cycle of mean beta.
+One exact max-plus pass, Howard policy iteration on integer-scaled
+weights, gives the maximum cycle mean beta together with a max-plus
+eigenvector h; the edges that h saturates at beta are the tight edges,
+whose recurrent part carries every cycle of mean beta.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core_sft import RecodedSft, matrix_edges, perron, scc_of_edges
+from .core_sft import PerronSolve, RecodedSft, matrix_edges, perron, scc_of_edges
 from .errors import InvalidArgumentError
 
 if TYPE_CHECKING:
@@ -24,123 +26,113 @@ TIGHT_TOL = 1e-9
 
 
 def _cyclic_components(n: int, edges):
-    """Nontrivial SCCs as sorted state lists, plus a state -> component
-    id lookup (-1 for states on no cycle)."""
+    """Nontrivial SCCs as sorted state lists, and the edges inside them,
+    in the given order."""
     sccs = [list(c.states) for c in scc_of_edges(n, edges) if c.is_nontrivial]
     comp_of = [-1] * n
     for i, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = i
-    return sccs, comp_of
-
-
-def karp_max_mean(n: int, edges, w):
-    """Maximum cycle mean of a digraph whose edge a -> b weighs w[a].
-
-    Weights are ints, Fractions or floats; exact in, exact out (exact
-    weights are scaled to ints by the lcm of their denominators).
-    Raises InvalidArgumentError when the graph has no cycle.
-    """
-    sccs, comp_of = _cyclic_components(n, edges)
-    local = [0] * n
-    for comp in sccs:
-        for i, v in enumerate(comp):
-            local[v] = i
-    comp_edges = [[] for _ in sccs]
-    for (a, b) in edges:
-        c = comp_of[a]
-        if c >= 0 and c == comp_of[b]:
-            comp_edges[c].append((local[a], local[b]))
-    exact = all(isinstance(x, (int, Fraction)) for x in w)
-    if exact:
-        scale = math.lcm(*(x.denominator for x in w))
-        w = [x.numerator * (scale // x.denominator) for x in w]
-    best = None
-    for comp, cedges in zip(sccs, comp_edges):
-        m = len(comp)
-        wloc = [w[v] for v in comp]
-        D = [[None] * m for _ in range(m + 1)]
-        D[0][0] = 0
-        for prev, cur in zip(D, D[1:]):     # one pass over the edges per level
-            for a, b in cedges:
-                x = prev[a]
-                if x is not None:
-                    x += wloc[a]
-                    if cur[b] is None or x > cur[b]:
-                        cur[b] = x
-        lcm_m = math.lcm(*range(1, m + 1))   # exact means as ints over lcm(1..m)
-        comp_best = None
-        for v in range(m):
-            if D[m][v] is None:
-                continue
-            vals = [(D[m][v] - D[k][v]) * (lcm_m // (m - k)) if exact
-                    else (D[m][v] - D[k][v]) / (m - k)
-                    for k in range(m) if D[k][v] is not None]
-            lo = min(vals)
-            comp_best = lo if comp_best is None else max(comp_best, lo)
-        if comp_best is not None:
-            if exact:
-                comp_best = Fraction(comp_best, lcm_m * scale)
-            best = comp_best if best is None else max(best, comp_best)
-    if best is None:
-        raise InvalidArgumentError("graph has no cycle")
-    return best
-
-
-def longest_path_potentials(n: int, edges, w, beta):
-    """Node potentials u with u[b] >= u[a] + w[a] - beta for every edge.
-
-    Bellman-Ford style relaxation from a zero baseline; converges since
-    no reduced cycle is positive.
-    """
-    u = [0 * beta] * n
-    for _ in range(n):
-        changed = False
-        for (a, b) in edges:
-            cand = u[a] + w[a] - beta
-            if cand > u[b]:
-                u[b] = cand
-                changed = True
-        if not changed:
-            break
-    return u
-
-
-def tight_recurrent_part(n: int, edges, w, beta, u, tol=0.0):
-    """Tight edges and the nontrivial SCCs of the subgraph they span."""
-    if tol:
-        scale = 1.0 + max((abs(float(w[a])) for (a, _) in edges), default=0.0)
-        tight = [(a, b) for (a, b) in edges
-                 if abs(float(u[a] + w[a] - beta - u[b])) <= tol * scale]
-    else:
-        tight = [(a, b) for (a, b) in edges if u[a] + w[a] - beta == u[b]]
-    sccs, comp_of = _cyclic_components(n, tight)
-    rec_edges = [(a, b) for (a, b) in tight
-                 if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
-    return rec_edges, sccs
+    return sccs, [(a, b) for (a, b) in edges if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
 
 
 def max_mean_data(n: int, edges, w):
     """(beta, recurrent tight edges, SCC node lists) of the max cycle
-    mean of edges a -> b weighing w[a].
+    mean beta of edges a -> b weighing w[a].
 
-    Exact weights are tested for tightness on the integers
-    (w - beta) * den; float weights within TIGHT_TOL of their scale.
+    ``_howard`` runs on the edges inside the nontrivial SCCs, on the
+    weights scaled to ints (a float by its exact binary value), so an
+    exact beta is exact and a float one is rounded once.  Its h marks the
+    tight edges: w[a] q - p + h[b] == h[a] on an SCC of mean beta = p/q,
+    or for float weights within TIGHT_TOL of their scale.  Raises
+    InvalidArgumentError when the graph has no cycle.
     """
-    beta = karp_max_mean(n, edges, w)
-    return (beta, *_tight_data(n, edges, w, beta))
+    sccs, inner = _cyclic_components(n, edges)
+    if not sccs:
+        raise InvalidArgumentError("graph has no cycle")
+    exact = all(isinstance(x, (int, Fraction)) for x in w)
+    try:
+        ratios = [(x.numerator, x.denominator) if exact else float(x).as_integer_ratio()
+                  for x in w]
+    except (OverflowError, ValueError):
+        raise InvalidArgumentError("weights must be finite") from None
+    scale = math.lcm(*(d for _, d in ratios))
+    wi = [a * (scale // d) for a, d in ratios]
+    succ = [[] for _ in range(n)]
+    for a, b in inner:
+        succ[a].append(b)
+    p, q, h = _howard(succ, wi, [v for comp in sccs for v in comp])
+    means = {(p[c[0]], q[c[0]]) for c in sccs}
+    top = max(Fraction(*m) for m in means)
+    bp, bq = top.numerator, top.denominator
+    if exact:
+        beta = Fraction(bp, bq * scale)
+        tight = [(a, b) for (a, b) in inner
+                 if p[a] == bp and q[a] == bq and wi[a] * bq - bp + h[b] == h[a]]
+    else:
+        beta = bp / (bq * scale)
+        tol = TIGHT_TOL * (1.0 + max((abs(float(w[a])) for (a, _) in edges), default=0.0))
+        gap = {m: float((Fraction(*m) - top) / scale) for m in means}
+        tight = [(a, b) for (a, b) in inner
+                 if gap[p[a], q[a]] + (wi[a] * q[a] - p[a] + h[b] - h[a]) / (q[a] * scale)
+                 >= -tol]
+    sccs, rec_edges = _cyclic_components(n, tight)
+    return beta, rec_edges, sccs
 
 
-def _tight_data(n: int, edges, w, beta):
-    """(recurrent tight edges, SCC node lists) of ``max_mean_data`` for a
-    known maximum cycle mean beta."""
-    if isinstance(beta, Fraction):
-        den = math.lcm(beta.denominator, *(x.denominator for x in w))
-        r = [int((x - beta) * den) for x in w]
-        u = longest_path_potentials(n, edges, r, 0)
-        return tight_recurrent_part(n, edges, r, 0, u)
-    u = longest_path_potentials(n, edges, w, beta)
-    return tight_recurrent_part(n, edges, w, beta, u, TIGHT_TOL)
+def _howard(succ, w, nodes):
+    """Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert,
+    McGettrick and Quadrat 1998) on int weights w over ``nodes``, a union
+    of SCCs whose edges ``succ`` lists: (p, q, h) with, on each SCC, its
+    maximum cycle mean p/q in lowest terms and h[a] = max_b (w[a] q - p +
+    h[b]).
+
+    Each state takes the mean of the policy cycle it reaches and h[a] =
+    w[a] q - p + h[policy(a)], 0 at the cycle's smallest state, so states
+    of one mean have h in the same units 1/q.  Then states move to a
+    successor of larger mean or, where none has one, of equal mean and
+    larger h, until none moves.
+    """
+    n = len(succ)
+    policy = [max(s, key=w.__getitem__) if s else -1 for s in succ]
+    p, q, h = [0] * n, [1] * n, [0] * n
+    while True:
+        walk = [-1] * n
+        for v in nodes:
+            if walk[v] >= 0:
+                continue
+            path, u = [], v
+            while walk[u] < 0:
+                walk[u] = v
+                path.append(u)
+                u = policy[u]
+            if walk[u] == v:            # the walk closed a new policy cycle at u
+                i = path.index(u)
+                cyc = path[i:]
+                total = sum(w[x] for x in cyc)
+                g = math.gcd(total, len(cyc))
+                u = min(cyc)
+                p[u], q[u], h[u] = total // g, len(cyc) // g, 0
+                r = cyc.index(u)
+                path = path[:i] + cyc[r + 1:] + cyc[:r]
+            pc, qc = p[u], q[u]
+            for x in reversed(path):        # each after its successor
+                p[x], q[x] = pc, qc
+                h[x] = w[x] * qc - pc + h[policy[x]]
+        moved = False
+        for v in nodes:
+            pv, qv = p[v], q[v]
+            for b in succ[v]:
+                if p[b] * qv > pv * q[b]:
+                    pv, qv, policy[v], moved = p[b], q[b], b, True
+        if not moved:
+            for v in nodes:
+                pv, qv, hb = p[v], q[v], h[policy[v]]
+                for b in succ[v]:
+                    if h[b] > hb and p[b] == pv and q[b] == qv:
+                        hb, policy[v], moved = h[b], b, True
+        if not moved:
+            return p, q, h
 
 
 def find_cycle(edges):
@@ -164,16 +156,27 @@ def find_cycle(edges):
 
 @dataclass(frozen=True)
 class FaceComponent:
-    """One transitive component of a maximizing subshift."""
+    """One transitive component of a maximizing subshift.  The Perron
+    solve of its 0/1 matrix, which gives both its entropy and its Parry
+    measure, runs once, on first use."""
 
     index: int
     state_ids: tuple[int, ...]       # indices into the recoded state list
     blocks: tuple[tuple[int, ...], ...]
     matrix: tuple[tuple[int, ...], ...]
-    entropy: float
+    recoded: RecodedSft = field(repr=False, compare=False)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple("".join(map(str, b)) for b in self.blocks)
+        return tuple(self.recoded.labels[v] for v in self.state_ids)
+
+    @functools.cached_property
+    def perron_solve(self) -> PerronSolve:
+        n = len(self.matrix)
+        return perron(n, matrix_edges(self.matrix), [0] * n)
+
+    @property
+    def entropy(self) -> float:
+        return 0.0 if len(self.matrix) == 1 else self.perron_solve.log_lam
 
 
 @dataclass
@@ -193,13 +196,6 @@ class FaceSubshift:
         return max(c.entropy for c in self.components)
 
 
-def _component_entropy(matrix) -> float:
-    n = len(matrix)
-    if n == 1:
-        return 0.0
-    return perron(n, matrix_edges(matrix), [0] * n).log_lam
-
-
 def _build_components(recoded, rec_edges, sccs):
     comps = []
     rec_set = set(rec_edges)
@@ -207,7 +203,7 @@ def _build_components(recoded, rec_edges, sccs):
         ids = tuple(comp)
         blocks = tuple(recoded.states[v] for v in ids)
         mat = tuple(tuple(1 if (a, b) in rec_set else 0 for b in ids) for a in ids)
-        comps.append(FaceComponent(i, ids, blocks, mat, _component_entropy(mat)))
+        comps.append(FaceComponent(i, ids, blocks, mat, recoded))
     return comps
 
 
@@ -229,9 +225,9 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
             raise InvalidArgumentError("scalar potential required when no direction given")
         direction = None
     recoded = phi._recoded
-    rec_edges, sccs = phi._tight      # beta and the tight edges, kept with phi
+    beta, rec_edges, sccs = phi._max_plus     # kept with phi
     comps = _build_components(recoded, rec_edges, sccs)
-    return FaceSubshift(direction, phi._beta, recoded, tuple(sorted(rec_edges)),
+    return FaceSubshift(direction, beta, recoded, tuple(sorted(rec_edges)),
                         comps, len(rec_edges) == len(recoded.edges()), phi.mode)
 
 

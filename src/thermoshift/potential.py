@@ -19,7 +19,7 @@ from types import MappingProxyType
 from .core_sft import (RecodedSft, Sft, Transfer, _is_irreducible,
                        recode_to_one_step)
 from .errors import InvalidArgumentError
-from .max_face import _tight_data, find_cycle, karp_max_mean, max_mean_data
+from .max_face import find_cycle, max_mean_data
 
 FLOAT_EQ_TOL = 1e-9
 
@@ -102,17 +102,16 @@ class PotentialLC:
         return _is_irreducible(self._recoded.n, self._recoded.edges())
 
     @functools.cached_property
-    def _beta(self):
-        """Maximum cycle mean of a scalar potential (Karp)."""
-        return karp_max_mean(self._recoded.n, self._recoded.edges(),
+    def _max_plus(self) -> tuple:
+        """(beta, recurrent tight edges, SCC node lists) of a scalar
+        potential: one ``max_face.max_mean_data`` pass."""
+        return max_mean_data(self._recoded.n, self._recoded.edges(),
                              [x for (x,) in self._state_values])
 
-    @functools.cached_property
-    def _tight(self) -> tuple:
-        """(recurrent tight edges, SCC node lists) of a scalar potential,
-        as ``max_face.max_mean_data`` gives them."""
-        return _tight_data(self._recoded.n, self._recoded.edges(),
-                           [x for (x,) in self._state_values], self._beta)
+    @property
+    def _beta(self):
+        """Maximum cycle mean of a scalar potential."""
+        return self._max_plus[0]
 
     @functools.cached_property
     def _transfer(self) -> Transfer:
@@ -166,12 +165,6 @@ class PotentialLC:
     # -- serialization -----------------------------------------------------
 
     @staticmethod
-    def _block_key(blk: tuple[int, ...]) -> str:
-        if all(s < 10 for s in blk):
-            return "".join(str(s) for s in blk)
-        return ",".join(str(s) for s in blk)
-
-    @staticmethod
     def _parse_block_key(key: str) -> tuple[int, ...]:
         if "," in key:
             return tuple(int(p) for p in key.split(","))
@@ -180,12 +173,13 @@ class PotentialLC:
     def to_json(self) -> str:
         def enc(x):
             return str(x) if self.mode == "exact" else float(x)
+        recoded = self._recoded
         payload = {
             "k": self.k,
             "m": self.m,
             "mode": self.mode,
-            "values": {self._block_key(b): [enc(x) for x in v]
-                       for b, v in sorted(self.values.items())},
+            "values": {label: [enc(x) for x in self.values[b]]
+                       for b, label in zip(recoded.states, recoded.labels)},
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

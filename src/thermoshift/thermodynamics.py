@@ -19,11 +19,12 @@ their equations to 1e-20 relative in every entry, and is recorded as
 ``mp[digits]``.
 
 A potential is immutable and keeps what its solves share: the first
-solve builds the recoding, the irreducibility check, beta (Karp) and the
-log weights of phi - beta with their max-plus potentials
-(``core_sft.Transfer``), and every later ``pressure`` or
-``equilibrium_markov`` call, at any t, runs only the stages that depend
-on t: the scaling, the eigensolve and polish, the kernel and GTH.  The
+solve builds the recoding, the irreducibility check, beta (the exact
+max-plus pass ``max_face.max_mean_data``) and the log weights of
+phi - beta with their max-plus potentials (``core_sft.Transfer``), and
+every later ``pressure`` or ``equilibrium_markov`` call, at any t, runs
+only the stages that depend on t: the scaling, the eigensolve and
+polish, the kernel and GTH.  The
 engine's stages also take a stack axis: ``core_sft.perron_stack``
 solves many weight rows on one edge set at once (the face-curve samples),
 and ``markov_entropy`` takes stacked chains.
@@ -112,18 +113,16 @@ def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     computation reruns in mpmath.
     """
     beta, sol = _solve(phi, t, "equilibrium_markov")
-    return _measure(phi, beta, sol, t)
+    return _measure(sol, phi._recoded.labels, phi._recoded.states, t, beta)
 
 
-def _measure(Phi: PotentialLC, beta, sol, t: float) -> MarkovMeasure:
-    """The Markov measure of a Perron solve on the recoding of Phi, whose
-    pressure is the solve's log root plus t * beta."""
-    states = Phi._recoded.states
-    labels = tuple("".join(map(str, b)) if max(b) < 10 else ",".join(map(str, b))
-                   for b in states)
-    return MarkovMeasure(labels, states, sol.stationary, sol.transition,
+def _measure(sol, labels, blocks, t=None, beta=None) -> MarkovMeasure:
+    """The Markov measure of a Perron solve on states with these labels
+    and blocks, whose pressure is the solve's log root, plus t * beta for
+    an equilibrium state of t * phi."""
+    return MarkovMeasure(tuple(labels), tuple(blocks), sol.stationary, sol.transition,
                          markov_entropy(sol.stationary, sol.transition),
-                         pressure=sol.log_lam + t * float(beta),
+                         pressure=sol.log_lam if beta is None else sol.log_lam + t * float(beta),
                          beta=beta, t=t, gap=sol.gap, precision=sol.precision)
 
 
@@ -144,12 +143,8 @@ def parry_from_matrix(matrix, labels=None, blocks=None) -> MarkovMeasure:
     edges = matrix_edges(matrix)
     if not _is_irreducible(n, edges):
         raise NotTransitiveError("parry_from_matrix needs an irreducible transition structure")
-    sol = perron(n, edges, [0] * n)
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     if blocks is None:
         blocks = tuple((i,) for i in range(n))
-    return MarkovMeasure(tuple(labels), tuple(blocks), sol.stationary, sol.transition,
-                         markov_entropy(sol.stationary, sol.transition),
-                         pressure=sol.log_lam, beta=None, t=None, gap=sol.gap,
-                         precision=sol.precision)
+    return _measure(perron(n, edges, [0] * n), labels, blocks)

@@ -19,7 +19,7 @@ from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
 from .max_face import FaceSubshift, face_subshift, max_entropy_components
 from .potential import PotentialLC
-from .thermodynamics import MarkovMeasure, equilibrium_markov, parry_from_matrix
+from .thermodynamics import MarkovMeasure, _measure, equilibrium_markov
 
 CASE_COHOMOLOGOUS = "CohomologousToConstant"
 CASE_VERTEX_PERIODIC = "VertexPeriodic"
@@ -54,7 +54,7 @@ class ClassificationResult:
 
 def component_parry(face: FaceSubshift, index: int) -> MarkovMeasure:
     comp = face.components[index]
-    return parry_from_matrix(comp.matrix, comp.labels(), comp.blocks)
+    return _measure(comp.perron_solve, comp.labels(), comp.blocks)
 
 
 def classify(phi: PotentialLC) -> ClassificationResult:

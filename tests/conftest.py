@@ -12,17 +12,17 @@ def rng():
 
 
 @pytest.fixture
-def karp_calls(monkeypatch):
-    """A list that grows by one on each run of Karp's max-mean algorithm,
-    through every module that has bound ``karp_max_mean``."""
+def max_plus_passes(monkeypatch):
+    """A list that grows by one on each exact max-plus pass
+    (``max_face.max_mean_data``), through every module that has bound it."""
     calls = []
-    karp = max_face.karp_max_mean
+    passes = max_face.max_mean_data
 
     def counting(*args):
         calls.append(1)
-        return karp(*args)
+        return passes(*args)
 
     for module in list(sys.modules.values()):
-        if getattr(module, "karp_max_mean", None) is karp:
-            monkeypatch.setattr(module, "karp_max_mean", counting)
+        if getattr(module, "max_mean_data", None) is passes:
+            monkeypatch.setattr(module, "max_mean_data", counting)
     return calls

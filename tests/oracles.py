@@ -137,6 +137,55 @@ def brute_max_cycle_mean(transition, values: dict, k: int) -> Fraction:
     return best[0]
 
 
+def karp_max_mean(n: int, edges, w):
+    """Karp's maximum cycle mean (1978) of a digraph whose edge a -> b
+    weighs w[a], with walks starting anywhere: max over v of min over k
+    of (D_n(v) - D_k(v)) / (n - k), D_k(v) the heaviest k-edge walk
+    ending at v.  Exact weights give a Fraction, floats a float; None
+    when the graph has no cycle."""
+    exact = all(isinstance(x, (int, Fraction)) for x in w)
+    scale = math.lcm(*(Fraction(x).denominator for x in w)) if exact else 1
+    w = [int(x * scale) for x in w] if exact else [float(x) for x in w]
+    D = [[0] * n]
+    for _ in range(n):
+        prev, cur = D[-1], [None] * n
+        for a, b in edges:
+            if prev[a] is not None and (cur[b] is None or prev[a] + w[a] > cur[b]):
+                cur[b] = prev[a] + w[a]
+        D.append(cur)
+    best = None
+    for v in range(n):
+        if D[n][v] is None:
+            continue
+        val = min(Fraction(D[n][v] - D[k][v], (n - k) * scale) if exact
+                  else (D[n][v] - D[k][v]) / (n - k)
+                  for k in range(n) if D[k][v] is not None)
+        best = val if best is None else max(best, val)
+    return best
+
+
+def critical_edges(n: int, edges, w, beta) -> set:
+    """Edges a -> b (weighing w[a]) on some cycle of mean beta, the
+    maximum cycle mean: w[a] - beta plus the heaviest path from b back to
+    a in the weights w - beta is 0.  Floyd-Warshall on those weights,
+    scaled to ints; float weights count by their exact binary values."""
+    r = [Fraction(x) - Fraction(beta) for x in w]
+    scale = math.lcm(*(x.denominator for x in r))
+    r = [int(x * scale) for x in r]
+    P = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        if a != b and (P[a][b] is None or r[a] > P[a][b]):
+            P[a][b] = r[a]
+    for k in range(n):
+        for i in range(n):
+            if P[i][k] is None:
+                continue
+            for j in range(n):
+                if P[k][j] is not None and (P[i][j] is None or P[i][k] + P[k][j] > P[i][j]):
+                    P[i][j] = P[i][k] + P[k][j]
+    return {(a, b) for a, b in edges if P[b][a] is not None and r[a] + P[b][a] == 0}
+
+
 def brute_face_words(transition, values: dict, k: int, max_period: int):
     """Canonical periodic words whose average attains the maximum cycle
     mean: the periodic points of the maximizing subshift."""

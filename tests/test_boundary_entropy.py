@@ -7,8 +7,7 @@ import pytest
 
 import thermoshift.boundary_entropy as boundary_entropy
 import thermoshift.core_sft as core_sft
-import thermoshift.max_face as max_face
-from oracles import (LOG_GOLDEN, dual_grid_entropy, numpy_pressure,
+from oracles import (LOG_GOLDEN, dual_grid_entropy, karp_max_mean, numpy_pressure,
                      random_rational_values, random_transitive_sft)
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          OutOfDomainError, PotentialLC, Sft,
@@ -103,13 +102,13 @@ def test_face_curve_samples_are_equilibrium_states(Phi, alpha):
         assert abs(p.h - h) <= 1e-12 * max(1.0, abs(h))
 
 
-def test_face_curve_karp_runs_do_not_grow_with_samples(karp_calls):
+def test_face_curve_max_plus_passes_do_not_grow_with_samples(max_plus_passes):
     Phi = get_potential("trivec")
     counts = []
     for n_samples in (9, 201):
-        karp_calls.clear()
+        max_plus_passes.clear()
         face_entropy_curve(Phi, (0, -1), n_samples=n_samples)
-        counts.append(len(karp_calls))
+        counts.append(len(max_plus_passes))
     assert counts[0] == counts[1] > 0
 
 
@@ -188,7 +187,7 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     Phi = get_potential("twofix")
     recoded = recode_to_one_step(Phi.sft, Phi.k)
     vals = [x for (x,) in Phi.state_values()]
-    beta = max_face.karp_max_mean(recoded.n, recoded.edges(), vals)
+    beta = karp_max_mean(recoded.n, recoded.edges(), vals)
     recording(recoded.n, recoded.edges(),
               [[t * float(x - beta) for x in vals] for t in (1, 4, 16, 40)])
     monkeypatch.undo()
@@ -288,13 +287,14 @@ def test_interior_certificate(Phi, w):
     ("trivec", (Fraction(1, 2), Fraction(1, 3)), 6),
     ("kinkvec", (Fraction(1, 2), Fraction(1, 2)), 5),
 ])
-def test_interior_solves_each_point_once(monkeypatch, karp_calls, name, w, solves):
+def test_interior_solves_each_point_once(monkeypatch, max_plus_passes, name, w, solves):
     # the point a damped step accepts is the next Newton iterate, and its
     # equilibrium state is reused rather than solved again; the Hessian
-    # comes from that state, not from more solves, and no solve runs Karp
+    # comes from that state, not from more solves, and no solve runs a
+    # max-plus pass
     Phi = get_potential(name)
     poly = rotation_set(Phi)
-    karp_calls.clear()
+    max_plus_passes.clear()
     points = []
 
     def counting(*args):
@@ -305,7 +305,7 @@ def test_interior_solves_each_point_once(monkeypatch, karp_calls, name, w, solve
     monkeypatch.setattr(boundary_entropy, "_dual_value_grad", counting)
     localized_entropy_interior(Phi, w, poly=poly)
     assert len(set(points)) == len(points) == solves
-    assert not karp_calls
+    assert not max_plus_passes
 
 
 def test_interior_entropy_domain_errors():

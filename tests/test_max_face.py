@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (LOG_GOLDEN, LOG_SILVER, brute_max_cycle_mean,
-                     random_rational_values, random_transitive_sft)
-from thermoshift import (InvalidArgumentError, PotentialLC, Sft, face_subshift,
-                         get_potential, max_entropy_components,
+                     critical_edges, karp_max_mean, random_rational_values,
+                     random_transitive_sft)
+from thermoshift import (InvalidArgumentError, PotentialLC, Sft,
+                         equilibrium_markov, face_subshift, get_potential,
+                         max_entropy_components, max_mean_data,
                          recode_to_one_step)
 from thermoshift.max_face import lex_extreme_cycle
 
@@ -108,3 +111,105 @@ def test_lex_extreme_cycle_refines_ties():
                                    (Fraction(0), Fraction(1))])
     assert cyc == [1]
     assert mean == (Fraction(1), Fraction(1))
+
+
+def _random_digraph(rng, n, density):
+    return [(a, b) for a in range(n) for b in range(n) if rng.random() < density]
+
+
+def _tied_cycles(rng):
+    # a loop, a 2-cycle and a 3-cycle of one mean, half the time joined
+    # into one SCC, fed by lighter states that no cycle returns to: ties
+    # between cycles of different lengths
+    n = rng.randint(6, 10)
+    top = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    s = Fraction(rng.randint(-3, 3), 2)
+    w = [top, top + s, top - s, top + s, top, top - s]
+    w += [top - rng.randint(1, 6) for _ in range(n - 6)]
+    edges = {(0, 0), (1, 2), (2, 1), (3, 4), (4, 5), (5, 3)}
+    if rng.random() < 0.5:
+        edges |= {(0, 1), (2, 0), (0, 3), (5, 0)}
+    edges |= {e for e in _random_digraph(rng, n, 0.25) if e[0] >= 6}
+    return n, sorted(edges), w
+
+
+def _check_pass(n, edges, w):
+    """max_mean_data against the Karp oracle and the critical-edge oracle;
+    False when the graph has no cycle."""
+    want = karp_max_mean(n, edges, [Fraction(x) for x in w])
+    if want is None:
+        with pytest.raises(InvalidArgumentError):
+            max_mean_data(n, edges, w)
+        return False
+    beta, rec, sccs = max_mean_data(n, edges, w)
+    if all(isinstance(x, Fraction) for x in w):
+        assert beta == want
+    else:                       # the exact mean of the binary values, rounded once
+        assert beta == float(want)
+    crit = critical_edges(n, edges, w, want)
+    assert rec == [e for e in edges if e in crit]
+    reach = {v: {v} for v in range(n)}
+    for _ in range(n):
+        for a, b in rec:
+            reach[a] |= reach[b]
+    classes = {tuple(sorted(u for u in reach[v] if v in reach[u]))
+               for e in rec for v in e}
+    assert sorted(map(tuple, sccs)) == sorted(classes)
+    return True
+
+
+def test_max_plus_pass_matches_karp_oracle():
+    rng = random.Random(20261018)
+    checked = 0
+    for trial in range(1100):
+        kind = trial % 5
+        if kind == 0:           # any digraph, often reducible, sometimes acyclic
+            n = rng.randint(1, 12)
+            edges = _random_digraph(rng, n, rng.uniform(0.1, 0.5))
+            w = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(n)]
+        elif kind == 1:         # irreducible recodings, small integers: many ties
+            sft = random_transitive_sft(rng)
+            k = rng.choice((1, 2))
+            recoded = recode_to_one_step(sft, k)
+            vals = {b: Fraction(rng.randint(0, 2)) for b in recoded.states}
+            n, edges, w = recoded.n, list(recoded.edges()), [vals[b] for b in recoded.states]
+            if n <= 9:
+                assert max_mean_data(n, edges, w)[0] == brute_max_cycle_mean(
+                    sft.transition, vals, k)
+        elif kind == 2:         # edge subsets of recodings: reducible
+            recoded = recode_to_one_step(random_transitive_sft(rng), rng.choice((2, 3)))
+            n = recoded.n
+            edges = [e for e in recoded.edges() if rng.random() < 0.6]
+            w = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+        elif kind == 3:
+            n, edges, w = _tied_cycles(rng)
+        else:                   # float weights, generic or dyadic (exact ties)
+            n = rng.randint(1, 12)
+            edges = _random_digraph(rng, n, rng.uniform(0.15, 0.5))
+            w = [rng.uniform(-5, 5) if trial % 2 else rng.randint(-8, 8) / 4.0
+                 for _ in range(n)]
+        checked += _check_pass(n, edges, w)
+    # lex refinement: each direction restricts to the previous tight edges
+    for trial in range(60):
+        sft = random_transitive_sft(rng)
+        recoded = recode_to_one_step(sft, rng.choice((1, 2, 3)))
+        vecs = [tuple(Fraction(rng.randint(0, 2)) for _ in range(3)) for _ in recoded.states]
+        edges = list(recoded.edges())
+        for _ in range(3):
+            d = tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
+            w = [sum(a * x for a, x in zip(d, v)) for v in vecs]
+            checked += _check_pass(recoded.n, edges, w)
+            edges = max_mean_data(recoded.n, edges, w)[1]
+    assert checked >= 1000
+
+
+def test_face_labels_separate_two_digit_symbols():
+    # on full12, the states (1, 11) and (11, 1) must not both print "111"
+    sft = Sft.full(12)
+    vals = {b: (1 if b in ((1, 11), (11, 1)) else 0,)
+            for b in recode_to_one_step(sft, 2).states}
+    phi = PotentialLC.from_block_values(sft, 2, vals)
+    (comp,) = face_subshift(phi).components
+    assert comp.labels() == ("1,11", "11,1")
+    mu = equilibrium_markov(phi)
+    assert tuple(mu.state_labels[i] for i in comp.state_ids) == comp.labels()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import thermoshift.core_sft as core_sft
 from oracles import (LOG_GOLDEN, brute_recoded_graph,
                      brute_weighted_automorphisms, random_transitive_sft)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
@@ -158,7 +159,7 @@ def test_sweep_with_a_starved_component():
     assert out.coefficients == pytest.approx((0.5, 0.5, 0.0), abs=1e-4)
 
 
-def test_sweep_runs_karp_once_per_potential(karp_calls):
+def test_sweep_runs_one_max_plus_pass_per_potential(max_plus_passes):
     # beta and the max-plus scaling are built by the first solve of a
     # potential and shared by every later one, whatever t
     phi = get_potential("threefix_a")
@@ -166,7 +167,23 @@ def test_sweep_runs_karp_once_per_potential(karp_calls):
     assert out.method == "sweep" and len(out.t_values) > 4
     for t in (0.5, 2.0, 8.0, 32.0):
         pressure(phi, t)
-    assert len(karp_calls) == 1
+    assert len(max_plus_passes) == 1
+
+
+def test_classify_solves_each_face_component_once(monkeypatch):
+    # the component's entropy and its Parry measure come from one solve
+    calls = []
+    solve = core_sft.Transfer.solve
+
+    def counting(self, *args):
+        calls.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(core_sft.Transfer, "solve", counting)
+    res = classify(get_potential("gold0"))
+    assert res.case == "UniqueTransitive"
+    assert res.components[0].entropy == res.limit[0][1].pressure == pytest.approx(LOG_GOLDEN)
+    assert len(calls) == 1
 
 
 def test_short_schedule_reports_unconverged():

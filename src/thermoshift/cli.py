@@ -200,11 +200,10 @@ def _cmd_rotset(args) -> int:
     payload = {
         "m": poly.m,
         "affine_dim": poly.affine_dim,
-        "query_only": poly.query_only,
-        "vertices": [_vec(v) for v in poly.vertices] if poly.vertices else [],
+        "vertices": [_vec(v) for v in poly.vertices],
         "facets": [{"vertex_ids": list(f.vertex_ids), "normal": _vec(f.normal),
                     "offset": _num(f.offset)}
-                   for f in (poly.facets or [])],
+                   for f in poly.facets],
     }
     h = _input_hash("rotset", args, phi, phi.sft, {})
     return _emit(args, "rotset", h, payload, [])

@@ -30,7 +30,7 @@ class ResourceLimitError(ThermoshiftError):
 
 
 class UnsupportedDimensionError(InvalidArgumentError):
-    """Explicit polytope geometry is only available in low dimension."""
+    """The operation is implemented only for two-dimensional potentials."""
 
 
 class OutOfDomainError(InvalidArgumentError):

@@ -4,19 +4,20 @@ The rotation set of an m-vector potential is the convex hull of the
 Birkhoff averages of the elementary periodic orbits.  All hull geometry
 here runs in exact rational arithmetic; float-mode potentials are
 snapped to a 1e-9 grid first.  Without an orbit list, support queries
-(one max-cycle-mean run per direction) grow the affine span and then,
-for m <= 3, certify every facet; vertex/facet structure is built for
-m <= 3 (interval, monotone chain, incremental hull), larger m stays
-query-only.
+(one max-cycle-mean run per direction) grow the affine span and then
+certify every facet.  One builder, double description in the chart of
+the affine span, gives vertices and facets for every m and every affine
+dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core_sft import recode_to_one_step
-from .errors import DegenerateFaceError, InvalidArgumentError, UnsupportedDimensionError
+from .errors import DegenerateFaceError, InvalidArgumentError, ResourceLimitError
 from .max_face import lex_extreme_cycle
 from .orbits import birkhoff_average, elementary_orbits
 from .potential import PotentialLC
@@ -42,22 +43,34 @@ def orbit_averages(Phi: PotentialLC, orbits) -> tuple[tuple[Fraction, ...], ...]
 # -- exact affine frame ----------------------------------------------------
 
 class _AffineFrame:
-    """Affine hull of a point set with exact coordinates in a basis."""
+    """Affine hull of a point set with exact coordinates in a basis.
+
+    ``corners`` are the ids of the points that built it: the origin and
+    one point per basis vector, basis[j] = points[corners[j + 1]] - origin.
+    The span projects one to one onto the coordinates ``pivots``.
+    """
 
     def __init__(self, points):
         self.origin = points[0]
-        m = len(self.origin)
         self.basis: list[tuple[Fraction, ...]] = []
+        self.corners = [0]
+        self.pivots: list[int] = []
+        # echelon rows: (reduced vector, its coefficients in the basis, pivot)
         self._ech: list[tuple[list[Fraction], list[Fraction], int]] = []
-        for p in points:
+        for i, p in enumerate(points):
             diff = [a - b for a, b in zip(p, self.origin)]
-            red, _ = self._reduce(diff)
-            pivot = next((i for i, x in enumerate(red) if x != 0), None)
+            red, f = self._reduce(diff)
+            pivot = next((j for j, x in enumerate(red) if x != 0), None)
             if pivot is not None:
+                # red = diff - sum f[e] ech[e], and each ech[e] is a
+                # combination of the earlier basis vectors
                 coeffs = [Fraction(0)] * len(self.basis) + [Fraction(1)]
-                for e, c, _ in self._ech:
-                    c.append(Fraction(0))
+                for fe, (_, c, _) in zip(f, self._ech):
+                    for j, cj in enumerate(c):
+                        coeffs[j] -= fe * cj
                 self.basis.append(tuple(diff))
+                self.corners.append(i)
+                self.pivots.append(pivot)
                 self._ech.append((red, coeffs, pivot))
         self.dim = len(self.basis)
 
@@ -72,7 +85,8 @@ class _AffineFrame:
         return v, coeffs
 
     def coords(self, point):
-        """Coordinates of a point in the basis, or None if off the hull."""
+        """Coordinates c of a point in the basis, point = origin +
+        sum c[j] basis[j], or None if off the hull."""
         diff = [a - b for a, b in zip(point, self.origin)]
         red, coeffs = self._reduce(diff)
         if any(x != 0 for x in red):
@@ -84,102 +98,89 @@ class _AffineFrame:
         return tuple(out)
 
 
-# -- hulls in affine coordinates -------------------------------------------
+# -- exact hull by double description --------------------------------------
 
-def _cross2(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_2d(points):
-    """Strict convex hull, CCW starting at the lexicographic minimum."""
-    pts = sorted(set(points))
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _sub3(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross3(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+HULL_FACET_CAP = 5000   # rays (candidate facets) a hull build may hold at any step
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _tri_normal(pts, tri):
-    a, b, c = (pts[i] for i in tri)
-    return _cross3(_sub3(b, a), _sub3(c, a))
+def _int_inverse(rows):
+    """A positive integer multiple of the inverse of a nonsingular integer
+    matrix: Gauss-Jordan on [A | I], each row kept primitive."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        piv = a[k]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f, g = a[i][k], piv[k]
+                row = [g * x - f * y for x, y in zip(a[i], piv)]
+                d = gcd(*row)
+                a[i] = [x // d for x in row]
+    # [D | E] with E A = D diagonal: scale row i by den / D[i][i]
+    den = lcm(*(row[i] for i, row in enumerate(a)))
+    return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(a)]
 
 
-def _hull_3d(points):
-    """Incremental exact hull; returns outward triangles over point ids.
+def _ray(a, b, zeros):
+    g = gcd(b, *a)
+    return [u // g for u in a], b // g, zeros
 
-    Points inside a facet or on an edge may appear as triangle corners.
+
+def _dd_facets(pts, corners):
+    """Facets of the hull of integer points in Z^r whose affine hull is
+    all of Q^r, with pts[corners[0]] = 0 and corners r + 1 affinely
+    independent point ids.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996) of the cone {(a, b): a . x <= b for every point x}:
+    its extreme rays are the facets.  It starts from the simplex on the
+    corners and adds one point at a time; two rays are adjacent when no
+    third ray's zero set contains their common one.  Returns [(a, b, bit
+    mask of the point ids on the facet)], each (a, b) primitive.
     """
-    pts = list(points)
-    n = len(pts)
-    i0 = 0
-    i1 = next(i for i in range(n) if pts[i] != pts[i0])
-    i2 = next(i for i in range(n)
-              if any(x != 0 for x in _cross3(_sub3(pts[i1], pts[i0]), _sub3(pts[i], pts[i0]))))
-    norm = _cross3(_sub3(pts[i1], pts[i0]), _sub3(pts[i2], pts[i0]))
-    i3 = next(i for i in range(n) if _dot(norm, _sub3(pts[i], pts[i0])) != 0)
-
-    def outward(tri, inside):
-        nrm = _tri_normal(pts, tri)
-        if _dot(nrm, _sub3(pts[inside], pts[tri[0]])) > 0:
-            return (tri[0], tri[2], tri[1])
-        return tri
-
-    faces = {outward((i0, i1, i2), i3), outward((i0, i1, i3), i2),
-             outward((i0, i2, i3), i1), outward((i1, i2, i3), i0)}
-
-    def visible(tri, p):
-        nrm = _tri_normal(pts, tri)
-        return _dot(nrm, _sub3(pts[p], pts[tri[0]])) > 0
-
-    for p in range(n):
-        if p in (i0, i1, i2, i3):
-            continue
-        vis = {f for f in faces if visible(f, p)}
-        if not vis:
-            continue
-        edge_owner = {}
-        for f in faces:
-            a, b, c = f
-            for e in ((a, b), (b, c), (c, a)):
-                edge_owner[e] = f
-        horizon = []
-        for f in vis:
-            a, b, c = f
-            for e in ((a, b), (b, c), (c, a)):
-                if edge_owner[(e[1], e[0])] not in vis:
-                    horizon.append(e)
-        faces -= vis
-        for (u, v) in horizon:
-            faces.add((u, v, p))
-    return sorted(faces)
+    r = len(pts[0])
+    cols = list(zip(*_int_inverse([pts[i] for i in corners[1:]])))
+    top = [sum(c) for c in zip(*cols)]
+    rays = [_ray([-x for x in c], 0, 0) for c in cols]
+    rays.append(_ray(top, _dot(top, pts[corners[1]]), 0))
+    for i in corners + [i for i in range(len(pts)) if i not in corners]:
+        x, bit = pts[i], 1 << i
+        slack = [b - _dot(a, x) for a, b, _ in rays]
+        masks = [z for _, _, z in rays]
+        pos = [p for p, s in enumerate(slack) if s > 0]
+        new = []
+        for q, sq in enumerate(slack):
+            if sq >= 0:
+                continue
+            for p in pos:
+                common = masks[p] & masks[q]
+                if common.bit_count() < r - 1 or any(
+                        z & common == common for k, z in enumerate(masks)
+                        if k != p and k != q):
+                    continue
+                (ap, bp, _), (aq, bq, _), sp = rays[p], rays[q], slack[p]
+                a = [sp * u - sq * v for u, v in zip(aq, ap)]
+                new.append(_ray(a, sp * bq - sq * bp, common | bit))
+        rays = [(a, b, z | bit) if s == 0 else (a, b, z)
+                for (a, b, z), s in zip(rays, slack) if s >= 0] + new
+        if len(rays) > HULL_FACET_CAP:
+            raise ResourceLimitError(f"hull build exceeded facet cap {HULL_FACET_CAP}")
+    return rays
 
 
 @dataclass(frozen=True)
 class Facet:
     """A facet given by vertex indices, an outward normal, and its offset.
 
-    The normal is ambient; for a degenerate hull it lies in the affine
-    span and is built from the vertices alone, so the same point set
-    always gives the same facets.
+    The normal is the primitive outward integer vector in the span of the
+    hull that is orthogonal to the facet, so the same point set always
+    gives the same facets.
     """
 
     vertex_ids: tuple[int, ...]
@@ -194,20 +195,15 @@ class RotationPolytope:
     m: int
     generator_points: list   # (orbit index, ambient m-vector)
     affine_dim: int
-    vertices: list | None    # ambient exact points, canonical order
-    facets: list | None
-    query_only: bool
+    vertices: list           # ambient exact points, canonical order
+    facets: list
     frame: _AffineFrame | None = field(default=None, repr=False)
 
     def membership(self, point) -> str:
         """'interior', 'boundary', or 'outside' relative to the affine hull."""
-        if self.query_only:
-            raise UnsupportedDimensionError("membership needs an explicit hull (m <= 3)")
         pt = tuple(_snap(x) for x in point)
         if self.frame.coords(pt) is None:
             return "outside"
-        if self.affine_dim == 0:
-            return "interior"
         on_facet = False
         for f in self.facets:
             val = _dot(f.normal, pt)
@@ -219,8 +215,6 @@ class RotationPolytope:
 
     def vertex_direction(self, vertex_id: int) -> tuple:
         """An ambient direction whose argmax face is exactly this vertex."""
-        if self.query_only:
-            raise UnsupportedDimensionError("vertex_direction needs an explicit hull")
         if self.affine_dim == 0:
             return tuple(Fraction(0) for _ in range(self.m))
         total = [Fraction(0)] * self.m
@@ -234,68 +228,78 @@ class RotationPolytope:
 
 
 def _build_hull(m, unique_points):
+    """(frame, vertices, facets) of the hull of distinct exact points,
+    given in sorted order.
+
+    The facets come from _dd_facets in the chart of dimension r that keeps
+    the frame's pivot coordinates of the points less the origin (all of
+    them when r == m); each normal is the primitive outward vector in the
+    span orthogonal to its facet.  A point is a vertex when the points on
+    all of its facets are it alone.
+    Canonical order: for r == 2 the polygon walked from its lex-min
+    vertex, counterclockwise when m == 2 and otherwise towards the
+    lex-smaller neighbour, edge i joining vertices i and i + 1; for any
+    other r sorted vertices and facets sorted by (normal, offset).
+    """
     frame = _AffineFrame(unique_points)
     r = frame.dim
     if r == 0:
         return frame, [unique_points[0]], []
-    if r == 1:
-        order = sorted(unique_points, key=lambda p: frame.coords(p)[0])
-        lo, hi = order[0], order[-1]
-        e = _primitive(tuple(b - a for a, b in zip(lo, hi)))
-        neg = tuple(-x for x in e)
-        return frame, [lo, hi], [Facet((0,), neg, _dot(neg, lo)),
-                                 Facet((1,), e, _dot(e, hi))]
+    den = lcm(*(x.denominator for p in unique_points for x in p))
+    ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in unique_points]
+    axes = sorted(frame.pivots)
+    chart = [tuple(p[k] - ints[0][k] for k in axes) for p in ints]
+    lift = None
+    if r < m:
+        # a . x on the chart is n . x on the span for n the projection onto
+        # the span of a placed on the axes: n = B^T (B B^T)^-1 B_axes a
+        base = [tuple(u - v for u, v in zip(ints[i], ints[0])) for i in frame.corners[1:]]
+        ginv = _int_inverse([[_dot(u, v) for v in base] for u in base])
+        proj = [[_dot(col, g) for g in zip(*ginv)] for col in zip(*base)]
+        lift = [[_dot(row, [b[k] for b in base]) for k in axes] for row in proj]
+    rays = _dd_facets(chart, frame.corners)
+    ids = range(len(chart))
+    cover = [-1] * len(chart)
+    for _, _, z in rays:
+        for i in ids:
+            if z >> i & 1:
+                cover[i] &= z
+    # point ids follow the sorted order, so comparing ids compares points
+    verts = [i for i in ids if cover[i] == 1 << i]
+    found = {}
+    for a, _, z in rays:
+        n = a if lift is None else [_dot(row, a) for row in lift]
+        g = gcd(*n)
+        on = tuple(i for i in verts if z >> i & 1)
+        found[on] = Facet(on, tuple(Fraction(x // g) for x in n),
+                          Fraction(_dot(n, ints[on[0]]), den * g))
     if r == 2:
-        # hull in the plane's own coordinates (the ambient ones when m = 2)
-        # so that CCW order is meaningful
-        work = {p: p if m == 2 else frame.coords(p) for p in unique_points}
-        inv = {w: p for p, w in work.items()}
-        verts = [inv[c] for c in _hull_2d(list(work.values()))]
-        if m == 3:
-            # the frame's orientation depends on which points built it:
-            # start at the lex-min vertex, towards its lex-smaller neighbour
-            i = verts.index(min(verts))
-            verts = verts[i:] + verts[:i]
-            if verts[-1] < verts[1]:
-                verts = verts[:1] + verts[:0:-1]
+        nbrs = {i: [] for i in verts}
+        for p, q in found:
+            nbrs[p].append(q)
+            nbrs[q].append(p)
+        s = verts[0]
+        b, c = nbrs[s]
+        (x0, y0), (x1, y1), (x2, y2) = chart[s], chart[b], chart[c]
+        if c < b if m > 2 else (x1 - x0) * (y2 - y0) < (y1 - y0) * (x2 - x0):
+            b = c
+        verts = [s, b]
+        while len(verts) < len(nbrs):
+            verts.append(next(q for q in nbrs[verts[-1]] if q != verts[-2]))
         facets = []
-        for i, a in enumerate(verts):
+        for i, p in enumerate(verts):
             j = (i + 1) % len(verts)
-            b, c = verts[j], verts[(j + 1) % len(verts)]
-            if m == 2:
-                nrm = (b[1] - a[1], a[0] - b[0])
-            else:
-                # e x (e x (c - a)), e = b - a: in the plane, away from c
-                e = _sub3(b, a)
-                nrm = _primitive(_cross3(e, _cross3(e, _sub3(c, a))))
-            facets.append(Facet((i, j), nrm, _dot(nrm, a)))
-        return frame, verts, facets
-    # r == 3 implies m == 3 (m > 3 never builds a hull): work in ambient
-    pts = list(unique_points)
-    triangles = _hull_3d(pts)
-    groups: dict[tuple, set] = {}
-    for tri in triangles:
-        nrm = _primitive(_tri_normal(pts, tri))
-        off = _dot(nrm, pts[tri[0]])
-        groups.setdefault((nrm, off), set()).update(pts[i] for i in tri)
-    # the triangulation may use points inside a facet or on an edge; the
-    # corners of a facet are the 2-d hull of its points, projected along
-    # an axis the facet is not parallel to
-    corners = {}
-    for (nrm, off), members in groups.items():
-        axis = next(i for i, x in enumerate(nrm) if x != 0)
-        flat = {p[:axis] + p[axis + 1:]: p for p in members}
-        corners[nrm, off] = [flat[q] for q in _hull_2d(list(flat))]
-    verts = sorted({p for cs in corners.values() for p in cs})
-    vid = {p: i for i, p in enumerate(verts)}
-    facets = [Facet(tuple(sorted(vid[p] for p in cs)), nrm, off)
-              for (nrm, off), cs in sorted(corners.items())]
-    return frame, verts, facets
+            f = found[min(p, verts[j]), max(p, verts[j])]
+            facets.append(Facet((i, j), f.normal, f.offset))
+    else:
+        vid = {p: i for i, p in enumerate(verts)}
+        facets = sorted((Facet(tuple(vid[p] for p in f.vertex_ids), f.normal, f.offset)
+                         for f in found.values()), key=lambda f: (f.normal, f.offset))
+    return frame, [unique_points[i] for i in verts], facets
 
 
 def _primitive(vec):
     """Scale a nonzero rational vector to coprime integers, keeping sign."""
-    from math import gcd, lcm
     den = lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
     g = gcd(*ints)
@@ -319,7 +323,7 @@ def _complement(basis, m):
 def _support_hull(Phi: PotentialLC):
     """(frame, vertices, facets) of the rotation set from support queries,
     each the mean of one cycle maximizing d . Phi, asked once per
-    direction; vertices and facets are None for m > 3."""
+    direction."""
     recoded = recode_to_one_step(Phi.sft, Phi.k)
     vecs = [tuple(map(_snap, vec)) for vec in Phi.state_values()]
     answers = {}
@@ -339,8 +343,6 @@ def _support_hull(Phi: PotentialLC):
         pts |= found
         if all(frame.coords(p) is not None for p in found):
             break
-    if m > 3:
-        return frame, None, None
     while True:
         frame, verts, facets = _build_hull(m, sorted(pts))
         beyond = {p for f in facets for p in [support(f.normal)]
@@ -363,9 +365,8 @@ def rotation_set(Phi: PotentialLC, orbits=None) -> RotationPolytope:
     else:
         avgs = orbit_averages(Phi, orbits)
         gens, unique = list(enumerate(avgs)), sorted(set(avgs))
-        frame, verts, facets = ((_AffineFrame(unique), None, None) if m > 3
-                                else _build_hull(m, unique))
-    return RotationPolytope(m, gens, frame.dim, verts, facets, m > 3, frame)
+        frame, verts, facets = _build_hull(m, unique)
+    return RotationPolytope(m, gens, frame.dim, verts, facets, frame)
 
 
 @dataclass
@@ -412,27 +413,17 @@ class GenericityReport:
 
 
 def genericity_check(Phi: PotentialLC, orbits=None) -> GenericityReport:
-    """Check the open-dense genericity conditions for m <= 3.
+    """Check the open-dense genericity conditions.
 
     (a) orbits at a common hull vertex must share their cylinder set;
     (b) no orbit average may sit on the relative boundary off a vertex.
     """
-    if Phi.m > 3:
-        raise UnsupportedDimensionError("genericity check supports m <= 3 only")
     if orbits is None:
         orbits = elementary_orbits(Phi.sft, Phi.k)
     poly = rotation_set(Phi, orbits)
-    avgs = orbit_averages(Phi, orbits)
+    avgs = [a for _, a in poly.generator_points]
     vertex_violations = []
     boundary_violations = []
-    if poly.affine_dim == 0:
-        at_vertex = list(range(len(orbits)))
-        for i in range(len(at_vertex)):
-            for j in range(i + 1, len(at_vertex)):
-                a, b = at_vertex[i], at_vertex[j]
-                if orbits[a].cylinders != orbits[b].cylinders:
-                    vertex_violations.append((0, (a, b)))
-        return GenericityReport(not vertex_violations, vertex_violations, [], 0)
     vset = {v: idx for idx, v in enumerate(poly.vertices)}
     for vtx, vidx in vset.items():
         at = [i for i, a in enumerate(avgs) if a == vtx]

@@ -48,6 +48,24 @@ def test_rotset_exact_vertices(capsys):
     assert verts == {("0", "0"), ("1", "0"), ("1/2", "1")}
 
 
+def test_rotset_payload_pinned(capsys):
+    # primitive outward normals with their offsets, walked counterclockwise
+    pay = run_json(capsys, "rotset", "--potential", "trivec")["payload"]
+    assert pay == {
+        "m": 2, "affine_dim": 2,
+        "vertices": [["0", "0"], ["1", "0"], ["1/2", "1"]],
+        "facets": [{"vertex_ids": [0, 1], "normal": ["0", "-1"], "offset": "0"},
+                   {"vertex_ids": [1, 2], "normal": ["2", "1"], "offset": "2"},
+                   {"vertex_ids": [2, 0], "normal": ["-2", "1"], "offset": "0"}]}
+
+
+def test_rotset_facet_cap_exits_2(capsys, monkeypatch):
+    from thermoshift import rotation_geometry
+    monkeypatch.setattr(rotation_geometry, "HULL_FACET_CAP", 2)
+    rc, _, err = run(capsys, "rotset", "--potential", "trivec")
+    assert rc == 2 and "facet cap" in err
+
+
 def test_classify_fixed_point(capsys):
     pay = run_json(capsys, "classify", "--potential", "fix0")["payload"]
     assert pay["case"] == "VertexPeriodic"

@@ -5,10 +5,12 @@ import pytest
 
 from oracles import random_rational_values, random_transitive_sft
 import thermoshift
-from thermoshift import (PotentialLC, Sft, birkhoff_average, cohomology_test,
-                         elementary_orbits, face_entropy_curve, face_in_direction,
-                         face_segment, genericity_check, get_potential, rotation_set)
-from thermoshift.rotation_geometry import orbit_averages
+from thermoshift import (PotentialLC, ResourceLimitError, Sft, birkhoff_average,
+                         cohomology_test, elementary_orbits, face_entropy_curve,
+                         face_in_direction, face_segment, genericity_check, get_potential,
+                         get_shift, rotation_set, universal_potential)
+from thermoshift import rotation_geometry
+from thermoshift.rotation_geometry import _AffineFrame, orbit_averages
 
 
 def test_triangle_polytope_exact():
@@ -107,11 +109,6 @@ def _assert_same_hull(Phi):
     avgs = orbit_averages(Phi, orbits)
     assert oracle.generator_points == [] and census.generator_points
     assert oracle.affine_dim == census.affine_dim
-    assert oracle.query_only == census.query_only == (Phi.m > 3)
-    if oracle.query_only:
-        # the oracle's affine frame holds every orbit average
-        assert all(oracle.frame.coords(a) is not None for a in avgs)
-        return
     # facets are ambient and built from the vertices alone, so they agree
     # on degenerate hulls too; each supports the hull at its vertices
     assert oracle.vertices == census.vertices
@@ -123,7 +120,7 @@ def _assert_same_hull(Phi):
     assert all(oracle.membership(a) != "outside" for a in avgs)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_support_hull_matches_orbit_hull(rng, m):
     for _ in range(25):
         sft = random_transitive_sft(rng)
@@ -158,6 +155,64 @@ def test_float_support_hull_matches_orbit_hull(rng):
         vals = random_rational_values(rng, sft, 2, m=2)
         fvals = {b: tuple(float(x) for x in v) for b, v in vals.items()}
         _assert_same_hull(PotentialLC.from_block_values(sft, 2, fvals, m=2, mode="float"))
+
+
+def test_affine_frame_coords_reproduce_points(rng):
+    # origin + sum c[j] basis[j] == p for every point on the hull
+    frame = _AffineFrame([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
+                          (Fraction(1), Fraction(3))])
+    assert frame.coords((Fraction(1), Fraction(3))) == (0, 1)
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        span = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+                for _ in range(rng.randint(1, m))]
+        pts = []
+        for _ in range(rng.randint(1, 8)):
+            c = [rng.randint(-3, 3) for _ in span]
+            pts.append(tuple(1 + sum(cj * v[i] for cj, v in zip(c, span))
+                             for i in range(m)))
+        frame = _AffineFrame(pts)
+        assert frame.dim <= len(span)
+        for p in pts:
+            c = frame.coords(p)
+            assert tuple(o + sum(cj * b[i] for cj, b in zip(c, frame.basis))
+                         for i, o in enumerate(frame.origin)) == p
+        if frame.dim < m:
+            normal = rotation_geometry._complement(frame.basis, m)[0]
+            assert frame.coords(tuple(o + x for o, x in zip(frame.origin, normal))) is None
+
+
+@pytest.mark.parametrize("shift,k", [("full2", 1), ("full2", 2), ("full2", 3),
+                                     ("golden", 2), ("golden", 3), ("golden", 4),
+                                     ("full3", 2)])
+def test_universal_potential_hull(shift, k):
+    # every m: each facet is tight on r affinely independent census
+    # averages and holds for all of them; each vertex is a census average
+    # exposed by its vertex direction
+    Phi = universal_potential(get_shift(shift), k)
+    orbits = elementary_orbits(Phi.sft, k)
+    avgs = set(orbit_averages(Phi, orbits))
+    poly = rotation_set(Phi)
+    r = poly.affine_dim
+    assert r == _AffineFrame(sorted(avgs)).dim
+    for f in poly.facets:
+        vals = {a: sum(n * x for n, x in zip(f.normal, a)) for a in avgs}
+        assert max(vals.values()) == f.offset
+        assert _AffineFrame(sorted(a for a, x in vals.items() if x == f.offset)).dim == r - 1
+    for i, v in enumerate(poly.vertices):
+        assert v in avgs
+        d = poly.vertex_direction(i)
+        vals = {a: sum(n * x for n, x in zip(d, a)) for a in avgs}
+        assert [a for a, x in vals.items() if x == max(vals.values())] == [v]
+        assert poly.membership(v) == "boundary"
+    rep = genericity_check(Phi, orbits)
+    assert rep.affine_dim == r
+
+
+def test_hull_facet_cap(monkeypatch):
+    monkeypatch.setattr(rotation_geometry, "HULL_FACET_CAP", 2)
+    with pytest.raises(ResourceLimitError):
+        rotation_set(get_potential("trivec"))
 
 
 def test_geometry_and_cohomology_take_no_orbit_census(monkeypatch):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, matrix_edges, perron, perron_stack
+from .core_sft import Sft, perron, perron_stack
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
@@ -86,36 +86,31 @@ class FaceCurve:
 def _component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
     """Exact anchors and tan-grid samples (s(v), h(v)) of one component.
 
-    psi is the tangential coordinate of the values on the component; the
-    equilibrium state of v . psi has max cycle mean v * s_hi for v >= 0
-    and v * s_lo for v < 0, so each sample is one lane of a stacked
-    Perron solve.
+    psi is the tangential coordinate of the values on the component; v .
+    psi less its max cycle mean is |v| (psi - s_hi) for v >= 0 and |v|
+    (s_lo - psi) for v < 0, so each sample is an anchor's transfer solved
+    at t = |v|, one lane of a stacked Perron solve.
     """
     tt = sum(t * t for t in tangent)
     psi = []
     for i in comp.state_ids:
         num = sum((x - a) * t for x, a, t in zip(vecs[i], e0, tangent))
         psi.append(num / tt if exact else float(num) / float(tt))
-    n = len(psi)
     sub = Sft(comp.matrix, comp.labels())
-
-    def face(sign):
-        vals = {(i,): (sign * x,) for i, x in enumerate(psi)}
-        return face_subshift(PotentialLC(sub, 1, 1, vals, "exact" if exact else "float"))
-
-    hi_face = face(1)
+    hi, lo = (PotentialLC(sub, 1, 1, {(i,): (sign * x,) for i, x in enumerate(psi)},
+                          "exact" if exact else "float") for sign in (1, -1))
+    hi_face = face_subshift(hi)
     if hi_face.is_whole_shift:
         # tangentially constant component: one exact point at its mean
         return [CurvePoint(float(hi_face.beta), comp.entropy, comp.index, "point", -1)]
-    lo_face = face(-1)
+    lo_face = face_subshift(lo)
     s_hi, s_lo = float(hi_face.beta), -float(lo_face.beta)
     pts = [CurvePoint(s_lo, lo_face.entropy, comp.index, "anchor", -1),
            CurvePoint(s_hi, hi_face.entropy, comp.index, "anchor", -1)]
     psi = np.array([float(x) for x in psi])
     th_max = math.atan(vmax)
     v = np.array([math.tan(th) for th in np.linspace(-th_max, th_max, n_samples)])
-    beta = v * np.where(v >= 0, s_hi, s_lo)
-    _, P, p = perron_stack(n, matrix_edges(comp.matrix), v[:, None] * psi - beta[:, None])
+    _, P, p = perron_stack([hi._transfer if x >= 0 else lo._transfer for x in v], np.abs(v))
     s = sum(p[:, i] * x for i, x in enumerate(psi))    # state by state, as p . psi sums
     h = markov_entropy(p, P)
     pts.extend(CurvePoint(float(a), float(b), comp.index, "sample", i)

@@ -10,11 +10,13 @@ admissible k-blocks, which is what every downstream module works on.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -108,9 +110,10 @@ class Sft:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise InvalidArgumentError(f"invalid shift JSON: {e}") from e
-        if "transition" not in obj:
-            raise InvalidArgumentError("shift JSON needs a 'transition' field")
-        return cls.from_matrix(obj["transition"], obj.get("labels"))
+        try:
+            return cls.from_matrix(obj["transition"], obj.get("labels"))
+        except (KeyError, TypeError) as e:
+            raise InvalidArgumentError(f"shift JSON needs a 'transition' matrix ({e!r})") from e
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,136 @@ def scc_of_edges(n: int, edges) -> list[SccComponent]:
                     comps.append(SccComponent(tuple(comp), len(comp) > 1 or v in succ[v]))
     comps.sort(key=lambda c: c.states[0])
     return comps
+
+
+TIGHT_TOL = 1e-9    # relative slack under which float weights count as tied
+
+
+def _cyclic_components(n: int, edges):
+    """Nontrivial SCCs as sorted state lists, and the edges inside them,
+    in the given order."""
+    sccs = [list(c.states) for c in scc_of_edges(n, edges) if c.is_nontrivial]
+    comp_of = [-1] * n
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = i
+    return sccs, [(a, b) for (a, b) in edges if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
+
+
+def _int_weights(w):
+    """(ints, scale, exact): the weights times the lcm of their denominators
+    (a float's of its binary value), and whether all were exact."""
+    exact = all(isinstance(x, (int, Fraction)) for x in w)
+    try:
+        ratios = [(x.numerator, x.denominator) if exact else float(x).as_integer_ratio()
+                  for x in w]
+    except (OverflowError, ValueError):
+        raise InvalidArgumentError("weights must be finite") from None
+    scale = math.lcm(*(d for _, d in ratios))
+    return [a * (scale // d) for a, d in ratios], scale, exact
+
+
+def _howard(succ, nodes):
+    """Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert,
+    McGettrick and Quadrat 1998) over ``nodes``, a union of SCCs whose
+    edges a -> b of int weight w are the pairs (b, w) of ``succ[a]``:
+    (p, q, h) with, on each SCC, its maximum cycle mean p/q in lowest
+    terms and h[a] = max over them of (w q - p + h[b]).
+
+    Each state starts on its heaviest edge, takes the mean of the policy
+    cycle it reaches and h[a] = w q - p + h[b] along its policy edge, 0 at
+    the cycle's smallest state, so states of one mean have h in the same
+    units 1/q.  Then states move to a successor of larger mean or, where
+    none has one, to an edge of equal mean and larger w q + h[b], until
+    none moves.
+    """
+    n = len(succ)
+    policy = [max(s, key=itemgetter(1)) if s else None for s in succ]
+    p, q, h = [0] * n, [1] * n, [0] * n
+    while True:
+        walk = [-1] * n
+        for v in nodes:
+            if walk[v] >= 0:
+                continue
+            path, u = [], v
+            while walk[u] < 0:
+                walk[u] = v
+                path.append(u)
+                u = policy[u][0]
+            if walk[u] == v:            # the walk closed a new policy cycle at u
+                i = path.index(u)
+                cyc = path[i:]
+                total = sum(policy[x][1] for x in cyc)
+                g = math.gcd(total, len(cyc))
+                u = min(cyc)
+                p[u], q[u], h[u] = total // g, len(cyc) // g, 0
+                r = cyc.index(u)
+                path = path[:i] + cyc[r + 1:] + cyc[:r]
+            pc, qc = p[u], q[u]
+            for x in reversed(path):        # each after its successor
+                b, wx = policy[x]
+                p[x], q[x] = pc, qc
+                h[x] = wx * qc - pc + h[b]
+        moved = False
+        for v in nodes:
+            pv, qv = p[v], q[v]
+            for e in succ[v]:
+                b = e[0]
+                if p[b] * qv > pv * q[b]:
+                    pv, qv, policy[v], moved = p[b], q[b], e, True
+        if not moved:
+            for v in nodes:
+                pv, qv = p[v], q[v]
+                best = h[v] + pv            # w q + h[b] on the policy edge
+                for e in succ[v]:
+                    b, wb = e
+                    if p[b] == pv and q[b] == qv and wb * qv + h[b] > best:
+                        best, policy[v], moved = wb * qv + h[b], e, True
+        if not moved:
+            return p, q, h
+
+
+def _potentials(n: int, edges, w):
+    """(mean, h, den, classes) of an irreducible digraph with edge weights
+    w, exact: the maximum cycle mean, a balanced max-plus eigenvector h /
+    den of w - mean (h in ints) and the critical classes, the nontrivial
+    SCCs of the edges of reduced weight w - mean + h[b] - h[a] = 0 (for
+    floats, >= -TIGHT_TOL (1 + max |w|)).  With several classes h is max_i
+    (D[a, c_i] + g_i): D[a, c] the heaviest path to the least state c_i of
+    class i (Dijkstra on the reduced weights, all <= 0), g this routine's
+    h on D[c_i, c_j] (i != j), so that no tight path joins two classes."""
+    if not any(w):                  # a 0/1 matrix is its own scaling
+        return Fraction(0), [0] * n, 1, [list(range(n))]
+    wi, scale, exact = _int_weights(w)
+    succ = [[] for _ in range(n)]
+    for (a, b), x in zip(edges, wi):
+        succ[a].append((b, x))
+    p, q, h = _howard(succ, range(n))
+    p, q = p[0], q[0]
+    unit = q * scale                # of h and of the reduced weights
+    tol = 0.0 if exact else TIGHT_TOL * (1.0 + max(abs(float(x)) for x in w))
+    slack = [x * q - p + h[b] - h[a] for (a, b), x in zip(edges, wi)]
+    classes = _cyclic_components(
+        n, [e for e, s in zip(edges, slack) if not s or tol and s / unit >= -tol])[0]
+    if len(classes) > 1:
+        pred = [[] for _ in range(n)]
+        for (a, b), s in zip(edges, slack):
+            pred[b].append((a, -s))
+        cols = []
+        for c in (k[0] for k in classes):
+            dist, heap = [None] * n, [(0, c)]
+            while heap:
+                d, v = heapq.heappop(heap)
+                if dist[v] is None:
+                    dist[v] = d
+                    for a, cost in pred[v]:
+                        heapq.heappush(heap, (d + cost, a))
+            cols.append([h[a] - h[c] - d for a, d in enumerate(dist)])
+        pairs = [(i, j) for i in range(len(cols)) for j in range(len(cols)) if i != j]
+        _, g, den, _ = _potentials(len(cols), pairs, [cols[j][classes[i][0]] for i, j in pairs])
+        h = [max(col[a] * den + gi for col, gi in zip(cols, g)) for a in range(n)]
+        unit *= den
+    return Fraction(p, q * scale), h, unit, classes
 
 
 def matrix_edges(M) -> list[tuple[int, int]]:
@@ -282,7 +415,6 @@ _EXP_SAFE = 700.0        # |exponent| beyond which doubles underflow
 _CW_TOL = 1e-13          # accepted Collatz-Wielandt excess of the vector
 _POLISH_STEPS = 500      # bound on subtraction-free polishing steps
 _SHIFTS = np.array([0.0, 0.125, 0.5, 1.0])   # candidate power-step shifts
-_TIE_TOL = 1e-9          # relative slack under which weights count as tied
 _AGG_ROUNDS = 8          # bound on aggregation rounds
 
 
@@ -325,9 +457,9 @@ class Transfer:
     irreducible digraph, for weights w with maximum cycle mean 0, with
     the parts of its Perron solves that do not depend on t: the edge
     arrays, the log weights W and their balanced max-plus potentials and
-    critical classes (none for a single state, its own Perron pair).
-    They are built with the object and are read-only, so ``solve`` runs
-    only the stages that depend on t.
+    critical classes from one exact pass (``_potentials``).  They are
+    built with the object and are read-only, so ``solve`` runs only the
+    stages that depend on t.
     """
 
     def __init__(self, n: int, edges, weights):
@@ -336,19 +468,19 @@ class Transfer:
         w = np.fromiter(map(float, weights), float, n)
         W = self.log_weights = np.full((n, n), -np.inf)
         W[src, dst] = w[src]
-        self.potentials = None
-        if n > 1:
-            self.potentials = h, classes = _maxplus_potentials(W)
-            _readonly(h, *classes)
-        _readonly(src, dst, W)
+        # edges weigh their targets, as in max_mean_data; h then shifts by w - mean
+        mean, h, den, classes = _potentials(n, edges, [weights[b] for _, b in edges])
+        self.potentials = h, classes = (np.array([x / den for x in h]) + (w - float(mean)),
+                                        list(map(np.array, classes)))
+        _readonly(src, dst, W, h, *classes)
 
     def solve(self, t: float = 1.0) -> PerronSolve:
         """The Perron data of exp(t * w), as ``perron`` describes it."""
         escalate = functools.partial(_escalate, self.n, self.edges, self.weights, t)
-        got = _perron_pair(self.log_weights, t, self.potentials, self.ends)
+        got = _perron_pair(self.log_weights, self.potentials, t, self.ends)
         if got is None:
             return escalate()
-        B, _, lam, y, gap = got
+        B, lam, y, gap = got
         P, positive = _kernel(B, lam, y, *self.ends)
         if not positive:
             return escalate()
@@ -362,51 +494,49 @@ def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     The matrix is scaled by a balanced max-plus eigenvector h of w (h[a]
     = max_b w[a] + h[b]; a diagonal scaling is an exact similarity), so
     that every entry of B = exp(t (w[a] + h[b] - h[a])) is at most 1 and
-    every row has a 1 (Akian, Bapat and Gaubert 1998).  One dense
-    eigensolve of B gives the root, the relative gap and a start vector,
-    which power steps polish until the Collatz-Wielandt bounds min(By/y)
-    <= lam <= max(By/y) agree to _CW_TOL; below GAP_FLOOR, or if that
-    fails, tied critical classes go to ``_aggregate``.  The kernel is
+    every row has a 1 (Akian, Bapat and Gaubert 1998); h comes from the
+    exact pass ``_potentials``.  One dense eigensolve of B gives the root, the gap
+    and a start vector, which power steps polish until the Collatz-Wielandt
+    bounds min(By/y) <= lam <= max(By/y) agree to _CW_TOL; below GAP_FLOOR,
+    or if that fails, tied critical classes go to ``_aggregate``.  The kernel is
     B[a, b] y[b] / (lam y[a]); its stationary vector comes from GTH state
     reduction (O'Cinneide 1993).  Escalates to mpmath when a scaled entry
     leaves the double range, the solve does not certify, or a kernel
     entry or the state reduction underflows.  A ``Transfer`` keeps the
     parts that do not depend on t for many solves; the same stages solve
-    many weight rows at once in ``perron_stack``.
+    many of them, each at its own t, at once in ``perron_stack``.
     """
     return Transfer(n, edges, weights).solve(t)
 
 
-def perron_stack(n: int, edges, weights):
-    """(log_lam, transition, stationary) of ``perron`` at t = 1 for each
-    row of the (S, n) state weights on one edge set, as stacked arrays.
+def perron_stack(transfers, t):
+    """(log_lam, transition, stationary) of ``transfers[i].solve(t[i])``
+    for each lane i, as stacked arrays; the transfers share one edge set.
 
-    The rows are solved together, stage by stage; a row with several
-    critical classes gets its balanced potentials alone.  A row leaves the
-    stack and is solved by ``perron`` alone (aggregation, then mpmath)
-    when a scaled entry leaves the double range, its gap is below
+    Max-plus eigenvectors are homogeneous, so each lane scales by t[i]
+    times its transfer's potentials, with no max-plus pass, and the lanes
+    take the steps of their own solves together, stage by stage.  A lane
+    leaves the stack and is solved by ``perron`` alone (aggregation, then
+    mpmath) when a scaled entry leaves the double range, its gap is below
     GAP_FLOOR, its polish does not certify, or its kernel underflows.
     """
-    src, dst = _ends(edges)
-    weights = np.asarray(weights, dtype=float)
-    W = np.full((n, n, len(weights)), -np.inf)
-    W[src, dst] = weights.T[src]
-    D, h, tol, crit, one = _kleene(W)
-    for i in np.flatnonzero(~one):      # tied critical classes: balance them as perron does
-        h[:, i] = _balance(D[..., i], tol[i], crit[:, i])[0]
-    B, ok = _scale(W[src, dst], h, src, dst, 1.0)
+    t = np.asarray(t, dtype=float)
+    n, (src, dst) = transfers[0].n, transfers[0].ends
+    rows = {id(tr): (tr.log_weights[src, dst], tr.potentials[0]) for tr in transfers}
+    w, h = (np.stack(x, axis=-1) for x in zip(*(rows[id(tr)] for tr in transfers)))
+    B, ok = _scale(w, h, src, dst, t)
     lanes = np.flatnonzero(ok)
     B = B.transpose(2, 0, 1)[lanes]
     lam, y, _, ok = _certify(B)
     lanes, lam = lanes[ok], lam[ok]
     P, ok = _kernel(B[ok], lam[:, None], y[ok], src, dst)
     lanes, lam, P = lanes[ok], lam[ok], P[ok]
-    log_lam = np.full(len(weights), np.nan)
-    kernel = np.zeros((len(weights), n, n))
-    p = np.full(weights.shape, np.nan)
+    log_lam = np.full(len(t), np.nan)
+    kernel = np.zeros((len(t), n, n))
+    p = np.full((len(t), n), np.nan)
     log_lam[lanes], kernel[lanes], p[lanes] = np.log(lam), P, _gth_stationary(P)
     for i in np.flatnonzero(~np.isfinite(p).all(axis=1)):
-        sol = perron(n, edges, weights[i])
+        sol = perron(n, transfers[i].edges, transfers[i].weights, t[i])
         log_lam[i], kernel[i], p[i] = sol.log_lam, sol.transition, sol.stationary
     return log_lam, kernel, p
 
@@ -424,28 +554,28 @@ def _readonly(*arrays) -> None:
         a.setflags(write=False)
 
 
-def _perron_pair(W: np.ndarray, t: float = 1.0, potentials=None, ends=None):
-    """(B, h, lam, y, gap) of B = exp(t (W[a, b] + h[b] - h[a])) for log
-    weights W (-inf off the edges) of maximal cycle mean 0, with y
-    certified entrywise; None when doubles cannot certify it.  The
-    max-plus potentials (h, classes) and the edge arrays of W are
-    computed unless given."""
+def _perron_pair(W: np.ndarray, potentials, t: float = 1.0, ends=None):
+    """(B, lam, y, gap) of B = exp(t (W[a, b] + h[b] - h[a])) for log
+    weights W (-inf off the edges) of maximal cycle mean 0 and their
+    max-plus potentials (h, classes), with y certified entrywise; None
+    when doubles cannot certify it.  The edge arrays of W are found
+    unless given."""
     if W.shape == (1, 1):           # a loop of weight 0: its own Perron pair
-        return np.ones((1, 1)), np.zeros(1), 1.0, np.ones(1), 1.0
-    h, classes = _maxplus_potentials(W) if potentials is None else potentials
+        return np.ones((1, 1)), 1.0, np.ones(1), 1.0
+    h, classes = potentials
     src, dst = np.nonzero(W > -np.inf) if ends is None else ends
     B, ok = _scale(W[src, dst], h, src, dst, t)
     if not ok:
         return None
     lam, y, gap, ok = _certify(B)
     if ok:
-        return B, h, float(lam), y, float(gap)
+        return B, float(lam), y, float(gap)
     got = _aggregate(B, classes) if len(classes) > 1 else None
-    return None if got is None else (B, h, *got)
+    return None if got is None else (B, *got)
 
 
 # The stages below take one solve, or a stack of them (``perron_stack``):
-# on the last axis in the max-plus and scaling stages, where values with
+# on the last axis in the scaling stage, where values with
 # one entry per lane broadcast against it, and on the first axis from the
 # eigensolve on, as in numpy.linalg, where such values take a trailing
 # axis (lam[..., None]).  ``perron`` does not run as a stack of one: with
@@ -456,54 +586,6 @@ def _lanes(i) -> tuple:
     """Index of every lane, to go with an index i per lane: () for one
     solve, (0..S-1,) for a stack."""
     return (np.arange(len(i)),) if i.ndim else ()
-
-
-def _kleene(W: np.ndarray):
-    """(D, h, tol, crit, one) of log weights W of maximal cycle mean 0:
-    the max-plus Kleene star D (Floyd-Warshall), its column h at a state
-    c of largest D[c, c] with h[c] = 0, the tie tolerance, the critical
-    states (D[a, a] = 0 up to tol) and whether they form one class."""
-    D = W.copy()
-    for k in range(len(D)):
-        np.maximum(D, D[:, k, None] + D[k], out=D)
-    diag = D.diagonal().T
-    c = diag.argmax(axis=0)
-    lanes = _lanes(c)
-    h = D[(slice(None), c, *lanes)].copy()
-    h[(c, *lanes)] = 0.0
-    tol = _TIE_TOL * (1.0 - diag.min(axis=0))
-    crit = diag >= -tol
-    # states tight with c are critical (D[a, a] >= D[a, c] + D[c, a]), and
-    # they are all of them exactly when the critical states form one class
-    one = ((h + D[(c, slice(None), *lanes)].T >= -tol) == crit).all(axis=0)
-    return D, h, tol, crit, one
-
-
-def _maxplus_potentials(W: np.ndarray):
-    """A balanced max-plus eigenvector h = max_b (W[a, b] + h[b]) of log
-    weights with maximal cycle mean 0, and the critical classes (states
-    with D[a, b] + D[b, a] = 0 in the Kleene star D, up to rounding)."""
-    D, h, tol, crit, one = _kleene(W)
-    if one:
-        return h, [np.flatnonzero(crit)]
-    return _balance(D, tol, crit)
-
-
-def _balance(D: np.ndarray, tol: float, crit: np.ndarray):
-    """(h, classes) of ``_maxplus_potentials`` for a Kleene star D with
-    several critical classes: h is the max of the Kleene columns at one
-    state c_i per class plus g, a max-plus eigenvector of D[c_i, c_j] less
-    its maximal cycle mean, so that paths between classes keep equal slack
-    and none is tight."""
-    diag = D.diagonal()
-    crit = np.flatnonzero(crit)
-    first = ((D + D.T)[crit][:, crit] >= -tol).argmax(axis=1)
-    classes = [crit[first == f] for f in sorted(set(first.tolist()))]
-    reps = [int(k[np.argmax(diag[k])]) for k in classes]
-    M = D[reps][:, reps]
-    np.fill_diagonal(M, -np.inf)
-    g = _maxplus_potentials(M - _max_cycle_mean(M))[0]
-    return (D[:, reps] + g).max(axis=1), classes
 
 
 def _scale(w: np.ndarray, h: np.ndarray, src, dst, t: float):
@@ -533,16 +615,6 @@ def _certify(B: np.ndarray):
     return lam, y, gap, ok
 
 
-def _max_cycle_mean(M: np.ndarray) -> float:
-    """Karp's maximal cycle mean of a strongly connected log-weight
-    matrix, with walks allowed to start anywhere."""
-    n = len(M)
-    F = np.zeros((n + 1, n))        # F[k, v]: heaviest k-edge walk to v
-    for k in range(n):
-        F[k + 1] = (F[k, :, None] + M).max(axis=0)
-    return float(((F[n] - F[:n]) / (n - np.arange(n))[:, None]).min(axis=0).max())
-
-
 def _aggregate(B: np.ndarray, classes):
     """(lam, y, gap) of B by iterative aggregation-disaggregation over
     its tied classes (Koury, McAllister and Stewart 1984), or None.  The
@@ -556,13 +628,14 @@ def _aggregate(B: np.ndarray, classes):
     """
     top = []
     for K in classes:
-        W_A = np.where(B[np.ix_(K, K)] > 1.0 - _TIE_TOL, 0.0, -np.inf)
-        right, left = _perron_pair(W_A), _perron_pair(W_A.T)
+        W_A = np.where(B[np.ix_(K, K)] > 1.0 - TIGHT_TOL, 0.0, -np.inf)
+        flat = np.zeros(len(K)), [np.arange(len(K))]     # a 0/1 matrix is its own scaling
+        right, left = _perron_pair(W_A, flat), _perron_pair(W_A.T, flat)
         if right is None or left is None:
             return None
-        top.append((right[2], K, right[0], right[3], left[3] / (left[3] @ right[3])))
+        top.append((right[1], K, right[0], right[2], left[2] / (left[2] @ right[2])))
     rho = max(x[0] for x in top)
-    top = [x for x in top if x[0] >= rho * (1.0 - _TIE_TOL)]
+    top = [x for x in top if x[0] >= rho * (1.0 - TIGHT_TOL)]
     if len(top) < 2:
         return None
     rhos, Ks, As, ss, ls = zip(*top)
@@ -588,13 +661,15 @@ def _aggregate(B: np.ndarray, classes):
         C = np.array([[l @ E[ci, cj] @ uj for cj, uj in zip(cuts, u)]
                       for ci, l in zip(cuts, ls)])
         W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
-        if len(scc_of_edges(len(C), matrix_edges(C))) != 1:
+        edges = matrix_edges(C)
+        if len(scc_of_edges(len(C), edges)) != 1:
             return None                 # a coupling underflowed
-        mean = _max_cycle_mean(W)
-        got = _perron_pair(W - mean)
+        mean, h, den, classes = _potentials(len(C), edges, W[C > 0])
+        h = np.array([x / den for x in h])
+        got = _perron_pair(W - float(mean), (h, classes))
         if got is None:
             return None
-        _, h, new_delta, c, gap = got
+        _, new_delta, c, gap = got
         new_delta, c = new_delta * math.exp(mean), np.exp(h - h.max()) * c
         f = np.where(inner, 0.0, E) @ np.concatenate([ci * ui for ci, ui in zip(c, u)])
         new_u = []

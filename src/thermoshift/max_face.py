@@ -11,128 +11,54 @@ whose recurrent part carries every cycle of mean beta.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core_sft import PerronSolve, RecodedSft, matrix_edges, perron, scc_of_edges
+from .core_sft import (TIGHT_TOL, PerronSolve, RecodedSft, _cyclic_components, _howard,
+                       _int_weights, matrix_edges, perron)
 from .errors import InvalidArgumentError
 
 if TYPE_CHECKING:
     from .potential import PotentialLC
-
-TIGHT_TOL = 1e-9
-
-
-def _cyclic_components(n: int, edges):
-    """Nontrivial SCCs as sorted state lists, and the edges inside them,
-    in the given order."""
-    sccs = [list(c.states) for c in scc_of_edges(n, edges) if c.is_nontrivial]
-    comp_of = [-1] * n
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    return sccs, [(a, b) for (a, b) in edges if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
 
 
 def max_mean_data(n: int, edges, w):
     """(beta, recurrent tight edges, SCC node lists) of the max cycle
     mean beta of edges a -> b weighing w[a].
 
-    ``_howard`` runs on the edges inside the nontrivial SCCs, on the
-    weights scaled to ints (a float by its exact binary value), so an
-    exact beta is exact and a float one is rounded once.  Its h marks the
-    tight edges: w[a] q - p + h[b] == h[a] on an SCC of mean beta = p/q,
-    or for float weights within TIGHT_TOL of their scale.  Raises
-    InvalidArgumentError when the graph has no cycle.
+    ``_howard`` runs on the edges inside the nontrivial SCCs, each
+    weighing w[b] (the same cycle sums, and a start at the heaviest
+    successor), scaled to ints (a float by its exact binary value): beta
+    is exact or rounded once, and h marks the tight edges: w[b] q - p +
+    h[b] == h[a] on an SCC of mean beta = p/q, or for float weights within
+    TIGHT_TOL of their scale.  Raises InvalidArgumentError when the graph
+    has no cycle.
     """
     sccs, inner = _cyclic_components(n, edges)
     if not sccs:
         raise InvalidArgumentError("graph has no cycle")
-    exact = all(isinstance(x, (int, Fraction)) for x in w)
-    try:
-        ratios = [(x.numerator, x.denominator) if exact else float(x).as_integer_ratio()
-                  for x in w]
-    except (OverflowError, ValueError):
-        raise InvalidArgumentError("weights must be finite") from None
-    scale = math.lcm(*(d for _, d in ratios))
-    wi = [a * (scale // d) for a, d in ratios]
+    wi, scale, exact = _int_weights(w)
     succ = [[] for _ in range(n)]
     for a, b in inner:
-        succ[a].append(b)
-    p, q, h = _howard(succ, wi, [v for comp in sccs for v in comp])
+        succ[a].append((b, wi[b]))
+    p, q, h = _howard(succ, [v for comp in sccs for v in comp])
     means = {(p[c[0]], q[c[0]]) for c in sccs}
     top = max(Fraction(*m) for m in means)
     bp, bq = top.numerator, top.denominator
     if exact:
         beta = Fraction(bp, bq * scale)
         tight = [(a, b) for (a, b) in inner
-                 if p[a] == bp and q[a] == bq and wi[a] * bq - bp + h[b] == h[a]]
+                 if p[a] == bp and q[a] == bq and wi[b] * bq - bp + h[b] == h[a]]
     else:
         beta = bp / (bq * scale)
         tol = TIGHT_TOL * (1.0 + max((abs(float(w[a])) for (a, _) in edges), default=0.0))
         gap = {m: float((Fraction(*m) - top) / scale) for m in means}
         tight = [(a, b) for (a, b) in inner
-                 if gap[p[a], q[a]] + (wi[a] * q[a] - p[a] + h[b] - h[a]) / (q[a] * scale)
+                 if gap[p[a], q[a]] + (wi[b] * q[a] - p[a] + h[b] - h[a]) / (q[a] * scale)
                  >= -tol]
     sccs, rec_edges = _cyclic_components(n, tight)
     return beta, rec_edges, sccs
-
-
-def _howard(succ, w, nodes):
-    """Howard policy iteration (Cochet-Terrasson, Cohen, Gaubert,
-    McGettrick and Quadrat 1998) on int weights w over ``nodes``, a union
-    of SCCs whose edges ``succ`` lists: (p, q, h) with, on each SCC, its
-    maximum cycle mean p/q in lowest terms and h[a] = max_b (w[a] q - p +
-    h[b]).
-
-    Each state takes the mean of the policy cycle it reaches and h[a] =
-    w[a] q - p + h[policy(a)], 0 at the cycle's smallest state, so states
-    of one mean have h in the same units 1/q.  Then states move to a
-    successor of larger mean or, where none has one, of equal mean and
-    larger h, until none moves.
-    """
-    n = len(succ)
-    policy = [max(s, key=w.__getitem__) if s else -1 for s in succ]
-    p, q, h = [0] * n, [1] * n, [0] * n
-    while True:
-        walk = [-1] * n
-        for v in nodes:
-            if walk[v] >= 0:
-                continue
-            path, u = [], v
-            while walk[u] < 0:
-                walk[u] = v
-                path.append(u)
-                u = policy[u]
-            if walk[u] == v:            # the walk closed a new policy cycle at u
-                i = path.index(u)
-                cyc = path[i:]
-                total = sum(w[x] for x in cyc)
-                g = math.gcd(total, len(cyc))
-                u = min(cyc)
-                p[u], q[u], h[u] = total // g, len(cyc) // g, 0
-                r = cyc.index(u)
-                path = path[:i] + cyc[r + 1:] + cyc[:r]
-            pc, qc = p[u], q[u]
-            for x in reversed(path):        # each after its successor
-                p[x], q[x] = pc, qc
-                h[x] = w[x] * qc - pc + h[policy[x]]
-        moved = False
-        for v in nodes:
-            pv, qv = p[v], q[v]
-            for b in succ[v]:
-                if p[b] * qv > pv * q[b]:
-                    pv, qv, policy[v], moved = p[b], q[b], b, True
-        if not moved:
-            for v in nodes:
-                pv, qv, hb = p[v], q[v], h[policy[v]]
-                for b in succ[v]:
-                    if h[b] > hb and p[b] == pv and q[b] == qv:
-                        hb, policy[v], moved = h[b], b, True
-        if not moved:
-            return p, q, h
 
 
 def find_cycle(edges):

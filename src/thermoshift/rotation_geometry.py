@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from .core_sft import recode_to_one_step
@@ -421,22 +422,17 @@ def genericity_check(Phi: PotentialLC, orbits=None) -> GenericityReport:
     if orbits is None:
         orbits = elementary_orbits(Phi.sft, Phi.k)
     poly = rotation_set(Phi, orbits)
-    avgs = [a for _, a in poly.generator_points]
-    vertex_violations = []
-    boundary_violations = []
-    vset = {v: idx for idx, v in enumerate(poly.vertices)}
-    for vtx, vidx in vset.items():
-        at = [i for i, a in enumerate(avgs) if a == vtx]
-        for i in range(len(at)):
-            for j in range(i + 1, len(at)):
-                a, b = at[i], at[j]
-                if orbits[a].cylinders != orbits[b].cylinders:
-                    vertex_violations.append((vidx, (a, b)))
-    for i, a in enumerate(avgs):
-        if a in vset:
-            continue
-        if poly.membership(a) == "boundary":
-            boundary_violations.append(i)
+    at = {}                         # orbit indices by average
+    for i, a in poly.generator_points:
+        at.setdefault(a, []).append(i)
+    vertex_violations = [(vidx, (a, b)) for vidx, v in enumerate(poly.vertices)
+                         for a, b in combinations(at[v], 2)
+                         if orbits[a].cylinders != orbits[b].cylinders]
+    # every average lies in the hull: it is on the boundary when on a facet
+    vertices = set(poly.vertices)
+    boundary_violations = sorted(
+        i for a, ids in at.items() if a not in vertices
+        and any(_dot(f.normal, a) == f.offset for f in poly.facets) for i in ids)
     ok = not vertex_violations and not boundary_violations
     return GenericityReport(ok, vertex_violations, boundary_violations, poly.affine_dim)
 

@@ -6,28 +6,27 @@ maximum cycle mean beta is subtracted from the potential, and the
 pressure gains t*beta back.
 
 Every spectral solve goes through one engine, ``core_sft.perron``.  It
-scales the transfer matrix by max-plus potentials so that each entry is
-at most 1, solves it in doubles, certifies the Perron vector entrywise
-by a Collatz-Wielandt bound, and takes the stationary vector from GTH
-state reduction, so that masses far below 1e-16 keep their relative
-accuracy, also when tied maximizing components decouple at low
-temperature (aggregation over them).  mpmath is used only when a scaled
-entry leaves the double range, a solve does not certify, or the kernel
-or its state reduction underflows.  The precision starts from a size
-set by t and the weight range, doubles until both eigenvectors satisfy
-their equations to 1e-20 relative in every entry, and is recorded as
-``mp[digits]``.
+scales the transfer matrix by max-plus potentials (exact Howard policy
+iteration, as for beta) so that each entry is at most 1, solves it in
+doubles, certifies the Perron vector entrywise by a Collatz-Wielandt
+bound, and takes the stationary vector from GTH state reduction, so
+that masses far below 1e-16 keep their relative accuracy, also when
+tied maximizing components decouple at low temperature (aggregation
+over them).  mpmath is used only when a scaled entry leaves the double
+range, a solve does not certify, or the kernel or its state reduction
+underflows.  The precision starts from a size set by t and the weight
+range, doubles until both eigenvectors satisfy their equations to
+1e-20 relative in every entry, and is recorded as ``mp[digits]``.
 
 A potential is immutable and keeps what its solves share: the first
 solve builds the recoding, the irreducibility check, beta (the exact
 max-plus pass ``max_face.max_mean_data``) and the log weights of
 phi - beta with their max-plus potentials (``core_sft.Transfer``), and
-every later ``pressure`` or ``equilibrium_markov`` call, at any t, runs
-only the stages that depend on t: the scaling, the eigensolve and
-polish, the kernel and GTH.  The
-engine's stages also take a stack axis: ``core_sft.perron_stack``
-solves many weight rows on one edge set at once (the face-curve samples),
-and ``markov_entropy`` takes stacked chains.
+every later ``pressure`` or ``equilibrium_markov`` call, at any finite
+t, runs only the stages that depend on t: the scaling, the eigensolve
+and polish, the kernel and GTH.  The engine's stages also take a stack
+axis: ``core_sft.perron_stack`` solves transfers on one edge set, each
+at its t, at once (face-curve samples); ``markov_entropy`` takes stacks.
 """
 
 from __future__ import annotations
@@ -92,6 +91,8 @@ def _solve(phi: PotentialLC, t: float, what: str):
     """(beta, Perron solve) of t * phi on the one-step recoding; the
     recoding, the irreducibility check, beta and the max-plus scaling
     are the potential's own, built by its first solve."""
+    if not np.isfinite(t):
+        raise InvalidArgumentError(f"{what} needs a finite t, got {t}")
     if phi.m != 1:
         raise InvalidArgumentError(f"{what} takes a scalar potential")
     if not phi._irreducible:

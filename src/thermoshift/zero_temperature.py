@@ -210,6 +210,8 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
     ``method`` is "auto" (symmetry shortcut when available, else sweep),
     "symmetry" (fail to sweep if unavailable), or "sweep".
     """
+    if not math.isfinite(t_max):
+        raise InvalidArgumentError(f"t_max must be finite, got {t_max}")
     res = classify(phi)
     ids = res.max_entropy_ids
     if res.case != CASE_MULTI_COMPONENT:

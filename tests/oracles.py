@@ -164,11 +164,12 @@ def karp_max_mean(n: int, edges, w):
     return best
 
 
-def critical_edges(n: int, edges, w, beta) -> set:
+def critical_edges(n: int, edges, w, beta, tol=0) -> set:
     """Edges a -> b (weighing w[a]) on some cycle of mean beta, the
     maximum cycle mean: w[a] - beta plus the heaviest path from b back to
-    a in the weights w - beta is 0.  Floyd-Warshall on those weights,
-    scaled to ints; float weights count by their exact binary values."""
+    a in the weights w - beta is 0, or at least -tol.  Floyd-Warshall on
+    those weights, scaled to ints; float weights count by their exact
+    binary values."""
     r = [Fraction(x) - Fraction(beta) for x in w]
     scale = math.lcm(*(x.denominator for x in r))
     r = [int(x * scale) for x in r]
@@ -183,7 +184,65 @@ def critical_edges(n: int, edges, w, beta) -> set:
             for j in range(n):
                 if P[k][j] is not None and (P[i][j] is None or P[i][k] + P[k][j] > P[i][j]):
                     P[i][j] = P[i][k] + P[k][j]
-    return {(a, b) for a, b in edges if P[b][a] is not None and r[a] + P[b][a] == 0}
+    return {(a, b) for a, b in edges
+            if P[b][a] is not None and Fraction(r[a] + P[b][a], scale) >= -Fraction(tol)}
+
+
+def edge_classes(edges) -> list:
+    """The states of each connected piece of an edge set, sorted, the
+    pieces ordered by smallest state.  For critical edges, each on a
+    critical cycle, these are the critical classes."""
+    piece = {}
+    for a, b in edges:
+        pa, pb = piece.setdefault(a, {a}), piece.setdefault(b, {b})
+        if pa is not pb:
+            pa |= pb
+            for v in pb:
+                piece[v] = pa
+    return sorted({id(p): sorted(p) for p in piece.values()}.values())
+
+
+def kleene_potentials(n: int, edges, w):
+    """(mean, h, classes) of a strongly connected digraph whose edge e
+    weighs w[e], in Fractions: the maximum cycle mean (Karp on edge
+    weights), and from the max-plus Kleene star D of w - mean
+    (Floyd-Warshall) the critical classes (D[a, a] = 0, a ~ b when D[a,
+    b] + D[b, a] = 0) and the balanced eigenvector h[a] = max_i (D[a,
+    c_i] + g_i), c_i the smallest state of class i and g this function's
+    h on the class matrix D[c_i, c_j] (i != j); with one class, h is the
+    column D[:, c_1]."""
+    w = [Fraction(x) for x in w]
+    F = [[Fraction(0)] * n]         # F[k][v]: heaviest k-edge walk ending at v
+    for _ in range(n):
+        cur = [None] * n
+        for (a, b), x in zip(edges, w):
+            if F[-1][a] is not None and (cur[b] is None or F[-1][a] + x > cur[b]):
+                cur[b] = F[-1][a] + x
+        F.append(cur)
+    mean = max(min((F[n][v] - F[k][v]) / (n - k) for k in range(n) if F[k][v] is not None)
+               for v in range(n) if F[n][v] is not None)
+    D = [[None] * n for _ in range(n)]
+    for (a, b), x in zip(edges, w):
+        if D[a][b] is None or x - mean > D[a][b]:
+            D[a][b] = x - mean
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if D[i][k] is not None and D[k][j] is not None and (
+                        D[i][j] is None or D[i][k] + D[k][j] > D[i][j]):
+                    D[i][j] = D[i][k] + D[k][j]
+    crit = [a for a in range(n) if D[a][a] == 0]
+    classes = []
+    for a in crit:
+        if not any(a in c for c in classes):
+            classes.append([b for b in crit if b == a or D[a][b] + D[b][a] == 0])
+    reps = [c[0] for c in classes]
+    star = [[Fraction(0) if a == c else D[a][c] for c in reps] for a in range(n)]
+    if len(reps) == 1:
+        return mean, [row[0] for row in star], classes
+    pairs = [(i, j) for i in range(len(reps)) for j in range(len(reps)) if i != j]
+    g = kleene_potentials(len(reps), pairs, [star[reps[i]][j] for i, j in pairs])[1]
+    return mean, [max(x + gi for x, gi in zip(row, g)) for row in star], classes
 
 
 def brute_face_words(transition, values: dict, k: int, max_period: int):

@@ -1,20 +1,23 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import thermoshift.boundary_entropy as boundary_entropy
 import thermoshift.core_sft as core_sft
-from oracles import (LOG_GOLDEN, dual_grid_entropy, karp_max_mean, numpy_pressure,
-                     random_rational_values, random_transitive_sft)
+from oracles import (LOG_GOLDEN, critical_edges, dual_grid_entropy, edge_classes,
+                     karp_max_mean, numpy_pressure, random_rational_values,
+                     random_transitive_sft)
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          OutOfDomainError, PotentialLC, Sft,
                          UnsupportedDimensionError, differentiability_scan,
                          equilibrium_markov, face_entropy_curve, face_subshift,
                          get_potential, get_shift, localized_entropy_interior,
                          recode_to_one_step, rotation_set)
+from thermoshift.core_sft import TIGHT_TOL
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -152,15 +155,15 @@ def _planar_facet_curves(count, seed):
 
 def test_stacked_lanes_match_single_solves(monkeypatch):
     # every lane of every stacked solve a face curve makes agrees entry by
-    # entry with perron on that lane's weights alone.  The inputs include
+    # entry with perron on that lane's weights and t alone.  The inputs include
     # lanes with tied critical classes, which stay in the stack unless
     # their gap collapses (then they leave for aggregation), and lanes
     # whose slow modes are deflated inside the stack
     stacks, alone, deflated = [], [], []
 
-    def recording(n, edges, weights):
-        got = stack(n, edges, weights)
-        stacks.append((n, edges, np.array(weights), got))
+    def recording(transfers, t):
+        got = stack(transfers, t)
+        stacks.append((transfers, t, got))
         return got
 
     def leaving(n, edges, weights, t=1.0):
@@ -184,18 +187,13 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     face_entropy_curve(_edge_face_potential(), (-2, -1))
     _planar_facet_curves(20, seed=9)
     # twofix's tied fixed points decouple as t grows: aggregation, alone
-    Phi = get_potential("twofix")
-    recoded = recode_to_one_step(Phi.sft, Phi.k)
-    vals = [x for (x,) in Phi.state_values()]
-    beta = karp_max_mean(recoded.n, recoded.edges(), vals)
-    recording(recoded.n, recoded.edges(),
-              [[t * float(x - beta) for x in vals] for t in (1, 4, 16, 40)])
+    recording([get_potential("twofix")._transfer] * 4, [1.0, 4.0, 16.0, 40.0])
     monkeypatch.undo()
 
     lanes = 0
-    for n, edges, weights, (log_lam, P, p) in stacks:
-        for row, a, A, x in zip(weights, log_lam, P, p):
-            sol = perron(n, edges, row)
+    for transfers, t, (log_lam, P, p) in stacks:
+        for tr, ti, a, A, x in zip(transfers, t, log_lam, P, p):
+            sol = perron(tr.n, tr.edges, tr.weights, ti)
             assert abs(a - sol.log_lam) <= 1e-13 * abs(sol.log_lam)
             assert np.all(np.abs(A - sol.transition) <= 1e-13 * sol.transition)
             assert np.all(np.abs(x - sol.stationary) <= 1e-13 * sol.stationary)
@@ -203,14 +201,15 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     assert lanes > 10000
 
     def tied(n, edges, row):
-        W = np.full((n, n), -np.inf)
-        for a, b in edges:
-            W[a, b] = row[a]
-        return len(core_sft._maxplus_potentials(W)[1]) > 1
+        # critical classes to the engine's tolerance for float weights
+        crit = critical_edges(n, edges, row, karp_max_mean(n, edges, row),
+                              TIGHT_TOL * (1 + max(map(abs, row))))
+        return len(edge_classes(crit)) > 1
 
     assert any(tied(*lane) for lane in alone)
-    assert sum(tied(n, edges, row) for n, edges, weights, _ in stacks
-               for row in weights) > len(alone)
+    tied_lanes = (1 for transfers, t, _ in stacks for tr, ti in zip(transfers, t)
+                  if tied(tr.n, tr.edges, [ti * float(x) for x in tr.weights]))
+    assert sum(islice(tied_lanes, len(alone) + 1)) > len(alone)
     assert deflated
 
 

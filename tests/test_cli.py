@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +164,32 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "line 1" in err and "column" in err
     rc, _, err = run(capsys, "classify", "--potential", "trivec")
     assert rc == 2
+
+
+def test_malformed_shift_json_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    for text in ('{"transition": 5}', '{"transition": [[1]], "labels": 3}'):
+        bad.write_text(text)
+        rc, _, err = run(capsys, "orbits", "--shift", str(bad), "--k", "1")
+        assert rc == 2 and "input error" in err and "Traceback" not in err
+
+
+def _cap_memory():
+    # a schedule that never ends would otherwise fill memory until the timeout
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("tmax", ["inf", "nan"])
+def test_non_finite_tmax_exits_2(tmax):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env[CACHE_ENV] = "off"
+    got = subprocess.run([sys.executable, "-m", "thermoshift.cli", "ztsweep",
+                          "--potential", "threefix_a", "--tmax", tmax],
+                         env=env, capture_output=True, text=True, timeout=60,
+                         preexec_fn=_cap_memory)
+    assert got.returncode == 2, got.stderr
+    assert "input error" in got.stderr and "finite" in got.stderr
 
 
 def test_numeric_errors_exit_3(capsys, monkeypatch):

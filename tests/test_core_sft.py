@@ -1,15 +1,19 @@
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft,
+from oracles import critical_edges, edge_classes, karp_max_mean, kleene_potentials
+from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft, get_potential,
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
-from thermoshift.core_sft import matrix_edges, perron, scc_of_edges
+from thermoshift.builtins import potential_names
+from thermoshift.core_sft import TIGHT_TOL, _potentials, matrix_edges, perron, scc_of_edges
 
 
 def test_full_shift_basics():
@@ -148,3 +152,95 @@ def test_json_round_trip():
         Sft.from_json("{not json")
     with pytest.raises(InvalidArgumentError):
         Sft.from_json('{"d": 2}')
+    for bad in ('{"transition": 5}', '{"transition": [[1]], "labels": 3}',
+                '{"transition": [5]}', '[1, 2]'):
+        with pytest.raises(InvalidArgumentError):
+            Sft.from_json(bad)
+
+
+def _planted_ties(rng, classes):
+    """(n, edges, w) of an irreducible digraph whose edge a -> b weighs
+    w[a], with ``classes`` planted critical cycles (lengths 1 to 3, one
+    mean) joined only through lighter hub states."""
+    top = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+    s = rng.randint(0, 3)
+    while True:
+        cycles, w = [], []
+        for _ in range(classes):
+            devs = rng.choice(((0,), (s, -s), (s, 0, -s)))
+            cycles.append(list(range(len(w), len(w) + len(devs))))
+            w += [top + d for d in devs]
+        hubs = list(range(len(w), len(w) + rng.randint(1, 4)))
+        w += [top - s - rng.randint(1, 4) for _ in hubs]
+        edges = {(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))}
+        edges |= {(v, rng.choice(hubs)) for c in cycles for v in c if rng.random() < 0.6}
+        edges |= {(h, rng.randrange(len(w))) for h in hubs for _ in range(3)}
+        n = len(w)
+        if _is_irreducible_oracle(n, edges):
+            return n, sorted(edges), w
+
+
+def _is_irreducible_oracle(n, edges):
+    reach = [{v} for v in range(n)]
+    for _ in range(n):
+        for a, b in edges:
+            reach[a] |= reach[b]
+    return all(len(r) == n for r in reach)
+
+
+def _check_potentials(n, edges, w, tol=0):
+    """The engine's potentials of state weights w against the oracles:
+    the max-plus eigen-equation, the classes of the critical edges (to
+    tol), no tight path between classes, and, for exact binary values,
+    the balanced Kleene construction up to a constant, all in exact
+    arithmetic."""
+    ew = [w[a] for a, _ in edges]
+    mean, h, den, classes = _potentials(n, edges, ew)
+    h = [Fraction(x, den) for x in h]
+    want_mean, want_h, _ = kleene_potentials(n, edges, ew)
+    assert mean == want_mean
+    # the max-plus eigen-equation, to tol (a class tied within tol of the
+    # top is balanced as one)
+    best = [None] * n
+    for (a, b), x in zip(edges, ew):
+        if best[a] is None or Fraction(x) - mean + h[b] > best[a]:
+            best[a] = Fraction(x) - mean + h[b]
+    assert all(abs(x - y) <= Fraction(tol) for x, y in zip(best, h))
+    crit = critical_edges(n, edges, w, want_mean, tol)
+    assert classes == edge_classes(crit)
+    # no path of tight edges leads from one class to another
+    tight = [(a, b) for (a, b), x in zip(edges, ew)
+             if Fraction(x) - mean + h[b] - h[a] >= -Fraction(tol)]
+    for c in classes:
+        reach, todo = set(c), list(c)
+        while todo:
+            v = todo.pop()
+            for a, b in tight:
+                if a == v and b not in reach:
+                    reach.add(b)
+                    todo.append(b)
+        assert all(reach.isdisjoint(k) for k in classes if k is not c)
+    if not tol:
+        assert len({x - y for x, y in zip(h, want_h)}) == 1
+    return len(classes)
+
+
+def test_potentials_match_the_kleene_oracle():
+    rng = random.Random(13)
+    seen = set()
+    for trial in range(60):
+        n, edges, w = _planted_ties(rng, 1 + trial % 3)
+        seen.add(_check_potentials(n, edges, w))
+        assert _check_potentials(n, edges, [float(x) for x in w]) == 1 + trial % 3
+        # floats off the binary grid: ties hold to rounding, within TIGHT_TOL
+        thirds = [float(x + Fraction(1, 3)) for x in w]
+        _check_potentials(n, edges, thirds, TIGHT_TOL * (1 + max(map(abs, thirds))))
+    assert seen == {1, 2, 3}
+    for name in potential_names():
+        phi = get_potential(name)
+        if phi.m != 1:
+            continue
+        rec = recode_to_one_step(phi.sft, phi.k)
+        vals = [x for (x,) in phi.state_values()]
+        beta = karp_max_mean(rec.n, rec.edges(), vals)
+        _check_potentials(rec.n, rec.edges(), [x - beta for x in vals])

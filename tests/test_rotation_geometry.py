@@ -10,7 +10,7 @@ from thermoshift import (PotentialLC, ResourceLimitError, Sft, birkhoff_average,
                          face_in_direction, face_segment, genericity_check, get_potential,
                          get_shift, rotation_set, universal_potential)
 from thermoshift import rotation_geometry
-from thermoshift.rotation_geometry import _AffineFrame, orbit_averages
+from thermoshift.rotation_geometry import RotationPolytope, _AffineFrame, orbit_averages
 
 
 def test_triangle_polytope_exact():
@@ -294,3 +294,22 @@ def test_genericity_check():
     clean = PotentialLC.from_block_values(
         Sft.full(2), 1, {(0,): (0, 0), (1,): (1, 1)}, m=2)
     assert genericity_check(clean).generic
+
+
+def test_genericity_check_groups_averages_against_the_facets(monkeypatch):
+    # each distinct average is tested once against the facets, with no
+    # frame reduction: every generator lies in the hull
+    def boom(*args):
+        raise AssertionError("membership called")
+
+    monkeypatch.setattr(RotationPolytope, "membership", boom)
+    tied = PotentialLC.from_block_values(
+        Sft.full(2), 2, {(0, 0): (1, 0), (1, 1): (1, 0),
+                         (0, 1): (0, 0), (1, 0): (0, 0)}, m=2)
+    rep = genericity_check(tied)
+    assert (rep.vertex_violations, rep.boundary_violations) == ([(1, (0, 1))], [])
+    edgy = PotentialLC.from_block_values(
+        Sft.full(2), 2, {(0, 0): (0, 0), (1, 1): (1, 0),
+                         (0, 1): (1, 2), (1, 0): (0, 0)}, m=2)
+    rep = genericity_check(edgy)
+    assert (rep.vertex_violations, rep.boundary_violations) == ([], [3, 4])

@@ -137,6 +137,13 @@ def test_reducible_and_vector_inputs_are_rejected():
         pressure(get_potential("trivec"), 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_is_an_input_error(t):
+    for solve in (pressure, equilibrium_markov):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            solve(get_potential("twofix"), t)
+
+
 def test_extreme_t_underflows_cleanly():
     with pytest.raises(UnderflowError):
         equilibrium_markov(get_potential("twofix"), t=2.0e4)

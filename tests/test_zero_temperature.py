@@ -15,6 +15,14 @@ from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
 from thermoshift.zero_temperature import _weighted_automorphisms
 
 
+def test_non_finite_t_max_is_an_input_error():
+    # nan first: a default schedule up to inf would never end
+    for t_max in (math.nan, math.inf):
+        for name in ("threefix_a", "fix0"):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                zt_coefficients(get_potential(name), t_max=t_max)
+
+
 def test_fixed_point_classifications():
     for name, label in (("fix0", "00"), ("fix1", "11")):
         res = classify(get_potential(name))

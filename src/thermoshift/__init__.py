@@ -5,64 +5,62 @@ their equilibrium Markov measures as the inverse temperature grows,
 computes rotation-set polytopes and maximizing subshifts, and evaluates
 the localized entropy function in the interior and on one-dimensional
 faces of the rotation set.
+
+The public names below load their defining module on first access
+(PEP 562), so that ``import thermoshift`` and the commands that never
+solve a Perron problem do not import numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateFaceError, EmptyShiftError, InvalidArgumentError,
-                     NotTransitiveError, NumericError, OutOfDomainError,
-                     ReducibleMatrixError, ResourceLimitError, ThermoshiftError,
-                     UnderflowError, UnsupportedDimensionError)
-from .core_sft import (RecodedSft, SccComponent, Sft, is_transitive,
-                       recode_to_one_step, strongly_connected_components)
-from .orbits import (ElementaryOrbit, birkhoff_average, elementary_orbits,
-                     permutability_classes)
-from .potential import (CohomologyReport, PotentialLC, cohomology_test,
-                        scalarize, universal_potential)
-from .rotation_geometry import (FaceFingerprint, GenericityReport,
-                                RotationPolytope, face_in_direction,
-                                face_segment, genericity_check, rotation_set)
-from .max_face import (FaceComponent, FaceSubshift, face_subshift,
-                       max_entropy_components, max_mean_data)
-from .thermodynamics import (MarkovMeasure, equilibrium_markov, parry_measure,
-                             pressure)
-from .zero_temperature import (ClassificationResult, ZtCoefficients, classify,
-                               ground_state_check, symmetry_coefficients,
-                               zt_coefficients)
-from .boundary_entropy import (DiffReport, FaceCurve, differentiability_scan,
-                               face_entropy_curve, localized_entropy_interior)
-from .builtins import get_potential, get_shift, potential_names, shift_names
-from .cache import cached_elementary_orbits
-
-__all__ = [
-    "__version__",
-    # errors
-    "ThermoshiftError", "InvalidArgumentError", "EmptyShiftError",
-    "ReducibleMatrixError", "NotTransitiveError", "ResourceLimitError",
-    "UnsupportedDimensionError", "OutOfDomainError", "DegenerateFaceError",
-    "UnderflowError", "NumericError",
+_EXPORTS = {
+    "errors": (
+        "ThermoshiftError", "InvalidArgumentError", "EmptyShiftError",
+        "ReducibleMatrixError", "NotTransitiveError", "ResourceLimitError",
+        "UnsupportedDimensionError", "OutOfDomainError", "DegenerateFaceError",
+        "UnderflowError", "NumericError"),
     # shifts and orbits
-    "Sft", "RecodedSft", "SccComponent", "recode_to_one_step", "is_transitive",
-    "strongly_connected_components", "ElementaryOrbit",
-    "elementary_orbits", "birkhoff_average", "permutability_classes",
+    "core_sft": ("Sft", "RecodedSft", "SccComponent", "recode_to_one_step",
+                 "is_transitive", "strongly_connected_components"),
+    "orbits": ("ElementaryOrbit", "elementary_orbits", "birkhoff_average",
+               "permutability_classes"),
     # potentials
-    "PotentialLC", "scalarize", "universal_potential", "CohomologyReport",
-    "cohomology_test",
-    # rotation geometry
-    "RotationPolytope", "FaceFingerprint", "GenericityReport", "rotation_set",
-    "face_in_direction", "face_segment", "genericity_check",
+    "potential": ("PotentialLC", "scalarize", "universal_potential",
+                  "CohomologyReport", "cohomology_test"),
+    "rotation_geometry": ("RotationPolytope", "FaceFingerprint", "GenericityReport",
+                          "rotation_set", "face_in_direction", "face_segment",
+                          "genericity_check"),
     # maximizing subshifts
-    "FaceSubshift", "FaceComponent", "face_subshift", "max_entropy_components",
-    "max_mean_data",
-    # thermodynamics
-    "MarkovMeasure", "pressure", "equilibrium_markov", "parry_measure",
-    # zero temperature
-    "ClassificationResult", "ZtCoefficients", "classify", "zt_coefficients",
-    "symmetry_coefficients", "ground_state_check",
-    # boundary entropy
-    "FaceCurve", "DiffReport", "face_entropy_curve", "differentiability_scan",
-    "localized_entropy_interior",
+    "max_face": ("FaceSubshift", "FaceComponent", "face_subshift",
+                 "max_entropy_components", "max_mean_data"),
+    # the modules below import numpy
+    "thermodynamics": ("MarkovMeasure", "pressure", "equilibrium_markov",
+                       "parry_measure"),
+    "zero_temperature": ("ClassificationResult", "ZtCoefficients", "classify",
+                         "zt_coefficients", "symmetry_coefficients",
+                         "ground_state_check"),
+    "boundary_entropy": ("FaceCurve", "DiffReport", "face_entropy_curve",
+                         "differentiability_scan", "localized_entropy_interior"),
     # named examples and cache
-    "get_shift", "get_potential", "shift_names", "potential_names",
-    "cached_elementary_orbits",
-]
+    "builtins": ("get_shift", "get_potential", "shift_names", "potential_names"),
+    "cache": ("cached_elementary_orbits",),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value         # later reads skip this hook, as after an eager import
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

@@ -12,7 +12,7 @@ maximizing subshift; each transitive component contributes the curve
 (s(v), h(v)) of its equilibrium states for a tangential dual parameter
 v, swept on a tan-spaced grid so the slope (which equals -v) is
 resolved evenly.  The one spectral engine solves all samples of a
-component as one stack (``core_sft.perron_stack``); the interior Newton
+component as one stack (``spectral.perron_stack``); the interior Newton
 steps are single solves.  Component endpoints are anchored exactly: the
 extreme tangential mean is a max cycle mean, and the entropy there is
 the top entropy of the sub-face it cuts out.  The entropy profile of the whole
@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, perron, perron_stack
+from .core_sft import Sft
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
 from .potential import PotentialLC
 from .rotation_geometry import RotationPolytope, _snap, rotation_set
+from .spectral import perron, perron_stack
 from .thermodynamics import _measure, markov_entropy
 
 DEFAULT_SAMPLES = 201

@@ -17,25 +17,21 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import sys
 from bisect import bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import builtins as registry
-from .boundary_entropy import differentiability_scan, face_entropy_curve
 from .cache import atomic_write_text, cached_elementary_orbits
 from .core_sft import Sft, _block_label
 from .errors import (InvalidArgumentError, NumericError, ResourceLimitError,
                      ThermoshiftError, UnderflowError)
 from .potential import PotentialLC, cohomology_test
 from .rotation_geometry import rotation_set
-from .zero_temperature import (CASE_MULTI_COMPONENT, classify,
-                               symmetry_coefficients, zt_coefficients)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,7 +114,7 @@ def _num(x):
         return str(x)
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):     # numpy's integers register here
         return int(x)
     return float(x)
 
@@ -210,6 +206,9 @@ def _cmd_rotset(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    # the solving modules load numpy, which orbits, rotset and cohom never need
+    from .zero_temperature import (CASE_MULTI_COMPONENT, classify,
+                                   symmetry_coefficients)
     phi = _resolve_potential(args)
     if phi.m != 1:
         raise InvalidArgumentError("classify takes a scalar potential; "
@@ -244,6 +243,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ztsweep(args) -> int:
+    from .zero_temperature import zt_coefficients    # loads numpy
     phi = _resolve_potential(args)
     if phi.m != 1:
         raise InvalidArgumentError("ztsweep takes a scalar potential")
@@ -296,6 +296,8 @@ def _curve_rows(curve, n: int) -> list:
 
 
 def _cmd_facecurve(args) -> int:
+    from .boundary_entropy import (differentiability_scan,     # loads numpy
+                                   face_entropy_curve)
     phi = _resolve_potential(args)
     if phi.m != 2:
         raise InvalidArgumentError("facecurve needs a potential with m = 2")

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core_sft import (TIGHT_TOL, PerronSolve, RecodedSft, _cyclic_components, _howard,
-                       _int_weights, matrix_edges, perron)
+from .core_sft import (TIGHT_TOL, RecodedSft, _cyclic_components, _howard, _int_weights,
+                       matrix_edges)
 from .errors import InvalidArgumentError
 
 if TYPE_CHECKING:
     from .potential import PotentialLC
+    from .spectral import PerronSolve
 
 
 def max_mean_data(n: int, edges, w):
@@ -97,8 +98,9 @@ class FaceComponent:
 
     @functools.cached_property
     def perron_solve(self) -> PerronSolve:
+        from .spectral import Transfer     # numpy loads only for Perron solves
         n = len(self.matrix)
-        return perron(n, matrix_edges(self.matrix), [0] * n)
+        return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()
 
     @property
     def entropy(self) -> float:

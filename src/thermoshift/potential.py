@@ -15,11 +15,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-from .core_sft import (RecodedSft, Sft, Transfer, _is_irreducible,
-                       recode_to_one_step)
+from .core_sft import RecodedSft, Sft, _is_irreducible, recode_to_one_step
 from .errors import InvalidArgumentError
 from .max_face import find_cycle, max_mean_data
+
+if TYPE_CHECKING:
+    from .spectral import Transfer
 
 FLOAT_EQ_TOL = 1e-9
 
@@ -44,7 +47,7 @@ class PotentialLC:
     state values, the irreducibility of the recoding, the maximum cycle
     mean beta and the tight edges of a scalar potential, and the
     transfer matrix of phi - beta with its max-plus scaling
-    (``core_sft.Transfer``).
+    (``spectral.Transfer``).
     """
 
     sft: Sft
@@ -116,6 +119,7 @@ class PotentialLC:
     @functools.cached_property
     def _transfer(self) -> Transfer:
         """The transfer matrix of a scalar phi - beta on the recoding."""
+        from .spectral import Transfer     # numpy loads only for Perron solves
         beta = self._beta
         return Transfer(self._recoded.n, self._recoded.edges(),
                         [x - beta for (x,) in self._state_values])

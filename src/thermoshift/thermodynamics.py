@@ -5,7 +5,7 @@ recoding, with the weight of an edge attached to its source block.  The
 maximum cycle mean beta is subtracted from the potential, and the
 pressure gains t*beta back.
 
-Every spectral solve goes through one engine, ``core_sft.perron``.  It
+Every spectral solve goes through one engine, ``spectral.perron``.  It
 scales the transfer matrix by max-plus potentials (exact Howard policy
 iteration, as for beta) so that each entry is at most 1, solves it in
 doubles, certifies the Perron vector entrywise by a Collatz-Wielandt
@@ -21,11 +21,11 @@ range, doubles until both eigenvectors satisfy their equations to
 A potential is immutable and keeps what its solves share: the first
 solve builds the recoding, the irreducibility check, beta (the exact
 max-plus pass ``max_face.max_mean_data``) and the log weights of
-phi - beta with their max-plus potentials (``core_sft.Transfer``), and
+phi - beta with their max-plus potentials (``spectral.Transfer``), and
 every later ``pressure`` or ``equilibrium_markov`` call, at any finite
 t, runs only the stages that depend on t: the scaling, the eigensolve
 and polish, the kernel and GTH.  The engine's stages also take a stack
-axis: ``core_sft.perron_stack`` solves transfers on one edge set, each
+axis: ``spectral.perron_stack`` solves transfers on one edge set, each
 at its t, at once (face-curve samples); ``markov_entropy`` takes stacks.
 """
 
@@ -35,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, _is_irreducible, matrix_edges, perron
+from .core_sft import Sft, _is_irreducible, matrix_edges
 from .errors import InvalidArgumentError, NotTransitiveError
 from .potential import PotentialLC
+from .spectral import perron
 
 
 @dataclass

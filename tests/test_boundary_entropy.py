@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import thermoshift.boundary_entropy as boundary_entropy
-import thermoshift.core_sft as core_sft
+import thermoshift.spectral as spectral
 from oracles import (LOG_GOLDEN, critical_edges, dual_grid_entropy, edge_classes,
                      karp_max_mean, numpy_pressure, random_rational_values,
                      random_transitive_sft)
@@ -168,20 +168,20 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
 
     def leaving(n, edges, weights, t=1.0):
         alone.append((n, edges, list(weights)))
-        core_sft._deflate = deflate     # deflations of single solves do not count
+        spectral._deflate = deflate     # deflations of single solves do not count
         try:
             return perron(n, edges, weights, t)
         finally:
-            core_sft._deflate = counting_deflate
+            spectral._deflate = counting_deflate
 
     def counting_deflate(*args):
         deflated.append(1)
         return deflate(*args)
 
-    stack, perron, deflate = core_sft.perron_stack, core_sft.perron, core_sft._deflate
+    stack, perron, deflate = spectral.perron_stack, spectral.perron, spectral._deflate
     monkeypatch.setattr(boundary_entropy, "perron_stack", recording)
-    monkeypatch.setattr(core_sft, "perron", leaving)
-    monkeypatch.setattr(core_sft, "_deflate", counting_deflate)
+    monkeypatch.setattr(spectral, "perron", leaving)
+    monkeypatch.setattr(spectral, "_deflate", counting_deflate)
     face_entropy_curve(get_potential("trivec"), (0, -1))
     face_entropy_curve(get_potential("kinkvec"), (0, -1))
     face_entropy_curve(_edge_face_potential(), (-2, -1))

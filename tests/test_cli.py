@@ -195,7 +195,7 @@ def test_non_finite_tmax_exits_2(tmax):
 def test_numeric_errors_exit_3(capsys, monkeypatch):
     def boom(*a, **k):
         raise NumericError("spectral certificate failed")
-    monkeypatch.setattr("thermoshift.cli.zt_coefficients", boom)
+    monkeypatch.setattr("thermoshift.zero_temperature.zt_coefficients", boom)
     rc, _, err = run(capsys, "ztsweep", "--potential", "twofix")
     assert rc == 3
     assert "spectral certificate failed" in err

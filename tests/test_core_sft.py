@@ -13,7 +13,8 @@ from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft, get_potenti
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
 from thermoshift.builtins import potential_names
-from thermoshift.core_sft import TIGHT_TOL, _potentials, matrix_edges, perron, scc_of_edges
+from thermoshift.core_sft import TIGHT_TOL, _potentials, matrix_edges, scc_of_edges
+from thermoshift.spectral import perron
 
 
 def test_full_shift_basics():

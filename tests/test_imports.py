@@ -1,0 +1,83 @@
+"""Which modules a process loads: numpy and mpmath only where a Perron
+problem is solved.  Each case runs in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from thermoshift.cache import CACHE_ENV
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(code: str) -> None:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env[CACHE_ENV] = "off"
+    got = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+
+
+def _loaded_after(argv) -> str:
+    """Code that runs the CLI on argv and then names the heavy modules it loaded."""
+    return ("import sys, thermoshift.cli\n"
+            f"assert thermoshift.cli.main({argv!r}) == 0\n"
+            "loaded = {'numpy', 'mpmath'} & set(sys.modules)\n")
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    _run("import sys, thermoshift\n"
+         "assert not {'numpy', 'mpmath'} & set(sys.modules), sys.modules.keys()")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--shift", "golden", "--k", "3"],
+    ["rotset", "--potential", "trivec"],
+    ["cohom", "--potential", "gold0"],
+], ids=lambda argv: argv[0])
+def test_exact_commands_run_without_numpy(argv):
+    _run(_loaded_after(argv) + "assert not loaded, loaded")
+
+
+def test_classify_loads_numpy():
+    _run(_loaded_after(["classify", "--potential", "gold0"])
+         + "assert 'numpy' in loaded, loaded")
+
+
+def test_public_names_resolve_and_are_listed():
+    _run("import importlib, thermoshift\n"
+         "names = set(dir(thermoshift))\n"
+         "for name in thermoshift.__all__:\n"
+         "    assert name in names, name\n"
+         "    assert getattr(thermoshift, name) is not None, name\n"
+         "    if name != '__version__':\n"
+         "        owner = importlib.import_module(\n"
+         "            'thermoshift.' + thermoshift._MODULE_OF[name])\n"
+         "        obj = getattr(owner, name)\n"
+         "        assert getattr(thermoshift, name) is obj, name\n"
+         "        assert obj.__module__ == owner.__name__, name")
+
+
+def test_star_import_binds_the_defining_objects():
+    _run("import importlib, thermoshift\n"
+         "ns = {}\n"
+         "exec('from thermoshift import *', ns)\n"
+         "assert set(thermoshift.__all__) <= set(ns)\n"
+         "for name in thermoshift.__all__[1:]:\n"
+         "    owner = importlib.import_module(\n"
+         "        'thermoshift.' + thermoshift._MODULE_OF[name])\n"
+         "    assert ns[name] is getattr(owner, name), name\n"
+         "assert ns['__version__'] == thermoshift.__version__")
+
+
+def test_unknown_names_raise_attribute_error():
+    _run("import thermoshift\n"
+         "try:\n"
+         "    thermoshift.no_such_name\n"
+         "except AttributeError:\n"
+         "    pass\n"
+         "else:\n"
+         "    raise AssertionError('no AttributeError')")

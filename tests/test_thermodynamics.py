@@ -14,7 +14,7 @@ from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, mp_equilibrium,
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, UnderflowError, equilibrium_markov, get_potential,
                          get_shift, parry_measure, pressure)
-from thermoshift.core_sft import GAP_FLOOR
+from thermoshift.spectral import GAP_FLOOR
 from thermoshift.thermodynamics import markov_entropy, parry_from_matrix
 
 SQ5 = math.sqrt(5.0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import thermoshift.core_sft as core_sft
+import thermoshift.spectral as spectral
 from oracles import (LOG_GOLDEN, brute_recoded_graph,
                      brute_weighted_automorphisms, random_transitive_sft)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
@@ -181,13 +181,13 @@ def test_sweep_runs_one_max_plus_pass_per_potential(max_plus_passes):
 def test_classify_solves_each_face_component_once(monkeypatch):
     # the component's entropy and its Parry measure come from one solve
     calls = []
-    solve = core_sft.Transfer.solve
+    solve = spectral.Transfer.solve
 
     def counting(self, *args):
         calls.append(1)
         return solve(self, *args)
 
-    monkeypatch.setattr(core_sft.Transfer, "solve", counting)
+    monkeypatch.setattr(spectral.Transfer, "solve", counting)
     res = classify(get_potential("gold0"))
     assert res.case == "UniqueTransitive"
     assert res.components[0].entropy == res.limit[0][1].pressure == pytest.approx(LOG_GOLDEN)

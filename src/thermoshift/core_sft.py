@@ -246,16 +246,17 @@ def _howard(succ, nodes):
 
 
 def _potentials(n: int, edges, w):
-    """(mean, h, den, classes) of an irreducible digraph with edge weights
-    w, exact: the maximum cycle mean, a balanced max-plus eigenvector h /
-    den of w - mean (h in ints) and the critical classes, the nontrivial
-    SCCs of the edges of reduced weight w - mean + h[b] - h[a] = 0 (for
-    floats, >= -TIGHT_TOL (1 + max |w|)).  With several classes h is max_i
+    """(mean, h, den, classes, tight) of an irreducible digraph with edge
+    weights w, exact: the maximum cycle mean, a balanced max-plus
+    eigenvector h / den of w - mean (h in ints), the critical classes, the
+    nontrivial SCCs of the edges of reduced weight w - mean + h[b] - h[a]
+    = 0 (for floats, >= -TIGHT_TOL (1 + max |w|)), and those edges that
+    lie inside a class, in the given order.  With several classes h is max_i
     (D[a, c_i] + g_i): D[a, c] the heaviest path to the least state c_i of
     class i (Dijkstra on the reduced weights, all <= 0), g this routine's
     h on D[c_i, c_j] (i != j), so that no tight path joins two classes."""
     if not any(w):                  # a 0/1 matrix is its own scaling
-        return Fraction(0), [0] * n, 1, [list(range(n))]
+        return Fraction(0), [0] * n, 1, [list(range(n))], list(edges)
     wi, scale, exact = _int_weights(w)
     succ = [[] for _ in range(n)]
     for (a, b), x in zip(edges, wi):
@@ -265,8 +266,8 @@ def _potentials(n: int, edges, w):
     unit = q * scale                # of h and of the reduced weights
     tol = 0.0 if exact else TIGHT_TOL * (1.0 + max(abs(float(x)) for x in w))
     slack = [x * q - p + h[b] - h[a] for (a, b), x in zip(edges, wi)]
-    classes = _cyclic_components(
-        n, [e for e, s in zip(edges, slack) if not s or tol and s / unit >= -tol])[0]
+    classes, tight = _cyclic_components(
+        n, [e for e, s in zip(edges, slack) if not s or tol and s / unit >= -tol])
     if len(classes) > 1:
         pred = [[] for _ in range(n)]
         for (a, b), s in zip(edges, slack):
@@ -282,10 +283,10 @@ def _potentials(n: int, edges, w):
                         heapq.heappush(heap, (d + cost, a))
             cols.append([h[a] - h[c] - d for a, d in enumerate(dist)])
         pairs = [(i, j) for i in range(len(cols)) for j in range(len(cols)) if i != j]
-        _, g, den, _ = _potentials(len(cols), pairs, [cols[j][classes[i][0]] for i, j in pairs])
+        _, g, den, *_ = _potentials(len(cols), pairs, [cols[j][classes[i][0]] for i, j in pairs])
         h = [max(col[a] * den + gi for col, gi in zip(cols, g)) for a in range(n)]
         unit *= den
-    return Fraction(p, q * scale), h, unit, classes
+    return Fraction(p, q * scale), h, unit, classes, tight
 
 
 def matrix_edges(M) -> list[tuple[int, int]]:

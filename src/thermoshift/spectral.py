@@ -68,10 +68,13 @@ class Transfer:
     """The transfer matrix exp(t * w[a]) on the edges a -> b of an
     irreducible digraph, for weights w with maximum cycle mean 0, with
     the parts of its Perron solves that do not depend on t: the edge
-    arrays, the log weights W and their balanced max-plus potentials and
-    critical classes from one exact pass (``_potentials``).  They are
-    built with the object and are read-only, so ``solve`` runs only the
-    stages that depend on t.
+    arrays, the log weights W and their balanced max-plus potentials,
+    critical classes and tight edges from one exact pass
+    (``_potentials``), built with the object, and the aggregation frame
+    of the tied classes (``_frame``), built by the first solve that
+    aggregates, so that a solve whose gap does not collapse never pays
+    for it.  All are read-only, so ``solve`` runs only the stages that
+    depend on t.
     """
 
     def __init__(self, n: int, edges, weights):
@@ -81,15 +84,22 @@ class Transfer:
         W = self.log_weights = np.full((n, n), -np.inf)
         W[src, dst] = w[src]
         # edges weigh their targets, as in max_mean_data; h then shifts by w - mean
-        mean, h, den, classes = _potentials(n, edges, [weights[b] for _, b in edges])
+        mean, h, den, classes, self._tight = _potentials(
+            n, edges, [weights[b] for _, b in edges])
         self.potentials = h, classes = (np.array([x / den for x in h]) + (w - float(mean)),
                                         list(map(np.array, classes)))
         _readonly(src, dst, W, h, *classes)
 
+    @functools.cached_property
+    def frame(self):
+        """The aggregation frame of the tied classes (``_frame``)."""
+        return _frame(self.n, self.potentials[1], self._tight)
+
     def solve(self, t: float = 1.0) -> PerronSolve:
         """The Perron data of exp(t * w), as ``perron`` describes it."""
         escalate = functools.partial(_escalate, self.n, self.edges, self.weights, t)
-        got = _perron_pair(self.log_weights, self.potentials, t, self.ends)
+        got = _perron_pair(self.log_weights, self.potentials, t, self.ends,
+                           lambda: self.frame)
         if got is None:
             return escalate()
         B, lam, y, gap = got
@@ -128,8 +138,8 @@ def perron_stack(transfers, t):
     Max-plus eigenvectors are homogeneous, so each lane scales by t[i]
     times its transfer's potentials, with no max-plus pass, and the lanes
     take the steps of their own solves together, stage by stage.  A lane
-    leaves the stack and is solved by ``perron`` alone (aggregation, then
-    mpmath) when a scaled entry leaves the double range, its gap is below
+    leaves the stack and is solved alone by its transfer (aggregation,
+    then mpmath) when a scaled entry leaves the double range, its gap is below
     GAP_FLOOR, its polish does not certify, or its kernel underflows.
     """
     t = np.asarray(t, dtype=float)
@@ -148,7 +158,7 @@ def perron_stack(transfers, t):
     p = np.full((len(t), n), np.nan)
     log_lam[lanes], kernel[lanes], p[lanes] = np.log(lam), P, _gth_stationary(P)
     for i in np.flatnonzero(~np.isfinite(p).all(axis=1)):
-        sol = perron(n, transfers[i].edges, transfers[i].weights, t[i])
+        sol = transfers[i].solve(t[i])
         log_lam[i], kernel[i], p[i] = sol.log_lam, sol.transition, sol.stationary
     return log_lam, kernel, p
 
@@ -166,12 +176,14 @@ def _readonly(*arrays) -> None:
         a.setflags(write=False)
 
 
-def _perron_pair(W: np.ndarray, potentials, t: float = 1.0, ends=None):
+def _perron_pair(W: np.ndarray, potentials, t: float = 1.0, ends=None, frame=None):
     """(B, lam, y, gap) of B = exp(t (W[a, b] + h[b] - h[a])) for log
     weights W (-inf off the edges) of maximal cycle mean 0 and their
     max-plus potentials (h, classes), with y certified entrywise; None
     when doubles cannot certify it.  The edge arrays of W are found
-    unless given."""
+    unless given; ``frame()`` gives the aggregation frame of the classes
+    (``_frame``), and is called only when there are several classes and
+    the eigensolve does not certify."""
     if W.shape == (1, 1):           # a loop of weight 0: its own Perron pair
         return np.ones((1, 1)), 1.0, np.ones(1), 1.0
     h, classes = potentials
@@ -182,7 +194,7 @@ def _perron_pair(W: np.ndarray, potentials, t: float = 1.0, ends=None):
     lam, y, gap, ok = _certify(B)
     if ok:
         return B, float(lam), y, float(gap)
-    got = _aggregate(B, classes) if len(classes) > 1 else None
+    got = _aggregate(B, frame()) if len(classes) > 1 else None
     return None if got is None else (B, *got)
 
 
@@ -227,40 +239,75 @@ def _certify(B: np.ndarray):
     return lam, y, gap, ok
 
 
-def _aggregate(B: np.ndarray, classes):
-    """(lam, y, gap) of B by iterative aggregation-disaggregation over
-    its tied classes (Koury, McAllister and Stewart 1984), or None.  The
-    dominant classes have 0/1 matrices A_i of tight edges with the top
-    Perron root rho and vectors s_i, l_i (l_i s_i = 1).  Each round
-    eliminates the other states from (rho + delta) I - B (only pivots
-    subtract; row k keeps the multipliers of y[k]); with E the complement
-    less the A_i, delta and the class weights are the Perron pair of C_ij
-    = l_i E_ij u_j, sums of positive products (Meyer 1989), and a bordered
-    solve of (rho - A_i) + (delta - E_ii) corrects each shape u_i.
-    """
+def _frame(n: int, classes, edges):
+    """The parts of the aggregation of the critical classes of a graph on
+    n states that do not depend on t, for ``_aggregate``, from the tight
+    edges inside the classes (``_potentials``); None when fewer than two classes share the
+    top Perron root.  Class i has the 0/1 matrix A_i of its tight edges,
+    with Perron root rho_i and vectors s_i, l_i (l_i s_i = 1); those
+    within TIGHT_TOL of the top root rho are dominant.  The frame is (rho,
+    ix, back, tight, inner, of, L, member, s, shaped): ``np.ix_`` of the
+    order that puts the m states of the dominant classes first, and its
+    inverse; in that order, the mask of the A_i and of the diagonal
+    blocks; the class of each of the m states; L (r x m) with l_i in row
+    i; member (m x r), 1 where a state lies in a class; the s_i stacked;
+    and (i, cut, s_i, l_i, rho_i I - A_i, I) for each class of more than
+    one state, the only ones whose shape needs correcting."""
+    where = {a: (i, j) for i, K in enumerate(classes) for j, a in enumerate(K)}
+    As = [np.zeros((len(K), len(K))) for K in classes]
+    for a, b in edges:
+        i, j = where[a]
+        As[i][j, where[b][1]] = 1.0
     top = []
-    for K in classes:
-        W_A = np.where(B[np.ix_(K, K)] > 1.0 - TIGHT_TOL, 0.0, -np.inf)
+    for K, A in zip(classes, As):
+        W_A = np.where(A == 1.0, 0.0, -np.inf)
         flat = np.zeros(len(K)), [np.arange(len(K))]     # a 0/1 matrix is its own scaling
         right, left = _perron_pair(W_A, flat), _perron_pair(W_A.T, flat)
         if right is None or left is None:
             return None
-        top.append((right[1], K, right[0], right[2], left[2] / (left[2] @ right[2])))
+        top.append((right[1], K, A, right[2], left[2] / (left[2] @ right[2])))
     rho = max(x[0] for x in top)
     top = [x for x in top if x[0] >= rho * (1.0 - TIGHT_TOL)]
     if len(top) < 2:
         return None
     rhos, Ks, As, ss, ls = zip(*top)
     m = sum(map(len, Ks))
-    order = np.concatenate([*Ks, np.setdiff1d(np.arange(len(B)), np.concatenate(Ks))])
+    order = np.concatenate([*Ks, np.setdiff1d(np.arange(n), np.concatenate(Ks))])
     ends = np.cumsum([0, *map(len, Ks)])
-    cuts = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    B0 = B[np.ix_(order, order)]
-    inner = np.zeros((m, m), dtype=bool)        # the diagonal blocks
-    for cut, A in zip(cuts, As):
-        B0[cut, cut][A == 1.0] = 0.0            # E leaves out the A_i
-        inner[cut, cut] = True
-    delta, u = 0.0, ss
+    of = np.repeat(np.arange(len(Ks)), np.diff(ends))
+    tight, L, member = np.zeros((m, m), dtype=bool), np.zeros((len(Ks), m)), np.zeros((m, len(Ks)))
+    member[np.arange(m), of] = 1.0
+    shaped = []
+    for i, (a, b, rho_i, A, s, l) in enumerate(zip(ends, ends[1:], rhos, As, ss, ls)):
+        cut = slice(a, b)
+        tight[cut, cut], L[i, cut] = A == 1.0, l
+        if len(s) > 1:
+            shaped.append((i, cut, s, l, rho_i * np.eye(len(s)) - A, np.eye(len(s))))
+    frame = (rho, np.ix_(order, order), np.argsort(order), tight, of[:, None] == of, of,
+             L, member, np.concatenate(ss), shaped)
+    _readonly(*frame[1], *frame[2:9], *(x for sh in shaped for x in sh[2:]))
+    return frame
+
+
+def _aggregate(B: np.ndarray, frame):
+    """(lam, y, gap) of B by iterative aggregation-disaggregation over
+    its tied classes (Koury, McAllister and Stewart 1984), or None, with
+    the parts that do not depend on t from ``frame`` (``_frame``).  Each
+    round eliminates the other states from (rho + delta) I - B (only
+    pivots subtract; row k keeps the multipliers of y[k]); with E the
+    complement less the A_i, delta and the class weights c are the Perron
+    pair of the coupling matrix C = L E U, U the shapes u_i as columns,
+    sums of positive products (Meyer 1989), and for each class of more
+    than one state a bordered solve of (rho_i - A_i) + (delta - E_ii)
+    corrects its shape u_i (a one-state class keeps u_i = s_i = 1).
+    """
+    if frame is None:
+        return None
+    rho, ix, back, tight, inner, of, L, member, s, shaped = frame
+    m = len(s)
+    B0 = B[ix]
+    B0[:m, :m][tight] = 0.0         # E leaves out the A_i
+    delta, u = 0.0, s
     for _ in range(_AGG_ROUNDS):
         S = B0.copy()
         for k in range(len(B) - 1, m - 1, -1):
@@ -270,39 +317,39 @@ def _aggregate(B: np.ndarray, classes):
             S[k, :k] /= piv
             S[:k, :k] += S[:k, k, None] * S[k, :k]
         E = S[:m, :m]
-        C = np.array([[l @ E[ci, cj] @ uj for cj, uj in zip(cuts, u)]
-                      for ci, l in zip(cuts, ls)])
+        C = L @ E @ (member * u[:, None])
         W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
         edges = matrix_edges(C)
         if len(scc_of_edges(len(C), edges)) != 1:
             return None                 # a coupling underflowed
-        mean, h, den, classes = _potentials(len(C), edges, W[C > 0])
+        mean, h, den, classes, inside = _potentials(len(C), edges, W[C > 0])
         h = np.array([x / den for x in h])
-        got = _perron_pair(W - float(mean), (h, classes))
+        got = _perron_pair(W - float(mean), (h, classes),
+                           frame=lambda: _frame(len(C), classes, inside))
         if got is None:
             return None
         _, new_delta, c, gap = got
         new_delta, c = new_delta * math.exp(mean), np.exp(h - h.max()) * c
-        f = np.where(inner, 0.0, E) @ np.concatenate([ci * ui for ci, ui in zip(c, u)])
-        new_u = []
-        for cut, ci, rho_i, A, s, l in zip(cuts, c, rhos, As, ss, ls):
-            k, Eii = len(s), E[cut, cut]
+        f = np.where(inner, 0.0, E) @ (c[of] * u)
+        new_u = s.copy()
+        for i, cut, si, li, base, eye in shaped:
+            k, Eii = len(si), E[cut, cut]
             bordered = np.zeros((k + 1, k + 1))
-            bordered[:k, :k] = rho_i * np.eye(k) - A + (new_delta * np.eye(k) - Eii)
-            bordered[:k, k], bordered[k, :k] = s, l
-            rhs = np.append(f[cut] / ci + Eii @ s - new_delta * s, 0.0)
-            new_u.append(s + np.linalg.solve(bordered, rhs)[:k])
-        done = abs(new_delta - delta) <= _CW_TOL * new_delta and all(
-            np.all(np.abs(a - b) <= _CW_TOL * b) for a, b in zip(new_u, u))
+            bordered[:k, :k] = base + (new_delta * eye - Eii)
+            bordered[:k, k], bordered[k, :k] = si, li
+            rhs = np.append(f[cut] / c[i] + Eii @ si - new_delta * si, 0.0)
+            new_u[cut] = si + np.linalg.solve(bordered, rhs)[:k]
+        done = (abs(new_delta - delta) <= _CW_TOL * new_delta
+                and np.all(np.abs(new_u - u) <= _CW_TOL * u))
         delta, u = new_delta, new_u
         if done:
             break
     else:
         return None
-    x = np.concatenate([*(ci * ui for ci, ui in zip(c, u)), np.zeros(len(B) - m)])
+    x = np.concatenate([c[of] * u, np.zeros(len(B) - m)])
     for k in range(m, len(B)):      # the eliminated states, last eliminated first
         x[k] = S[k, :k] @ x[:k]
-    y = x[np.argsort(order)]
+    y = x[back]
     r = B @ y / y                   # Collatz-Wielandt ratios, as in _polish
     if not (y.min() > 0.0 and r.max() / r.min() - 1.0 <= _CW_TOL):
         return None

@@ -256,7 +256,8 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
                 break
     if not coeffs_hist:
         raise NumericError("zero-temperature sweep produced no data")
-    final = tuple(_aitken([c[j] for c in coeffs_hist])
+    # a weight extrapolated below 0 (a starved component) is 0
+    final = tuple(max(0.0, _aitken([c[j] for c in coeffs_hist]))
                   for j in range(len(ids)))
     s = sum(final)
     final = tuple(c / s for c in final)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -384,3 +385,24 @@ def random_rational_values(rng, sft: Sft, k: int, m: int = 1) -> dict:
                     for _ in range(m))
         vals[blk] = vec if m > 1 else vec[0]
     return vals
+
+
+# Two tied components on full4 with k = 2: value 4 on their blocks and
+# seeded integers in [-3, 2] elsewhere.
+TIED_COMPONENTS = {"two 2-cycles": {(0, 1), (1, 0), (2, 3), (3, 2)},
+                   "two golden means": {(0, 0), (0, 1), (1, 0),
+                                        (2, 2), (2, 3), (3, 2)}}
+
+
+def tied_potential(name):
+    """(phi, values): a planted tie of ``TIED_COMPONENTS``, or a builtin
+    scalar potential, with its block values."""
+    from thermoshift import PotentialLC, get_potential
+    if name in TIED_COMPONENTS:
+        rng = random.Random(name)
+        values = {b: Fraction(4) if b in TIED_COMPONENTS[name]
+                  else Fraction(rng.randint(-3, 2))
+                  for b in itertools.product(range(4), repeat=2)}
+        return PotentialLC.from_block_values(Sft.full(4), 2, values), values
+    phi = get_potential(name)
+    return phi, {b: v[0] for b, v in phi.values.items()}

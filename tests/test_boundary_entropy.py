@@ -162,15 +162,20 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     stacks, alone, deflated = [], [], []
 
     def recording(transfers, t):
-        got = stack(transfers, t)
+        # a transfer solved while the stack runs is a lane that left it
+        spectral.Transfer.solve = leaving
+        try:
+            got = stack(transfers, t)
+        finally:
+            spectral.Transfer.solve = solve
         stacks.append((transfers, t, got))
         return got
 
-    def leaving(n, edges, weights, t=1.0):
-        alone.append((n, edges, list(weights)))
+    def leaving(self, t=1.0):
+        alone.append((self.n, self.edges, list(self.weights)))
         spectral._deflate = deflate     # deflations of single solves do not count
         try:
-            return perron(n, edges, weights, t)
+            return solve(self, t)
         finally:
             spectral._deflate = counting_deflate
 
@@ -179,8 +184,8 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
         return deflate(*args)
 
     stack, perron, deflate = spectral.perron_stack, spectral.perron, spectral._deflate
+    solve = spectral.Transfer.solve
     monkeypatch.setattr(boundary_entropy, "perron_stack", recording)
-    monkeypatch.setattr(spectral, "perron", leaving)
     monkeypatch.setattr(spectral, "_deflate", counting_deflate)
     face_entropy_curve(get_potential("trivec"), (0, -1))
     face_entropy_curve(get_potential("kinkvec"), (0, -1))

@@ -196,7 +196,7 @@ def _check_potentials(n, edges, w, tol=0):
     the balanced Kleene construction up to a constant, all in exact
     arithmetic."""
     ew = [w[a] for a, _ in edges]
-    mean, h, den, classes = _potentials(n, edges, ew)
+    mean, h, den, classes, inside = _potentials(n, edges, ew)
     h = [Fraction(x, den) for x in h]
     want_mean, want_h, _ = kleene_potentials(n, edges, ew)
     assert mean == want_mean
@@ -221,6 +221,9 @@ def _check_potentials(n, edges, w, tol=0):
                     reach.add(b)
                     todo.append(b)
         assert all(reach.isdisjoint(k) for k in classes if k is not c)
+    # the tight edges kept with the classes are those inside one class
+    class_of = {a: i for i, c in enumerate(classes) for a in c}
+    assert inside == [(a, b) for a, b in tight if a in class_of and class_of[a] == class_of.get(b)]
     if not tol:
         assert len({x - y for x, y in zip(h, want_h)}) == 1
     return len(classes)

@@ -4,6 +4,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (brute_max_cycle_mean, random_rational_values,
@@ -71,8 +72,16 @@ def test_shared_solve_data_is_read_only():
     pressure(phi, 40.0)
     transfer = phi._transfer
     h, classes = transfer.potentials
+
+    def arrays(x):              # those of the aggregation frame too
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                yield from arrays(y)
+
     assert len(classes) == 2
-    for a in (transfer.log_weights, *transfer.ends, h, *classes):
+    for a in (transfer.log_weights, *transfer.ends, h, *classes, *arrays(transfer.frame)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0

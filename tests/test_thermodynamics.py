@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, mp_equilibrium,
-                     numpy_pressure, random_rational_values)
+from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, TIED_COMPONENTS,
+                     mp_equilibrium, numpy_pressure, random_rational_values,
+                     tied_potential)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, UnderflowError, equilibrium_markov, get_potential,
                          get_shift, parry_measure, pressure)
@@ -233,15 +234,17 @@ def _fingerprint(phi, what, t):
 
 @pytest.mark.parametrize("name", ["benchmark 0", "benchmark 1", "benchmark 2",
                                   "benchmark 3", "threefix_a", "threefix_b",
-                                  "threefix_c", "twofix", "gold0"])
+                                  "threefix_c", "twofix", "twofix_skew", "gold0",
+                                  "two golden means"])
 def test_solves_sharing_a_potential_match_fresh_solves(name):
-    # the data a potential keeps from its first solve gives, at every t
-    # and in any order, the bits a solve of a new equal potential gives
+    # the data a potential keeps from its first solve (its aggregation
+    # frame too, where its classes tie) gives, at every t and in any
+    # order, the bits a solve of a new equal potential gives
     if name.startswith("benchmark"):
         d, k, text, _ = SILENT_ERROR_CASES[int(name.split()[1])]
         make = lambda: _benchmark_potential(d, k, text)      # noqa: E731
     else:
-        make = lambda: get_potential(name)                  # noqa: E731
+        make = lambda: tied_potential(name)[0]              # noqa: E731
     calls = [(what, 2.0 ** e) for what in ("pressure", "equilibrium")
              for e in range(-2, 7)]
     random.Random(name).shuffle(calls)
@@ -289,31 +292,13 @@ def test_nearly_uncoupled_fixed_points_stay_in_doubles():
         assert GAP_FLOOR < gap < 1e-3 and mu.precision == "double"
 
 
-# Two tied components on full4 with k = 2: value 4 on their blocks and
-# seeded integers in [-3, 2] elsewhere.
-TIED_COMPONENTS = {"two 2-cycles": {(0, 1), (1, 0), (2, 3), (3, 2)},
-                   "two golden means": {(0, 0), (0, 1), (1, 0),
-                                        (2, 2), (2, 3), (3, 2)}}
-
-
-def _tied_potential(name):
-    if name in TIED_COMPONENTS:
-        rng = random.Random(name)
-        values = {b: Fraction(4) if b in TIED_COMPONENTS[name]
-                  else Fraction(rng.randint(-3, 2))
-                  for b in itertools.product(range(4), repeat=2)}
-        return PotentialLC.from_block_values(Sft.full(4), 2, values), values
-    phi = get_potential(name)
-    return phi, {b: v[0] for b, v in phi.values.items()}
-
-
 @pytest.mark.parametrize("t", [4.0, 8.0, 16.0, 32.0, 64.0])
 @pytest.mark.parametrize("name", [*TIED_COMPONENTS, "threefix_a", "threefix_b",
                                   "threefix_c", "twofix_skew"])
 def test_collapsed_gaps_match_the_oracle_in_doubles(name, t):
     # tied maximizing components decouple as t grows: the relative gap
     # falls from about 1e-6 at t = 4 to 1e-195 at t = 128 on threefix_a
-    phi, values = _tied_potential(name)
+    phi, values = tied_potential(name)
     mu, gap = _assert_matches_oracle(phi, values, t)
     assert mu.precision == "double"
     if t >= 8.0:
@@ -324,7 +309,7 @@ def test_collapsed_gaps_match_the_oracle_in_doubles(name, t):
 def test_symmetric_tie_keeps_its_symmetry(t):
     # threefix_b: the symmetric group permutes the three fixed points,
     # so their masses agree, and the pressure matches a dense eigensolve
-    phi, values = _tied_potential("threefix_b")
+    phi, values = tied_potential("threefix_b")
     mu = equilibrium_markov(phi, t)
     assert mu.precision == "double"
     masses = [mu.mass((s, s)) for s in range(3)]

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import thermoshift.spectral as spectral
-from oracles import (LOG_GOLDEN, brute_recoded_graph,
-                     brute_weighted_automorphisms, random_transitive_sft)
+from oracles import (LOG_GOLDEN, TIED_COMPONENTS, brute_recoded_graph,
+                     brute_weighted_automorphisms, random_transitive_sft,
+                     tied_potential)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, classify, get_potential, get_shift,
                          ground_state_check, pressure, recode_to_one_step,
@@ -176,6 +177,38 @@ def test_sweep_runs_one_max_plus_pass_per_potential(max_plus_passes):
     for t in (0.5, 2.0, 8.0, 32.0):
         pressure(phi, t)
     assert len(max_plus_passes) == 1
+
+
+@pytest.mark.parametrize("name", ["twofix", "twofix_skew", "threefix_a", "threefix_b",
+                                  "threefix_c", *TIED_COMPONENTS])
+def test_sweep_coefficients_are_convex_weights(name):
+    # Aitken extrapolation takes a starved component's weight below 0
+    # unless it is clipped: threefix_c's third fixed point gets none
+    out = zt_coefficients(tied_potential(name)[0], method="sweep")
+    assert out.method == "sweep"
+    assert all(c >= 0.0 for c in out.coefficients)
+    if name == "threefix_c":
+        assert out.coefficients[2] == 0.0
+
+
+def test_sweep_builds_the_aggregation_frame_once(monkeypatch):
+    # the frame of the tied classes is built by the first solve that
+    # aggregates and shared by every later one, whatever t
+    phi = get_potential("threefix_a")
+    classes = phi._transfer.potentials[1]
+    builds = []
+    build = spectral._frame
+
+    def counting(n, cls, edges):
+        builds.append(cls is classes)   # not the frames of coupling matrices
+        return build(n, cls, edges)
+
+    monkeypatch.setattr(spectral, "_frame", counting)
+    out = zt_coefficients(phi, method="sweep")
+    assert out.method == "sweep" and len(out.t_values) > 4
+    for t in (8.0, 32.0):
+        pressure(phi, t)
+    assert builds.count(True) == 1
 
 
 def test_classify_solves_each_face_component_once(monkeypatch):

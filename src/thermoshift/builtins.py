@@ -8,10 +8,13 @@ command line.  Every potential knows its own shift, so
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core_sft import Sft, recode_to_one_step
 from .errors import InvalidArgumentError
-from .potential import PotentialLC
+
+if TYPE_CHECKING:
+    from .potential import PotentialLC
 
 # -- shifts -----------------------------------------------------------------
 
@@ -97,6 +100,7 @@ _SCALAR_TABLES = {
 def _triangle_potential() -> PotentialLC:
     """Two-coordinate window-2 potential on tri6 whose rotation set is the
     triangle with vertices (0,0), (1,0), (1/2,1)."""
+    from .potential import PotentialLC
     sft = get_shift("tri6")
     low = {(0, 0), (0, 1), (1, 0), (4, 4)}
     right = {(3, 3), (3, 4), (4, 3), (1, 1)}
@@ -116,6 +120,7 @@ def _kink_potential() -> PotentialLC:
     rotation set carries three point components at first coordinates 0, 1/2
     and 1 with entropies log 2, log 3 and 0, so the boundary entropy curve
     has a corner at 1/2."""
+    from .potential import PotentialLC
     sft = get_shift("kink7")
     half = Fraction(1, 2)
     vals = {}
@@ -145,6 +150,7 @@ def potential_names() -> tuple[str, ...]:
 
 def get_potential(name: str) -> PotentialLC:
     if name in _SCALAR_TABLES:
+        from .potential import PotentialLC     # the shift commands never need it
         shift_name, table, _ = _SCALAR_TABLES[name]
         return PotentialLC.from_matrix(get_shift(shift_name), table)
     if name in _VECTOR_BUILDERS:

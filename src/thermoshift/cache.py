@@ -67,10 +67,10 @@ def orbits_payload(sft: Sft, k: int, orbits) -> str:
     }, sort_keys=True, separators=(",", ":"))
 
 
-def _rebuild_orbit(recoded, index, k: int, segment) -> ElementaryOrbit:
-    seg = tuple(int(s) for s in segment)
-    n = len(seg)
-    ids = tuple(index[tuple(seg[(i + j) % n] for j in range(k))] for i in range(n))
+def _rebuild_orbit(index, k: int, segment) -> ElementaryOrbit:
+    seg = tuple(segment)
+    n, word = len(seg), seg * k         # long enough to read the k-block at each position
+    ids = tuple(index[word[i:i + k]] for i in range(n))
     return ElementaryOrbit(k=k, period=n, segment=seg,
                            state_cycle=ids, cylinders=frozenset(ids))
 
@@ -86,9 +86,8 @@ def orbits_from_payload(text: str, sft: Sft, k: int) -> tuple[ElementaryOrbit, .
         raise ValueError(f"unsupported cache schema {obj.get('schema')!r}")
     if obj.get("digest") != matrix_digest(sft) or obj.get("k") != k:
         raise ValueError("cache entry does not match the requested shift/window")
-    recoded = recode_to_one_step(sft, k)
-    index = recoded.block_index()
-    out = [_rebuild_orbit(recoded, index, k, seg) for seg in obj["orbits"]]
+    index = recode_to_one_step(sft, k).block_index()
+    out = [_rebuild_orbit(index, k, seg) for seg in obj["orbits"]]
     out.sort(key=lambda o: (o.period, o.segment))
     return tuple(out)
 

@@ -23,6 +23,7 @@ from bisect import bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from . import builtins as registry
@@ -30,8 +31,9 @@ from .cache import atomic_write_text, cached_elementary_orbits
 from .core_sft import Sft, _block_label
 from .errors import (InvalidArgumentError, NumericError, ResourceLimitError,
                      ThermoshiftError, UnderflowError)
-from .potential import PotentialLC, cohomology_test
-from .rotation_geometry import rotation_set
+
+if TYPE_CHECKING:
+    from .potential import PotentialLC
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,6 +91,7 @@ def _resolve_potential(args) -> PotentialLC:
         if args.shift is None:
             raise UsageError("--shift is required with a potential file")
         sft = _resolve_shift(args.shift)
+        from .potential import PotentialLC     # orbits never needs it
         phi = PotentialLC.from_json(_read_text(spec), sft, mode=args.mode)
     if args.k is not None and phi.k != args.k:
         raise InvalidArgumentError(
@@ -191,6 +194,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_rotset(args) -> int:
+    from .rotation_geometry import rotation_set
     phi = _resolve_potential(args)
     poly = rotation_set(phi)
     payload = {
@@ -337,6 +341,7 @@ def _cmd_facecurve(args) -> int:
 
 
 def _cmd_cohom(args) -> int:
+    from .potential import PotentialLC, cohomology_test
     phi = _resolve_potential(args)
     if phi.m != 1:
         raise InvalidArgumentError("cohom takes scalar potentials")

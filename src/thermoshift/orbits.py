@@ -103,23 +103,20 @@ def elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[E
     """
     recoded = recode_to_one_step(sft, k)
     # count raw cycles first so a blown cap aborts cheaply, before any
-    # canonicalization work
+    # orbit is built
     raw = []
     for count, cycle in enumerate(_circuits(recoded.n, recoded.edges())):
         if count >= cap:
             raise ResourceLimitError(f"orbit enumeration exceeded cap {cap}")
         raw.append(cycle)
-    out = []
+    # each circuit starts at its least state, which is its least k-block
+    # (states are sorted blocks, pairwise distinct along the orbit), so
+    # the word read from there is already the least rotation
+    states, out = recoded.states, []
     for cycle in raw:
-        seg = tuple(recoded.states[s][0] for s in cycle)
-        n = len(seg)
-        # the least rotation is unique, since the period is prime
-        r = min(range(n), key=lambda i: seg[i:] + seg[:i])
-        segment = seg[r:] + seg[:r]
-        state_cycle = cycle[r:] + cycle[:r]
         out.append(ElementaryOrbit(
-            k=k, period=n, segment=segment,
-            state_cycle=state_cycle, cylinders=frozenset(state_cycle)))
+            k=k, period=len(cycle), segment=tuple(states[s][0] for s in cycle),
+            state_cycle=cycle, cylinders=frozenset(cycle)))
     out.sort(key=lambda o: (o.period, o.segment))
     return tuple(out)
 

@@ -28,6 +28,7 @@ _CW_TOL = 1e-13          # accepted Collatz-Wielandt excess of the vector
 _POLISH_STEPS = 500      # bound on subtraction-free polishing steps
 _SHIFTS = np.array([0.0, 0.125, 0.5, 1.0])   # candidate power-step shifts
 _AGG_ROUNDS = 8          # bound on aggregation rounds
+_ROW_TIE = 1e-14         # row maxima of a coupling matrix this close are one top
 
 
 class PerronSolve:
@@ -144,8 +145,11 @@ def perron_stack(transfers, t):
     """
     t = np.asarray(t, dtype=float)
     n, (src, dst) = transfers[0].n, transfers[0].ends
-    rows = {id(tr): (tr.log_weights[src, dst], tr.potentials[0]) for tr in transfers}
-    w, h = (np.stack(x, axis=-1) for x in zip(*(rows[id(tr)] for tr in transfers)))
+    distinct = list({id(tr): tr for tr in transfers}.values())     # gathered once each
+    slot = {id(tr): i for i, tr in enumerate(distinct)}
+    which = [slot[id(tr)] for tr in transfers]
+    w = np.stack([tr.log_weights[src, dst] for tr in distinct], axis=-1)[:, which]
+    h = np.stack([tr.potentials[0] for tr in distinct], axis=-1)[:, which]
     B, ok = _scale(w, h, src, dst, t)
     lanes = np.flatnonzero(ok)
     B = B.transpose(2, 0, 1)[lanes]
@@ -272,7 +276,9 @@ def _frame(n: int, classes, edges):
         return None
     rhos, Ks, As, ss, ls = zip(*top)
     m = sum(map(len, Ks))
-    order = np.concatenate([*Ks, np.setdiff1d(np.arange(n), np.concatenate(Ks))])
+    rest = np.ones(n, dtype=bool)
+    rest[np.concatenate(Ks)] = False
+    order = np.concatenate([*Ks, np.arange(n)[rest]])
     ends = np.cumsum([0, *map(len, Ks)])
     of = np.repeat(np.arange(len(Ks)), np.diff(ends))
     tight, L, member = np.zeros((m, m), dtype=bool), np.zeros((len(Ks), m)), np.zeros((m, len(Ks)))
@@ -317,19 +323,10 @@ def _aggregate(B: np.ndarray, frame):
             S[k, :k] /= piv
             S[:k, :k] += S[:k, k, None] * S[k, :k]
         E = S[:m, :m]
-        C = L @ E @ (member * u[:, None])
-        W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
-        edges = matrix_edges(C)
-        if len(scc_of_edges(len(C), edges)) != 1:
-            return None                 # a coupling underflowed
-        mean, h, den, classes, inside = _potentials(len(C), edges, W[C > 0])
-        h = np.array([x / den for x in h])
-        got = _perron_pair(W - float(mean), (h, classes),
-                           frame=lambda: _frame(len(C), classes, inside))
+        got = _coupling(L @ E @ (member * u[:, None]))
         if got is None:
             return None
-        _, new_delta, c, gap = got
-        new_delta, c = new_delta * math.exp(mean), np.exp(h - h.max()) * c
+        new_delta, c, gap = got
         f = np.where(inner, 0.0, E) @ (c[of] * u)
         new_u = s.copy()
         for i, cut, si, li, base, eye in shaped:
@@ -354,6 +351,35 @@ def _aggregate(B: np.ndarray, frame):
     if not (y.min() > 0.0 and r.max() / r.min() - 1.0 <= _CW_TOL):
         return None
     return rho + delta, y, gap * delta / (rho + delta)
+
+
+def _coupling(C: np.ndarray):
+    """(delta, c, gap): the Perron root, right vector and relative gap
+    of a coupling matrix C of ``_aggregate``, or None.  Where the rows
+    of C share their largest entry to _ROW_TIE (the transfer's balanced
+    potentials mostly leave it so), C / max(C) has a flat max-plus
+    eigenvector and a cycle of 1s to rounding, and is solved as it is:
+    its root is at least its least row maximum, so the clamp of
+    ``_certify`` at 1 errs by less than _ROW_TIE.  Otherwise, or if its
+    own gap collapses, C is scaled by an exact max-plus pass and solved
+    by the same engine, aggregating recursively."""
+    top = float(C.max())
+    if top > 0.0 and C.max(axis=1).min() >= (1.0 - _ROW_TIE) * top:
+        lam, c, gap, ok = _certify(C / top)
+        if ok:
+            return float(lam) * top, c, float(gap)
+    W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
+    edges = matrix_edges(C)
+    if len(scc_of_edges(len(C), edges)) != 1:
+        return None                     # a coupling underflowed
+    mean, h, den, classes, inside = _potentials(len(C), edges, W[C > 0])
+    h = np.array([x / den for x in h])
+    got = _perron_pair(W - float(mean), (h, classes),
+                       frame=lambda: _frame(len(C), classes, inside))
+    if got is None:
+        return None
+    _, delta, c, gap = got
+    return delta * math.exp(mean), np.exp(h - h.max()) * c, gap
 
 
 def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):

@@ -19,7 +19,7 @@ from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
 from .max_face import FaceSubshift, face_subshift, max_entropy_components
 from .potential import PotentialLC
-from .thermodynamics import MarkovMeasure, _measure, equilibrium_markov
+from .thermodynamics import MarkovMeasure, _measure, _solve
 
 CASE_COHOMOLOGOUS = "CohomologousToConstant"
 CASE_VERTEX_PERIODIC = "VertexPeriodic"
@@ -238,11 +238,10 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
     est_error = math.inf
     for t in schedule:
         try:
-            mu = equilibrium_markov(phi, t)
+            p = _solve(phi, t, "equilibrium_markov")[1].stationary
         except (UnderflowError, NumericError) as exc:
             flags.append(f"sweep stopped at t={t}: {exc}")
             break
-        p = mu.stationary
         row = [float(sum(p[s] for s in sset)) for sset in state_sets]
         total = sum(row)
         t_used.append(t)

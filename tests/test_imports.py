@@ -39,7 +39,18 @@ def test_import_loads_neither_numpy_nor_mpmath():
     ["cohom", "--potential", "gold0"],
 ], ids=lambda argv: argv[0])
 def test_exact_commands_run_without_numpy(argv):
-    _run(_loaded_after(argv) + "assert not loaded, loaded")
+    code = _loaded_after(argv) + "assert not loaded, loaded\n"
+    if argv[0] == "orbits":     # nor the potential and geometry layers
+        code += ("extra = {'thermoshift.potential', 'thermoshift.rotation_geometry'}"
+                 " & set(sys.modules)\n"
+                 "assert not extra, extra")
+    _run(code)
+
+
+def test_tied_sweep_leaves_numpy_ma_unloaded():
+    # the aggregation frame orders its states without numpy.ma
+    _run(_loaded_after(["ztsweep", "--potential", "threefix_a"])
+         + "assert 'numpy' in loaded and 'numpy.ma' not in sys.modules")
 
 
 def test_classify_loads_numpy():

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_elementary_segments
+from oracles import brute_elementary_segments, random_transitive_sft
 from thermoshift import (InvalidArgumentError, PotentialLC, ResourceLimitError,
                          Sft, birkhoff_average, elementary_orbits,
-                         permutability_classes)
+                         permutability_classes, recode_to_one_step)
 
 
 def _segments(orbits):
@@ -51,6 +51,21 @@ def test_segments_are_canonical_rotations():
         assert seg == min(rotations)
         assert len(o.cylinders) == o.period
         assert o.state_cycle[0] in o.cylinders
+
+
+def test_segments_are_least_rotations_on_random_shifts(rng):
+    # the census reads each segment from its circuit's least state, with
+    # no search: check it against a brute-force least rotation, and the
+    # state cycle against the k-blocks read off the segment
+    for _ in range(12):
+        sft = random_transitive_sft(rng)
+        for k in range(1, 6 - sft.d):       # windows whose census stays small
+            states = recode_to_one_step(sft, k).states
+            for o in elementary_orbits(sft, k):
+                seg, n = o.segment, o.period
+                assert seg == min(seg[r:] + seg[:r] for r in range(n))
+                assert [states[s] for s in o.state_cycle] == [
+                    tuple(seg[(i + j) % n] for j in range(k)) for i in range(n)]
 
 
 def test_birkhoff_average_exact():

@@ -15,6 +15,7 @@ from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, TIED_COMPONENTS,
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          Sft, UnderflowError, equilibrium_markov, get_potential,
                          get_shift, parry_measure, pressure)
+import thermoshift.spectral as spectral
 from thermoshift.spectral import GAP_FLOOR
 from thermoshift.thermodynamics import markov_entropy, parry_from_matrix
 
@@ -303,6 +304,68 @@ def test_collapsed_gaps_match_the_oracle_in_doubles(name, t):
     assert mu.precision == "double"
     if t >= 8.0:
         assert gap < GAP_FLOOR
+
+
+@pytest.mark.parametrize("name, t", [
+    *(("twofix", t) for t in (4.0, 8.0, 32.0, 128.0)),
+    *((name, 128.0) for name in (*TIED_COMPONENTS, "threefix_a", "threefix_b",
+                                 "threefix_c", "twofix_skew"))])
+def test_tied_solves_match_the_oracle(name, t):
+    # the cases the test above cannot take: twofix certifies without
+    # aggregating up to t = 8, and at t = 128 the planted ties leave the
+    # double range; whether a round solves its coupling matrix as it is
+    # or after an exact max-plus pass, the masses stay those of the oracle
+    phi, values = tied_potential(name)
+    _assert_matches_oracle(phi, values, t)
+
+
+@pytest.fixture
+def coupling_passes(monkeypatch):
+    """A list that grows by one on each exact max-plus pass of the
+    spectral engine (``spectral._potentials``)."""
+    calls = []
+    passes = spectral._potentials
+
+    def counting(*args):
+        calls.append(1)
+        return passes(*args)
+
+    monkeypatch.setattr(spectral, "_potentials", counting)
+    return calls
+
+
+def test_coupling_rows_sharing_their_top_skip_the_max_plus_pass(monkeypatch,
+                                                                coupling_passes):
+    # threefix_a's balanced potentials leave every coupling matrix with
+    # one top entry in each row, so no round needs an exact pass
+    phi = get_potential("threefix_a")
+    phi._transfer                   # the transfer's own pass is not counted
+    coupling_passes.clear()
+    rounds = []
+    coupling = spectral._coupling
+
+    def counting(C):
+        rounds.append(len(C))
+        return coupling(C)
+
+    monkeypatch.setattr(spectral, "_coupling", counting)
+    for t in (4.0, 8.0, 32.0, 128.0):
+        assert equilibrium_markov(phi, t).precision == "double"
+    assert len(rounds) >= 8 and set(rounds) == {3} and not coupling_passes
+
+
+@pytest.mark.parametrize("C, delta, c", [
+    # the rows do not share their top
+    ([[1.0, 0.5], [0.25, 0.5]], (3.0 + math.sqrt(3.0)) / 4.0, (1.0, (math.sqrt(3.0) - 1.0) / 2.0)),
+    # they do, but the gap collapses: the pass finds two classes, which aggregate
+    ([[1.0, 1e-20], [1e-20, 1.0]], 1.0, (1.0, 1.0)),
+], ids=["rows without a shared top", "collapsed gap"])
+def test_coupling_matrices_outside_the_direct_case_take_the_exact_pass(
+        coupling_passes, C, delta, c):
+    got_delta, got_c, _ = spectral._coupling(np.array(C))
+    assert len(coupling_passes) == 1
+    assert got_delta == pytest.approx(delta, rel=1e-14)
+    assert got_c / got_c[0] == pytest.approx(c, rel=1e-14)
 
 
 @pytest.mark.parametrize("t", [4.0, 16.0, 64.0])

@@ -10,9 +10,10 @@ from oracles import (LOG_GOLDEN, TIED_COMPONENTS, brute_recoded_graph,
                      brute_weighted_automorphisms, random_transitive_sft,
                      tied_potential)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
-                         Sft, classify, get_potential, get_shift,
-                         ground_state_check, pressure, recode_to_one_step,
-                         symmetry_coefficients, zt_coefficients)
+                         Sft, classify, equilibrium_markov, get_potential,
+                         get_shift, ground_state_check, pressure,
+                         recode_to_one_step, symmetry_coefficients,
+                         zt_coefficients)
 from thermoshift.zero_temperature import _weighted_automorphisms
 
 
@@ -209,6 +210,39 @@ def test_sweep_builds_the_aggregation_frame_once(monkeypatch):
     for t in (8.0, 32.0):
         pressure(phi, t)
     assert builds.count(True) == 1
+
+
+# (coefficients, last row of mass_history) of method="sweep", as the sweep
+# gave them when every step built an equilibrium state and every
+# aggregation round ran an exact max-plus pass on its coupling matrix
+SWEEP_RESULTS = {
+    "twofix": ((0.4999999999999991, 0.5000000000000009),
+               (0.49983232493493945, 0.4998323249345942)),
+    "twofix_skew": ((0.4999999999999991, 0.5000000000000009),
+                    (0.49983232493493945, 0.4998323249345942)),
+    "threefix_a": ((0.5000000000000001, 0.2499999999999999, 0.25),
+                   (0.5000000000000001, 0.2499999999999999, 0.25)),
+    "threefix_b": ((0.3333333333333584, 0.3333333333333208, 0.3333333333333208),
+                   (0.3331098415277202, 0.3331098415276827, 0.3331098415276827)),
+    "threefix_c": ((0.5, 0.5, 0.0), (0.5, 0.5, 8.01905445274319e-29)),
+    "two 2-cycles": ((0.49999999999999944, 0.5000000000000006),
+                     (0.49999999999999944, 0.5000000000000006)),
+    "two golden means": ((1.0, 0.0), (0.9999999999999999, 8.60384658794569e-42)),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_RESULTS)
+def test_sweep_masses_are_those_of_the_equilibrium_states(name):
+    out = zt_coefficients(tied_potential(name)[0], method="sweep")
+    coefficients, last = SWEEP_RESULTS[name]
+    assert out.coefficients == pytest.approx(coefficients, rel=1e-13, abs=0.0)
+    assert out.mass_history[-1] == pytest.approx(last, rel=1e-13, abs=0.0)
+    phi = tied_potential(name)[0]
+    state_sets = [classify(phi).components[i].state_ids for i in out.component_ids]
+    for t, row in zip(out.t_values, out.mass_history):
+        p = equilibrium_markov(phi, t).stationary
+        assert row == pytest.approx([sum(p[s] for s in states) for states in state_sets],
+                                    rel=1e-13, abs=0.0)
 
 
 def test_classify_solves_each_face_component_once(monkeypatch):

@@ -317,7 +317,9 @@ class RecodedSft:
 
     State ``(b1..bk)`` has an edge to ``(c1..ck)`` exactly when the
     overlap ``b2..bk == c1..c(k-1)`` holds and the base matrix allows
-    ``bk -> ck``.  States are listed in lexicographic order.
+    ``bk -> ck``.  States are listed in lexicographic order.  The graph is
+    split into its SCCs once (``_split``), whatever reads it: irreducibility
+    checks and every exact max-plus pass on the recoding.
     """
 
     base: Sft
@@ -342,6 +344,11 @@ class RecodedSft:
         n = self.n
         return tuple((i, j) for i, row in enumerate(self.transition)
                      for j in compress(range(n), row))
+
+    @functools.cached_property
+    def _split(self):
+        """The nontrivial SCCs and the edges inside them (``_cyclic_components``)."""
+        return _cyclic_components(self.n, self._edges)
 
     @functools.cached_property
     def _index(self) -> dict[tuple[int, ...], int]:

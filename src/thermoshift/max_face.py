@@ -5,12 +5,16 @@ the weight of an edge is the potential value at its source block.
 One exact max-plus pass, Howard policy iteration on integer-scaled
 weights, gives the maximum cycle mean beta together with a max-plus
 eigenvector h; the edges that h saturates at beta are the tight edges,
-whose recurrent part carries every cycle of mean beta.
+whose recurrent part carries every cycle of mean beta.  Every pass on a
+recoding starts from its one SCC split (``RecodedSft._split``).  A face
+component that is one periodic orbit takes exact Parry data (entropy 0,
+the uniform measure on the cycle) without a Perron solve.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -26,7 +30,14 @@ if TYPE_CHECKING:
 
 def max_mean_data(n: int, edges, w):
     """(beta, recurrent tight edges, SCC node lists) of the max cycle
-    mean beta of edges a -> b weighing w[a].
+    mean beta of edges a -> b weighing w[a]: ``_max_mean`` on the graph's
+    own SCC split."""
+    return _max_mean(n, edges, w, _cyclic_components(n, edges))
+
+
+def _max_mean(n: int, edges, w, split):
+    """``max_mean_data`` given ``split = _cyclic_components(n, edges)``,
+    which a recoding keeps (``RecodedSft._split``) for every pass on it.
 
     ``_howard`` runs on the edges inside the nontrivial SCCs, each
     weighing w[b] (the same cycle sums, and a start at the heaviest
@@ -36,7 +47,7 @@ def max_mean_data(n: int, edges, w):
     TIGHT_TOL of their scale.  Raises InvalidArgumentError when the graph
     has no cycle.
     """
-    sccs, inner = _cyclic_components(n, edges)
+    sccs, inner = split
     if not sccs:
         raise InvalidArgumentError("graph has no cycle")
     wi, scale, exact = _int_weights(w)
@@ -85,7 +96,8 @@ def find_cycle(edges):
 class FaceComponent:
     """One transitive component of a maximizing subshift.  The Perron
     solve of its 0/1 matrix, which gives both its entropy and its Parry
-    measure, runs once, on first use."""
+    measure, runs once, on first use.  A cycle (``is_cycle``) needs none:
+    its Parry data is exact."""
 
     index: int
     state_ids: tuple[int, ...]       # indices into the recoded state list
@@ -97,14 +109,24 @@ class FaceComponent:
         return tuple(self.recoded.labels[v] for v in self.state_ids)
 
     @functools.cached_property
+    def is_cycle(self) -> bool:
+        """One periodic orbit: each state has one successor."""
+        return all(sum(row) == 1 for row in self.matrix)
+
+    @functools.cached_property
     def perron_solve(self) -> PerronSolve:
-        from .spectral import Transfer     # numpy loads only for Perron solves
+        import numpy as np                  # numpy loads only for Perron solves
+        from .spectral import PerronSolve, Transfer
         n = len(self.matrix)
+        if self.is_cycle:       # root 1, uniform measure, gap 2 sin(pi/n) clamped to 1
+            return PerronSolve(0.0, np.array(self.matrix, dtype=float),
+                               1.0 if n <= 6 else 2.0 * math.sin(math.pi / n),
+                               "double", np.full(n, 1.0 / n))
         return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()
 
     @property
     def entropy(self) -> float:
-        return 0.0 if len(self.matrix) == 1 else self.perron_solve.log_lam
+        return 0.0 if self.is_cycle else self.perron_solve.log_lam
 
 
 @dataclass
@@ -181,10 +203,11 @@ def lex_extreme_cycle(recoded: RecodedSft, vecs, directions):
     direction restricts the search to the recurrent tight edges of the
     previous one.
     """
-    edges = recoded.edges()
+    edges, split = recoded.edges(), recoded._split
     for d in directions:
         w = [sum(di * xi for di, xi in zip(d, vec)) for vec in vecs]
-        _, edges, _ = max_mean_data(recoded.n, edges, w)
+        _, edges, sccs = _max_mean(recoded.n, edges, w, split)
+        split = sccs, edges             # the recurrent tight edges are their own split
     cyc = find_cycle(edges)
     p = len(cyc)
     mean = tuple(sum(vecs[v][i] for v in cyc) / p for i in range(len(vecs[0])))

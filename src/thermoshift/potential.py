@@ -17,9 +17,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .core_sft import RecodedSft, Sft, _is_irreducible, recode_to_one_step
+from .core_sft import RecodedSft, Sft, recode_to_one_step
 from .errors import InvalidArgumentError
-from .max_face import find_cycle, max_mean_data
+from .max_face import _max_mean, find_cycle
 
 if TYPE_CHECKING:
     from .spectral import Transfer
@@ -100,16 +100,18 @@ class PotentialLC:
             return tuple(tuple(map(_as_fraction, self.values[b])) for b in blocks)
         return tuple(self.values[b] for b in blocks)
 
-    @functools.cached_property
+    @property
     def _irreducible(self) -> bool:
-        return _is_irreducible(self._recoded.n, self._recoded.edges())
+        """Whether the recoding is one SCC: exactly when the pruned shift is transitive."""
+        sccs, _ = self._recoded._split
+        return len(sccs) == 1 and len(sccs[0]) == self._recoded.n
 
     @functools.cached_property
     def _max_plus(self) -> tuple:
         """(beta, recurrent tight edges, SCC node lists) of a scalar
-        potential: one ``max_face.max_mean_data`` pass."""
-        return max_mean_data(self._recoded.n, self._recoded.edges(),
-                             [x for (x,) in self._state_values])
+        potential: one exact max-plus pass on the recoding's split."""
+        rec = self._recoded
+        return _max_mean(rec.n, rec.edges(), [x for (x,) in self._state_values], rec._split)
 
     @property
     def _beta(self):
@@ -286,8 +288,9 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC,
     exact = phi.mode == "exact" and psi.mode == "exact"
     w = [phi.value(b)[0] - psi.value(b)[0] if exact
          else float(phi.value(b)[0]) - float(psi.value(b)[0]) for b in recoded.states]
-    hi, hi_edges, _ = max_mean_data(recoded.n, recoded.edges(), w)
-    neg_lo, lo_edges, _ = max_mean_data(recoded.n, recoded.edges(), [-x for x in w])
+    hi, hi_edges, _ = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
+    neg_lo, lo_edges, _ = _max_mean(recoded.n, recoded.edges(), [-x for x in w],
+                                    recoded._split)
     lo = -neg_lo
     spread = float(hi - lo)
     if (lo == hi) if exact else (spread <= tol):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core_sft import is_transitive, recode_to_one_step
+from .core_sft import recode_to_one_step
 from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
 from .max_face import FaceSubshift, face_subshift, max_entropy_components
@@ -29,10 +29,6 @@ CASE_MULTI_COMPONENT = "MultiComponent"
 CONVERGENCE_TOL = 1e-10
 UNCONVERGED_TOL = 1e-6
 BOUNDARY_MASS_TOL = 1e-3
-
-
-def _is_single_cycle(matrix) -> bool:
-    return all(sum(row) == 1 for row in matrix)
 
 
 @dataclass
@@ -66,7 +62,7 @@ def classify(phi: PotentialLC) -> ClassificationResult:
     """
     if phi.m != 1:
         raise InvalidArgumentError("classify takes a scalar potential")
-    if not is_transitive(phi.sft):
+    if not phi._irreducible:
         raise NotTransitiveError("classification needs a transitive shift")
     face = face_subshift(phi)
     if face.is_whole_shift:
@@ -78,8 +74,7 @@ def classify(phi: PotentialLC) -> ClassificationResult:
     ids, flagged = max_entropy_components(face)
     if len(ids) == 1:
         comp = face.components[ids[0]]
-        case = CASE_VERTEX_PERIODIC if _is_single_cycle(comp.matrix) \
-            else CASE_UNIQUE_TRANSITIVE
+        case = CASE_VERTEX_PERIODIC if comp.is_cycle else CASE_UNIQUE_TRANSITIVE
         limit = [(Fraction(1), component_parry(face, ids[0]))]
         return ClassificationResult(case, face.beta, face, ids, flagged,
                                     None, limit)

@@ -49,6 +49,33 @@ def _word_data(sft, k):
     return out
 
 
+def _draw(rng, m: int = 1):
+    """(sft, k, values) of one trial, drawn as every suite draws them."""
+    sft = random_transitive_sft(rng)
+    k = rng.choice((1, 2))
+    return sft, k, random_rational_values(rng, sft, k, m=m)
+
+
+def _direction(rng):
+    """A nonzero integer direction in the plane."""
+    while True:
+        alpha = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if alpha != (0, 0):
+            return alpha
+
+
+def suite_potentials(trials: int = TRIALS):
+    """(potential, direction) of each trial of the max-mean suite (scalar,
+    direction None) and of the argmax suite (m = 2), in their draw order."""
+    rng = random.Random(104)
+    for _ in range(trials):
+        yield PotentialLC.from_block_values(*_draw(rng)), None
+    rng = random.Random(105)
+    for _ in range(trials):
+        sft, k, vals = _draw(rng, m=2)
+        yield PotentialLC.from_block_values(sft, k, vals, m=2), _direction(rng)
+
+
 def _lcm(nums):
     out = 1
     for n in nums:
@@ -116,9 +143,7 @@ def run_max_mean_and_membership(trials: int = TRIALS) -> str:
     of periodic words in the maximizing subshift up to period 8."""
     rng = random.Random(104)
     for trial in range(trials):
-        sft = random_transitive_sft(rng)
-        k = rng.choice((1, 2))
-        vals = random_rational_values(rng, sft, k)
+        sft, k, vals = _draw(rng)
         phi = PotentialLC.from_block_values(sft, k, vals)
         face = face_subshift(phi)
         beta = face.beta
@@ -141,14 +166,9 @@ def run_argmax_fingerprint(trials: int = TRIALS) -> str:
     subgraph found independently."""
     rng = random.Random(105)
     for trial in range(trials):
-        sft = random_transitive_sft(rng)
-        k = rng.choice((1, 2))
-        vals = random_rational_values(rng, sft, k, m=2)
+        sft, k, vals = _draw(rng, m=2)
         Phi = PotentialLC.from_block_values(sft, k, vals, m=2)
-        while True:
-            alpha = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if alpha != (0, 0):
-                break
+        alpha = _direction(rng)
         orbits = elementary_orbits(sft, k)
         fp = face_in_direction(Phi, alpha, orbits=orbits)
         got = {orbits[i].segment for i in fp.orbit_set}

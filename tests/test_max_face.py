@@ -2,16 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (LOG_GOLDEN, LOG_SILVER, brute_max_cycle_mean,
                      critical_edges, karp_max_mean, random_rational_values,
                      random_transitive_sft)
+from property_suites import suite_potentials
 from thermoshift import (InvalidArgumentError, PotentialLC, Sft,
                          equilibrium_markov, face_subshift, get_potential,
                          max_entropy_components, max_mean_data,
-                         recode_to_one_step)
+                         potential_names, recode_to_one_step)
+from thermoshift.core_sft import matrix_edges
 from thermoshift.max_face import lex_extreme_cycle
+from thermoshift.spectral import Transfer
+from thermoshift.thermodynamics import markov_entropy
 
 
 def test_max_cycle_mean_matches_brute_force(rng):
@@ -213,3 +218,62 @@ def test_face_labels_separate_two_digit_symbols():
     assert comp.labels() == ("1,11", "11,1")
     mu = equilibrium_markov(phi)
     assert tuple(mu.state_labels[i] for i in comp.state_ids) == comp.labels()
+
+
+# -- exact Parry data of cycle components -----------------------------------
+
+def _assert_cycle_matches_engine(comp):
+    """A cycle component's exact Parry data against the Perron engine's
+    solve of its 0/1 matrix; log_lam and the gap of the engine carry the
+    rounding of its eigensolve, about n ulps."""
+    n = len(comp.matrix)
+    assert comp.is_cycle and comp.entropy == 0.0
+    got = comp.perron_solve
+    want = Transfer(n, matrix_edges(comp.matrix), [0] * n).solve()
+    tol = max(1e-15, n * 2.0 ** -52)
+    assert got.log_lam == 0.0 and abs(want.log_lam) <= tol
+    assert abs(got.gap - want.gap) <= tol * want.gap
+    assert n > 6 or got.gap == want.gap == 1.0      # the engine's clamp, exactly
+    assert got.precision == want.precision == "double"
+    for a, b in ((got.transition, want.transition), (got.stationary, want.stationary)):
+        assert a.shape == b.shape
+        assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b))
+    assert markov_entropy(got.stationary, got.transition) == 0.0
+
+
+def test_cycle_parry_data_matches_the_engine_on_n_cycles():
+    # the gap is 2 sin(pi/n), clamped to 1 for n <= 6 as the engine's is
+    # (2 sin(pi/6) rounds 1 ulp below 1)
+    rng = random.Random(17)
+    for n in range(1, 41):
+        order = rng.sample(range(n), n)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[order[i]][order[(i + 1) % n]] = 1
+        (comp,) = face_subshift(PotentialLC.constant(Sft.from_matrix(rows), 0)).components
+        assert comp.matrix == tuple(map(tuple, rows))
+        _assert_cycle_matches_engine(comp)
+
+
+def _faces():
+    for name in potential_names():
+        phi = get_potential(name)
+        if phi.m == 1:
+            yield face_subshift(phi)
+        else:
+            for alpha in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+                yield face_subshift(phi, alpha)
+    for phi, alpha in suite_potentials():
+        yield face_subshift(phi, alpha)
+
+
+def test_cycle_components_match_the_engine():
+    # every cycle component of the builtins and the property-suite potentials
+    cycles = 0
+    for face in _faces():
+        for comp in face.components:
+            assert comp.is_cycle == all(sum(row) == 1 for row in comp.matrix)
+            if comp.is_cycle:
+                _assert_cycle_matches_engine(comp)
+                cycles += 1
+    assert cycles >= 1000

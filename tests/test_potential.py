@@ -2,16 +2,24 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import thermoshift.core_sft as core_sft
+import thermoshift.max_face as max_face
 from oracles import (brute_max_cycle_mean, random_rational_values,
                      random_transitive_sft, word_average)
+from property_suites import suite_potentials
 from thermoshift import (CohomologyReport, InvalidArgumentError, PotentialLC,
-                         Sft, cohomology_test, get_potential, pressure,
-                         recode_to_one_step, scalarize, universal_potential)
+                         Sft, classify, cohomology_test, get_potential,
+                         max_mean_data, potential_names, pressure,
+                         recode_to_one_step, rotation_set, scalarize,
+                         universal_potential)
+from thermoshift.max_face import lex_extreme_cycle
 from thermoshift.potential import embed_coordinates, embed_direction
 
 
@@ -216,3 +224,75 @@ def test_constant_mode_float():
     c = PotentialLC.constant(Sft.full(2), 0.25, k=2, mode="float")
     assert c.mode == "float" and all(v == (0.25,) for v in c.values.values())
     assert math.isclose(float(c.value((1, 0))[0]), 0.25)
+
+
+# -- the recoding's SCC split ----------------------------------------------
+
+def _split_cases():
+    """(scalar potentials, vector potentials): every builtin and
+    property-suite potential, vector ones also along the suite's or a few
+    axis directions, and every scalar one in float mode too."""
+    scalars, vectors = [], []
+    named = [(get_potential(name), None) for name in potential_names()]
+    for phi, alpha in named + list(suite_potentials()):
+        if phi.m == 1:
+            scalars.append(phi)
+        else:
+            vectors.append(phi)
+            for d in [alpha] if alpha else [(1, 0), (0, -1), (1, 1)]:
+                scalars.append(scalarize(phi, d))
+    scalars += [PotentialLC(phi.sft, phi.k, 1, {b: (float(x),) for b, (x,) in phi.values.items()},
+                            "float") for phi in scalars]
+    return scalars, vectors
+
+
+def test_the_recoding_split_gives_the_public_max_plus_pass():
+    for phi in _split_cases()[0]:
+        recoded = phi._recoded
+        w = [x for (x,) in phi.state_values()]
+        assert phi._max_plus == max_mean_data(recoded.n, recoded.edges(), w)
+
+
+def test_cohomology_and_rotation_sets_do_not_depend_on_the_split(monkeypatch):
+    def outputs():
+        rng = random.Random(17)
+        scalars, vectors = _split_cases()
+        out = []
+        for phi in scalars:
+            psi = PotentialLC.from_block_values(phi.sft, 1, random_rational_values(rng, phi.sft, 1))
+            out += [cohomology_test(phi, psi), cohomology_test(phi, phi)]
+        for Phi in vectors:
+            P = rotation_set(Phi)
+            out.append((P.affine_dim, P.vertices, P.facets))
+            for dirs in (((1, 0), (0, 1)), ((0, -1), (-1, -1), (1, 0))):
+                out.append(lex_extreme_cycle(Phi._recoded, Phi.state_values(), dirs))
+        return out
+
+    cached = outputs()
+    passes, public = max_face._max_mean, []
+
+    def own_split(n, edges, w, split):
+        public.append(1)
+        return passes(n, edges, w, core_sft._cyclic_components(n, edges))
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "_max_mean", None) is passes:
+            monkeypatch.setattr(module, "_max_mean", own_split)
+    assert outputs() == cached and len(public) > len(cached)
+
+
+def test_classify_and_cohomology_split_the_recoding_once(monkeypatch):
+    recode_to_one_step.cache_clear()    # a recoding no earlier test has split
+    phi = get_potential("gold0")
+    recoded, splits = phi._recoded, []
+    tarjan = core_sft.scc_of_edges
+
+    def counting(n, edges):
+        splits.append(edges is recoded.edges())
+        return tarjan(n, edges)
+
+    monkeypatch.setattr(core_sft, "scc_of_edges", counting)
+    assert classify(phi).case == "UniqueTransitive"
+    assert not cohomology_test(phi, PotentialLC.constant(phi.sft, 0, k=2)).cohomologous
+    pressure(phi, 1.0)
+    assert splits.count(True) == 1 and len(splits) > 1

@@ -7,13 +7,13 @@ import pytest
 
 import thermoshift.spectral as spectral
 from oracles import (LOG_GOLDEN, TIED_COMPONENTS, brute_recoded_graph,
-                     brute_weighted_automorphisms, random_transitive_sft,
-                     tied_potential)
-from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
-                         Sft, classify, equilibrium_markov, get_potential,
-                         get_shift, ground_state_check, pressure,
-                         recode_to_one_step, symmetry_coefficients,
-                         zt_coefficients)
+                     brute_weighted_automorphisms, random_rational_values,
+                     random_transitive_sft, tied_potential)
+from thermoshift import (EmptyShiftError, InvalidArgumentError, NotTransitiveError,
+                         PotentialLC, Sft, classify, equilibrium_markov,
+                         get_potential, get_shift, ground_state_check,
+                         is_transitive, pressure, recode_to_one_step,
+                         symmetry_coefficients, zt_coefficients)
 from thermoshift.zero_temperature import _weighted_automorphisms
 
 
@@ -294,3 +294,29 @@ def test_input_validation():
         classify(PotentialLC.constant(split, 0))
     with pytest.raises(InvalidArgumentError):
         zt_coefficients(get_potential("twofix"), method="bogus")
+
+
+def test_the_recoding_decides_transitivity():
+    # the k-block recoding of a pruned shift is irreducible exactly when
+    # the shift is transitive, so classify and pressure read its split
+    rng = random.Random(1717)
+    reducible = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        try:
+            sft = Sft.from_matrix([[int(rng.random() < 0.45) for _ in range(d)]
+                                   for _ in range(d)])
+        except EmptyShiftError:
+            continue
+        k = rng.choice((1, 2, 3))
+        phi = PotentialLC.from_block_values(sft, k, random_rational_values(rng, sft, k))
+        assert phi._irreducible == is_transitive(sft)
+        if phi._irreducible:
+            classify(phi)
+            continue
+        reducible += 1
+        with pytest.raises(NotTransitiveError):
+            classify(phi)
+        with pytest.raises(NotTransitiveError):
+            pressure(phi, 1.0)
+    assert reducible >= 50

@@ -30,8 +30,7 @@ _EXPORTS = {
     "potential": ("PotentialLC", "scalarize", "universal_potential",
                   "CohomologyReport", "cohomology_test"),
     "rotation_geometry": ("RotationPolytope", "FaceFingerprint", "GenericityReport",
-                          "rotation_set", "face_in_direction", "face_segment",
-                          "genericity_check"),
+                          "rotation_set", "face_in_direction", "genericity_check"),
     # maximizing subshifts
     "max_face": ("FaceSubshift", "FaceComponent", "face_subshift",
                  "max_entropy_components", "max_mean_data"),

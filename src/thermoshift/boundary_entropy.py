@@ -31,8 +31,8 @@ from .core_sft import Sft
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
-from .potential import PotentialLC
-from .rotation_geometry import RotationPolytope, _snap, rotation_set
+from .potential import PotentialLC, _snap
+from .rotation_geometry import RotationPolytope, rotation_set
 from .spectral import perron, perron_stack
 from .thermodynamics import _measure, markov_entropy
 

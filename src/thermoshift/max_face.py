@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .core_sft import (TIGHT_TOL, RecodedSft, _cyclic_components, _howard, _int_weights,
@@ -194,21 +195,13 @@ def max_entropy_components(face: FaceSubshift, tol: float = TIGHT_TOL):
     return ids, flagged
 
 
-def lex_extreme_cycle(recoded: RecodedSft, vecs, directions):
-    """A cycle maximizing the mean of vecs lexicographically in the
-    given exact directions; returns (cycle state ids, mean vector).
-
-    ``vecs`` is one rational m-vector per recoded state.  Used for
-    support-oracle hull construction without orbit enumeration; each
-    direction restricts the search to the recurrent tight edges of the
-    previous one.
+def extreme_cycle(recoded: RecodedSft, rows, d):
+    """A cycle of maximum mean of d . row, for one integer row per
+    recoded state and an integer direction d; returns (cycle state ids,
+    the sum of the rows along it).  One exact max-plus pass on the
+    recoding's split: the support query of rotation-set hulls.
     """
-    edges, split = recoded.edges(), recoded._split
-    for d in directions:
-        w = [sum(di * xi for di, xi in zip(d, vec)) for vec in vecs]
-        _, edges, sccs = _max_mean(recoded.n, edges, w, split)
-        split = sccs, edges             # the recurrent tight edges are their own split
+    w = [sum(map(mul, d, row)) for row in rows]
+    _, edges, _ = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
     cyc = find_cycle(edges)
-    p = len(cyc)
-    mean = tuple(sum(vecs[v][i] for v in cyc) / p for i in range(len(vecs[0])))
-    return cyc, mean
+    return cyc, tuple(map(sum, zip(*(rows[v] for v in cyc))))

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from .spectral import Transfer
 
 FLOAT_EQ_TOL = 1e-9
+SNAP_DEN = 10**9         # the grid that exact geometry puts float values on
 
 Number = object  # Fraction or float, uniform per potential
 
@@ -37,17 +38,24 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _snap(x) -> Fraction:
+    """An exact value as it is, a float rounded to the 1e-9 grid."""
+    if isinstance(x, (Fraction, int)):
+        return _as_fraction(x)
+    return Fraction(round(float(x) * SNAP_DEN), SNAP_DEN)
+
+
 @dataclass(frozen=True)
 class PotentialLC:
     """A locally constant m-vector potential with window k.
 
     A potential is immutable: its fields cannot be assigned and
     ``values`` is a read-only mapping.  So the data that its solves share
-    is kept with it, each piece built on first use: the recoding and the
-    state values, the irreducibility of the recoding, the maximum cycle
-    mean beta and the tight edges of a scalar potential, and the
-    transfer matrix of phi - beta with its max-plus scaling
-    (``spectral.Transfer``).
+    is kept with it, each piece built on first use: the recoding, the
+    state values and their integer rows, the irreducibility of the
+    recoding, the maximum cycle mean beta and the tight edges of a scalar
+    potential, and the transfer matrix of phi - beta with its max-plus
+    scaling (``spectral.Transfer``).
     """
 
     sft: Sft
@@ -99,6 +107,16 @@ class PotentialLC:
         if self.mode == "exact":
             return tuple(tuple(map(_as_fraction, self.values[b])) for b in blocks)
         return tuple(self.values[b] for b in blocks)
+
+    @functools.cached_property
+    def _int_rows(self) -> tuple:
+        """(rows, L): the state values snapped to the 1e-9 grid (``_snap``)
+        times their common denominator L, one int tuple per state.  The
+        exact geometry of ``rotation_geometry`` runs on these."""
+        snapped = [tuple(map(_snap, vec)) for vec in self._state_values]
+        L = math.lcm(*(x.denominator for vec in snapped for x in vec))
+        return tuple(tuple(x.numerator * (L // x.denominator) for x in vec)
+                     for vec in snapped), L
 
     @property
     def _irreducible(self) -> bool:

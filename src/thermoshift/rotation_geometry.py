@@ -2,12 +2,16 @@
 
 The rotation set of an m-vector potential is the convex hull of the
 Birkhoff averages of the elementary periodic orbits.  All hull geometry
-here runs in exact rational arithmetic; float-mode potentials are
-snapped to a 1e-9 grid first.  Without an orbit list, support queries
-(one max-cycle-mean run per direction) grow the affine span and then
-certify every facet.  One builder, double description in the chart of
-the affine span, gives vertices and facets for every m and every affine
-dimension.
+here is exact and runs on integer coordinates: each potential's values,
+float ones snapped to a 1e-9 grid first, are scaled once to integer rows
+over their common denominator L (``PotentialLC._int_rows``).  An orbit's
+average is its integer row sum over period * L, a point set is put over
+one common denominator D, and facet tests compare a . X against b in
+ints; Fractions are made only for what is returned.  Without an orbit
+list, support queries (one max-cycle-mean run per integer direction)
+grow the affine span and then certify every facet.  One builder, double
+description in the chart of the affine span, gives vertices and facets
+for every m and every affine dimension.
 """
 
 from __future__ import annotations
@@ -17,86 +21,120 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .core_sft import recode_to_one_step
-from .errors import DegenerateFaceError, InvalidArgumentError, ResourceLimitError
-from .max_face import lex_extreme_cycle
+from .errors import InvalidArgumentError, ResourceLimitError
+from .max_face import extreme_cycle
 from .orbits import birkhoff_average, elementary_orbits
-from .potential import PotentialLC
-
-SNAP_DEN = 10**9
+from .potential import PotentialLC, _snap
 
 
-def _snap(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(round(float(x) * SNAP_DEN), SNAP_DEN)
+def _orbit_sums(Phi: PotentialLC, orbits):
+    """Each average of orbits of Phi's shift as (s, e), the int vector s
+    over e: the sum of Phi's integer rows along the orbit's states (its
+    ``state_cycle`` when the windows agree) over its period times L."""
+    rows, L = Phi._int_rows
+    index = Phi._recoded.block_index()
+    out = []
+    for o in orbits:
+        try:
+            ids = o.state_cycle if o.k == Phi.k else [index[b] for b in o.blocks(Phi.k)]
+            out.append((tuple(map(sum, zip(*(rows[v] for v in ids)))), o.period * L))
+        except (KeyError, IndexError):
+            raise InvalidArgumentError(
+                f"orbit {o.segment} is not an orbit of the potential's shift") from None
+    return out
+
+
+def _ratios(s, e) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, e) for x in s)
+
+
+def _ints(vec):
+    """(y, e) with the rational vector vec equal to y / e."""
+    e = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (e // x.denominator) for x in vec], e
+
+
+def _scale(points):
+    """(X, D) for points (s, e), each the vector s / e: D is the lcm of
+    the e, and X lists each point as the int vector s * (D / e)."""
+    D = lcm(*(e for _, e in points))
+    return [tuple(x * (D // e) for x in s) for s, e in points], D
 
 
 def orbit_averages(Phi: PotentialLC, orbits) -> tuple[tuple[Fraction, ...], ...]:
     """Exact orbit averages of the values snapped to the grid: the points
     the support queries of rotation_set see."""
-    snapped = [[tuple(map(_snap, Phi.value(b))) for b in o.blocks(Phi.k)] for o in orbits]
-    return tuple(tuple(sum(c) / len(vs) for c in zip(*vs)) for vs in snapped)
+    return tuple(_ratios(s, e) for s, e in _orbit_sums(Phi, orbits))
 
 
 # -- exact affine frame ----------------------------------------------------
 
+def _primitive(v):
+    g = gcd(*v)
+    return [x // g for x in v]
+
+
 class _AffineFrame:
-    """Affine hull of a point set with exact coordinates in a basis.
+    """Affine hull of integer points X, which stand for X / den.
 
     ``corners`` are the ids of the points that built it: the origin and
     one point per basis vector, basis[j] = points[corners[j + 1]] - origin.
     The span projects one to one onto the coordinates ``pivots``.
     """
 
-    def __init__(self, points):
-        self.origin = points[0]
-        self.basis: list[tuple[Fraction, ...]] = []
+    def __init__(self, points, den):
+        self.origin, self.den = points[0], den
+        self.basis: list[tuple[int, ...]] = []
         self.corners = [0]
         self.pivots: list[int] = []
-        # echelon rows: (reduced vector, its coefficients in the basis, pivot)
-        self._ech: list[tuple[list[Fraction], list[Fraction], int]] = []
+        self._ech: list[list[int]] = []     # primitive, zero at the earlier pivots
         for i, p in enumerate(points):
+            if len(self.basis) == len(p):
+                break
             diff = [a - b for a, b in zip(p, self.origin)]
-            red, f = self._reduce(diff)
-            pivot = next((j for j, x in enumerate(red) if x != 0), None)
+            red = self._reduce(diff)
+            pivot = next((j for j, x in enumerate(red) if x), None)
             if pivot is not None:
-                # red = diff - sum f[e] ech[e], and each ech[e] is a
-                # combination of the earlier basis vectors
-                coeffs = [Fraction(0)] * len(self.basis) + [Fraction(1)]
-                for fe, (_, c, _) in zip(f, self._ech):
-                    for j, cj in enumerate(c):
-                        coeffs[j] -= fe * cj
                 self.basis.append(tuple(diff))
                 self.corners.append(i)
                 self.pivots.append(pivot)
-                self._ech.append((red, coeffs, pivot))
+                self._ech.append(_primitive(red))
         self.dim = len(self.basis)
 
-    def _reduce(self, vec):
-        v = list(vec)
-        coeffs = [Fraction(0)] * len(self._ech)
-        for idx, (e, c, pivot) in enumerate(self._ech):
-            if v[pivot] != 0:
-                f = v[pivot] / e[pivot]
-                v = [a - f * b for a, b in zip(v, e)]
-                coeffs[idx] = f
-        return v, coeffs
+    def _reduce(self, v):
+        """v less a combination of the echelon rows, times a nonzero int:
+        zero exactly when v lies in the span."""
+        for e, pivot in zip(self._ech, self.pivots):
+            f = v[pivot]
+            if f:
+                g = e[pivot]
+                v = [g * a - f * b for a, b in zip(v, e)]
+        return v
 
-    def coords(self, point):
-        """Coordinates c of a point in the basis, point = origin +
-        sum c[j] basis[j], or None if off the hull."""
-        diff = [a - b for a, b in zip(point, self.origin)]
-        red, coeffs = self._reduce(diff)
-        if any(x != 0 for x in red):
-            return None
-        out = [Fraction(0)] * self.dim
-        for f, (_, c, _) in zip(coeffs, self._ech):
-            for j, cj in enumerate(c):
-                out[j] += f * cj
-        return tuple(out)
+    def contains(self, y, e) -> bool:
+        """Whether the point y / e lies on the affine hull."""
+        return not any(self._reduce([a * self.den - o * e for a, o in zip(y, self.origin)]))
+
+    def complement(self) -> list[tuple[int, ...]]:
+        """Primitive int vectors spanning the orthogonal complement of the
+        span: the kernel of the echelon rows, read off once each pivot
+        column is cleared from the other rows."""
+        rows = [list(e) for e in self._ech]
+        for j in reversed(range(self.dim)):
+            pj, ej = self.pivots[j], rows[j]
+            for i, row in enumerate(rows):
+                if i != j and row[pj]:
+                    rows[i] = _primitive([ej[pj] * a - row[pj] * b for a, b in zip(row, ej)])
+        M = lcm(*(row[p] for row, p in zip(rows, self.pivots)))
+        out = []
+        for c in range(len(self.origin)):
+            if c not in self.pivots:
+                x = [0] * len(self.origin)
+                x[c] = M
+                for row, p in zip(rows, self.pivots):
+                    x[p] = -row[c] * (M // row[p])
+                out.append(tuple(_primitive(x)))
+        return out
 
 
 # -- exact hull by double description --------------------------------------
@@ -202,15 +240,17 @@ class RotationPolytope:
 
     def membership(self, point) -> str:
         """'interior', 'boundary', or 'outside' relative to the affine hull."""
-        pt = tuple(_snap(x) for x in point)
-        if self.frame.coords(pt) is None:
+        y, e = _ints([_snap(x) for x in point])
+        if not self.frame.contains(y, e):
             return "outside"
         on_facet = False
         for f in self.facets:
-            val = _dot(f.normal, pt)
-            if val > f.offset:
+            # normal . y / e against the offset p / q
+            val = _dot([x.numerator for x in f.normal], y) * f.offset.denominator
+            bound = f.offset.numerator * e
+            if val > bound:
                 return "outside"
-            if val == f.offset:
+            if val == bound:
                 on_facet = True
         return "boundary" if on_facet else "interior"
 
@@ -218,19 +258,21 @@ class RotationPolytope:
         """An ambient direction whose argmax face is exactly this vertex."""
         if self.affine_dim == 0:
             return tuple(Fraction(0) for _ in range(self.m))
-        total = [Fraction(0)] * self.m
+        total = [0] * self.m
         for f in self.facets:
             if vertex_id in f.vertex_ids:
                 for i, x in enumerate(f.normal):
-                    total[i] += x
-        if all(x == 0 for x in total):
+                    total[i] += x.numerator
+        if not any(total):
             raise InvalidArgumentError(f"vertex {vertex_id} has no adjacent facets")
-        return tuple(total)
+        return tuple(map(Fraction, total))
 
 
-def _build_hull(m, unique_points):
-    """(frame, vertices, facets) of the hull of distinct exact points,
-    given in sorted order.
+def _build_hull(points, den):
+    """(frame, vertex ids, facets) of the hull of the distinct integer
+    points X / den, given in sorted order; each facet is (the positions of
+    its vertices in the vertex list, its normal a, its offset b), with
+    a . X <= b on the hull.
 
     The facets come from _dd_facets in the chart of dimension r that keeps
     the frame's pivot coordinates of the points less the origin (all of
@@ -242,19 +284,18 @@ def _build_hull(m, unique_points):
     lex-smaller neighbour, edge i joining vertices i and i + 1; for any
     other r sorted vertices and facets sorted by (normal, offset).
     """
-    frame = _AffineFrame(unique_points)
+    m = len(points[0])
+    frame = _AffineFrame(points, den)
     r = frame.dim
     if r == 0:
-        return frame, [unique_points[0]], []
-    den = lcm(*(x.denominator for p in unique_points for x in p))
-    ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in unique_points]
+        return frame, [0], []
     axes = sorted(frame.pivots)
-    chart = [tuple(p[k] - ints[0][k] for k in axes) for p in ints]
+    chart = [tuple(p[k] - points[0][k] for k in axes) for p in points]
     lift = None
     if r < m:
         # a . x on the chart is n . x on the span for n the projection onto
         # the span of a placed on the axes: n = B^T (B B^T)^-1 B_axes a
-        base = [tuple(u - v for u, v in zip(ints[i], ints[0])) for i in frame.corners[1:]]
+        base = frame.basis
         ginv = _int_inverse([[_dot(u, v) for v in base] for u in base])
         proj = [[_dot(col, g) for g in zip(*ginv)] for col in zip(*base)]
         lift = [[_dot(row, [b[k] for b in base]) for k in axes] for row in proj]
@@ -269,11 +310,9 @@ def _build_hull(m, unique_points):
     verts = [i for i in ids if cover[i] == 1 << i]
     found = {}
     for a, _, z in rays:
-        n = a if lift is None else [_dot(row, a) for row in lift]
-        g = gcd(*n)
+        n = tuple(_primitive(a if lift is None else [_dot(row, a) for row in lift]))
         on = tuple(i for i in verts if z >> i & 1)
-        found[on] = Facet(on, tuple(Fraction(x // g) for x in n),
-                          Fraction(_dot(n, ints[on[0]]), den * g))
+        found[on] = (n, _dot(n, points[on[0]]))
     if r == 2:
         nbrs = {i: [] for i in verts}
         for p, q in found:
@@ -290,66 +329,49 @@ def _build_hull(m, unique_points):
         facets = []
         for i, p in enumerate(verts):
             j = (i + 1) % len(verts)
-            f = found[min(p, verts[j]), max(p, verts[j])]
-            facets.append(Facet((i, j), f.normal, f.offset))
+            facets.append(((i, j), *found[min(p, verts[j]), max(p, verts[j])]))
     else:
         vid = {p: i for i, p in enumerate(verts)}
-        facets = sorted((Facet(tuple(vid[p] for p in f.vertex_ids), f.normal, f.offset)
-                         for f in found.values()), key=lambda f: (f.normal, f.offset))
-    return frame, [unique_points[i] for i in verts], facets
-
-
-def _primitive(vec):
-    """Scale a nonzero rational vector to coprime integers, keeping sign."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
-    g = gcd(*ints)
-    return tuple(Fraction(i // g) for i in ints)
-
-
-def _complement(basis, m):
-    """Exact basis of the orthogonal complement of span(basis) in Q^m:
-    Gram-Schmidt over the basis, then over the unit vectors."""
-    units = [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)]
-    ortho = []
-    for v in [*basis, *units]:
-        for q in ortho:
-            f = _dot(v, q) / _dot(q, q)
-            v = tuple(a - f * b for a, b in zip(v, q))
-        if any(v):
-            ortho.append(v)
-    return ortho[len(basis):]
+        facets = sorted(((tuple(vid[p] for p in on), n, b) for on, (n, b) in found.items()),
+                        key=lambda f: f[1:])
+    return frame, verts, facets
 
 
 def _support_hull(Phi: PotentialLC):
-    """(frame, vertices, facets) of the rotation set from support queries,
-    each the mean of one cycle maximizing d . Phi, asked once per
-    direction."""
-    recoded = recode_to_one_step(Phi.sft, Phi.k)
-    vecs = [tuple(map(_snap, vec)) for vec in Phi.state_values()]
+    """(points, den, hull) of the rotation set from support queries, each
+    the mean of one cycle maximizing d . Phi for an integer direction d,
+    asked once per direction; hull is ``_build_hull(points, den)``."""
+    recoded = Phi._recoded
+    rows, L = Phi._int_rows
     answers = {}
 
     def support(d):
-        d = _primitive(d)
         if d not in answers:
-            answers[d] = lex_extreme_cycle(recoded, vecs, [d])[1]
+            cyc, s = extreme_cycle(recoded, rows, d)
+            answers[d] = s, len(cyc) * L
         return answers[d]
+
+    def frame(pts):
+        X, D = _scale(pts)
+        return _AffineFrame(sorted(set(X)), D)
 
     m = Phi.m
     pts = {support((1,) + (0,) * (m - 1))}
+    span = frame(pts)
     while True:
-        frame = _AffineFrame(sorted(pts))
-        found = {support(tuple(s * x for x in v))
-                 for v in _complement(frame.basis, m) for s in (1, -1)}
-        pts |= found
-        if all(frame.coords(p) is not None for p in found):
+        pts |= {support(tuple(s * x for x in v)) for v in span.complement() for s in (1, -1)}
+        grown = frame(pts)
+        if grown.dim == span.dim:
             break
+        span = grown
     while True:
-        frame, verts, facets = _build_hull(m, sorted(pts))
-        beyond = {p for f in facets for p in [support(f.normal)]
-                  if _dot(f.normal, p) > f.offset}
+        X, D = _scale(pts)
+        points = sorted(set(X))
+        hull = _build_hull(points, D)
+        beyond = {p for _, a, b in hull[2] for p in [support(a)]
+                  if _dot(a, p[0]) * D > b * p[1]}
         if not beyond:
-            return frame, verts, facets
+            return points, D, hull
         pts |= beyond
 
 
@@ -360,14 +382,19 @@ def rotation_set(Phi: PotentialLC, orbits=None) -> RotationPolytope:
     lists.  Otherwise the hull comes from exact support queries and no
     orbit is enumerated; generator_points is then empty.
     """
-    m, gens = Phi.m, []
+    gens = []
     if orbits is None:
-        frame, verts, facets = _support_hull(Phi)
+        points, den, (frame, verts, facets) = _support_hull(Phi)
     else:
-        avgs = orbit_averages(Phi, orbits)
-        gens, unique = list(enumerate(avgs)), sorted(set(avgs))
-        frame, verts, facets = _build_hull(m, unique)
-    return RotationPolytope(m, gens, frame.dim, verts, facets, frame)
+        sums = _orbit_sums(Phi, orbits)
+        gens = [(i, _ratios(s, e)) for i, (s, e) in enumerate(sums)]
+        X, den = _scale(sums)
+        points = sorted(set(X))
+        frame, verts, facets = _build_hull(points, den)
+    return RotationPolytope(
+        Phi.m, gens, frame.dim, [_ratios(points[i], den) for i in verts],
+        [Facet(ids, tuple(map(Fraction, a)), Fraction(b, den)) for ids, a, b in facets],
+        frame)
 
 
 @dataclass
@@ -393,11 +420,12 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None,
         raise InvalidArgumentError("direction length must equal potential dimension")
     exact = Phi.mode == "exact" and all(isinstance(a, (int, Fraction)) for a in alpha)
     if exact:
-        avgs = orbit_averages(Phi, orbits)
-        vals = [_dot(alpha, v) for v in avgs]
+        a, c = _ints([Fraction(x) for x in alpha])
+        X, D = _scale(_orbit_sums(Phi, orbits))
+        vals = [_dot(a, x) for x in X]
         best = max(vals)
         ids = tuple(i for i, v in enumerate(vals) if v == best)
-        return FaceFingerprint(alpha, best, ids)
+        return FaceFingerprint(alpha, Fraction(best, c * D), ids)
     vals = [sum(float(a) * float(x) for a, x in zip(alpha, birkhoff_average(o, Phi)))
             for o in orbits]
     best = max(vals)
@@ -421,34 +449,20 @@ def genericity_check(Phi: PotentialLC, orbits=None) -> GenericityReport:
     """
     if orbits is None:
         orbits = elementary_orbits(Phi.sft, Phi.k)
-    poly = rotation_set(Phi, orbits)
+    X, den = _scale(_orbit_sums(Phi, orbits))
+    points = sorted(set(X))
+    frame, verts, facets = _build_hull(points, den)
     at = {}                         # orbit indices by average
-    for i, a in poly.generator_points:
-        at.setdefault(a, []).append(i)
-    vertex_violations = [(vidx, (a, b)) for vidx, v in enumerate(poly.vertices)
+    for i, x in enumerate(X):
+        at.setdefault(x, []).append(i)
+    vertices = [points[i] for i in verts]
+    vertex_violations = [(vidx, (a, b)) for vidx, v in enumerate(vertices)
                          for a, b in combinations(at[v], 2)
                          if orbits[a].cylinders != orbits[b].cylinders]
     # every average lies in the hull: it is on the boundary when on a facet
-    vertices = set(poly.vertices)
+    vertices = set(vertices)
     boundary_violations = sorted(
-        i for a, ids in at.items() if a not in vertices
-        and any(_dot(f.normal, a) == f.offset for f in poly.facets) for i in ids)
+        i for x, ids in at.items() if x not in vertices
+        and any(_dot(a, x) == b for _, a, b in facets) for i in ids)
     ok = not vertex_violations and not boundary_violations
-    return GenericityReport(ok, vertex_violations, boundary_violations, poly.affine_dim)
-
-
-def face_segment(poly: RotationPolytope, fingerprint: FaceFingerprint, avgs):
-    """Endpoints of a one-dimensional face picked out by a fingerprint.
-
-    Returns (e0, e1, tangent); raises DegenerateFaceError when the face
-    is a single point.
-    """
-    pts = sorted({avgs[i] for i in fingerprint.orbit_set})
-    frame = _AffineFrame(pts)
-    if frame.dim == 0:
-        raise DegenerateFaceError("face is a vertex, not a segment")
-    if frame.dim > 1:
-        raise InvalidArgumentError("face is not one-dimensional")
-    tangent = frame.basis[0]
-    keyed = sorted(pts, key=lambda p: frame.coords(p)[0])
-    return keyed[0], keyed[-1], tangent
+    return GenericityReport(ok, vertex_violations, boundary_violations, frame.dim)

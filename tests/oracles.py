@@ -406,3 +406,209 @@ def tied_potential(name):
         return PotentialLC.from_block_values(Sft.full(4), 2, values), values
     phi = get_potential(name)
     return phi, {b: v[0] for b, v in phi.values.items()}
+
+
+# -- rotation geometry in Fraction arithmetic ------------------------------
+#
+# The exact geometry layer as it ran before it moved to integer
+# coordinates: values snapped and averaged block by block, support points
+# as Fraction cycle means, a Fraction affine frame, and facet tests as
+# Fraction dot products.  Only the integer double description
+# (rotation_geometry._dd_facets) is shared with the package.
+
+SNAP_DEN = 10**9
+
+
+def snap(x) -> Fraction:
+    if isinstance(x, (Fraction, int)):
+        return Fraction(x)
+    return Fraction(round(float(x) * SNAP_DEN), SNAP_DEN)
+
+
+def _fdot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def fraction_orbit_averages(Phi, orbits):
+    """Orbit averages of the snapped values, block by block."""
+    snapped = [[tuple(map(snap, Phi.value(b))) for b in o.blocks(Phi.k)] for o in orbits]
+    return tuple(tuple(sum(c) / len(vs) for c in zip(*vs)) for vs in snapped)
+
+
+def fraction_support(Phi, d):
+    """The mean of a cycle maximizing d . Phi over the snapped values."""
+    from thermoshift import max_mean_data
+    from thermoshift.max_face import find_cycle
+    recoded = Phi._recoded
+    vecs = [tuple(map(snap, vec)) for vec in Phi.state_values()]
+    _, edges, _ = max_mean_data(recoded.n, recoded.edges(), [_fdot(d, v) for v in vecs])
+    cyc = find_cycle(edges)
+    return tuple(sum(vecs[v][i] for v in cyc) / len(cyc) for i in range(Phi.m))
+
+
+class FractionFrame:
+    """Affine hull of Fraction points, with coordinates in its basis."""
+
+    def __init__(self, points):
+        self.origin, self.basis, self.corners, self.pivots = points[0], [], [0], []
+        self._ech = []          # (reduced vector, its coefficients in the basis, pivot)
+        for i, p in enumerate(points):
+            diff = [a - b for a, b in zip(p, self.origin)]
+            red, f = self._reduce(diff)
+            pivot = next((j for j, x in enumerate(red) if x != 0), None)
+            if pivot is not None:
+                coeffs = [Fraction(0)] * len(self.basis) + [Fraction(1)]
+                for fe, (_, c, _) in zip(f, self._ech):
+                    for j, cj in enumerate(c):
+                        coeffs[j] -= fe * cj
+                self.basis.append(tuple(diff))
+                self.corners.append(i)
+                self.pivots.append(pivot)
+                self._ech.append((red, coeffs, pivot))
+        self.dim = len(self.basis)
+
+    def _reduce(self, vec):
+        v, coeffs = list(vec), [Fraction(0)] * len(self._ech)
+        for idx, (e, _, pivot) in enumerate(self._ech):
+            if v[pivot] != 0:
+                f = v[pivot] / e[pivot]
+                v = [a - f * b for a, b in zip(v, e)]
+                coeffs[idx] = f
+        return v, coeffs
+
+    def coords(self, point):
+        """c with point = origin + sum c[j] basis[j], or None off the hull."""
+        red, coeffs = self._reduce([a - b for a, b in zip(point, self.origin)])
+        if any(x != 0 for x in red):
+            return None
+        out = [Fraction(0)] * self.dim
+        for f, (_, c, _) in zip(coeffs, self._ech):
+            for j, cj in enumerate(c):
+                out[j] += f * cj
+        return tuple(out)
+
+
+def fraction_complement(basis, m):
+    """The orthogonal complement of span(basis) by Gram-Schmidt."""
+    ortho = []
+    for v in [*basis, *(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))]:
+        for q in ortho:
+            f = _fdot(v, q) / _fdot(q, q)
+            v = tuple(a - f * b for a, b in zip(v, q))
+        if any(v):
+            ortho.append(v)
+    return ortho[len(basis):]
+
+
+class FractionPolytope:
+    """affine_dim, vertices and facets (vertex ids, normal, offset) in the
+    package's canonical order, with Fraction membership tests."""
+
+    def __init__(self, m, unique_points):
+        from thermoshift.rotation_geometry import _dd_facets, _int_inverse
+        self.frame = frame = FractionFrame(unique_points)
+        self.affine_dim = r = frame.dim
+        if r == 0:
+            self.vertices, self.facets = [unique_points[0]], []
+            return
+        den = math.lcm(*(x.denominator for p in unique_points for x in p))
+        ints = [tuple(int(x * den) for x in p) for p in unique_points]
+        axes = sorted(frame.pivots)
+        chart = [tuple(p[k] - ints[0][k] for k in axes) for p in ints]
+        lift = None
+        if r < m:
+            base = [tuple(u - v for u, v in zip(ints[i], ints[0])) for i in frame.corners[1:]]
+            ginv = _int_inverse([[_fdot(u, v) for v in base] for u in base])
+            proj = [[_fdot(col, g) for g in zip(*ginv)] for col in zip(*base)]
+            lift = [[_fdot(row, [b[k] for b in base]) for k in axes] for row in proj]
+        rays = _dd_facets(chart, frame.corners)
+        cover = [-1] * len(chart)
+        for _, _, z in rays:
+            for i in range(len(chart)):
+                if z >> i & 1:
+                    cover[i] &= z
+        verts = [i for i in range(len(chart)) if cover[i] == 1 << i]
+        found = {}
+        for a, _, z in rays:
+            n = a if lift is None else [_fdot(row, a) for row in lift]
+            g = math.gcd(*n)
+            on = tuple(i for i in verts if z >> i & 1)
+            found[on] = (tuple(Fraction(x // g) for x in n), Fraction(_fdot(n, ints[on[0]]), den * g))
+        if r == 2:
+            nbrs = {i: [] for i in verts}
+            for p, q in found:
+                nbrs[p].append(q)
+                nbrs[q].append(p)
+            s = verts[0]
+            b, c = nbrs[s]
+            (x0, y0), (x1, y1), (x2, y2) = chart[s], chart[b], chart[c]
+            if c < b if m > 2 else (x1 - x0) * (y2 - y0) < (y1 - y0) * (x2 - x0):
+                b = c
+            verts = [s, b]
+            while len(verts) < len(nbrs):
+                verts.append(next(q for q in nbrs[verts[-1]] if q != verts[-2]))
+            self.facets = [((i, (i + 1) % len(verts)),
+                            *found[tuple(sorted((p, verts[(i + 1) % len(verts)])))])
+                           for i, p in enumerate(verts)]
+        else:
+            vid = {p: i for i, p in enumerate(verts)}
+            self.facets = sorted(((tuple(vid[p] for p in on), *nb) for on, nb in found.items()),
+                                 key=lambda f: f[1:])
+        self.vertices = [unique_points[i] for i in verts]
+
+    def membership(self, point) -> str:
+        pt = tuple(map(snap, point))
+        if self.frame.coords(pt) is None:
+            return "outside"
+        vals = [_fdot(n, pt) - b for _, n, b in self.facets]
+        return "outside" if max(vals, default=-1) > 0 else (
+            "boundary" if 0 in vals else "interior")
+
+
+def fraction_rotation_set(Phi, orbits=None) -> FractionPolytope:
+    """The hull of the orbit averages, or, without orbits, the hull grown
+    from Fraction support queries."""
+    m = Phi.m
+    if orbits is not None:
+        return FractionPolytope(m, sorted(set(fraction_orbit_averages(Phi, orbits))))
+    answers = {}
+
+    def support(d):
+        den = math.lcm(*(Fraction(x).denominator for x in d))
+        ints = [int(x * den) for x in d]
+        g = math.gcd(*ints)
+        d = tuple(i // g for i in ints)
+        if d not in answers:
+            answers[d] = fraction_support(Phi, d)
+        return answers[d]
+
+    pts = {support((1,) + (0,) * (m - 1))}
+    while True:
+        frame = FractionFrame(sorted(pts))
+        found = {support(tuple(s * x for x in v))
+                 for v in fraction_complement(frame.basis, m) for s in (1, -1)}
+        pts |= found
+        if all(frame.coords(p) is not None for p in found):
+            break
+    while True:
+        poly = FractionPolytope(m, sorted(pts))
+        beyond = {p for _, n, b in poly.facets for p in [support(n)] if _fdot(n, p) > b}
+        if not beyond:
+            return poly
+        pts |= beyond
+
+
+def fraction_genericity(Phi, orbits):
+    """(generic, vertex violations, boundary violations, affine_dim) of
+    the genericity check, from Fraction averages and facet tests."""
+    avgs = fraction_orbit_averages(Phi, orbits)
+    poly = FractionPolytope(Phi.m, sorted(set(avgs)))
+    at = {}
+    for i, a in enumerate(avgs):
+        at.setdefault(a, []).append(i)
+    vertex = [(vidx, (a, b)) for vidx, v in enumerate(poly.vertices)
+              for a, b in itertools.combinations(at[v], 2)
+              if orbits[a].cylinders != orbits[b].cylinders]
+    boundary = sorted(i for a, ids in at.items() if a not in poly.vertices
+                      and any(_fdot(n, a) == b for _, n, b in poly.facets) for i in ids)
+    return not vertex and not boundary, vertex, boundary, poly.affine_dim

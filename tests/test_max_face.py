@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import (LOG_GOLDEN, LOG_SILVER, brute_max_cycle_mean,
-                     critical_edges, karp_max_mean, random_rational_values,
-                     random_transitive_sft)
+                     critical_edges, fraction_orbit_averages, karp_max_mean,
+                     random_rational_values, random_transitive_sft)
 from property_suites import suite_potentials
 from thermoshift import (InvalidArgumentError, PotentialLC, Sft,
                          equilibrium_markov, face_subshift, get_potential,
                          max_entropy_components, max_mean_data,
-                         potential_names, recode_to_one_step)
+                         elementary_orbits, potential_names, recode_to_one_step)
 from thermoshift.core_sft import matrix_edges
-from thermoshift.max_face import lex_extreme_cycle
+from thermoshift.max_face import extreme_cycle
 from thermoshift.spectral import Transfer
 from thermoshift.thermodynamics import markov_entropy
 
@@ -107,15 +107,31 @@ def test_float_mode_face_matches_exact():
     assert set(face.components[0].labels()) == {"00", "01", "10"}
 
 
-def test_lex_extreme_cycle_refines_ties():
+def test_lex_extreme_cycle_refines_ties(rng):
+    # one tilted direction does what a lexicographic refinement did: on
+    # the rows (1, 0) and (1, 1) every cycle ties along (1, 0), and (3, 1)
+    # or (3, -1) breaks the tie either way
     recoded = recode_to_one_step(Sft.full(2), 1)
-    vecs = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))]
-    # first direction ties every cycle, the second breaks the tie
-    cyc, mean = lex_extreme_cycle(recoded, vecs,
-                                  [(Fraction(1), Fraction(0)),
-                                   (Fraction(0), Fraction(1))])
-    assert cyc == [1]
-    assert mean == (Fraction(1), Fraction(1))
+    rows = [(1, 0), (1, 1)]
+    cyc, total = extreme_cycle(recoded, rows, (1, 0))
+    assert total[0] == len(cyc)
+    assert extreme_cycle(recoded, rows, (3, 1)) == ([1], (1, 1))
+    assert extreme_cycle(recoded, rows, (3, -1)) == ([0], (1, 0))
+    # on random planar potentials, u tilted by v past the spread of v gives
+    # the orbit average that is largest along u and then along v
+    for _ in range(40):
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        Phi = PotentialLC.from_block_values(sft, k, random_rational_values(rng, sft, k, m=2), m=2)
+        rows, L = Phi._int_rows
+        u, v = rng.sample([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, -1)], 2)
+        n = len(rows)
+        tilt = 2 * n * n * max(abs(v[0] * x + v[1] * y) for x, y in rows) + 1
+        d = tuple(tilt * a + b for a, b in zip(u, v))
+        cyc, total = extreme_cycle(Phi._recoded, rows, d)
+        avgs = fraction_orbit_averages(Phi, elementary_orbits(sft, k))
+        want = max(avgs, key=lambda a: (u[0] * a[0] + u[1] * a[1], v[0] * a[0] + v[1] * a[1]))
+        assert tuple(Fraction(x, len(cyc) * L) for x in total) == want
 
 
 def _random_digraph(rng, n, density):

@@ -1,14 +1,18 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import random_rational_values, random_transitive_sft
+from oracles import (FractionFrame, fraction_genericity, fraction_orbit_averages,
+                     fraction_rotation_set, random_rational_values, random_transitive_sft)
 import thermoshift
-from thermoshift import (PotentialLC, ResourceLimitError, Sft, birkhoff_average,
-                         cohomology_test, elementary_orbits, face_entropy_curve,
-                         face_in_direction, face_segment, genericity_check, get_potential,
-                         get_shift, rotation_set, universal_potential)
+from thermoshift import (InvalidArgumentError, PotentialLC, ResourceLimitError, Sft,
+                         birkhoff_average, cohomology_test, elementary_orbits, face_entropy_curve,
+                         face_in_direction, genericity_check, get_potential,
+                         get_shift, potential_names, recode_to_one_step, rotation_set,
+                         universal_potential)
 from thermoshift import rotation_geometry
 from thermoshift.rotation_geometry import RotationPolytope, _AffineFrame, orbit_averages
 
@@ -158,28 +162,33 @@ def test_float_support_hull_matches_orbit_hull(rng):
 
 
 def test_affine_frame_coords_reproduce_points(rng):
-    # origin + sum c[j] basis[j] == p for every point on the hull
-    frame = _AffineFrame([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
-                          (Fraction(1), Fraction(3))])
-    assert frame.coords((Fraction(1), Fraction(3))) == (0, 1)
+    # the integer frame of points X / den: basis[j] is corner j + 1 less
+    # the origin, it has the dimension, corners and pivots of the Fraction
+    # frame of the same points, every point lies on it at any scaling, and
+    # its complement vectors are orthogonal to the basis and lead off it
+    frame = _AffineFrame([(0, 0), (1, 1), (1, 3)], 1)
+    assert (frame.dim, frame.corners, frame.complement()) == (2, [0, 1, 2], [])
     for _ in range(40):
         m = rng.randint(1, 5)
-        span = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-                for _ in range(rng.randint(1, m))]
+        span = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, m))]
         pts = []
         for _ in range(rng.randint(1, 8)):
             c = [rng.randint(-3, 3) for _ in span]
-            pts.append(tuple(1 + sum(cj * v[i] for cj, v in zip(c, span))
-                             for i in range(m)))
-        frame = _AffineFrame(pts)
+            pts.append(tuple(1 + sum(cj * v[i] for cj, v in zip(c, span)) for i in range(m)))
+        den = rng.randint(1, 5)
+        frame = _AffineFrame(pts, den)
+        ref = FractionFrame([tuple(Fraction(x, den) for x in p) for p in pts])
+        assert (frame.dim, frame.corners, frame.pivots) == (ref.dim, ref.corners, ref.pivots)
         assert frame.dim <= len(span)
+        for j, c in enumerate(frame.corners[1:]):
+            assert frame.basis[j] == tuple(a - b for a, b in zip(pts[c], frame.origin))
         for p in pts:
-            c = frame.coords(p)
-            assert tuple(o + sum(cj * b[i] for cj, b in zip(c, frame.basis))
-                         for i, o in enumerate(frame.origin)) == p
-        if frame.dim < m:
-            normal = rotation_geometry._complement(frame.basis, m)[0]
-            assert frame.coords(tuple(o + x for o, x in zip(frame.origin, normal))) is None
+            assert frame.contains(p, den) and frame.contains([3 * x for x in p], 3 * den)
+        normals = frame.complement()
+        assert len(normals) == m - frame.dim
+        for normal in normals:
+            assert all(sum(a * b for a, b in zip(normal, v)) == 0 for v in frame.basis)
+            assert not frame.contains(tuple(o + x for o, x in zip(frame.origin, normal)), den)
 
 
 @pytest.mark.parametrize("shift,k", [("full2", 1), ("full2", 2), ("full2", 3),
@@ -194,11 +203,11 @@ def test_universal_potential_hull(shift, k):
     avgs = set(orbit_averages(Phi, orbits))
     poly = rotation_set(Phi)
     r = poly.affine_dim
-    assert r == _AffineFrame(sorted(avgs)).dim
+    assert r == FractionFrame(sorted(avgs)).dim
     for f in poly.facets:
         vals = {a: sum(n * x for n, x in zip(f.normal, a)) for a in avgs}
         assert max(vals.values()) == f.offset
-        assert _AffineFrame(sorted(a for a, x in vals.items() if x == f.offset)).dim == r - 1
+        assert FractionFrame(sorted(a for a, x in vals.items() if x == f.offset)).dim == r - 1
     for i, v in enumerate(poly.vertices):
         assert v in avgs
         d = poly.vertex_direction(i)
@@ -256,13 +265,6 @@ def test_face_fingerprint_and_segment():
     for i, o in enumerate(orbits):
         avoids = (1, 1) not in {tuple(b) for b in o.blocks(2)}
         assert (i in on_face) == avoids
-    poly = rotation_set(Phi, orbits=orbits)
-    avgs = orbit_averages(Phi, orbits)
-    e0, e1, tangent = face_segment(poly, fp, avgs)
-    assert {e0, e1} == {(Fraction(0), Fraction(0)),
-                        (Fraction(1, 2), Fraction(-1))}
-    # tangent is parallel to the edge
-    assert tangent[0] * Fraction(-1) == tangent[1] * Fraction(1, 2)
 
 
 def test_vertex_direction_exposes_vertex():
@@ -313,3 +315,172 @@ def test_genericity_check_groups_averages_against_the_facets(monkeypatch):
                          (0, 1): (1, 2), (1, 0): (0, 0)}, m=2)
     rep = genericity_check(edgy)
     assert (rep.vertex_violations, rep.boundary_violations) == ([], [3, 4])
+
+
+# -- the integer kernel against the Fraction oracle -------------------------
+
+def _oracle_cases():
+    """The builtins; 320 seeded potentials, m = 1..3 on full and random
+    transitive shifts, small-integer (narrow) or rational (wide) values,
+    half of them with one vector planted on several blocks; and 40 float
+    potentials whose values lie off the 1e-9 grid."""
+    cases = [get_potential(name) for name in potential_names()]
+    rng = random.Random(18)
+    for i in range(320):
+        m = 1 + i % 3
+        sft = random_transitive_sft(rng) if i % 2 else Sft.full(rng.choice((2, 3)))
+        k = rng.choice((1, 2) if sft.d == 3 else (1, 2, 3))
+        blocks = recode_to_one_step(sft, k).states
+        if i % 4 < 2:
+            vals = {b: tuple(Fraction(rng.randint(0, 2)) for _ in range(m)) for b in blocks}
+        else:
+            vals = {b: tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
+                             for _ in range(m)) for b in blocks}
+        if i % 8 < 4:
+            tie = vals[rng.choice(blocks)]
+            vals.update(dict.fromkeys(rng.sample(blocks, rng.randint(1, len(blocks))), tie))
+        cases.append(PotentialLC.from_block_values(sft, k, vals, m=m))
+    for _ in range(40):
+        sft = random_transitive_sft(rng)
+        k, m = rng.choice((1, 2)), rng.randint(1, 3)
+        vals = {b: tuple(rng.randint(-4, 4) / rng.choice((3, 7)) + rng.uniform(-1e-8, 1e-8)
+                         for _ in range(m)) for b in recode_to_one_step(sft, k).states}
+        cases.append(PotentialLC.from_block_values(sft, k, vals, m=m, mode="float"))
+    return cases
+
+
+def _shape(poly):
+    return poly.affine_dim, poly.vertices, [(f.vertex_ids, f.normal, f.offset) for f in poly.facets]
+
+
+def test_integer_geometry_matches_the_fraction_oracle():
+    # support hull, census hull, orbit averages and genericity reports are
+    # identical to the Fraction path's, canonical order included
+    censused = 0
+    for Phi in _oracle_cases():
+        want = fraction_rotation_set(Phi)
+        assert _shape(rotation_set(Phi)) == (want.affine_dim, want.vertices, want.facets)
+        try:
+            orbits = elementary_orbits(Phi.sft, Phi.k, cap=5000)
+        except ResourceLimitError:
+            continue
+        censused += 1
+        avgs = fraction_orbit_averages(Phi, orbits)
+        assert orbit_averages(Phi, orbits) == avgs
+        poly = rotation_set(Phi, orbits)
+        assert poly.generator_points == list(enumerate(avgs))
+        want = fraction_rotation_set(Phi, orbits)
+        assert _shape(poly) == (want.affine_dim, want.vertices, want.facets)
+        rep = genericity_check(Phi, orbits)
+        assert dataclasses.astuple(rep) == fraction_genericity(Phi, orbits)
+    assert censused >= 300
+
+
+def test_orbit_averages_over_another_window(rng):
+    # orbits enumerated at a wider window than the potential's are read
+    # block by block, as the Fraction oracle reads them; an orbit with a
+    # block or state the potential's shift lacks is an input error
+    for _ in range(20):
+        sft = random_transitive_sft(rng)
+        k = 1 if sft.d == 3 else rng.choice((1, 2))     # at most a few hundred orbits
+        Phi = PotentialLC.from_block_values(sft, k, random_rational_values(rng, sft, k, m=2), m=2)
+        orbits = elementary_orbits(sft, k + 1)
+        assert orbit_averages(Phi, orbits) == fraction_orbit_averages(Phi, orbits)
+        assert dataclasses.astuple(genericity_check(Phi, orbits)) == fraction_genericity(Phi, orbits)
+    golden = PotentialLC.constant(get_shift("golden"), 0, k=2)
+    for k in (2, 3):
+        with pytest.raises(InvalidArgumentError):
+            orbit_averages(golden, elementary_orbits(Sft.full(2), k))
+
+
+def _vector_potential(*vecs):
+    """Full shift on len(vecs) symbols, window 1, symbol i valued vecs[i]."""
+    return PotentialLC.from_block_values(
+        Sft.full(len(vecs)), 1, {(i,): v for i, v in enumerate(vecs)}, m=len(vecs[0]))
+
+
+def test_membership_edge_cases():
+    # denominators that do not divide L = 2, a prime one, floats snapped to
+    # the grid, points off the affine hull, and hulls of dimension 0, 1, 2
+    p = 10**9 + 7
+    h = Fraction(1, 2)
+    triangle = _vector_potential((0, 0), (1, 0), (h, 1))       # y >= 0, y <= 2x, 2x + y <= 2
+    segment = _vector_potential((0, 0), (1, 2))                 # on the line y = 2x
+    point = _vector_potential((h, Fraction(1, p)), (h, Fraction(1, p)))
+    simplex = _vector_potential((1, 0, 0), (0, 1, 0), (0, 0, 1))  # a triangle in Q^3
+    cases = [
+        (triangle, [((Fraction(1, 7), Fraction(1, 7)), "interior"),
+                   ((Fraction(1, 7), Fraction(2, 7)), "boundary"),
+                   ((Fraction(1, 7), Fraction(3, 7)), "outside"),
+                   ((Fraction(1, p), Fraction(1, p)), "interior"),
+                   ((Fraction(1, p), Fraction(2, p)), "boundary"),
+                   ((Fraction(1, p), Fraction(2 * p + 1, p * p)), "outside"),
+                   ((0.5, 0.5), "interior"), ((0.25, 0.0), "boundary"),
+                   ((0.1, 0.2), "boundary"), ((0.1 + 1e-12, 0.2), "boundary"),
+                   ((0.1, 0.2 + 1e-8), "outside"), ((1, 0), "boundary"), ((2, 0), "outside")]),
+        (segment, [((Fraction(1, 7), Fraction(2, 7)), "interior"),
+                  ((Fraction(1, 7), Fraction(3, 7)), "outside"),
+                  ((Fraction(1, p), Fraction(2, p)), "interior"),
+                  ((Fraction(1, p), Fraction(2, p) + Fraction(1, p * p)), "outside"),
+                  ((0, 0), "boundary"), ((1.0, 2.0), "boundary"), ((2, 4), "outside"),
+                  ((0.25, 0.5), "interior"), ((0.25, 0.5 + 1e-8), "outside")]),
+        (point, [((h, Fraction(1, p)), "interior"), ((0.5, 1 / p), "outside"),
+                ((h, Fraction(1, p + 2)), "outside")]),
+        (simplex, [((Fraction(1, 3),) * 3, "interior"),
+                  ((Fraction(1, 7), Fraction(3, 7), Fraction(3, 7)), "interior"),
+                  ((h, h, 0), "boundary"), ((1, 0, 0), "boundary"),
+                  ((Fraction(1, 3), Fraction(1, 3), h), "outside"),
+                  ((Fraction(1, p), Fraction(1, p), 1 - Fraction(2, p)), "interior"),
+                  ((-Fraction(1, p), Fraction(1, p), 1), "outside")]),
+    ]
+    for Phi, queries in cases:
+        poly, oracle = rotation_set(Phi), fraction_rotation_set(Phi)
+        for pt, side in queries:
+            assert poly.membership(pt) == oracle.membership(pt) == side, (pt, side)
+    assert [rotation_set(Phi).affine_dim for Phi, _ in cases] == [2, 1, 0, 2]
+
+
+def test_membership_matches_the_fraction_oracle(rng):
+    # random points with denominators 1, 2, 7 and 10^9 + 7, and floats,
+    # near random hulls of every affine dimension in Q^2 and Q^3
+    dens = (1, 2, 7, 10**9 + 7)
+    for _ in range(60):
+        m = rng.choice((2, 3))
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        vals = random_rational_values(rng, sft, k, m=m)
+        if rng.random() < 0.5:      # flatten onto a line or a point
+            pick = rng.choice(list(vals))
+            vals = {b: tuple(x if rng.random() < 0.5 else y for x, y in zip(v, vals[pick]))
+                    if rng.random() < 0.5 else vals[pick] for b, v in vals.items()}
+        Phi = PotentialLC.from_block_values(sft, k, vals, m=m)
+        poly, oracle = rotation_set(Phi), fraction_rotation_set(Phi)
+        for v in poly.vertices:
+            for _ in range(4):
+                q = rng.choice(dens)
+                pt = tuple(x + Fraction(rng.randint(-2, 2), q) for x in v)
+                if rng.random() < 0.3:
+                    pt = tuple(float(x) for x in pt)
+                assert poly.membership(pt) == oracle.membership(pt)
+
+
+def test_vertex_direction_edge_cases():
+    # dimension 0 gives the zero direction; on a segment, a triangle in the
+    # plane or in Q^3, and with denominators 7 and 10^9 + 7, each vertex
+    # direction is the sum of the Fraction oracle's normals at the vertex
+    # and exposes that vertex alone among the vertices
+    p = 10**9 + 7
+    point = rotation_set(_vector_potential((1, 2), (1, 2)))
+    assert point.vertex_direction(0) == (Fraction(0), Fraction(0))
+    for Phi in [_vector_potential((0, 0), (1, 2)),
+                _vector_potential((Fraction(1, 7), 0), (0, Fraction(1, p))),
+                _vector_potential((0, 0), (1, 0), (Fraction(1, 2), 1)),
+                _vector_potential((Fraction(1, p), 0), (1, Fraction(3, 7)), (0, 1)),
+                _vector_potential((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, p)))]:
+        poly, oracle = rotation_set(Phi), fraction_rotation_set(Phi)
+        for i, v in enumerate(poly.vertices):
+            d = poly.vertex_direction(i)
+            assert all(isinstance(x, Fraction) for x in d)
+            assert d == tuple(map(sum, zip(*(n for ids, n, _ in oracle.facets if i in ids))))
+            vals = [sum(a * x for a, x in zip(d, u)) for u in poly.vertices]
+            assert [j for j, x in enumerate(vals) if x == max(vals)] == [i]

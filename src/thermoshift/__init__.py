@@ -24,8 +24,7 @@ _EXPORTS = {
     # shifts and orbits
     "core_sft": ("Sft", "RecodedSft", "SccComponent", "recode_to_one_step",
                  "is_transitive", "strongly_connected_components"),
-    "orbits": ("ElementaryOrbit", "elementary_orbits", "birkhoff_average",
-               "permutability_classes"),
+    "orbits": ("ElementaryOrbit", "elementary_orbits", "birkhoff_average"),
     # potentials
     "potential": ("PotentialLC", "scalarize", "universal_potential",
                   "CohomologyReport", "cohomology_test"),

@@ -8,14 +8,19 @@ under it.
 
 Boundary faces need more care because the infimum is not attained
 there.  A one-dimensional face is the rotation interval of its
-maximizing subshift; each transitive component contributes the curve
-(s(v), h(v)) of its equilibrium states for a tangential dual parameter
-v, swept on a tan-spaced grid so the slope (which equals -v) is
-resolved evenly.  The one spectral engine solves all samples of a
-component as one stack (``spectral.perron_stack``); the interior Newton
-steps are single solves.  Component endpoints are anchored exactly: the
-extreme tangential mean is a max cycle mean, and the entropy there is
-the top entropy of the sub-face it cuts out.  The entropy profile of the whole
+maximizing subshift, from the face's one max-plus pass; its geometry
+(vertices, ends, tangent and, for exact values, each state's tangential
+coordinate psi) runs on integers over one denominator.  A component
+that is one periodic orbit is one point, its exact tangential mean at
+entropy 0, with no pass of its own.  Every other transitive
+component contributes the curve (s(v), h(v)) of its equilibrium states
+for a tangential dual parameter v, swept on a tan-spaced grid so the
+slope (which equals -v) is resolved evenly.  The one spectral engine
+solves all samples of a component as one stack
+(``spectral.perron_stack``); the interior Newton steps are single
+solves.  Component endpoints are anchored exactly: the extreme
+tangential mean is a max cycle mean, and the entropy there is the top
+entropy of the sub-face it cuts out.  The entropy profile of the whole
 face is the upper concave envelope of all contributions, and corners of
 that envelope are reported by a slope-jump scan at junction vertices.
 """
@@ -24,15 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .core_sft import Sft
+from .core_sft import Sft, _int_weights
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
 from .potential import PotentialLC, _snap
-from .rotation_geometry import RotationPolytope, rotation_set
+from .rotation_geometry import RotationPolytope, _dot, _ints, _scale, rotation_set
 from .spectral import perron, perron_stack
 from .thermodynamics import _measure, markov_entropy
 
@@ -84,19 +90,14 @@ class FaceCurve:
         return self.hull[0].h, self.hull[-1].h
 
 
-def _component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
-    """Exact anchors and tan-grid samples (s(v), h(v)) of one component.
+def _component_curve(comp, psi, exact, n_samples, vmax):
+    """Exact anchors and tan-grid samples (s(v), h(v)) of one component
+    that is not a cycle, for the tangential coordinates psi of its states.
 
-    psi is the tangential coordinate of the values on the component; v .
-    psi less its max cycle mean is |v| (psi - s_hi) for v >= 0 and |v|
+    v . psi less its max cycle mean is |v| (psi - s_hi) for v >= 0 and |v|
     (s_lo - psi) for v < 0, so each sample is an anchor's transfer solved
     at t = |v|, one lane of a stacked Perron solve.
     """
-    tt = sum(t * t for t in tangent)
-    psi = []
-    for i in comp.state_ids:
-        num = sum((x - a) * t for x, a, t in zip(vecs[i], e0, tangent))
-        psi.append(num / tt if exact else float(num) / float(tt))
     sub = Sft(comp.matrix, comp.labels())
     hi, lo = (PotentialLC(sub, 1, 1, {(i,): (sign * x,) for i, x in enumerate(psi)},
                           "exact" if exact else "float") for sign in (1, -1))
@@ -157,23 +158,48 @@ def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES
         poly = rotation_set(Phi)
     if poly.affine_dim == 0:
         raise DegenerateFaceError("rotation set is a single point")
-    support = max(sum(a * x for a, x in zip(alpha, v)) for v in poly.vertices)
-    face_verts = [v for v in poly.vertices
-                  if sum(a * x for a, x in zip(alpha, v)) == support]
+    # alpha as ints a / c and the vertices as int points over one denominator D
+    a, _ = _ints(alpha)
+    verts, D = _scale([_ints(v) for v in poly.vertices])
+    vals = [_dot(a, v) for v in verts]
+    top = max(vals)
+    face_verts = [v for v, x in zip(verts, vals) if x == top]
     if len(face_verts) < 2:
         raise DegenerateFaceError("direction exposes a vertex, not an edge")
     if len(face_verts) > 2:
         raise InvalidArgumentError("direction exposes a non-segment face")
-    e0, e1 = sorted(face_verts)
-    tangent = tuple(b - a for a, b in zip(e0, e1))
+    E0, E1 = sorted(face_verts)
+    T = [y - x for x, y in zip(E0, E1)]
+    exact = Phi.mode == "exact"
+    # each state's tangential coordinate psi = (x - e0) . t / t . t, for
+    # e0 = E0 / D and t = T / D: exact values x = X / L give psi = P / Q in
+    # ints; float values take the same steps in doubles
+    if exact:
+        rows, L = Phi._int_rows
+        Q = L * _dot(T, T)
+        base = [x * L for x in E0]
+        psi = [_dot([x * D - y for x, y in zip(row, base)], T) for row in rows]
+    else:
+        origin, step = [x / D for x in E0], [x / D for x in T]
+        tt = _dot(T, T) / D ** 2
+        psi = [sum((x - y) * z for x, y, z in zip(vec, origin, step)) / tt
+               for vec in Phi.state_values()]
     face = face_subshift(Phi, alpha)
-    vecs = Phi.state_values()
     points = []
     for comp in face.components:
-        points.extend(_component_curve(comp, vecs, e0, tangent, Phi.mode == "exact",
-                                       n_samples, vmax))
+        vals = [psi[i] for i in comp.state_ids]
+        if comp.is_cycle:
+            # one periodic orbit: its exact tangential mean, rounded once, at entropy 0
+            nums, den = (vals, Q) if exact else _int_weights(vals)[:2]
+            points.append(CurvePoint(sum(nums) / (den * len(nums)), 0.0, comp.index,
+                                     "point", -1))
+        else:
+            points.extend(_component_curve(
+                comp, [Fraction(x, Q) for x in vals] if exact else vals, exact,
+                n_samples, vmax))
     hull = _upper_hull(points)
     labels = [c.labels() for c in face.components]
+    e0, e1, tangent = (tuple(Fraction(x, D) for x in v) for v in (E0, E1, T))
     return FaceCurve(alpha, e0, e1, tangent, face.beta, labels, points, hull,
                      n_samples, vmax)
 

@@ -116,19 +116,17 @@ class SccComponent:
     is_nontrivial: bool
 
 
-def scc_of_edges(n: int, edges) -> list[SccComponent]:
-    """SCCs of the digraph on states 0..n-1, ordered by smallest state.
+def _tarjan(succ):
+    """The SCCs of the digraph on states 0..n-1 with successor lists
+    succ, each as a sorted state list with whether it carries an edge.
 
-    Iterative Tarjan (1972) on successor lists, O(n + m).  A finished
-    component's states get low = n, so no on-stack flags are needed.
+    Iterative Tarjan (1972), O(n + m).  A finished component's states get
+    low = n, so no on-stack flags are needed.
     """
-    succ = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
+    n = len(succ)
     todo = [iter(s) for s in succ]
     index, low, pos = [-1] * n, [0] * n, [0] * n
     stack: list[int] = []
-    comps = []
     counter = 0
     for root in range(n):
         work = [root] if index[root] < 0 else []
@@ -153,7 +151,16 @@ def scc_of_edges(n: int, edges) -> list[SccComponent]:
                     del stack[pos[v]:]
                     for w in comp:
                         low[w] = n
-                    comps.append(SccComponent(tuple(comp), len(comp) > 1 or v in succ[v]))
+                    yield comp, len(comp) > 1 or v in succ[v]
+
+
+def scc_of_edges(n: int, edges) -> list[SccComponent]:
+    """SCCs of the digraph on states 0..n-1, ordered by smallest state
+    (``_tarjan``)."""
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    comps = [SccComponent(tuple(c), cyclic) for c, cyclic in _tarjan(succ)]
     comps.sort(key=lambda c: c.states[0])
     return comps
 
@@ -161,15 +168,21 @@ def scc_of_edges(n: int, edges) -> list[SccComponent]:
 TIGHT_TOL = 1e-9    # relative slack under which float weights count as tied
 
 
-def _cyclic_components(n: int, edges):
-    """Nontrivial SCCs as sorted state lists, and the edges inside them,
-    in the given order."""
-    sccs = [list(c.states) for c in scc_of_edges(n, edges) if c.is_nontrivial]
-    comp_of = [-1] * n
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    return sccs, [(a, b) for (a, b) in edges if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
+def _cyclic_components(edges):
+    """The nontrivial SCCs of a set of edges as sorted state lists,
+    ordered by smallest state, and the edges inside them, in the given
+    order.  Only the sources of the edges can lie on a cycle, so
+    ``_tarjan`` runs on them alone, renumbered in order: the cost follows
+    the edges, not the states of the graph they came from."""
+    ids = {v: i for i, v in enumerate(sorted({a for a, _ in edges}))}
+    succ = [[] for _ in ids]
+    for a, b in edges:
+        if b in ids:
+            succ[ids[a]].append(ids[b])
+    states = list(ids)
+    sccs = sorted([states[i] for i in c] for c, cyclic in _tarjan(succ) if cyclic)
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    return sccs, [(a, b) for (a, b) in edges if a in comp_of and comp_of[a] == comp_of.get(b)]
 
 
 def _int_weights(w):
@@ -267,7 +280,7 @@ def _potentials(n: int, edges, w):
     tol = 0.0 if exact else TIGHT_TOL * (1.0 + max(abs(float(x)) for x in w))
     slack = [x * q - p + h[b] - h[a] for (a, b), x in zip(edges, wi)]
     classes, tight = _cyclic_components(
-        n, [e for e, s in zip(edges, slack) if not s or tol and s / unit >= -tol])
+        [e for e, s in zip(edges, slack) if not s or tol and s / unit >= -tol])
     if len(classes) > 1:
         pred = [[] for _ in range(n)]
         for (a, b), s in zip(edges, slack):
@@ -348,7 +361,7 @@ class RecodedSft:
     @functools.cached_property
     def _split(self):
         """The nontrivial SCCs and the edges inside them (``_cyclic_components``)."""
-        return _cyclic_components(self.n, self._edges)
+        return _cyclic_components(self._edges)
 
     @functools.cached_property
     def _index(self) -> dict[tuple[int, ...], int]:

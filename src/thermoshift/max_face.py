@@ -6,9 +6,11 @@ One exact max-plus pass, Howard policy iteration on integer-scaled
 weights, gives the maximum cycle mean beta together with a max-plus
 eigenvector h; the edges that h saturates at beta are the tight edges,
 whose recurrent part carries every cycle of mean beta.  Every pass on a
-recoding starts from its one SCC split (``RecodedSft._split``).  A face
-component that is one periodic orbit takes exact Parry data (entropy 0,
-the uniform measure on the cycle) without a Perron solve.
+recoding starts from its one SCC split (``RecodedSft._split``); a
+pass's tight edges are split only where components are read, and a
+support query walks them unsplit.  A face component that is one
+periodic orbit takes exact Parry data (entropy 0, the uniform measure on
+the cycle) without a Perron solve.
 """
 
 from __future__ import annotations
@@ -32,21 +34,28 @@ if TYPE_CHECKING:
 def max_mean_data(n: int, edges, w):
     """(beta, recurrent tight edges, SCC node lists) of the max cycle
     mean beta of edges a -> b weighing w[a]: ``_max_mean`` on the graph's
-    own SCC split."""
-    return _max_mean(n, edges, w, _cyclic_components(n, edges))
+    own SCC split, its tight edges split in turn."""
+    beta, tight = _max_mean(n, edges, w, _cyclic_components(edges))
+    sccs, rec_edges = _cyclic_components(tight)
+    return beta, rec_edges, sccs
 
 
 def _max_mean(n: int, edges, w, split):
-    """``max_mean_data`` given ``split = _cyclic_components(n, edges)``,
-    which a recoding keeps (``RecodedSft._split``) for every pass on it.
+    """(beta, tight edges) of ``max_mean_data`` given ``split =
+    _cyclic_components(edges)``, which a recoding keeps
+    (``RecodedSft._split``) for every pass on it.
 
     ``_howard`` runs on the edges inside the nontrivial SCCs, each
     weighing w[b] (the same cycle sums, and a start at the heaviest
     successor), scaled to ints (a float by its exact binary value): beta
     is exact or rounded once, and h marks the tight edges: w[b] q - p +
     h[b] == h[a] on an SCC of mean beta = p/q, or for float weights within
-    TIGHT_TOL of their scale.  Raises InvalidArgumentError when the graph
-    has no cycle.
+    TIGHT_TOL of their scale.  They come unsplit, in the order of
+    ``split``: the callers that read components (``face_subshift`` and
+    the witnesses of ``cohomology_test``) split them.  Every source of a
+    tight edge leaves by its policy edge, which is tight, to a state of
+    the same mean, so a walk on them never stops.  Raises
+    InvalidArgumentError when the graph has no cycle.
     """
     sccs, inner = split
     if not sccs:
@@ -57,8 +66,7 @@ def _max_mean(n: int, edges, w, split):
         succ[a].append((b, wi[b]))
     p, q, h = _howard(succ, [v for comp in sccs for v in comp])
     means = {(p[c[0]], q[c[0]]) for c in sccs}
-    top = max(Fraction(*m) for m in means)
-    bp, bq = top.numerator, top.denominator
+    bp, bq = max(means, key=lambda m: Fraction(*m))
     if exact:
         beta = Fraction(bp, bq * scale)
         tight = [(a, b) for (a, b) in inner
@@ -66,16 +74,18 @@ def _max_mean(n: int, edges, w, split):
     else:
         beta = bp / (bq * scale)
         tol = TIGHT_TOL * (1.0 + max((abs(float(w[a])) for (a, _) in edges), default=0.0))
+        top = Fraction(bp, bq)
         gap = {m: float((Fraction(*m) - top) / scale) for m in means}
         tight = [(a, b) for (a, b) in inner
                  if gap[p[a], q[a]] + (wi[b] * q[a] - p[a] + h[b] - h[a]) / (q[a] * scale)
                  >= -tol]
-    sccs, rec_edges = _cyclic_components(n, tight)
-    return beta, rec_edges, sccs
+    return beta, tight
 
 
 def find_cycle(edges):
-    """Any cycle in a nonempty recurrent edge set, as a node list."""
+    """A cycle in a nonempty edge set in which every target of an edge is
+    a source too, as a node list: the walk from the least source along
+    each state's first edge."""
     succ = {}
     for (a, b) in edges:
         succ.setdefault(a, []).append(b)
@@ -163,23 +173,36 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
 
     Components are listed by smallest recoded state; ``is_whole_shift``
     says whether every admissible transition is tight, i.e. the face is
-    all of X.
+    all of X.  For an exact Phi and a rational alpha the pass weighs each
+    state by a . row, for Phi's exact values as int rows over their
+    common denominator L and alpha as a / c: the same tight edges as
+    alpha . Phi, and beta divided by c L, with no scalar potential built.
     """
-    if alpha is not None:
-        if len(tuple(alpha)) != phi.m:
-            raise InvalidArgumentError("direction length must equal potential dimension")
-        from .potential import scalarize    # potential imports this module
-        phi = scalarize(phi, alpha)
-        direction = tuple(alpha)
-    else:
+    recoded = phi._recoded
+    if alpha is None:
         if phi.m != 1:
             raise InvalidArgumentError("scalar potential required when no direction given")
-        direction = None
-    recoded = phi._recoded
-    beta, rec_edges, sccs = phi._max_plus     # kept with phi
+        beta, rec_edges, sccs = phi._max_plus     # kept with phi
+        direction, mode = None, phi.mode
+    else:
+        direction = tuple(alpha)
+        if len(direction) != phi.m:
+            raise InvalidArgumentError("direction length must equal potential dimension")
+        if phi.mode == "exact" and all(isinstance(a, (int, Fraction)) for a in direction):
+            a, c, _ = _int_weights(direction)
+            rows, L = phi._int_rows         # exact values, nothing snapped
+            w = [sum(map(mul, a, row)) for row in rows]
+            beta, tight = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
+            beta /= c * L
+            sccs, rec_edges = _cyclic_components(tight)
+            mode = "exact"
+        else:
+            from .potential import scalarize    # potential imports this module
+            beta, rec_edges, sccs = scalarize(phi, direction)._max_plus
+            mode = "float"
     comps = _build_components(recoded, rec_edges, sccs)
     return FaceSubshift(direction, beta, recoded, tuple(sorted(rec_edges)),
-                        comps, len(rec_edges) == len(recoded.edges()), phi.mode)
+                        comps, len(rec_edges) == len(recoded.edges()), mode)
 
 
 def max_entropy_components(face: FaceSubshift, tol: float = TIGHT_TOL):
@@ -199,9 +222,10 @@ def extreme_cycle(recoded: RecodedSft, rows, d):
     """A cycle of maximum mean of d . row, for one integer row per
     recoded state and an integer direction d; returns (cycle state ids,
     the sum of the rows along it).  One exact max-plus pass on the
-    recoding's split: the support query of rotation-set hulls.
+    recoding's split, whose tight edges are walked as they are, with no
+    split: the support query of rotation-set hulls.
     """
     w = [sum(map(mul, d, row)) for row in rows]
-    _, edges, _ = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
-    cyc = find_cycle(edges)
+    _, tight = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
+    cyc = find_cycle(tight)
     return cyc, tuple(map(sum, zip(*(rows[v] for v in cyc))))

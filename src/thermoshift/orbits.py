@@ -138,20 +138,3 @@ def birkhoff_average(orbit: ElementaryOrbit, potential) -> tuple:
     if isinstance(totals[0], Fraction) or isinstance(totals[0], int):
         return tuple(Fraction(t, n) if not isinstance(t, Fraction) else t / n for t in totals)
     return tuple(t / n for t in totals)
-
-
-def permutability_classes(orbits) -> list[tuple[int, ...]]:
-    """Group orbit indices by equal cylinder sets.
-
-    Orbits in one class share their union of k-cylinders, hence their
-    period.  Input orbits must come from a single enumeration.
-    """
-    ks = {o.k for o in orbits}
-    if len(ks) > 1:
-        raise InvalidArgumentError("orbits mix different enumeration windows")
-    groups: dict[frozenset, list[int]] = {}
-    for i, o in enumerate(orbits):
-        groups.setdefault(o.cylinders, []).append(i)
-    classes = [tuple(sorted(ids)) for ids in groups.values()]
-    classes.sort(key=lambda c: c[0])
-    return classes

@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .core_sft import RecodedSft, Sft, recode_to_one_step
+from .core_sft import RecodedSft, Sft, _cyclic_components, recode_to_one_step
 from .errors import InvalidArgumentError
 from .max_face import _max_mean, find_cycle
 
@@ -112,7 +112,9 @@ class PotentialLC:
     def _int_rows(self) -> tuple:
         """(rows, L): the state values snapped to the 1e-9 grid (``_snap``)
         times their common denominator L, one int tuple per state.  The
-        exact geometry of ``rotation_geometry`` runs on these."""
+        exact geometry of ``rotation_geometry`` runs on these.  Only
+        float values are snapped: for an exact potential the rows are its
+        exact values, which face passes and face curves read too."""
         snapped = [tuple(map(_snap, vec)) for vec in self._state_values]
         L = math.lcm(*(x.denominator for vec in snapped for x in vec))
         return tuple(tuple(x.numerator * (L // x.denominator) for x in vec)
@@ -127,9 +129,13 @@ class PotentialLC:
     @functools.cached_property
     def _max_plus(self) -> tuple:
         """(beta, recurrent tight edges, SCC node lists) of a scalar
-        potential: one exact max-plus pass on the recoding's split."""
+        potential: one exact max-plus pass on the recoding's split, its
+        tight edges split in turn."""
         rec = self._recoded
-        return _max_mean(rec.n, rec.edges(), [x for (x,) in self._state_values], rec._split)
+        beta, tight = _max_mean(rec.n, rec.edges(), [x for (x,) in self._state_values],
+                                rec._split)
+        sccs, rec_edges = _cyclic_components(tight)
+        return beta, rec_edges, sccs
 
     @property
     def _beta(self):
@@ -261,22 +267,6 @@ def universal_potential(sft: Sft, k: int) -> PotentialLC:
     return PotentialLC(sft, k, n, vals, "exact")
 
 
-def embed_coordinates(phi: PotentialLC) -> tuple:
-    """Cylinder-basis coordinates of a scalar potential (state order)."""
-    if phi.m != 1:
-        raise InvalidArgumentError("embed applies to scalar potentials")
-    return tuple(x for (x,) in phi.state_values())
-
-
-def embed_direction(phi: PotentialLC) -> tuple[float, ...]:
-    """Unit vector along the cylinder-basis coordinates; errors on zero."""
-    coords = [float(x) for x in embed_coordinates(phi)]
-    norm = math.sqrt(sum(x * x for x in coords))
-    if norm == 0.0:
-        raise InvalidArgumentError("zero potential has no direction")
-    return tuple(x / norm for x in coords)
-
-
 @dataclass
 class CohomologyReport:
     """Outcome of the cycle-mean cohomology criterion; ``witness`` holds
@@ -306,18 +296,18 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC,
     exact = phi.mode == "exact" and psi.mode == "exact"
     w = [phi.value(b)[0] - psi.value(b)[0] if exact
          else float(phi.value(b)[0]) - float(psi.value(b)[0]) for b in recoded.states]
-    hi, hi_edges, _ = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
-    neg_lo, lo_edges, _ = _max_mean(recoded.n, recoded.edges(), [-x for x in w],
-                                    recoded._split)
+    hi, hi_tight = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
+    neg_lo, lo_tight = _max_mean(recoded.n, recoded.edges(), [-x for x in w], recoded._split)
     lo = -neg_lo
     spread = float(hi - lo)
     if (lo == hi) if exact else (spread <= tol):
         return CohomologyReport(True, hi if exact else (hi + lo) / 2, None,
                                 spread > 0.0, spread)
 
-    def segment(edges):
-        seg = tuple(recoded.states[v][0] for v in find_cycle(edges))
+    def segment(tight):
+        # the walk on the recurrent tight edges: only a witness splits them
+        seg = tuple(recoded.states[v][0] for v in find_cycle(_cyclic_components(tight)[1]))
         return min(seg[r:] + seg[:r] for r in range(len(seg)))
 
-    return CohomologyReport(False, None, (segment(lo_edges), segment(hi_edges)),
+    return CohomologyReport(False, None, (segment(lo_tight), segment(hi_tight)),
                             False, spread)

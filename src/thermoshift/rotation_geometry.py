@@ -27,21 +27,32 @@ from .orbits import birkhoff_average, elementary_orbits
 from .potential import PotentialLC, _snap
 
 
-def _orbit_sums(Phi: PotentialLC, orbits):
-    """Each average of orbits of Phi's shift as (s, e), the int vector s
-    over e: the sum of Phi's integer rows along the orbit's states (its
-    ``state_cycle`` when the windows agree) over its period times L."""
-    rows, L = Phi._int_rows
-    index = Phi._recoded.block_index()
+def _state_cycles(Phi: PotentialLC, orbits):
+    """Each orbit of a caller's list as its cycle of states of Phi's
+    recoding, read block by block at Phi's window.  Raises
+    InvalidArgumentError unless every block is a state and every step,
+    the last back to the first included, is an edge of the recoding: the
+    orbit is then one of Phi's shift."""
+    recoded = Phi._recoded
+    index, allowed = recoded.block_index(), recoded.transition
     out = []
     for o in orbits:
-        try:
-            ids = o.state_cycle if o.k == Phi.k else [index[b] for b in o.blocks(Phi.k)]
-            out.append((tuple(map(sum, zip(*(rows[v] for v in ids)))), o.period * L))
-        except (KeyError, IndexError):
+        ids = [index.get(b) for b in o.blocks(Phi.k)]
+        if None in ids or not all(allowed[a][b] for a, b in zip(ids, ids[1:] + ids[:1])):
             raise InvalidArgumentError(
-                f"orbit {o.segment} is not an orbit of the potential's shift") from None
+                f"orbit {o.segment} is not an orbit of the potential's shift")
+        out.append(ids)
     return out
+
+
+def _orbit_sums(Phi: PotentialLC, orbits, census: bool = False):
+    """Each average of orbits as (s, e), the int vector s over e: the sum
+    of Phi's integer rows along the orbit's states over its period times
+    L.  The census of Phi's own shift (``census``) is read by its
+    ``state_cycle``s; any other list is checked by ``_state_cycles``."""
+    rows, L = Phi._int_rows
+    cycles = [o.state_cycle for o in orbits] if census else _state_cycles(Phi, orbits)
+    return [(tuple(map(sum, zip(*(rows[v] for v in ids)))), len(ids) * L) for ids in cycles]
 
 
 def _ratios(s, e) -> tuple[Fraction, ...]:
@@ -63,7 +74,8 @@ def _scale(points):
 
 def orbit_averages(Phi: PotentialLC, orbits) -> tuple[tuple[Fraction, ...], ...]:
     """Exact orbit averages of the values snapped to the grid: the points
-    the support queries of rotation_set see."""
+    the support queries of rotation_set see.  Raises InvalidArgumentError
+    for an orbit that is not one of Phi's shift (``_state_cycles``)."""
     return tuple(_ratios(s, e) for s, e in _orbit_sums(Phi, orbits))
 
 
@@ -379,7 +391,8 @@ def rotation_set(Phi: PotentialLC, orbits=None) -> RotationPolytope:
     """Rotation polytope of a vector potential.
 
     Given an orbit list, the hull of its averages, which generator_points
-    lists.  Otherwise the hull comes from exact support queries and no
+    lists; InvalidArgumentError for an orbit that is not one of Phi's
+    shift.  Otherwise the hull comes from exact support queries and no
     orbit is enumerated; generator_points is then empty.
     """
     gens = []
@@ -411,9 +424,12 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None,
     """Orbits whose averages maximize alpha . rv.
 
     Exact argmax for rational directions on exact potentials; float
-    inputs are compared after a 1e-9 snap.
+    inputs are compared after a 1e-9 snap.  Without an orbit list, the
+    census of Phi's shift; a given list must hold orbits of that shift
+    (InvalidArgumentError otherwise).
     """
-    if orbits is None:
+    census = orbits is None
+    if census:
         orbits = elementary_orbits(Phi.sft, Phi.k)
     alpha = tuple(alpha)
     if len(alpha) != Phi.m:
@@ -421,11 +437,13 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None,
     exact = Phi.mode == "exact" and all(isinstance(a, (int, Fraction)) for a in alpha)
     if exact:
         a, c = _ints([Fraction(x) for x in alpha])
-        X, D = _scale(_orbit_sums(Phi, orbits))
+        X, D = _scale(_orbit_sums(Phi, orbits, census))
         vals = [_dot(a, x) for x in X]
         best = max(vals)
         ids = tuple(i for i, v in enumerate(vals) if v == best)
         return FaceFingerprint(alpha, Fraction(best, c * D), ids)
+    if not census:
+        _state_cycles(Phi, orbits)
     vals = [sum(float(a) * float(x) for a, x in zip(alpha, birkhoff_average(o, Phi)))
             for o in orbits]
     best = max(vals)
@@ -446,10 +464,13 @@ def genericity_check(Phi: PotentialLC, orbits=None) -> GenericityReport:
 
     (a) orbits at a common hull vertex must share their cylinder set;
     (b) no orbit average may sit on the relative boundary off a vertex.
+    Without an orbit list, the census of Phi's shift; a given list must
+    hold orbits of that shift (InvalidArgumentError otherwise).
     """
-    if orbits is None:
+    census = orbits is None
+    if census:
         orbits = elementary_orbits(Phi.sft, Phi.k)
-    X, den = _scale(_orbit_sums(Phi, orbits))
+    X, den = _scale(_orbit_sums(Phi, orbits, census))
     points = sorted(set(X))
     frame, verts, facets = _build_hull(points, den)
     at = {}                         # orbit indices by average

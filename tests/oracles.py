@@ -612,3 +612,108 @@ def fraction_genericity(Phi, orbits):
     boundary = sorted(i for a, ids in at.items() if a not in poly.vertices
                       and any(_fdot(n, a) == b for _, n, b in poly.facets) for i in ids)
     return not vertex and not boundary, vertex, boundary, poly.affine_dim
+
+
+# -- SCC splits and face curves as they ran on every state -----------------
+#
+# The split of an edge set into its nontrivial SCCs as it ran before it
+# followed the edges alone: Tarjan over every state of the graph, a
+# component built for each.  And the face curve as it ran before cycle
+# components took their mean in closed form and the face geometry moved
+# to integers: Fraction vertices and tangent, Fraction psi, and for every
+# component a sub-shift, two sub-potentials and their max-plus passes.
+
+def cyclic_components(n: int, edges):
+    """(nontrivial SCCs as sorted state lists, ordered by smallest state;
+    the edges inside them, in the given order) of the digraph on states
+    0..n-1, by an iterative Tarjan over all n states."""
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    todo = [iter(s) for s in succ]
+    index, low, pos = [-1] * n, [0] * n, [0] * n
+    stack, comps, counter = [], [], 0
+    for root in range(n):
+        work = [root] if index[root] < 0 else []
+        while work:
+            v = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = counter
+                counter += 1
+                pos[v] = len(stack)
+                stack.append(v)
+            for w in todo[v]:
+                if index[w] < 0:
+                    work.append(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    comp = sorted(stack[pos[v]:])
+                    del stack[pos[v]:]
+                    for w in comp:
+                        low[w] = n
+                    comps.append((comp, len(comp) > 1 or v in succ[v]))
+    sccs = sorted(c for c, nontrivial in comps if nontrivial)
+    comp_of = [-1] * n
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = i
+    return sccs, [(a, b) for (a, b) in edges if comp_of[a] >= 0 and comp_of[a] == comp_of[b]]
+
+
+def _oracle_component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
+    from thermoshift import PotentialLC, face_subshift
+    from thermoshift.boundary_entropy import CurvePoint
+    from thermoshift.spectral import perron_stack
+    from thermoshift.thermodynamics import markov_entropy
+    tt = sum(t * t for t in tangent)
+    psi = []
+    for i in comp.state_ids:
+        num = sum((x - a) * t for x, a, t in zip(vecs[i], e0, tangent))
+        psi.append(num / tt if exact else float(num) / float(tt))
+    sub = Sft(comp.matrix, comp.labels())
+    hi, lo = (PotentialLC(sub, 1, 1, {(i,): (sign * x,) for i, x in enumerate(psi)},
+                          "exact" if exact else "float") for sign in (1, -1))
+    hi_face = face_subshift(hi)
+    if hi_face.is_whole_shift:
+        return [CurvePoint(float(hi_face.beta), comp.entropy, comp.index, "point", -1)]
+    lo_face = face_subshift(lo)
+    s_hi, s_lo = float(hi_face.beta), -float(lo_face.beta)
+    pts = [CurvePoint(s_lo, lo_face.entropy, comp.index, "anchor", -1),
+           CurvePoint(s_hi, hi_face.entropy, comp.index, "anchor", -1)]
+    psi = np.array([float(x) for x in psi])
+    th_max = math.atan(vmax)
+    v = np.array([math.tan(th) for th in np.linspace(-th_max, th_max, n_samples)])
+    _, P, p = perron_stack([hi._transfer if x >= 0 else lo._transfer for x in v], np.abs(v))
+    s = sum(p[:, i] * x for i, x in enumerate(psi))
+    h = markov_entropy(p, P)
+    pts.extend(CurvePoint(float(a), float(b), comp.index, "sample", i)
+               for i, (a, b) in enumerate(zip(s, h)))
+    return pts
+
+
+def fraction_face_curve(Phi, alpha, n_samples: int = 201, vmax: float = 50.0, poly=None):
+    """``face_entropy_curve`` on the per-component path: the face of the
+    scalar potential alpha . Phi, and every component through its own
+    sub-shift and sub-potentials on Fraction geometry."""
+    from thermoshift import face_subshift, rotation_set, scalarize
+    from thermoshift.boundary_entropy import FaceCurve, _upper_hull
+    n_samples |= 1
+    alpha = tuple(snap(a) for a in alpha)
+    if poly is None:
+        poly = rotation_set(Phi)
+    support = max(_fdot(alpha, v) for v in poly.vertices)
+    e0, e1 = sorted(v for v in poly.vertices if _fdot(alpha, v) == support)
+    tangent = tuple(b - a for a, b in zip(e0, e1))
+    face = face_subshift(scalarize(Phi, alpha))
+    vecs = Phi.state_values()
+    points = []
+    for comp in face.components:
+        points.extend(_oracle_component_curve(comp, vecs, e0, tangent, Phi.mode == "exact",
+                                              n_samples, vmax))
+    return FaceCurve(alpha, e0, e1, tangent, face.beta, [c.labels() for c in face.components],
+                     points, _upper_hull(points), n_samples, vmax)

@@ -9,14 +9,14 @@ import pytest
 import thermoshift.boundary_entropy as boundary_entropy
 import thermoshift.spectral as spectral
 from oracles import (LOG_GOLDEN, critical_edges, dual_grid_entropy, edge_classes,
-                     karp_max_mean, numpy_pressure, random_rational_values,
-                     random_transitive_sft)
+                     fraction_face_curve, karp_max_mean, numpy_pressure,
+                     random_rational_values, random_transitive_sft)
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          OutOfDomainError, PotentialLC, Sft,
                          UnsupportedDimensionError, differentiability_scan,
                          equilibrium_markov, face_entropy_curve, face_subshift,
                          get_potential, get_shift, localized_entropy_interior,
-                         recode_to_one_step, rotation_set)
+                         potential_names, recode_to_one_step, rotation_set, scalarize)
 from thermoshift.core_sft import TIGHT_TOL
 
 LOG2 = math.log(2.0)
@@ -151,6 +151,107 @@ def _planar_facet_curves(count, seed):
         made += 1
         for f in poly.facets:
             face_entropy_curve(Phi, f.normal, poly=poly)
+
+
+def _seeded_planar_potentials(count, seed):
+    """count exact m = 2 potentials whose rotation sets are polygons, on
+    full and random transitive shifts with k = 1 or 2: small-integer or
+    rational values, half of them with one vector planted on many blocks."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sft = random_transitive_sft(rng) if rng.random() < 0.5 else Sft.full(rng.choice((2, 3)))
+        k = rng.choice((1, 2))
+        blocks = recode_to_one_step(sft, k).states
+        if rng.random() < 0.5:
+            vals = {b: (Fraction(rng.randint(0, 2)), Fraction(rng.randint(0, 2))) for b in blocks}
+        else:
+            vals = random_rational_values(rng, sft, k, m=2)
+        if rng.random() < 0.5:
+            tie = vals[rng.choice(blocks)]
+            vals.update(dict.fromkeys(rng.sample(blocks, rng.randint(1, len(blocks))), tie))
+        Phi = PotentialLC.from_block_values(sft, k, vals, m=2)
+        if rotation_set(Phi).affine_dim == 2:
+            out.append(Phi)
+    return out
+
+
+def _three_cycle_faces(count, seed):
+    """count potentials on the shift 0 -> 1 -> 2 -> 0, 0 <-> 3, 3 -> 3
+    whose bottom edge (normal (0, -1)) is the face of the 3-cycle and the
+    fixed point 3, each a cycle component; x values are random rationals."""
+    rng = random.Random(seed)
+    sft = Sft.from_matrix([[0, 1, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1]])
+    y = (Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 4), Fraction(0))
+    return [PotentialLC.from_block_values(
+        sft, 1, {(i,): (Fraction(rng.randint(-999, 999), rng.choice((7, 11, 13))), y[i])
+                 for i in range(4)}, m=2) for _ in range(count)]
+
+
+def _as_float(Phi, rng):
+    """Phi in float mode, each value moved off the 1e-9 grid half the time."""
+    return PotentialLC.from_block_values(
+        Phi.sft, Phi.k, {b: tuple(float(x) + rng.choice((0.0, rng.uniform(-1e-10, 1e-10)))
+                                  for x in v) for b, v in Phi.values.items()},
+        m=2, mode="float")
+
+
+def _bits(curve):
+    def num(x):
+        return float.hex(x) if isinstance(x, float) else x
+
+    def pts(points):
+        return [(num(p.s), num(p.h), p.comp, p.kind, p.idx) for p in points]
+    return (curve.direction, curve.e0, curve.e1, curve.tangent, num(curve.beta),
+            curve.component_labels, pts(curve.points), pts(curve.hull), curve.n_samples,
+            curve.vmax)
+
+
+def test_face_curves_match_the_per_component_oracle():
+    # every point and the hull bit for bit, and the face itself, against
+    # the path that sent each component through its own sub-shift on
+    # Fraction geometry: the planar builtins, 110 seeded potentials and 30
+    # whose faces hold a 3-cycle (whose float mean a plain float sum can
+    # round otherwise), each in exact and in float mode
+    rng = random.Random(19)
+    exact = [get_potential(n) for n in potential_names() if get_potential(n).m == 2]
+    exact += _seeded_planar_potentials(110, 1919) + _three_cycle_faces(30, 1919)
+    kinds = {}
+    for Phi in exact + [_as_float(Phi, rng) for Phi in exact]:
+        poly = rotation_set(Phi)
+        for f in poly.facets:
+            face, want = face_subshift(Phi, f.normal), face_subshift(scalarize(Phi, f.normal))
+            assert (face.beta, face.tight_edges, face.is_whole_shift, face.mode) == (
+                want.beta, want.tight_edges, want.is_whole_shift, want.mode)
+            assert [(c.state_ids, c.matrix) for c in face.components] == [
+                (c.state_ids, c.matrix) for c in want.components]
+            curve = face_entropy_curve(Phi, f.normal, n_samples=21, poly=poly)
+            assert _bits(curve) == _bits(fraction_face_curve(Phi, f.normal, 21, poly=poly))
+            for p in curve.points:
+                key = face.components[p.comp].is_cycle, p.kind
+                kinds[key] = kinds.get(key, 0) + 1
+    # cycles, tangentially constant components and sampled arcs all occur
+    assert kinds[True, "point"] > 100 and kinds[False, "point"] and kinds[False, "anchor"]
+
+
+def test_cycle_face_curve_runs_only_the_face_pass(max_plus_passes, scc_splits):
+    # fixed points at the corners of a triangle and every other 2-block
+    # inside it: each edge of the triangle is the face of two fixed points,
+    # which take their exact means with no pass or split of their own
+    corners = {0: (0, 0), 1: (1, 0), 2: (0, 1)}
+    Phi = PotentialLC.from_block_values(
+        Sft.full(3), 2, {(a, b): corners[a] if a == b else (Fraction(1, 4), Fraction(1, 4))
+                         for a in range(3) for b in range(3)}, m=2)
+    poly = rotation_set(Phi)
+    assert len(poly.facets) == 3
+    Phi._recoded._split
+    for f in poly.facets:
+        max_plus_passes.clear()
+        scc_splits.clear()
+        curve = face_entropy_curve(Phi, f.normal, poly=poly)
+        assert len(max_plus_passes) == 1 and len(scc_splits) == 1
+        assert [(p.s, p.h, p.kind) for p in curve.hull] == [(0.0, 0.0, "point"),
+                                                            (1.0, 0.0, "point")]
 
 
 def test_stacked_lanes_match_single_solves(monkeypatch):

@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import critical_edges, edge_classes, karp_max_mean, kleene_potentials
+from oracles import (critical_edges, cyclic_components, edge_classes, karp_max_mean,
+                     kleene_potentials)
 from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft, get_potential,
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
 from thermoshift.builtins import potential_names
-from thermoshift.core_sft import TIGHT_TOL, _potentials, matrix_edges, scc_of_edges
+from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _potentials, matrix_edges,
+                                  scc_of_edges)
 from thermoshift.spectral import perron
 
 
@@ -87,6 +89,27 @@ def test_scc_matches_mutual_reachability(rng):
     assert len(scc_of_edges(n, chain)) == n
     ring = scc_of_edges(n, chain + [(n - 1, 0)])
     assert len(ring) == 1 and ring[0].is_nontrivial
+
+
+def test_cyclic_components_match_the_oracle(rng):
+    # the split that follows the edges gives the components and inner
+    # edges of the split over every state, on graphs with isolated
+    # states, self-loops, empty edge sets and edges among a few states of
+    # a large graph
+    assert _cyclic_components([]) == cyclic_components(5, []) == ([], [])
+    assert _cyclic_components([(3, 3), (1, 2)]) == ([[3]], [(3, 3)])
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.0, 0.02, 0.05, 0.1, 0.3))
+        edges = [(a, b) for a in range(n) for b in range(n) if rng.random() < p]
+        rng.shuffle(edges)
+        if trial % 4 == 0:      # the same graph spread over 40 n states
+            spread = rng.sample(range(40 * n), n)
+            edges = [(spread[a], spread[b]) for a, b in edges]
+            n *= 40
+        got = _cyclic_components(edges)
+        assert got == cyclic_components(n, edges)
+        assert got[0] == [list(c.states) for c in scc_of_edges(n, edges) if c.is_nontrivial]
 
 
 def test_import_leaves_networkx_unloaded():

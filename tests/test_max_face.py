@@ -293,3 +293,32 @@ def test_cycle_components_match_the_engine():
                 _assert_cycle_matches_engine(comp)
                 cycles += 1
     assert cycles >= 1000
+
+
+def test_support_query_walks_the_unsplit_tight_edges(rng, max_plus_passes, scc_splits):
+    # one support query is one max-plus pass and no SCC split, and the
+    # walk on its tight edges, which may lead out of the recurrent ones,
+    # always closes a cycle of maximum mean: on small-integer rows with
+    # many ties, and rows with one vector planted on many blocks
+    for _ in range(300):
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        recoded = recode_to_one_step(sft, k)
+        m = rng.choice((2, 3))
+        rows = [tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(recoded.n)]
+        if rng.random() < 0.5:
+            top = rows[0]
+            rows = [top if rng.random() < 0.6 else row for row in rows]
+        d = tuple(rng.randint(-3, 3) for _ in range(m))
+        recoded._split
+        max_plus_passes.clear()
+        scc_splits.clear()
+        cyc, total = extreme_cycle(recoded, rows, d)
+        assert len(max_plus_passes) == 1 and not scc_splits
+        edges = set(recoded.edges())
+        assert all((a, b) in edges for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        assert len(set(cyc)) == len(cyc)
+        w = [sum(x * y for x, y in zip(d, row)) for row in rows]
+        beta = karp_max_mean(recoded.n, recoded.edges(), [Fraction(x) for x in w])
+        assert Fraction(sum(x * y for x, y in zip(d, total)), len(cyc)) == beta
+        assert total == tuple(map(sum, zip(*(rows[v] for v in cyc))))

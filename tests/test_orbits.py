@@ -4,8 +4,7 @@ import pytest
 
 from oracles import brute_elementary_segments, random_transitive_sft
 from thermoshift import (InvalidArgumentError, PotentialLC, ResourceLimitError,
-                         Sft, birkhoff_average, elementary_orbits,
-                         permutability_classes, recode_to_one_step)
+                         Sft, birkhoff_average, elementary_orbits, recode_to_one_step)
 
 
 def _segments(orbits):
@@ -92,17 +91,3 @@ def test_birkhoff_rejects_wider_potential():
 def test_cap_enforced():
     with pytest.raises(ResourceLimitError):
         elementary_orbits(Sft.full(3), 2, cap=10)
-
-
-def test_permutability_classes_consistent():
-    orbits = elementary_orbits(Sft.full(3), 2)
-    classes = permutability_classes(orbits)
-    covered = [i for cls in classes for i in cls]
-    assert sorted(covered) == list(range(len(orbits)))
-    for cls in classes:
-        cyl = {orbits[i].cylinders for i in cls}
-        assert len(cyl) == 1
-        periods = {orbits[i].period for i in cls}
-        assert len(periods) == 1
-    # the full 3-shift census at window 2 does contain permutable pairs
-    assert any(len(cls) > 1 for cls in classes)

@@ -20,7 +20,6 @@ from thermoshift import (CohomologyReport, InvalidArgumentError, PotentialLC,
                          recode_to_one_step, rotation_set, scalarize,
                          universal_potential)
 from thermoshift.max_face import extreme_cycle
-from thermoshift.potential import embed_coordinates, embed_direction
 
 
 def test_block_coverage_is_validated():
@@ -134,13 +133,6 @@ def test_universal_potential_and_embedding():
     assert uni.state_values() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ints = PotentialLC(golden, 1, 1, {(0,): (3,), (1,): (-1,)}, "exact")
     assert [type(x) for (x,) in ints.state_values()] == [Fraction, Fraction]
-    phi = PotentialLC.from_matrix(golden, [[3, 4], [0, 0]])
-    coords = embed_coordinates(phi)
-    assert coords == (Fraction(3), Fraction(4), Fraction(0))
-    direction = embed_direction(phi)
-    assert abs(sum(x * x for x in direction) - 1.0) < 1e-12
-    with pytest.raises(InvalidArgumentError):
-        embed_direction(PotentialLC.constant(golden, 0))
 
 
 def test_cohomology_constant_detection():
@@ -273,7 +265,7 @@ def test_cohomology_and_rotation_sets_do_not_depend_on_the_split(monkeypatch):
 
     def own_split(n, edges, w, split):
         public.append(1)
-        return passes(n, edges, w, core_sft._cyclic_components(n, edges))
+        return passes(n, edges, w, core_sft._cyclic_components(edges))
 
     for module in list(sys.modules.values()):
         if getattr(module, "_max_mean", None) is passes:
@@ -285,13 +277,13 @@ def test_classify_and_cohomology_split_the_recoding_once(monkeypatch):
     recode_to_one_step.cache_clear()    # a recoding no earlier test has split
     phi = get_potential("gold0")
     recoded, splits = phi._recoded, []
-    tarjan = core_sft.scc_of_edges
+    split = core_sft._cyclic_components
 
-    def counting(n, edges):
+    def counting(edges):
         splits.append(edges is recoded.edges())
-        return tarjan(n, edges)
+        return split(edges)
 
-    monkeypatch.setattr(core_sft, "scc_of_edges", counting)
+    monkeypatch.setattr(core_sft, "_cyclic_components", counting)
     assert classify(phi).case == "UniqueTransitive"
     assert not cohomology_test(phi, PotentialLC.constant(phi.sft, 0, k=2)).cohomologous
     pressure(phi, 1.0)

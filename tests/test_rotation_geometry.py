@@ -393,6 +393,68 @@ def test_orbit_averages_over_another_window(rng):
             orbit_averages(golden, elementary_orbits(Sft.full(2), k))
 
 
+def test_support_hulls_match_the_orbit_hull():
+    # the hull grown from support queries, which walk unsplit tight edges,
+    # is the hull of every orbit average: 240 seeded potentials, m = 2 and 3
+    rng = random.Random(1919)
+    checked = 0
+    while checked < 240:
+        m = 2 + checked % 2
+        sft = random_transitive_sft(rng) if rng.random() < 0.5 else Sft.full(rng.choice((2, 3)))
+        k = rng.choice((1, 2))
+        blocks = recode_to_one_step(sft, k).states
+        if rng.random() < 0.5:
+            vals = {b: tuple(Fraction(rng.randint(0, 2)) for _ in range(m)) for b in blocks}
+        else:
+            vals = random_rational_values(rng, sft, k, m=m)
+        if rng.random() < 0.5:
+            tie = vals[rng.choice(blocks)]
+            vals.update(dict.fromkeys(rng.sample(blocks, rng.randint(1, len(blocks))), tie))
+        Phi = PotentialLC.from_block_values(sft, k, vals, m=m)
+        try:
+            orbits = elementary_orbits(sft, k, cap=3000)
+        except ResourceLimitError:
+            continue
+        want = fraction_rotation_set(Phi, orbits)
+        assert _shape(rotation_set(Phi)) == (want.affine_dim, want.vertices, want.facets)
+        checked += 1
+
+
+def test_orbit_lists_of_another_shift_are_rejected(monkeypatch):
+    # the full 3-shift's orbits with segments (0, 2) and (0, 2, 1) are not
+    # orbits of the 3-symbol shift without 0 -> 2: every caller-supplied
+    # list is checked step by step, and the census of Phi's own shift is not
+    sft = Sft.from_matrix([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
+    Phi = PotentialLC.from_block_values(
+        sft, 1, {(0,): (0, 0), (1,): (1, 0), (2,): (0, 1)}, m=2)
+    full = elementary_orbits(Sft.full(3), 1)
+    own = elementary_orbits(sft, 1)
+    assert {o.segment for o in full} - {o.segment for o in own} == {(0, 2), (0, 2, 1)}
+    for orbits in (full, [o for o in full if o.segment == (0, 2, 1)]):
+        for call in (lambda: rotation_set(Phi, orbits), lambda: orbit_averages(Phi, orbits),
+                     lambda: genericity_check(Phi, orbits),
+                     lambda: face_in_direction(Phi, (1, 0), orbits),
+                     lambda: face_in_direction(Phi, (1.0, 0.0), orbits)):
+            with pytest.raises(InvalidArgumentError, match="not an orbit"):
+                call()
+    # the same orbits read from the full shift's census where they are
+    # orbits of this one
+    shared = [o for o in full if o.segment not in {(0, 2), (0, 2, 1)}]
+    assert orbit_averages(Phi, shared) == orbit_averages(Phi, own)
+    assert _shape(rotation_set(Phi, shared)) == _shape(rotation_set(Phi, own))
+    checks = []
+    check = rotation_geometry._state_cycles
+    monkeypatch.setattr(rotation_geometry, "_state_cycles",
+                        lambda *args: checks.append(1) or check(*args))
+    genericity_check(Phi)
+    face_in_direction(Phi, (1, 0))
+    face_in_direction(Phi, (1.0, 0.0))
+    assert not checks
+    genericity_check(Phi, own)
+    face_in_direction(Phi, (1.0, 0.0), own)
+    assert len(checks) == 2
+
+
 def _vector_potential(*vecs):
     """Full shift on len(vecs) symbols, window 1, symbol i valued vecs[i]."""
     return PotentialLC.from_block_values(

@@ -33,7 +33,7 @@ _EXPORTS = {
     # maximizing subshifts
     "max_face": ("FaceSubshift", "FaceComponent", "face_subshift",
                  "max_entropy_components", "max_mean_data"),
-    # the modules below import numpy
+    # the modules below import numpy (boundary_entropy only for sampled curves)
     "thermodynamics": ("MarkovMeasure", "pressure", "equilibrium_markov",
                        "parry_measure"),
     "zero_temperature": ("ClassificationResult", "ZtCoefficients", "classify",

@@ -12,26 +12,29 @@ maximizing subshift, from the face's one max-plus pass; its geometry
 (vertices, ends, tangent and, for exact values, each state's tangential
 coordinate psi) runs on integers over one denominator.  A component
 that is one periodic orbit is one point, its exact tangential mean at
-entropy 0, with no pass of its own.  Every other transitive
-component contributes the curve (s(v), h(v)) of its equilibrium states
-for a tangential dual parameter v, swept on a tan-spaced grid so the
-slope (which equals -v) is resolved evenly.  The one spectral engine
-solves all samples of a component as one stack
-(``spectral.perron_stack``); the interior Newton steps are single
-solves.  Component endpoints are anchored exactly: the extreme
-tangential mean is a max cycle mean, and the entropy there is the top
-entropy of the sub-face it cuts out.  The entropy profile of the whole
-face is the upper concave envelope of all contributions, and corners of
-that envelope are reported by a slope-jump scan at junction vertices.
+entropy 0, with no pass of its own.  A component that one pass finds
+constant along the face is one point too, at its entropy: log r, exact,
+when its 0/1 matrix is regular of degree r.  A face whose components
+are all such points builds no array and loads neither numpy nor the
+spectral engine.  Every other transitive component contributes the
+curve (s(v), h(v)) of its equilibrium states for a tangential dual
+parameter v, swept on a tan-spaced grid so the slope (which equals -v)
+is resolved evenly.  The one spectral engine solves all samples of a
+component as one stack (``spectral.perron_stack``); the interior Newton
+steps are single solves.  Component endpoints are anchored exactly: the
+extreme tangential mean is a max cycle mean, and the entropy there is
+the top entropy of the sub-face it cuts out.  The entropy profile of the
+whole face is the upper concave envelope of all contributions, and
+corners of that envelope are reported by a slope-jump scan at junction
+vertices.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core_sft import Sft, _int_weights
 from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
@@ -39,8 +42,6 @@ from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
 from .max_face import face_subshift
 from .potential import PotentialLC, _snap
 from .rotation_geometry import RotationPolytope, _dot, _ints, _scale, rotation_set
-from .spectral import perron, perron_stack
-from .thermodynamics import _measure, markov_entropy
 
 DEFAULT_SAMPLES = 201
 DEFAULT_VMAX = 50.0
@@ -82,9 +83,16 @@ class FaceCurve:
     vmax: float
 
     def envelope(self, s):
-        xs = [p.s for p in self.hull]
-        hs = [p.h for p in self.hull]
-        return float(np.interp(s, xs, hs))
+        """The envelope at s: linear between hull points, held at the end
+        heights outside [s0, s1], in the same doubles as ``np.interp``."""
+        hull = self.hull
+        j = bisect_right([p.s for p in hull], s) - 1
+        if j < 0:
+            return hull[0].h
+        if j == len(hull) - 1:
+            return hull[-1].h
+        p, q = hull[j], hull[j + 1]
+        return (q.h - p.h) / (q.s - p.s) * (s - p.s) + p.h
 
     def endpoint_values(self):
         return self.hull[0].h, self.hull[-1].h
@@ -105,6 +113,9 @@ def _component_curve(comp, psi, exact, n_samples, vmax):
     if hi_face.is_whole_shift:
         # tangentially constant component: one exact point at its mean
         return [CurvePoint(float(hi_face.beta), comp.entropy, comp.index, "point", -1)]
+    import numpy as np                  # numpy loads only for sampled curves
+    from .spectral import perron_stack
+    from .thermodynamics import markov_entropy
     lo_face = face_subshift(lo)
     s_hi, s_lo = float(hi_face.beta), -float(lo_face.beta)
     pts = [CurvePoint(s_lo, lo_face.entropy, comp.index, "anchor", -1),
@@ -251,6 +262,7 @@ def _dual_value_grad(X, edges, corners, w, v):
     v . Phi - beta(v) on the recoding of Phi, whose states have the value
     rows X and the given edges.  beta(v), the maximum cycle mean of
     v . Phi, is the largest v . x over the corners x of the rotation set."""
+    from .spectral import perron
     beta = float((corners @ v).max())
     sol = perron(len(X), edges, X @ v - beta)
     return float(sol.log_lam + beta - v @ w), sol.stationary @ X - w, beta, sol
@@ -262,6 +274,7 @@ def _covariance(p, P, X):
     Hessian of the pressure (Parry and Pollicott 1990, ch. 4): G + G' -
     F' D F with G = F' D Z F, for the centred values F = X - p X, D =
     diag(p) and the fundamental matrix Z = (I - P + 1 p)^-1."""
+    import numpy as np
     F = X - p @ X
     DF = p[:, None] * F
     G = DF.T @ np.linalg.solve(np.eye(len(p)) - P + p, F)
@@ -282,6 +295,8 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
     state), or gradient steps where it is not positive definite.  Each
     point is one Perron solve on the recoding of Phi, with no max-plus pass.
     """
+    import numpy as np
+    from .thermodynamics import _measure
     if Phi.m != 2:
         raise UnsupportedDimensionError("interior duality implemented for m = 2")
     if poly is None:

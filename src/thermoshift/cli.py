@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import numbers
+import re
 import sys
 from bisect import bisect_right
 from datetime import datetime, timezone
@@ -300,8 +301,8 @@ def _curve_rows(curve, n: int) -> list:
 
 
 def _cmd_facecurve(args) -> int:
-    from .boundary_entropy import (differentiability_scan,     # loads numpy
-                                   face_entropy_curve)
+    # numpy loads only when a face component needs a sampled curve
+    from .boundary_entropy import differentiability_scan, face_entropy_curve
     phi = _resolve_potential(args)
     if phi.m != 2:
         raise InvalidArgumentError("facecurve needs a potential with m = 2")
@@ -425,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("facecurve", help="entropy envelope along a face")
     _add_common(sp, with_potential=True)
-    sp.add_argument("--alpha", required=True, help="face direction, e.g. 0,-1")
+    sp.add_argument("--alpha", required=True,
+                    help="face direction as comma-separated components, e.g. "
+                         "0,-1 or -2,1 (a facet normal that rotset prints)")
     sp.add_argument("--samples", type=int, default=201,
                     help="dual grid size per component (default 201)")
 
@@ -436,10 +439,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_alpha(argv):
+    """argv with ``--alpha -2,1`` joined into ``--alpha=-2,1``: argparse
+    takes a token that starts with '-' for an option unless it is one
+    negative number, and a direction is several."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--alpha" and re.match(r"-\.?\d", tok):
+            out[-1] = f"--alpha={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_alpha(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code or 0)
     # required-flag checks that depend on the command

@@ -8,9 +8,10 @@ eigenvector h; the edges that h saturates at beta are the tight edges,
 whose recurrent part carries every cycle of mean beta.  Every pass on a
 recoding starts from its one SCC split (``RecodedSft._split``); a
 pass's tight edges are split only where components are read, and a
-support query walks them unsplit.  A face component that is one
-periodic orbit takes exact Parry data (entropy 0, the uniform measure on
-the cycle) without a Perron solve.
+support query walks them unsplit.  A face component whose 0/1 matrix
+has all row sums, or all column sums, equal to r has the exact entropy
+log r without a Perron solve; one periodic orbit (r = 1) takes exact
+Parry data too (the uniform measure on the cycle).
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def find_cycle(edges):
 @dataclass(frozen=True)
 class FaceComponent:
     """One transitive component of a maximizing subshift.  The Perron
-    solve of its 0/1 matrix, which gives both its entropy and its Parry
-    measure, runs once, on first use.  A cycle (``is_cycle``) needs none:
-    its Parry data is exact."""
+    solve of its 0/1 matrix, which gives its Parry measure and, unless
+    the matrix is regular, its entropy, runs once, on first use.  A cycle
+    (``is_cycle``) needs none: its Parry data is exact."""
 
     index: int
     state_ids: tuple[int, ...]       # indices into the recoded state list
@@ -135,9 +136,18 @@ class FaceComponent:
                                "double", np.full(n, 1.0 / n))
         return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()
 
-    @property
+    @functools.cached_property
     def entropy(self) -> float:
-        return 0.0 if self.is_cycle else self.perron_solve.log_lam
+        """log r when every row, or every column, of the 0/1 matrix sums
+        to r: the Perron root of an irreducible regular matrix is r, since
+        the all-ones vector is a positive eigenvector of it or of its
+        transpose (Lind and Marcus 1995, 4.2-4.4).  A cycle is r = 1.  Other
+        components read it from the Perron solve."""
+        for lines in (self.matrix, zip(*self.matrix)):
+            sums = set(map(sum, lines))
+            if len(sums) == 1:
+                return math.log(sums.pop())
+        return self.perron_solve.log_lam
 
 
 @dataclass

@@ -17,6 +17,7 @@ from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          equilibrium_markov, face_entropy_curve, face_subshift,
                          get_potential, get_shift, localized_entropy_interior,
                          potential_names, recode_to_one_step, rotation_set, scalarize)
+from thermoshift.boundary_entropy import CurvePoint, FaceCurve
 from thermoshift.core_sft import TIGHT_TOL
 
 LOG2 = math.log(2.0)
@@ -123,8 +124,8 @@ def test_face_curve_stacks_do_not_grow_with_samples(monkeypatch):
         calls.append(1)
         return stack(*args)
 
-    stack = boundary_entropy.perron_stack
-    monkeypatch.setattr(boundary_entropy, "perron_stack", counting)
+    stack = spectral.perron_stack
+    monkeypatch.setattr(spectral, "perron_stack", counting)
     for Phi, alpha in ((get_potential("trivec"), (0, -1)),
                        (get_potential("trivec"), (2, 1)),
                        (get_potential("kinkvec"), (0, -1))):
@@ -286,7 +287,7 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
 
     stack, perron, deflate = spectral.perron_stack, spectral.perron, spectral._deflate
     solve = spectral.Transfer.solve
-    monkeypatch.setattr(boundary_entropy, "perron_stack", recording)
+    monkeypatch.setattr(spectral, "perron_stack", recording)
     monkeypatch.setattr(spectral, "_deflate", counting_deflate)
     face_entropy_curve(get_potential("trivec"), (0, -1))
     face_entropy_curve(get_potential("kinkvec"), (0, -1))
@@ -327,6 +328,34 @@ def test_affine_face_of_two_fixed_points():
     assert curve.endpoint_values() == (0.0, 0.0)
     assert curve.envelope(0.37) == pytest.approx(0.0, abs=1e-12)
     assert differentiability_scan(curve).smooth
+
+
+def _hull_curve(hull):
+    return FaceCurve((0, -1), (0, 0), (1, 0), (1, 0), 0, [], hull, hull, 9, 50.0)
+
+
+def test_envelope_matches_np_interp_bit_for_bit():
+    # seeded hulls of 1 to 40 points (heights with zeros among them) and
+    # the hulls of builtin curves, at their own abscissae, at points
+    # between, and outside [s0, s1]
+    rng = random.Random(41)
+    curves = [face_entropy_curve(get_potential("trivec"), a) for a in ((0, -1), (2, 1))]
+    for n in [1] * 5 + [rng.randint(2, 40) for _ in range(60)]:
+        xs = sorted({rng.uniform(-1.0, 2.0) for _ in range(n)})
+        hull = [CurvePoint(x, rng.choice((0.0, rng.random())), 0, "sample", i)
+                for i, x in enumerate(xs)]
+        curves.append(_hull_curve(hull))
+    checked = 0
+    for curve in curves:
+        xs = [p.s for p in curve.hull]
+        hs = [p.h for p in curve.hull]
+        span = xs[-1] - xs[0] + 1.0
+        queries = xs + [xs[0] - span, xs[0] - 1e-300, xs[-1] + 1e-9, xs[-1] + span]
+        queries += [rng.uniform(xs[0], xs[-1]) for _ in range(50)]
+        for s in queries:
+            assert curve.envelope(s).hex() == float(np.interp(s, xs, hs)).hex(), (xs, s)
+            checked += 1
+    assert checked > 4000
 
 
 def test_face_curve_validation():

@@ -136,6 +136,24 @@ def test_facecurve_csv_layout(capsys, tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+def test_facecurve_takes_negative_directions(capsys):
+    # argparse reads a lone "-2,1" as an option; main joins it to --alpha
+    spaced = run_json(capsys, "facecurve", "--potential", "trivec", "--alpha", "-2,1")
+    joined = run_json(capsys, "facecurve", "--potential", "trivec", "--alpha=-2,1")
+    assert spaced["payload"] == joined["payload"]
+    assert spaced["payload"]["direction"] == ["-2", "1"]
+    # every facet normal that rotset prints goes back into facecurve as is
+    negative = 0
+    for name in ("trivec", "kinkvec"):
+        for facet in run_json(capsys, "rotset", "--potential", name)["payload"]["facets"]:
+            alpha = ",".join(facet["normal"])
+            pay = run_json(capsys, "facecurve", "--potential", name, "--alpha", alpha,
+                           "--samples", "9")["payload"]
+            assert pay["direction"] == facet["normal"]
+            negative += alpha.startswith("-")
+    assert negative >= 2
+
+
 def test_cohom_reports_constant(capsys):
     pay = run_json(capsys, "cohom", "--potential", "cob1")["payload"]
     assert pay["cohomologous"] is True

@@ -47,6 +47,20 @@ def test_exact_commands_run_without_numpy(argv):
     _run(code)
 
 
+def test_point_face_curve_runs_without_numpy_or_the_engine():
+    # kinkvec's face 0,-1 is three points: the fixed point 55 and the full
+    # shifts on {0,1} and {2,3,4}, at their exact entropies log r
+    _run(_loaded_after(["facecurve", "--potential", "kinkvec", "--alpha", "0,-1"])
+         + "assert not loaded, loaded\n"
+         "engine = {'thermoshift.spectral', 'thermoshift.thermodynamics'} & set(sys.modules)\n"
+         "assert not engine, engine")
+
+
+def test_sampled_face_curve_loads_numpy():
+    _run(_loaded_after(["facecurve", "--potential", "trivec", "--alpha", "0,-1"])
+         + "assert 'numpy' in loaded, loaded")
+
+
 def test_tied_sweep_leaves_numpy_ma_unloaded():
     # the aggregation frame orders its states without numpy.ma
     _run(_loaded_after(["ztsweep", "--potential", "threefix_a"])

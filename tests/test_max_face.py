@@ -13,9 +13,9 @@ from thermoshift import (InvalidArgumentError, PotentialLC, Sft,
                          equilibrium_markov, face_subshift, get_potential,
                          max_entropy_components, max_mean_data,
                          elementary_orbits, potential_names, recode_to_one_step)
-from thermoshift.core_sft import matrix_edges
+from thermoshift.core_sft import _is_irreducible, matrix_edges
 from thermoshift.max_face import extreme_cycle
-from thermoshift.spectral import Transfer
+from thermoshift.spectral import _CW_TOL, Transfer
 from thermoshift.thermodynamics import markov_entropy
 
 
@@ -322,3 +322,91 @@ def test_support_query_walks_the_unsplit_tight_edges(rng, max_plus_passes, scc_s
         beta = karp_max_mean(recoded.n, recoded.edges(), [Fraction(x) for x in w])
         assert Fraction(sum(x * y for x, y in zip(d, total)), len(cyc)) == beta
         assert total == tuple(map(sum, zip(*(rows[v] for v in cyc))))
+
+
+# -- exact entropy of regular components ------------------------------------
+
+def _whole_component(rows):
+    """The one face component of the zero potential on an irreducible 0/1
+    matrix: the matrix itself."""
+    (comp,) = face_subshift(PotentialLC.constant(Sft.from_matrix(rows), 0)).components
+    assert comp.matrix == tuple(map(tuple, rows))
+    return comp
+
+
+def _irreducible(rows):
+    return _is_irreducible(len(rows), matrix_edges(rows))
+
+
+def _regular_components(rng):
+    """(component, r) for components whose 0/1 matrix has all row sums or
+    all column sums equal to r >= 2."""
+    # k-block recodings of the full shift on an r-letter sub-alphabet of
+    # full d: the face of the potential that is 0 on its blocks, -1 elsewhere
+    for d, r, k in ((3, 2, 1), (3, 2, 3), (4, 3, 2), (5, 2, 4), (5, 4, 2), (6, 5, 2)):
+        sub = set(rng.sample(range(d), r))
+        sft = Sft.full(d)
+        vals = {b: (0 if set(b) <= sub else -1,) for b in recode_to_one_step(sft, k).states}
+        (comp,) = face_subshift(PotentialLC.from_block_values(sft, k, vals)).components
+        assert len(comp.matrix) == r ** k
+        yield comp, r
+    # irreducible unions of r disjoint permutation matrices: row j holds
+    # the columns pi[(tau[j] + c) mod n] for r distinct offsets c
+    count = 0
+    while count < 30:
+        n = rng.randint(3, 12)
+        r = rng.randint(2, n - 1)
+        pi, tau = rng.sample(range(n), n), rng.sample(range(n), n)
+        offsets = rng.sample(range(n), r)
+        rows = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for c in offsets:
+                rows[j][pi[(tau[j] + c) % n]] = 1
+        if _irreducible(rows):
+            count += 1
+            yield _whole_component(rows), r
+    # column-regular, not row-regular: transposes of matrices whose rows
+    # each hold r random ones and whose column sums differ
+    count = 0
+    while count < 30:
+        n = rng.randint(3, 12)
+        r = rng.randint(2, n - 1)
+        rows = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for b in rng.sample(range(n), r):
+                rows[j][b] = 1
+        cols = [list(c) for c in zip(*rows)]
+        if _irreducible(cols) and len({sum(c) for c in cols}) > 1:
+            count += 1
+            yield _whole_component(cols), r
+
+
+def test_regular_components_take_log_r_without_the_engine():
+    # the engine certifies its root to _CW_TOL relative, so its log to
+    # _CW_TOL absolute; its eigensolve rounds up to a few ulps per state
+    comps = 0
+    for comp, r in _regular_components(random.Random(23)):
+        n = len(comp.matrix)
+        assert comp.entropy == math.log(r)
+        assert "perron_solve" not in vars(comp)        # no solve was run
+        want = Transfer(n, matrix_edges(comp.matrix), [0] * n).solve().log_lam
+        assert abs(comp.entropy - want) <= _CW_TOL
+        comps += 1
+    assert comps == 66
+
+
+def test_irregular_components_call_the_engine():
+    rng = random.Random(29)
+    count = 0
+    while count < 30:
+        n = rng.randint(2, 10)
+        rows = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(n)]
+        if (not _irreducible(rows) or len({sum(r) for r in rows}) == 1
+                or len({sum(c) for c in zip(*rows)}) == 1):
+            continue
+        comp = _whole_component(rows)
+        h = comp.entropy
+        assert "perron_solve" in vars(comp)            # entropy ran the solve
+        want = Transfer(n, matrix_edges(comp.matrix), [0] * n).solve().log_lam
+        assert h == comp.perron_solve.log_lam == want
+        count += 1

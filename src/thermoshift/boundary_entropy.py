@@ -31,6 +31,7 @@ vertices.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -85,14 +86,19 @@ class FaceCurve:
     def envelope(self, s):
         """The envelope at s: linear between hull points, held at the end
         heights outside [s0, s1], in the same doubles as ``np.interp``."""
-        hull = self.hull
-        j = bisect_right([p.s for p in hull], s) - 1
-        if j < 0:
-            return hull[0].h
-        if j == len(hull) - 1:
-            return hull[-1].h
+        return self._segment(s)[1]
+
+    def _segment(self, s):
+        """(j, the envelope at s) for the last hull point j at or left of s."""
+        hull, j = self.hull, bisect_right(self._abscissae, s) - 1
+        if j < 0 or j == len(hull) - 1:
+            return j, hull[max(j, 0)].h
         p, q = hull[j], hull[j + 1]
-        return (q.h - p.h) / (q.s - p.s) * (s - p.s) + p.h
+        return j, (q.h - p.h) / (q.s - p.s) * (s - p.s) + p.h
+
+    @functools.cached_property
+    def _abscissae(self) -> list:
+        return [p.s for p in self.hull]
 
     def endpoint_values(self):
         return self.hull[0].h, self.hull[-1].h

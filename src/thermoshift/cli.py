@@ -20,7 +20,6 @@ import json
 import numbers
 import re
 import sys
-from bisect import bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -281,22 +280,17 @@ def _cmd_ztsweep(args) -> int:
 def _curve_rows(curve, n: int) -> list:
     """Sampled envelope rows: s, ambient point, height, provenance."""
     hull = curve.hull
-    ss = [p.s for p in hull]
     e0 = tuple(float(x) for x in curve.e0)
     e1 = tuple(float(x) for x in curve.e1)
     rows = []
     for i in range(n):
         s = i / (n - 1) if n > 1 else 0.0
-        j = bisect_right(ss, s) - 1
-        if j < 0:
-            prov = str(hull[0].comp)
-        elif j + 1 >= len(hull) or abs(ss[j] - s) < 1e-12:
-            prov = str(hull[min(j, len(hull) - 1)].comp)
-        else:
-            p, q = hull[j], hull[j + 1]
-            prov = str(p.comp) if p.comp == q.comp else "bridge"
+        j, height = curve._segment(s)
+        p = hull[max(j, 0)]
+        q = hull[j + 1] if 0 <= j < len(hull) - 1 and abs(p.s - s) >= 1e-12 else p
+        prov = str(p.comp) if p.comp == q.comp else "bridge"
         w = tuple(a + s * (b - a) for a, b in zip(e0, e1))
-        rows.append([s, w[0], w[1], float(curve.envelope(s)), prov])
+        rows.append([s, w[0], w[1], float(height), prov])
     return rows
 
 
@@ -440,13 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_alpha(argv):
-    """argv with ``--alpha -2,1`` joined into ``--alpha=-2,1``: argparse
-    takes a token that starts with '-' for an option unless it is one
-    negative number, and a direction is several."""
+    """argv with ``--alpha -2,1``, or a prefix of --alpha down to --a (no
+    other option starts so), joined into ``--alpha=-2,1``: argparse takes
+    a token that starts with '-' for an option unless it is one negative
+    number, and a direction is several."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--alpha" and re.match(r"-\.?\d", tok):
-            out[-1] = f"--alpha={tok}"
+        if (out and len(out[-1]) > 2 and "--alpha".startswith(out[-1])
+                and re.match(r"-\.?\d", tok)):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -5,8 +5,9 @@ finite alphabet; a word is admissible when every adjacent pair of
 symbols is allowed.  Potentials constant on k-cylinders become functions
 of the state after recoding to the one-step shift whose states are the
 admissible k-blocks, which is what every downstream module works on.
-The module is pure Python; the Perron engine that solves transfer
-matrices on these graphs is ``spectral``.
+The one exact max-plus routine of the package runs on their SCC split
+(``_max_plus_pass``).  The module is pure Python; the Perron engine that
+solves transfer matrices on these graphs is ``spectral``.
 """
 
 from __future__ import annotations
@@ -188,13 +189,15 @@ def _cyclic_components(edges):
 def _int_weights(w):
     """(ints, scale, exact): the weights times the lcm of their denominators
     (a float's of its binary value), and whether all were exact."""
-    exact = all(isinstance(x, (int, Fraction)) for x in w)
+    types = set(map(type, w))
+    if types <= {int}:
+        return list(w), 1, True
+    exact = types <= {Fraction, int} or all(issubclass(t, (int, Fraction)) for t in types)
     try:
-        ratios = [(x.numerator, x.denominator) if exact else float(x).as_integer_ratio()
-                  for x in w]
+        ratios = [(x if exact else float(x)).as_integer_ratio() for x in w]
     except (OverflowError, ValueError):
         raise InvalidArgumentError("weights must be finite") from None
-    scale = math.lcm(*(d for _, d in ratios))
+    scale = math.lcm(*set(map(itemgetter(1), ratios)))
     return [a * (scale // d) for a, d in ratios], scale, exact
 
 
@@ -240,7 +243,7 @@ def _howard(succ, nodes):
                 p[x], q[x] = pc, qc
                 h[x] = wx * qc - pc + h[b]
         moved = False
-        for v in nodes:
+        for v in nodes if len(set(zip(p, q))) > 1 else ():    # one mean: no move
             pv, qv = p[v], q[v]
             for e in succ[v]:
                 b = e[0]
@@ -252,35 +255,57 @@ def _howard(succ, nodes):
                 best = h[v] + pv            # w q + h[b] on the policy edge
                 for e in succ[v]:
                     b, wb = e
-                    if p[b] == pv and q[b] == qv and wb * qv + h[b] > best:
+                    if wb * qv + h[b] > best and p[b] == pv and q[b] == qv:
                         best, policy[v], moved = wb * qv + h[b], e, True
         if not moved:
             return p, q, h
 
 
-def _potentials(n: int, edges, w):
-    """(mean, h, den, classes, tight) of an irreducible digraph with edge
-    weights w, exact: the maximum cycle mean, a balanced max-plus
-    eigenvector h / den of w - mean (h in ints), the critical classes, the
-    nontrivial SCCs of the edges of reduced weight w - mean + h[b] - h[a]
-    = 0 (for floats, >= -TIGHT_TOL (1 + max |w|)), and those edges that
-    lie inside a class, in the given order.  With several classes h is max_i
-    (D[a, c_i] + g_i): D[a, c] the heaviest path to the least state c_i of
-    class i (Dijkstra on the reduced weights, all <= 0), g this routine's
-    h on D[c_i, c_j] (i != j), so that no tight path joins two classes."""
-    if not any(w):                  # a 0/1 matrix is its own scaling
-        return Fraction(0), [0] * n, 1, [list(range(n))], list(edges)
+def _max_plus_pass(n: int, split, w):
+    """(beta, tight, h, unit, slack) of the one exact max-plus pass, on
+    the SCC split (sccs, inner) of a digraph with weight w[i] on inner[i]:
+    ``_howard`` on the weights scaled to ints, so beta is exact or rounded
+    once.  On an SCC of mean p/q, h[a] = max (w q - p + h[b]) over edges a
+    -> b in units 1/(q scale) (``unit`` at beta), and slack[i] = w q - p +
+    h[b] - h[a] on inner[i].  An edge is tight when its SCC has mean beta
+    and its slack is 0, or for floats when they fall short by at most
+    TIGHT_TOL (1 + max |w|); the tight edges come unsplit, and a walk on
+    them never stops (each source leaves by its tight policy edge)."""
+    sccs, inner = split
+    if not sccs:
+        raise InvalidArgumentError("graph has no cycle")
     wi, scale, exact = _int_weights(w)
+    if not any(wi):                 # a 0/1 matrix is its own scaling
+        return Fraction(0) if exact else 0.0, list(inner), [0] * n, 1, [0] * len(inner)
     succ = [[] for _ in range(n)]
-    for (a, b), x in zip(edges, wi):
+    for (a, b), x in zip(inner, wi):
         succ[a].append((b, x))
-    p, q, h = _howard(succ, range(n))
-    p, q = p[0], q[0]
-    unit = q * scale                # of h and of the reduced weights
-    tol = 0.0 if exact else TIGHT_TOL * (1.0 + max(abs(float(x)) for x in w))
-    slack = [x * q - p + h[b] - h[a] for (a, b), x in zip(edges, wi)]
-    classes, tight = _cyclic_components(
-        [e for e, s in zip(edges, slack) if not s or tol and s / unit >= -tol])
+    p, q, h = _howard(succ, [v for comp in sccs for v in comp])
+    means = {(p[c[0]], q[c[0]]) for c in sccs}
+    bp, bq = max(means, key=lambda m: Fraction(*m))
+    if exact:
+        beta, tol = Fraction(bp, bq * scale), 0.0
+    else:
+        beta, tol = bp / (bq * scale), TIGHT_TOL * (1.0 + max(abs(float(x)) for x in w))
+        gap = {m: float((Fraction(*m) - Fraction(bp, bq)) / scale) for m in means}
+    slack = [x * q[a] - p[a] + h[b] - h[a] for (a, b), x in zip(inner, wi)]
+    tight = [e for e, s in zip(inner, slack)
+             if not s and p[e[0]] == bp and q[e[0]] == bq
+             or tol and gap[p[e[0]], q[e[0]]] + s / (q[e[0]] * scale) >= -tol]
+    return beta, tight, h, bq * scale, slack
+
+
+def _potentials(n: int, edges, mx):
+    """(mean, h, den, classes, tight) of an irreducible digraph from mx,
+    the ``_max_plus_pass`` of weights on its edges: a balanced max-plus
+    eigenvector h / den, the critical classes (the SCCs of the tight
+    edges) and the tight edges inside them.  With several classes h is
+    max_i (D[a, c_i] + g_i): D[a, c] the heaviest path to the least state
+    c_i of class i (Dijkstra on the slack, all <= 0), g this routine's h
+    on D[c_i, c_j] (i != j), so that no tight path joins two classes."""
+    mean, tight, h, unit, slack = mx
+    classes, tight = (_cyclic_components(tight) if len(tight) < len(edges)
+                      else ([list(range(n))], tight))      # all tight: one class
     if len(classes) > 1:
         pred = [[] for _ in range(n)]
         for (a, b), s in zip(edges, slack):
@@ -295,11 +320,13 @@ def _potentials(n: int, edges, w):
                     for a, cost in pred[v]:
                         heapq.heappush(heap, (d + cost, a))
             cols.append([h[a] - h[c] - d for a, d in enumerate(dist)])
-        pairs = [(i, j) for i in range(len(cols)) for j in range(len(cols)) if i != j]
-        _, g, den, *_ = _potentials(len(cols), pairs, [cols[j][classes[i][0]] for i, j in pairs])
+        r = len(cols)
+        pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+        _, g, den, *_ = _potentials(r, pairs, _max_plus_pass(
+            r, ([list(range(r))], pairs), [cols[j][classes[i][0]] for i, j in pairs]))
         h = [max(col[a] * den + gi for col, gi in zip(cols, g)) for a in range(n)]
         unit *= den
-    return Fraction(p, q * scale), h, unit, classes, tight
+    return mean, h, unit, classes, tight
 
 
 def matrix_edges(M) -> list[tuple[int, int]]:
@@ -320,8 +347,7 @@ def is_transitive(sft: Sft) -> bool:
 
 def _is_irreducible(n: int, edges) -> bool:
     """True when the digraph on states 0..n-1 is one nontrivial SCC."""
-    comps = scc_of_edges(n, edges)
-    return len(comps) == 1 and comps[0].is_nontrivial
+    return _cyclic_components(list(edges))[0] == [list(range(n))]
 
 
 @dataclass(frozen=True)

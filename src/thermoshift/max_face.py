@@ -2,16 +2,17 @@
 
 The states of X are the admissible k-blocks (the one-step recoding);
 the weight of an edge is the potential value at its source block.
-One exact max-plus pass, Howard policy iteration on integer-scaled
-weights, gives the maximum cycle mean beta together with a max-plus
-eigenvector h; the edges that h saturates at beta are the tight edges,
-whose recurrent part carries every cycle of mean beta.  Every pass on a
-recoding starts from its one SCC split (``RecodedSft._split``); a
-pass's tight edges are split only where components are read, and a
-support query walks them unsplit.  A face component whose 0/1 matrix
-has all row sums, or all column sums, equal to r has the exact entropy
-log r without a Perron solve; one periodic orbit (r = 1) takes exact
-Parry data too (the uniform measure on the cycle).
+One exact max-plus pass (``core_sft._max_plus_pass``, Howard policy
+iteration) gives the maximum cycle mean beta and a max-plus eigenvector
+h, which also scales a potential's transfer; the edges that h saturates
+at beta are the tight edges, whose recurrent part carries every cycle of
+mean beta.  Every pass on a recoding starts from its one SCC split
+(``RecodedSft._split``); a pass's tight edges are split only where
+components are read, and a support query walks them unsplit.  A face
+component whose 0/1 matrix has all row sums, or all column sums, equal
+to r has the exact entropy log r without a Perron solve; one periodic
+orbit (r = 1) takes exact Parry data too (the uniform measure on the
+cycle).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .core_sft import (TIGHT_TOL, RecodedSft, _cyclic_components, _howard, _int_weights,
-                       matrix_edges)
+from .core_sft import (TIGHT_TOL, RecodedSft, _cyclic_components, _int_weights,
+                       _max_plus_pass, matrix_edges)
 from .errors import InvalidArgumentError
 
 if TYPE_CHECKING:
@@ -34,53 +35,17 @@ if TYPE_CHECKING:
 
 def max_mean_data(n: int, edges, w):
     """(beta, recurrent tight edges, SCC node lists) of the max cycle
-    mean beta of edges a -> b weighing w[a]: ``_max_mean`` on the graph's
-    own SCC split, its tight edges split in turn."""
-    beta, tight = _max_mean(n, edges, w, _cyclic_components(edges))
+    mean beta of edges a -> b weighing w[a]: ``_state_pass`` on the
+    graph's own SCC split, its tight edges split in turn."""
+    beta, tight = _state_pass(n, _cyclic_components(edges), w)[:2]
     sccs, rec_edges = _cyclic_components(tight)
     return beta, rec_edges, sccs
 
 
-def _max_mean(n: int, edges, w, split):
-    """(beta, tight edges) of ``max_mean_data`` given ``split =
-    _cyclic_components(edges)``, which a recoding keeps
-    (``RecodedSft._split``) for every pass on it.
-
-    ``_howard`` runs on the edges inside the nontrivial SCCs, each
-    weighing w[b] (the same cycle sums, and a start at the heaviest
-    successor), scaled to ints (a float by its exact binary value): beta
-    is exact or rounded once, and h marks the tight edges: w[b] q - p +
-    h[b] == h[a] on an SCC of mean beta = p/q, or for float weights within
-    TIGHT_TOL of their scale.  They come unsplit, in the order of
-    ``split``: the callers that read components (``face_subshift`` and
-    the witnesses of ``cohomology_test``) split them.  Every source of a
-    tight edge leaves by its policy edge, which is tight, to a state of
-    the same mean, so a walk on them never stops.  Raises
-    InvalidArgumentError when the graph has no cycle.
-    """
-    sccs, inner = split
-    if not sccs:
-        raise InvalidArgumentError("graph has no cycle")
-    wi, scale, exact = _int_weights(w)
-    succ = [[] for _ in range(n)]
-    for a, b in inner:
-        succ[a].append((b, wi[b]))
-    p, q, h = _howard(succ, [v for comp in sccs for v in comp])
-    means = {(p[c[0]], q[c[0]]) for c in sccs}
-    bp, bq = max(means, key=lambda m: Fraction(*m))
-    if exact:
-        beta = Fraction(bp, bq * scale)
-        tight = [(a, b) for (a, b) in inner
-                 if p[a] == bp and q[a] == bq and wi[b] * bq - bp + h[b] == h[a]]
-    else:
-        beta = bp / (bq * scale)
-        tol = TIGHT_TOL * (1.0 + max((abs(float(w[a])) for (a, _) in edges), default=0.0))
-        top = Fraction(bp, bq)
-        gap = {m: float((Fraction(*m) - top) / scale) for m in means}
-        tight = [(a, b) for (a, b) in inner
-                 if gap[p[a], q[a]] + (wi[b] * q[a] - p[a] + h[b] - h[a]) / (q[a] * scale)
-                 >= -tol]
-    return beta, tight
+def _state_pass(n: int, split, w):
+    """``core_sft._max_plus_pass`` on an SCC split for edges a -> b weighing
+    w[a], each weighing w[b] instead: the same cycle sums."""
+    return _max_plus_pass(n, split, [w[b] for _, b in split[1]])
 
 
 def find_cycle(edges):
@@ -88,20 +53,14 @@ def find_cycle(edges):
     a source too, as a node list: the walk from the least source along
     each state's first edge."""
     succ = {}
-    for (a, b) in edges:
-        succ.setdefault(a, []).append(b)
-    start = min(succ)
-    seen = {}
-    path = [start]
-    seen[start] = 0
-    cur = start
-    while True:
-        nxt = succ[cur][0]
-        if nxt in seen:
-            return path[seen[nxt]:]
-        seen[nxt] = len(path)
-        path.append(nxt)
-        cur = nxt
+    for a, b in edges:
+        succ.setdefault(a, b)
+    path, seen, cur = [], {}, min(succ)
+    while cur not in seen:
+        seen[cur] = len(path)
+        path.append(cur)
+        cur = succ[cur]
+    return path[seen[cur]:]
 
 
 @dataclass(frozen=True)
@@ -186,7 +145,8 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
     all of X.  For an exact Phi and a rational alpha the pass weighs each
     state by a . row, for Phi's exact values as int rows over their
     common denominator L and alpha as a / c: the same tight edges as
-    alpha . Phi, and beta divided by c L, with no scalar potential built.
+    alpha . Phi, and beta divided by c L; otherwise the doubles that
+    ``scalarize`` gives.  Either way no scalar potential is built.
     """
     recoded = phi._recoded
     if alpha is None:
@@ -202,14 +162,14 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
             a, c, _ = _int_weights(direction)
             rows, L = phi._int_rows         # exact values, nothing snapped
             w = [sum(map(mul, a, row)) for row in rows]
-            beta, tight = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
-            beta /= c * L
-            sccs, rec_edges = _cyclic_components(tight)
-            mode = "exact"
+            den, mode = c * L, "exact"
         else:
-            from .potential import scalarize    # potential imports this module
-            beta, rec_edges, sccs = scalarize(phi, direction)._max_plus
-            mode = "float"
+            w = [float(sum(float(x) * float(y) for x, y in zip(direction, vec)))
+                 for vec in phi.state_values()]
+            den, mode = 1, "float"
+        beta, tight = _state_pass(recoded.n, recoded._split, w)[:2]
+        beta /= den
+        sccs, rec_edges = _cyclic_components(tight)
     comps = _build_components(recoded, rec_edges, sccs)
     return FaceSubshift(direction, beta, recoded, tuple(sorted(rec_edges)),
                         comps, len(rec_edges) == len(recoded.edges()), mode)
@@ -236,6 +196,6 @@ def extreme_cycle(recoded: RecodedSft, rows, d):
     split: the support query of rotation-set hulls.
     """
     w = [sum(map(mul, d, row)) for row in rows]
-    _, tight = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
+    _, tight = _state_pass(recoded.n, recoded._split, w)[:2]
     cyc = find_cycle(tight)
     return cyc, tuple(map(sum, zip(*(rows[v] for v in cyc))))

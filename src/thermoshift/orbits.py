@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_sft import Sft, recode_to_one_step, scc_of_edges
+from .core_sft import Sft, _cyclic_components, recode_to_one_step
 from .errors import InvalidArgumentError, ResourceLimitError
 
 DEFAULT_ORBIT_CAP = 10**6
@@ -46,7 +46,7 @@ class ElementaryOrbit:
 def _circuits(n: int, edges):
     """Elementary circuits of the digraph on states 0..n-1, as tuples.
 
-    A worklist holds nontrivial SCCs as sorted state tuples.  Each round
+    A worklist holds nontrivial SCCs as sorted state lists.  Each round
     lists the circuits through a component's least state s with Johnson's
     blocked-set search, then queues the nontrivial SCCs left once s is
     removed, so each round only touches the states of its component.
@@ -54,7 +54,7 @@ def _circuits(n: int, edges):
     succ = [[] for _ in range(n)]
     for a, b in edges:
         succ[a].append(b)
-    work = [c.states for c in scc_of_edges(n, edges) if c.is_nontrivial]
+    work = _cyclic_components(edges)[0]
     while work:
         comp = work.pop()
         local = {v: i for i, v in enumerate(comp)}
@@ -91,8 +91,7 @@ def _circuits(n: int, edges):
                         release.extend(waiting[u])
                         waiting[u].clear()
         rest = [(a - 1, b - 1) for a in range(1, len(comp)) for b in adj[a] if b]
-        work.extend(tuple(comp[v + 1] for v in c.states)
-                    for c in scc_of_edges(len(comp) - 1, rest) if c.is_nontrivial)
+        work.extend([comp[v + 1] for v in c] for c in _cyclic_components(rest)[0])
 
 
 @functools.lru_cache(maxsize=64)

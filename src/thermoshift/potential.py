@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .core_sft import RecodedSft, Sft, _cyclic_components, recode_to_one_step
 from .errors import InvalidArgumentError
-from .max_face import _max_mean, find_cycle
+from .max_face import _state_pass, find_cycle
 
 if TYPE_CHECKING:
     from .spectral import Transfer
@@ -53,9 +53,9 @@ class PotentialLC:
     ``values`` is a read-only mapping.  So the data that its solves share
     is kept with it, each piece built on first use: the recoding, the
     state values and their integer rows, the irreducibility of the
-    recoding, the maximum cycle mean beta and the tight edges of a scalar
-    potential, and the transfer matrix of phi - beta with its max-plus
-    scaling (``spectral.Transfer``).
+    recoding, the one max-plus pass of a scalar potential with its
+    maximum cycle mean beta and tight edges, and the transfer matrix of
+    phi - beta scaled by that pass (``spectral.Transfer``).
     """
 
     sft: Sft
@@ -127,28 +127,24 @@ class PotentialLC:
         return len(sccs) == 1 and len(sccs[0]) == self._recoded.n
 
     @functools.cached_property
-    def _max_plus(self) -> tuple:
-        """(beta, recurrent tight edges, SCC node lists) of a scalar
-        potential: one exact max-plus pass on the recoding's split, its
-        tight edges split in turn."""
+    def _pass(self) -> tuple:
+        """The exact max-plus pass of a scalar potential (``_state_pass``)."""
         rec = self._recoded
-        beta, tight = _max_mean(rec.n, rec.edges(), [x for (x,) in self._state_values],
-                                rec._split)
+        return _state_pass(rec.n, rec._split, [x for (x,) in self._state_values])
+
+    @functools.cached_property
+    def _max_plus(self) -> tuple:
+        """(beta, recurrent tight edges, SCC node lists) of ``_pass``."""
+        beta, tight = self._pass[:2]
         sccs, rec_edges = _cyclic_components(tight)
         return beta, rec_edges, sccs
-
-    @property
-    def _beta(self):
-        """Maximum cycle mean of a scalar potential."""
-        return self._max_plus[0]
 
     @functools.cached_property
     def _transfer(self) -> Transfer:
         """The transfer matrix of a scalar phi - beta on the recoding."""
         from .spectral import Transfer     # numpy loads only for Perron solves
-        beta = self._beta
-        return Transfer(self._recoded.n, self._recoded.edges(),
-                        [x - beta for (x,) in self._state_values])
+        return Transfer._of_pass(self._recoded.n, self._recoded.edges(),
+                                 [x for (x,) in self._state_values], self._pass)
 
     def value(self, block: tuple[int, ...]) -> tuple:
         """Value on the cylinder of the leading k symbols of ``block``."""
@@ -296,8 +292,8 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC,
     exact = phi.mode == "exact" and psi.mode == "exact"
     w = [phi.value(b)[0] - psi.value(b)[0] if exact
          else float(phi.value(b)[0]) - float(psi.value(b)[0]) for b in recoded.states]
-    hi, hi_tight = _max_mean(recoded.n, recoded.edges(), w, recoded._split)
-    neg_lo, lo_tight = _max_mean(recoded.n, recoded.edges(), [-x for x in w], recoded._split)
+    hi, hi_tight = _state_pass(recoded.n, recoded._split, w)[:2]
+    neg_lo, lo_tight = _state_pass(recoded.n, recoded._split, [-x for x in w])[:2]
     lo = -neg_lo
     spread = float(hi - lo)
     if (lo == hi) if exact else (spread <= tol):

@@ -18,7 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core_sft import TIGHT_TOL, _potentials, matrix_edges, scc_of_edges
+from .core_sft import (TIGHT_TOL, _cyclic_components, _max_plus_pass, _potentials,
+                       matrix_edges)
 from .errors import NumericError, UnderflowError
 
 GAP_FLOOR = 1e-5         # below this relative gap, doubles are not trusted
@@ -70,23 +71,35 @@ class Transfer:
     irreducible digraph, for weights w with maximum cycle mean 0, with
     the parts of its Perron solves that do not depend on t: the edge
     arrays, the log weights W and their balanced max-plus potentials,
-    critical classes and tight edges from one exact pass
-    (``_potentials``), built with the object, and the aggregation frame
-    of the tied classes (``_frame``), built by the first solve that
+    critical classes and tight edges (``_potentials``) from one exact
+    pass (``_max_plus_pass``), built with the object, and the aggregation
+    frame of the tied classes (``_frame``), built by the first solve that
     aggregates, so that a solve whose gap does not collapse never pays
     for it.  All are read-only, so ``solve`` runs only the stages that
     depend on t.
     """
 
     def __init__(self, n: int, edges, weights):
+        # edges weigh their targets, as in max_mean_data; h then shifts by w - mean
+        mx = _max_plus_pass(n, ([list(range(n))], edges), [weights[b] for _, b in edges])
+        self._set_up(n, edges, weights, mx, mx[0])
+
+    @classmethod
+    def _of_pass(cls, n, edges, phi, mx):
+        """The transfer of phi - beta from the pass mx of phi, which found beta."""
+        tr = cls.__new__(cls)
+        tr._set_up(n, edges, [x - mx[0] for x in phi], mx, 0)
+        return tr
+
+    def _set_up(self, n, edges, weights, mx, mean):
+        """Build the parts of weights of maximum cycle mean ``mean`` from
+        mx, the pass of those weights or of the weights plus a constant."""
         self.n, self.edges, self.weights = n, edges, weights
         src, dst = self.ends = _ends(edges)
         w = np.fromiter(map(float, weights), float, n)
         W = self.log_weights = np.full((n, n), -np.inf)
         W[src, dst] = w[src]
-        # edges weigh their targets, as in max_mean_data; h then shifts by w - mean
-        mean, h, den, classes, self._tight = _potentials(
-            n, edges, [weights[b] for _, b in edges])
+        _, h, den, classes, self._tight = _potentials(n, edges, mx)
         self.potentials = h, classes = (np.array([x / den for x in h]) + (w - float(mean)),
                                         list(map(np.array, classes)))
         _readonly(src, dst, W, h, *classes)
@@ -370,9 +383,11 @@ def _coupling(C: np.ndarray):
             return float(lam) * top, c, float(gap)
     W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
     edges = matrix_edges(C)
-    if len(scc_of_edges(len(C), edges)) != 1:
+    split = _cyclic_components(edges)
+    if split[0] != [list(range(len(C)))]:
         return None                     # a coupling underflowed
-    mean, h, den, classes, inside = _potentials(len(C), edges, W[C > 0])
+    mean, h, den, classes, inside = _potentials(len(C), edges,
+                                                _max_plus_pass(len(C), split, W[C > 0]))
     h = np.array([x / den for x in h])
     got = _perron_pair(W - float(mean), (h, classes),
                        frame=lambda: _frame(len(C), classes, inside))

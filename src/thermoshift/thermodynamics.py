@@ -6,8 +6,8 @@ maximum cycle mean beta is subtracted from the potential, and the
 pressure gains t*beta back.
 
 Every spectral solve goes through one engine, ``spectral.perron``.  It
-scales the transfer matrix by max-plus potentials (exact Howard policy
-iteration, as for beta) so that each entry is at most 1, solves it in
+scales the transfer matrix by max-plus potentials (the exact Howard pass
+that found beta) so that each entry is at most 1, solves it in
 doubles, certifies the Perron vector entrywise by a Collatz-Wielandt
 bound, and takes the stationary vector from GTH state reduction, so
 that masses far below 1e-16 keep their relative accuracy, also when
@@ -19,9 +19,9 @@ range, doubles until both eigenvectors satisfy their equations to
 1e-20 relative in every entry, and is recorded as ``mp[digits]``.
 
 A potential is immutable and keeps what its solves share: the first
-solve builds the recoding, the irreducibility check, beta (the exact
-max-plus pass ``max_face.max_mean_data``) and the log weights of
-phi - beta with their max-plus potentials (``spectral.Transfer``), and
+solve builds the recoding, the irreducibility check, beta (one exact
+max-plus pass, as in ``max_face.max_mean_data``) and the log weights of
+phi - beta scaled by that same pass (``spectral.Transfer``), and
 every later ``pressure`` or ``equilibrium_markov`` call, at any finite
 t, runs only the stages that depend on t: the scaling, the eigensolve
 and polish, the kernel and GTH.  The engine's stages also take a stack
@@ -98,7 +98,7 @@ def _solve(phi: PotentialLC, t: float, what: str):
         raise InvalidArgumentError(f"{what} takes a scalar potential")
     if not phi._irreducible:
         raise NotTransitiveError(f"{what} needs an irreducible transition structure")
-    return phi._beta, phi._transfer.solve(t)
+    return phi._max_plus[0], phi._transfer.solve(t)
 
 
 def pressure(phi: PotentialLC, t: float = 1.0) -> float:

@@ -4,7 +4,6 @@ import sys
 import pytest
 
 import thermoshift.core_sft as core_sft
-import thermoshift.max_face as max_face
 
 
 @pytest.fixture
@@ -13,12 +12,12 @@ def rng():
 
 
 def _count_calls(monkeypatch, name, func):
-    """A list that grows by one on each call of func, through every
-    module that has bound it to ``name``."""
+    """A list that grows by the arguments of each call of func, through
+    every module that has bound it to ``name``."""
     calls = []
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args)
         return func(*args)
 
     for module in list(sys.modules.values()):
@@ -30,8 +29,10 @@ def _count_calls(monkeypatch, name, func):
 @pytest.fixture
 def max_plus_passes(monkeypatch):
     """A list that grows by one on each exact max-plus pass
-    (``max_face._max_mean``, which ``max_mean_data`` calls too)."""
-    return _count_calls(monkeypatch, "_max_mean", max_face._max_mean)
+    (``core_sft._max_plus_pass``): a potential's, a face's or a support
+    query's, a transfer's own, a coupling matrix's, and the one that
+    balances several critical classes."""
+    return _count_calls(monkeypatch, "_max_plus_pass", core_sft._max_plus_pass)
 
 
 @pytest.fixture
@@ -40,3 +41,10 @@ def scc_splits(monkeypatch):
     nontrivial SCCs (``core_sft._cyclic_components``), the recoding's own
     split (``RecodedSft._split``) included."""
     return _count_calls(monkeypatch, "_cyclic_components", core_sft._cyclic_components)
+
+
+@pytest.fixture
+def howard_runs(monkeypatch):
+    """A list that grows by the arguments (succ, nodes) of each run of
+    Howard policy iteration (``core_sft._howard``)."""
+    return _count_calls(monkeypatch, "_howard", core_sft._howard)

@@ -116,6 +116,34 @@ def test_face_curve_max_plus_passes_do_not_grow_with_samples(max_plus_passes):
     assert counts[0] == counts[1] > 0
 
 
+def test_face_curve_anchors_run_one_pass_each(monkeypatch, howard_runs):
+    # each anchor potential of a sampled component runs one Howard pass on
+    # the component, which finds its anchor and scales its transfer; the
+    # other passes run on graphs of its critical classes
+    sampled = []
+    curve_of = boundary_entropy._component_curve
+
+    def recording(comp, *args):
+        howard_runs.clear()
+        pts = curve_of(comp, *args)
+        if any(p.kind == "sample" for p in pts):
+            sampled.append((len(comp.state_ids), [len(succ) for succ, _ in howard_runs]))
+        return pts
+
+    monkeypatch.setattr(boundary_entropy, "_component_curve", recording)
+    for name in ("trivec", "kinkvec"):
+        Phi = get_potential(name)
+        poly = rotation_set(Phi)
+        for alpha in [f.normal for f in poly.facets] + [(1, 0), (0, 1), (-1, 0), (0, -1)]:
+            try:
+                face_entropy_curve(Phi, alpha, n_samples=21, poly=poly)
+            except DegenerateFaceError:
+                continue
+    assert len(sampled) >= 4
+    for n, runs in sampled:
+        assert runs.count(n) == 2 and all(x < n for x in runs if x != n)
+
+
 def test_face_curve_stacks_do_not_grow_with_samples(monkeypatch):
     # one stacked Perron solve per non-constant component, whatever the grid
     calls = []
@@ -424,8 +452,9 @@ def test_interior_certificate(Phi, w):
 def test_interior_solves_each_point_once(monkeypatch, max_plus_passes, name, w, solves):
     # the point a damped step accepts is the next Newton iterate, and its
     # equilibrium state is reused rather than solved again; the Hessian
-    # comes from that state, not from more solves, and no solve runs a
-    # max-plus pass
+    # comes from that state, not from more solves; each solve runs one
+    # max-plus pass on the recoding, its transfer's, and none for beta (a
+    # corner value), and the other passes balance a transfer's classes
     Phi = get_potential(name)
     poly = rotation_set(Phi)
     max_plus_passes.clear()
@@ -439,7 +468,7 @@ def test_interior_solves_each_point_once(monkeypatch, max_plus_passes, name, w, 
     monkeypatch.setattr(boundary_entropy, "_dual_value_grad", counting)
     localized_entropy_interior(Phi, w, poly=poly)
     assert len(set(points)) == len(points) == solves
-    assert not max_plus_passes
+    assert sum(n == Phi._recoded.n for n, *_ in max_plus_passes) == solves
 
 
 def test_interior_entropy_domain_errors():

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from thermoshift import NumericError
+import thermoshift.boundary_entropy as boundary_entropy
+from thermoshift import NumericError, face_entropy_curve, get_potential
 from thermoshift.cache import CACHE_ENV, entry_path
-from thermoshift.cli import main
+from thermoshift.cli import _curve_rows, main
 
 
 @pytest.fixture(autouse=True)
@@ -142,6 +143,11 @@ def test_facecurve_takes_negative_directions(capsys):
     joined = run_json(capsys, "facecurve", "--potential", "trivec", "--alpha=-2,1")
     assert spaced["payload"] == joined["payload"]
     assert spaced["payload"]["direction"] == ["-2", "1"]
+    # so are the prefixes of --alpha that argparse takes for it, but not "--"
+    for flag in ("--a", "--al", "--alp", "--alph"):
+        got = run_json(capsys, "facecurve", "--potential", "trivec", flag, "-2,1")
+        assert got["payload"] == joined["payload"]
+    assert run(capsys, "facecurve", "--potential", "trivec", "--", "-2,1")[0] == 1
     # every facet normal that rotset prints goes back into facecurve as is
     negative = 0
     for name in ("trivec", "kinkvec"):
@@ -152,6 +158,23 @@ def test_facecurve_takes_negative_directions(capsys):
             assert pay["direction"] == facet["normal"]
             negative += alpha.startswith("-")
     assert negative >= 2
+
+
+def test_curve_rows_bisect_the_hull_once_each(monkeypatch):
+    # a curve lists its hull abscissae once; each CSV row bisects them once
+    # and reads its height and provenance from that one bisection
+    curve = face_entropy_curve(get_potential("trivec"), (0, -1))
+    calls, bisect = [], boundary_entropy.bisect_right
+
+    def counting(a, x):
+        calls.append(a)
+        return bisect(a, x)
+
+    monkeypatch.setattr(boundary_entropy, "bisect_right", counting)
+    rows = _curve_rows(curve, 201)
+    assert len(calls) == 201 and all(a is calls[0] for a in calls)
+    assert calls[0] == [p.s for p in curve.hull]
+    assert [row[3] for row in rows] == [curve.envelope(row[0]) for row in rows]
 
 
 def test_cohom_reports_constant(capsys):

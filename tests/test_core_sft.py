@@ -14,8 +14,8 @@ from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft, get_potenti
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
 from thermoshift.builtins import potential_names
-from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _potentials, matrix_edges,
-                                  scc_of_edges)
+from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _max_plus_pass, _potentials,
+                                  matrix_edges, scc_of_edges)
 from thermoshift.spectral import perron
 
 
@@ -219,10 +219,13 @@ def _check_potentials(n, edges, w, tol=0):
     the balanced Kleene construction up to a constant, all in exact
     arithmetic."""
     ew = [w[a] for a, _ in edges]
-    mean, h, den, classes, inside = _potentials(n, edges, ew)
+    mean, h, den, classes, inside = _potentials(
+        n, edges, _max_plus_pass(n, _cyclic_components(edges), ew))
     h = [Fraction(x, den) for x in h]
     want_mean, want_h, _ = kleene_potentials(n, edges, ew)
-    assert mean == want_mean
+    # exact, or for float weights the exact mean of their binary values rounded once
+    assert mean == (float(want_mean) if any(isinstance(x, float) for x in w) else want_mean)
+    mean = want_mean
     # the max-plus eigen-equation, to tol (a class tied within tol of the
     # top is balanced as one)
     best = [None] * n

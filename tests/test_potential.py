@@ -3,14 +3,12 @@ import dataclasses
 import math
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import thermoshift.core_sft as core_sft
-import thermoshift.max_face as max_face
 from oracles import (brute_max_cycle_mean, random_rational_values,
                      random_transitive_sft, word_average)
 from property_suites import suite_potentials
@@ -261,16 +259,14 @@ def test_cohomology_and_rotation_sets_do_not_depend_on_the_split(monkeypatch):
         return out
 
     cached = outputs()
-    passes, public = max_face._max_mean, []
+    fresh = []
 
-    def own_split(n, edges, w, split):
-        public.append(1)
-        return passes(n, edges, w, core_sft._cyclic_components(edges))
+    def own_split(recoded):
+        fresh.append(1)
+        return core_sft._cyclic_components(recoded.edges())
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "_max_mean", None) is passes:
-            monkeypatch.setattr(module, "_max_mean", own_split)
-    assert outputs() == cached and len(public) > len(cached)
+    monkeypatch.setattr(core_sft.RecodedSft, "_split", property(own_split))
+    assert outputs() == cached and len(fresh) > len(cached)
 
 
 def test_classify_and_cohomology_split_the_recoding_once(monkeypatch):

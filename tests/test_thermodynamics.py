@@ -11,10 +11,11 @@ import pytest
 
 from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, TIED_COMPONENTS,
                      mp_equilibrium, numpy_pressure, random_rational_values,
-                     tied_potential)
+                     random_transitive_sft, tied_potential)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
-                         Sft, UnderflowError, equilibrium_markov, get_potential,
-                         get_shift, parry_measure, pressure)
+                         Sft, UnderflowError, classify, equilibrium_markov,
+                         get_potential, get_shift, parry_measure, potential_names,
+                         pressure, recode_to_one_step)
 import thermoshift.spectral as spectral
 from thermoshift.spectral import GAP_FLOOR
 from thermoshift.thermodynamics import markov_entropy, parry_from_matrix
@@ -317,6 +318,78 @@ def test_tied_solves_match_the_oracle(name, t):
     # or after an exact max-plus pass, the masses stay those of the oracle
     phi, values = tied_potential(name)
     _assert_matches_oracle(phi, values, t)
+
+
+def _fresh(phi):
+    """A copy of a potential with none of its data built yet."""
+    return PotentialLC(phi.sft, phi.k, phi.m, dict(phi.values), phi.mode)
+
+
+def _seeded_scalar_potentials(count, seed):
+    """Exact potentials on transitive shifts (d <= 4, k <= 3, n <= 32)
+    whose values tie often: small integers, small rationals, or fixed
+    points planted at the top, so that many have several critical
+    classes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sft = random_transitive_sft(rng, 2, 4)
+        k = rng.randint(1, 3)
+        states = recode_to_one_step(sft, k).states
+        if len(states) > 32:
+            continue
+        kind = len(out) % 3
+        vals = {b: Fraction(rng.randint(0, 2)) if kind == 0
+                else Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) if kind == 1
+                else Fraction(3) if len(set(b)) == 1 and rng.random() < 0.7
+                else Fraction(rng.randint(-4, 2)) for b in states}
+        phi = PotentialLC.from_block_values(sft, k, vals, m=1)
+        if phi._irreducible:
+            out.append(phi)
+    return out
+
+
+def test_a_scalar_potential_runs_one_howard_pass(howard_runs):
+    # classify, pressure and equilibrium states read beta, the tight edges
+    # and the transfer's scaling off the potential's own pass; only several
+    # critical classes take more, on graphs of at most one state per class:
+    # the pass that balances them and those of coupling matrices
+    classes = []
+    for name in potential_names():
+        phi = get_potential(name)
+        if phi.m != 1:
+            continue
+        phi = _fresh(phi)
+        howard_runs.clear()
+        classify(phi)
+        for t in (1.0, 4.0, 16.0):
+            pressure(phi, t)
+            equilibrium_markov(phi, t)
+        r, n = len(phi._transfer.potentials[1]), phi._recoded.n
+        runs = [len(succ) for succ, _ in howard_runs]
+        assert runs[0] == n and all(x <= r < n for x in runs[1:])
+        assert len(runs) > 1 if r > 1 else runs == [n]
+        classes.append(r)
+    assert classes.count(1) >= 5 and max(classes) == 3
+
+
+def test_potential_transfers_match_a_pass_of_their_own():
+    # the transfer of phi - beta scaled by the potential's pass, which
+    # found beta, is the transfer that runs its own pass on phi - beta,
+    # bit for bit, with one critical class or several
+    cases = [_fresh(get_potential(name)) for name in potential_names()
+             if get_potential(name).m == 1] + _seeded_scalar_potentials(400, 21)
+    several = 0
+    for phi in cases:
+        rec, beta = phi._recoded, phi._max_plus[0]
+        got = phi._transfer
+        want = spectral.Transfer(rec.n, rec.edges(), [x - beta for (x,) in phi.state_values()])
+        assert got.potentials[0].tobytes() == want.potentials[0].tobytes()
+        assert [c.tolist() for c in got.potentials[1]] == [c.tolist() for c in want.potentials[1]]
+        assert got._tight == want._tight
+        assert got.log_weights.tobytes() == want.log_weights.tobytes()
+        several += len(got.potentials[1]) > 1
+    assert several >= 40
 
 
 @pytest.fixture

@@ -171,13 +171,15 @@ def test_sweep_with_a_starved_component():
 
 def test_sweep_runs_one_max_plus_pass_per_potential(max_plus_passes):
     # beta and the max-plus scaling are built by the first solve of a
-    # potential and shared by every later one, whatever t
+    # potential and shared by every later one, whatever t: one pass on the
+    # recoding, which also scales the transfer, and one that balances its
+    # three critical classes
     phi = get_potential("threefix_a")
     out = zt_coefficients(phi, method="sweep")
     assert out.method == "sweep" and len(out.t_values) > 4
     for t in (0.5, 2.0, 8.0, 32.0):
         pressure(phi, t)
-    assert len(max_plus_passes) == 1
+    assert [n for n, *_ in max_plus_passes] == [phi._recoded.n, 3]
 
 
 @pytest.mark.parametrize("name", ["twofix", "twofix_skew", "threefix_a", "threefix_b",

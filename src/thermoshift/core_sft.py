@@ -261,20 +261,21 @@ def _howard(succ, nodes):
             return p, q, h
 
 
-def _max_plus_pass(n: int, split, w):
+def _max_plus_pass(n: int, split, scaled):
     """(beta, tight, h, unit, slack) of the one exact max-plus pass, on
-    the SCC split (sccs, inner) of a digraph with weight w[i] on inner[i]:
-    ``_howard`` on the weights scaled to ints, so beta is exact or rounded
-    once.  On an SCC of mean p/q, h[a] = max (w q - p + h[b]) over edges a
-    -> b in units 1/(q scale) (``unit`` at beta), and slack[i] = w q - p +
-    h[b] - h[a] on inner[i].  An edge is tight when its SCC has mean beta
-    and its slack is 0, or for floats when they fall short by at most
-    TIGHT_TOL (1 + max |w|); the tight edges come unsplit, and a walk on
-    them never stops (each source leaves by its tight policy edge)."""
+    the SCC split (sccs, inner) of a digraph with weight w[i] on inner[i],
+    given scaled to ints as (ints, scale, exact) (``_int_weights``), so
+    beta is exact or rounded once: ``_howard`` on the ints.  On an SCC of
+    mean p/q, h[a] = max (w q - p + h[b]) over edges a -> b in units 1/(q
+    scale) (``unit`` at beta), and slack[i] = w q - p + h[b] - h[a] on
+    inner[i].  An edge is tight when its SCC has mean beta and its slack
+    is 0, or for floats when they fall short by at most TIGHT_TOL (1 +
+    max |w|); the tight edges come unsplit, and a walk on them never stops
+    (each source leaves by its tight policy edge)."""
     sccs, inner = split
     if not sccs:
         raise InvalidArgumentError("graph has no cycle")
-    wi, scale, exact = _int_weights(w)
+    wi, scale, exact = scaled
     if not any(wi):                 # a 0/1 matrix is its own scaling
         return Fraction(0) if exact else 0.0, list(inner), [0] * n, 1, [0] * len(inner)
     succ = [[] for _ in range(n)]
@@ -286,7 +287,7 @@ def _max_plus_pass(n: int, split, w):
     if exact:
         beta, tol = Fraction(bp, bq * scale), 0.0
     else:
-        beta, tol = bp / (bq * scale), TIGHT_TOL * (1.0 + max(abs(float(x)) for x in w))
+        beta, tol = bp / (bq * scale), TIGHT_TOL * (1.0 + max(map(abs, wi)) / scale)
         gap = {m: float((Fraction(*m) - Fraction(bp, bq)) / scale) for m in means}
     slack = [x * q[a] - p[a] + h[b] - h[a] for (a, b), x in zip(inner, wi)]
     tight = [e for e, s in zip(inner, slack)
@@ -295,38 +296,54 @@ def _max_plus_pass(n: int, split, w):
     return beta, tight, h, bq * scale, slack
 
 
-def _potentials(n: int, edges, mx):
-    """(mean, h, den, classes, tight) of an irreducible digraph from mx,
-    the ``_max_plus_pass`` of weights on its edges: a balanced max-plus
-    eigenvector h / den, the critical classes (the SCCs of the tight
-    edges) and the tight edges inside them.  With several classes h is
-    max_i (D[a, c_i] + g_i): D[a, c] the heaviest path to the least state
-    c_i of class i (Dijkstra on the slack, all <= 0), g this routine's h
-    on D[c_i, c_j] (i != j), so that no tight path joins two classes."""
-    mean, tight, h, unit, slack = mx
-    classes, tight = (_cyclic_components(tight) if len(tight) < len(edges)
-                      else ([list(range(n))], tight))      # all tight: one class
-    if len(classes) > 1:
-        pred = [[] for _ in range(n)]
-        for (a, b), s in zip(edges, slack):
-            pred[b].append((a, -s))
-        cols = []
-        for c in (k[0] for k in classes):
-            dist, heap = [None] * n, [(0, c)]
-            while heap:
-                d, v = heapq.heappop(heap)
-                if dist[v] is None:
-                    dist[v] = d
-                    for a, cost in pred[v]:
-                        heapq.heappush(heap, (d + cost, a))
-            cols.append([h[a] - h[c] - d for a, d in enumerate(dist)])
-        r = len(cols)
-        pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
-        _, g, den, *_ = _potentials(r, pairs, _max_plus_pass(
-            r, ([list(range(r))], pairs), [cols[j][classes[i][0]] for i, j in pairs]))
-        h = [max(col[a] * den + gi for col, gi in zip(cols, g)) for a in range(n)]
-        unit *= den
-    return mean, h, unit, classes, tight
+def _cheapest(adj, c):
+    """Dijkstra from c on the lists adj[v] of (next state, cost >= 0): the
+    cost of the cheapest path to each state, None where there is none."""
+    dist, heap = [None] * len(adj), [(0, c)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] is None:
+            dist[v] = d
+            for b, cost in adj[v]:
+                heapq.heappush(heap, (d + cost, b))
+    return dist
+
+
+def _potentials(n: int, edges, mx, split=None):
+    """(h, g, unit, classes, tight, slack) of an irreducible digraph from
+    mx, the ``_max_plus_pass`` of weights w on its edges, and the split of
+    its tight edges (``_cyclic_components``), made here unless given:
+    balanced right and left max-plus eigenvectors (h[a] = max_b w - mean +
+    h[b], g[b] = max_a g[a] + w - mean), the critical classes, the tight
+    edges inside them and slack[i] = w - mean + h[b] - h[a] <= 0, in units
+    1/unit.  With one class h is the pass's own and g + h the heaviest
+    slack path from the class (Dijkstra on the costs -slack).  With
+    several, for D[a, b] the heaviest path of w - mean (Dijkstra to and
+    from the least state c_i of each class), h = max_i (D[a, c_i] + x_i)
+    and g = max_i (y_i + D[c_i, b]), x and y this routine's h and g on
+    D[c_i, c_j] (i != j), so that no tight path joins two classes."""
+    _, tight, h, unit, slack = mx
+    classes, tight = split or (_cyclic_components(tight) if len(tight) < len(edges)
+                               else ([list(range(n))], tight))      # all tight: one class
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (a, b), s in zip(edges, slack):
+        succ[a].append((b, -s))
+        pred[b].append((a, -s))
+    heads = [k[0] for k in classes]
+    if len(classes) == 1:
+        f = [-d for d in _cheapest(succ, heads[0])] if len(tight) < len(edges) else [0] * n
+        return h, [x - y for x, y in zip(f, h)], unit, classes, tight, slack
+    cols = [[h[a] - h[c] - d for a, d in enumerate(_cheapest(pred, c))] for c in heads]
+    rows = [[h[c] - h[b] - d for b, d in enumerate(_cheapest(succ, c))] for c in heads]
+    r = len(heads)
+    pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+    x, y, den, *_ = _potentials(r, pairs, _max_plus_pass(
+        r, ([list(range(r))], pairs), _int_weights([cols[j][heads[i]] for i, j in pairs])))
+    hb = [max(col[a] * den + xi for col, xi in zip(cols, x)) for a in range(n)]
+    g = [max(row[b] * den + yi for row, yi in zip(rows, y)) for b in range(n)]
+    slack = [s * den + hb[b] - h[b] * den - hb[a] + h[a] * den
+             for (a, b), s in zip(edges, slack)]
+    return hb, g, unit * den, classes, tight, slack
 
 
 def matrix_edges(M) -> list[tuple[int, int]]:

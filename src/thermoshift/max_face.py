@@ -44,8 +44,11 @@ def max_mean_data(n: int, edges, w):
 
 def _state_pass(n: int, split, w):
     """``core_sft._max_plus_pass`` on an SCC split for edges a -> b weighing
-    w[a], each weighing w[b] instead: the same cycle sums."""
-    return _max_plus_pass(n, split, [w[b] for _, b in split[1]])
+    w[a], each weighing w[b] instead: the same cycle sums.  The n state
+    weights are scaled to ints once (``_int_weights``), not once per
+    in-edge."""
+    wi, scale, exact = _int_weights(w)
+    return _max_plus_pass(n, split, ([wi[b] for _, b in split[1]], scale, exact))
 
 
 def find_cycle(edges):
@@ -90,9 +93,9 @@ class FaceComponent:
         from .spectral import PerronSolve, Transfer
         n = len(self.matrix)
         if self.is_cycle:       # root 1, uniform measure, gap 2 sin(pi/n) clamped to 1
-            return PerronSolve(0.0, np.array(self.matrix, dtype=float),
-                               1.0 if n <= 6 else 2.0 * math.sin(math.pi / n),
-                               "double", np.full(n, 1.0 / n))
+            return PerronSolve(0.0, 1.0 if n <= 6 else 2.0 * math.sin(math.pi / n),
+                               lambda: (np.array(self.matrix, dtype=float),
+                                        np.full(n, 1.0 / n), np.full(n, -math.log(n))))
         return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()
 
     @functools.cached_property

@@ -143,8 +143,9 @@ class PotentialLC:
     def _transfer(self) -> Transfer:
         """The transfer matrix of a scalar phi - beta on the recoding."""
         from .spectral import Transfer     # numpy loads only for Perron solves
+        _, inner, sccs = self._max_plus
         return Transfer._of_pass(self._recoded.n, self._recoded.edges(),
-                                 [x for (x,) in self._state_values], self._pass)
+                                 [x for (x,) in self._state_values], self._pass, (sccs, inner))
 
     def value(self, block: tuple[int, ...]) -> tuple:
         """Value on the cylinder of the leading k symbols of ``block``."""

@@ -5,28 +5,26 @@ recoding, with the weight of an edge attached to its source block.  The
 maximum cycle mean beta is subtracted from the potential, and the
 pressure gains t*beta back.
 
-Every spectral solve goes through one engine, ``spectral.perron``.  It
-scales the transfer matrix by max-plus potentials (the exact Howard pass
-that found beta) so that each entry is at most 1, solves it in
-doubles, certifies the Perron vector entrywise by a Collatz-Wielandt
-bound, and takes the stationary vector from GTH state reduction, so
-that masses far below 1e-16 keep their relative accuracy, also when
-tied maximizing components decouple at low temperature (aggregation
-over them).  mpmath is used only when a scaled entry leaves the double
-range, a solve does not certify, or the kernel or its state reduction
-underflows.  The precision starts from a size set by t and the weight
-range, doubles until both eigenvectors satisfy their equations to
-1e-20 relative in every entry, and is recorded as ``mp[digits]``.
+Every spectral solve goes through one engine, ``spectral.perron``, in
+doubles.  It scales the transfer matrix on both sides by max-plus
+potentials (from the exact Howard pass that found beta), so that each
+entry is at most 1, certifies the right and left Perron vectors of the
+scaled matrices entrywise by Collatz-Wielandt bounds, aggregates over
+tied maximizing components where they decouple at low temperature, and
+forms the kernel and the masses from their exponents.  So masses far
+below 1e-16 keep their relative accuracy, and those below the double
+range keep it in ``MarkovMeasure.log_stationary``.  A solve that doubles
+cannot certify raises UnderflowError or NumericError.
 
 A potential is immutable and keeps what its solves share: the first
 solve builds the recoding, the irreducibility check, beta (one exact
-max-plus pass, as in ``max_face.max_mean_data``) and the log weights of
-phi - beta scaled by that same pass (``spectral.Transfer``), and
+max-plus pass, as in ``max_face.max_mean_data``) and the scaled log
+weights of phi - beta from that same pass (``spectral.Transfer``), and
 every later ``pressure`` or ``equilibrium_markov`` call, at any finite
-t, runs only the stages that depend on t: the scaling, the eigensolve
-and polish, the kernel and GTH.  The engine's stages also take a stack
-axis: ``spectral.perron_stack`` solves transfers on one edge set, each
-at its t, at once (face-curve samples); ``markov_entropy`` takes stacks.
+t, runs only the stages that depend on t.  The engine's stages also
+take a stack axis: ``spectral.perron_stack`` solves transfers on one
+edge set, each at its t, at once (face-curve samples);
+``markov_entropy`` takes stacks.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sft import Sft, _is_irreducible, matrix_edges
+from .core_sft import Sft
 from .errors import InvalidArgumentError, NotTransitiveError
 from .potential import PotentialLC
-from .spectral import perron
 
 
 @dataclass
@@ -47,7 +44,9 @@ class MarkovMeasure:
 
     ``blocks`` are the underlying k-blocks of the states, ``stationary``
     the invariant distribution, ``transition`` the row-stochastic kernel.
-    ``precision`` records how the spectral problem was solved.
+    ``precision`` records how the spectral problem was solved, and
+    ``log_stationary`` holds the log masses, which keep their value where
+    a mass underflows to 0 in ``stationary``.
     """
 
     state_labels: tuple[str, ...]
@@ -60,6 +59,7 @@ class MarkovMeasure:
     t: float | None = None
     gap: float | None = None
     precision: str = "double"
+    log_stationary: np.ndarray | None = None
 
     def mass(self, block) -> float:
         """Measure of the cylinder of one state block."""
@@ -110,9 +110,7 @@ def pressure(phi: PotentialLC, t: float = 1.0) -> float:
 def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     """Equilibrium state of t * phi as a Markov measure on k-blocks.
 
-    Doubles are used, whatever the spectral gap, unless a scaled entry
-    leaves the double range or a solve does not certify; then the
-    computation reruns in mpmath.
+    The solve runs in doubles, whatever the spectral gap (``spectral.perron``).
     """
     beta, sol = _solve(phi, t, "equilibrium_markov")
     return _measure(sol, phi._recoded.labels, phi._recoded.states, t, beta)
@@ -125,7 +123,8 @@ def _measure(sol, labels, blocks, t=None, beta=None) -> MarkovMeasure:
     return MarkovMeasure(tuple(labels), tuple(blocks), sol.stationary, sol.transition,
                          markov_entropy(sol.stationary, sol.transition),
                          pressure=sol.log_lam if beta is None else sol.log_lam + t * float(beta),
-                         beta=beta, t=t, gap=sol.gap, precision=sol.precision)
+                         beta=beta, t=t, gap=sol.gap, precision=sol.precision,
+                         log_stationary=sol.log_stationary)
 
 
 def parry_measure(sft: Sft) -> MarkovMeasure:
@@ -133,20 +132,3 @@ def parry_measure(sft: Sft) -> MarkovMeasure:
     zero = PotentialLC.constant(sft, 0)
     meas = equilibrium_markov(zero, t=1.0)
     return meas
-
-
-def parry_from_matrix(matrix, labels=None, blocks=None) -> MarkovMeasure:
-    """Parry measure from a raw 0/1 irreducible matrix.
-
-    Convenience for maximizing-face components whose states are blocks
-    of a larger shift.
-    """
-    n = len(matrix)
-    edges = matrix_edges(matrix)
-    if not _is_irreducible(n, edges):
-        raise NotTransitiveError("parry_from_matrix needs an irreducible transition structure")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    if blocks is None:
-        blocks = tuple((i,) for i in range(n))
-    return _measure(perron(n, edges, [0] * n), labels, blocks)

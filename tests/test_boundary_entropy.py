@@ -10,7 +10,7 @@ import thermoshift.boundary_entropy as boundary_entropy
 import thermoshift.spectral as spectral
 from oracles import (LOG_GOLDEN, critical_edges, dual_grid_entropy, edge_classes,
                      fraction_face_curve, karp_max_mean, numpy_pressure,
-                     random_rational_values, random_transitive_sft)
+                     random_rational_values, random_transitive_sft, tied_potential)
 from thermoshift import (DegenerateFaceError, InvalidArgumentError,
                          OutOfDomainError, PotentialLC, Sft,
                          UnsupportedDimensionError, differentiability_scan,
@@ -323,6 +323,8 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     _planar_facet_curves(20, seed=9)
     # twofix's tied fixed points decouple as t grows: aggregation, alone
     recording([get_potential("twofix")._transfer] * 4, [1.0, 4.0, 16.0, 40.0])
+    # two golden means at t = 2 and 4: slow modes deflated in the stack
+    recording([tied_potential("two golden means")[0]._transfer] * 2, [2.0, 4.0])
     monkeypatch.undo()
 
     lanes = 0

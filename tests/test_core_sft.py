@@ -14,8 +14,8 @@ from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft, get_potenti
                          is_transitive, recode_to_one_step,
                          strongly_connected_components)
 from thermoshift.builtins import potential_names
-from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _max_plus_pass, _potentials,
-                                  matrix_edges, scc_of_edges)
+from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _max_plus_pass,
+                                  _potentials, matrix_edges, scc_of_edges)
 from thermoshift.spectral import perron
 
 
@@ -214,14 +214,15 @@ def _is_irreducible_oracle(n, edges):
 
 def _check_potentials(n, edges, w, tol=0):
     """The engine's potentials of state weights w against the oracles:
-    the max-plus eigen-equation, the classes of the critical edges (to
-    tol), no tight path between classes, and, for exact binary values,
-    the balanced Kleene construction up to a constant, all in exact
-    arithmetic."""
+    the right and left max-plus eigen-equations, the slack of each edge,
+    the classes of the critical edges (to tol), no tight path between
+    classes for either, and, for exact binary values, the balanced Kleene
+    construction up to a constant, all in exact arithmetic."""
     ew = [w[a] for a, _ in edges]
-    mean, h, den, classes, inside = _potentials(
-        n, edges, _max_plus_pass(n, _cyclic_components(edges), ew))
-    h = [Fraction(x, den) for x in h]
+    mx = _max_plus_pass(n, _cyclic_components(edges), _int_weights(ew))
+    h, g, den, classes, inside, slack = _potentials(n, edges, mx)
+    mean = mx[0]
+    h, g = ([Fraction(x, den) for x in v] for v in (h, g))
     want_mean, want_h, _ = kleene_potentials(n, edges, ew)
     # exact, or for float weights the exact mean of their binary values rounded once
     assert mean == (float(want_mean) if any(isinstance(x, float) for x in w) else want_mean)
@@ -233,20 +234,35 @@ def _check_potentials(n, edges, w, tol=0):
         if best[a] is None or Fraction(x) - mean + h[b] > best[a]:
             best[a] = Fraction(x) - mean + h[b]
     assert all(abs(x - y) <= Fraction(tol) for x, y in zip(best, h))
+    # the left one, g[b] = max_a g[a] + w - mean, to tol, and the slack of
+    # every edge against h, exactly
+    best = [None] * n
+    for (a, b), x in zip(edges, ew):
+        if best[b] is None or g[a] + Fraction(x) - mean > best[b]:
+            best[b] = g[a] + Fraction(x) - mean
+    assert all(abs(x - y) <= Fraction(tol) for x, y in zip(best, g))
+    assert [Fraction(s, den) for s in slack] == [
+        Fraction(x) - mean + h[b] - h[a] for (a, b), x in zip(edges, ew)]
     crit = critical_edges(n, edges, w, want_mean, tol)
     assert classes == edge_classes(crit)
-    # no path of tight edges leads from one class to another
+    # no path of tight edges leads from one class to another, for h and,
+    # walked backwards, for g; g + h is constant on each exact class
     tight = [(a, b) for (a, b), x in zip(edges, ew)
              if Fraction(x) - mean + h[b] - h[a] >= -Fraction(tol)]
-    for c in classes:
-        reach, todo = set(c), list(c)
-        while todo:
-            v = todo.pop()
-            for a, b in tight:
-                if a == v and b not in reach:
-                    reach.add(b)
-                    todo.append(b)
-        assert all(reach.isdisjoint(k) for k in classes if k is not c)
+    left = [(b, a) for (a, b), x in zip(edges, ew)
+            if g[a] + Fraction(x) - mean - g[b] >= -Fraction(tol)]
+    for walk in (tight, left):
+        for c in classes:
+            reach, todo = set(c), list(c)
+            while todo:
+                v = todo.pop()
+                for a, b in walk:
+                    if a == v and b not in reach:
+                        reach.add(b)
+                        todo.append(b)
+            assert all(reach.isdisjoint(k) for k in classes if k is not c)
+    if not tol:
+        assert all(len({g[a] + h[a] for a in c}) == 1 for c in classes)
     # the tight edges kept with the classes are those inside one class
     class_of = {a: i for i, c in enumerate(classes) for a in c}
     assert inside == [(a, b) for a, b in tight if a in class_of and class_of[a] == class_of.get(b)]

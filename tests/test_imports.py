@@ -1,6 +1,7 @@
-"""Which modules a process loads: numpy and mpmath only where a Perron
-problem is solved.  Each case runs in a fresh interpreter."""
+"""Which modules a process loads: numpy only where a Perron problem is
+solved, and mpmath never.  Each case runs in a fresh interpreter."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,6 +27,17 @@ def _loaded_after(argv) -> str:
     return ("import sys, thermoshift.cli\n"
             f"assert thermoshift.cli.main({argv!r}) == 0\n"
             "loaded = {'numpy', 'mpmath'} & set(sys.modules)\n")
+
+
+def test_no_module_imports_mpmath():
+    # every spectral solve runs in doubles: no module of the package names mpmath
+    for path in sorted(Path(SRC, "thermoshift").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+        names |= {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {name for name in names if name.split(".")[0] == "mpmath"}, path.name
 
 
 def test_import_loads_neither_numpy_nor_mpmath():

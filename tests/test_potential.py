@@ -85,8 +85,9 @@ def test_shared_solve_data_is_read_only():
             for y in x:
                 yield from arrays(y)
 
-    assert len(classes) == 2
-    for a in (transfer.log_weights, *transfer.ends, h, *classes, *arrays(transfer.frame)):
+    assert len(classes) == 2 and transfer._frames
+    for a in (*transfer.exponents, *transfer.ends, h, *classes,
+              *arrays(list(transfer._frames.values()))):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -269,18 +270,23 @@ def test_cohomology_and_rotation_sets_do_not_depend_on_the_split(monkeypatch):
     assert outputs() == cached and len(fresh) > len(cached)
 
 
-def test_classify_and_cohomology_split_the_recoding_once(monkeypatch):
+def test_classify_and_cohomology_split_the_recoding_once(scc_splits):
     recode_to_one_step.cache_clear()    # a recoding no earlier test has split
     phi = get_potential("gold0")
-    recoded, splits = phi._recoded, []
-    split = core_sft._cyclic_components
-
-    def counting(edges):
-        splits.append(edges is recoded.edges())
-        return split(edges)
-
-    monkeypatch.setattr(core_sft, "_cyclic_components", counting)
+    recoded = phi._recoded
     assert classify(phi).case == "UniqueTransitive"
     assert not cohomology_test(phi, PotentialLC.constant(phi.sft, 0, k=2)).cohomologous
     pressure(phi, 1.0)
+    splits = [edges is recoded.edges() for edges, in scc_splits]
     assert splits.count(True) == 1 and len(splits) > 1
+
+
+def test_a_transfer_takes_the_split_of_its_potential(scc_splits):
+    # classify splits the tight edges of the potential's pass, and the
+    # transfer of its first pressure takes that split instead of making its own
+    named = get_potential("threefix_a")
+    phi = PotentialLC(named.sft, named.k, named.m, dict(named.values), named.mode)
+    classify(phi)
+    pressure(phi, 1.0)
+    tight = phi._pass[1]
+    assert len(tight) == 9 and [edges is tight for edges, in scc_splits].count(True) == 1

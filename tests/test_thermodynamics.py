@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
                          pressure, recode_to_one_step)
 import thermoshift.spectral as spectral
 from thermoshift.spectral import GAP_FLOOR
-from thermoshift.thermodynamics import markov_entropy, parry_from_matrix
+from thermoshift.thermodynamics import markov_entropy
 
 SQ5 = math.sqrt(5.0)
 SQ2 = math.sqrt(2.0)
@@ -123,12 +124,6 @@ def test_rotation_vector_of_a_measure():
         mu.mass((0, 0))
 
 
-def test_parry_from_raw_matrix():
-    mu = parry_from_matrix([[1, 1], [1, 0]])
-    assert mu.entropy == pytest.approx(LOG_GOLDEN, abs=1e-12)
-    assert mu.stationary[0] == pytest.approx(GOLDEN / SQ5, abs=1e-12)
-
-
 def test_reducible_and_vector_inputs_are_rejected():
     split = Sft.from_matrix([[1, 0], [0, 1]])
     zero = PotentialLC.constant(split, 0)
@@ -157,7 +152,11 @@ def test_extreme_t_underflows_cleanly():
 def _assert_matches_oracle(phi, values, t):
     """Every stationary and kernel entry within 1e-10 relative of an
     mpmath solve; entries below the double range must read as tiny.
-    Returns the measure and the oracle's gap."""
+    Every log mass, those of masses below the double range too, within
+    1e-10 of the oracle's, relative where its size exceeds 1 (a relative
+    error of 1e-10 in the mass).  Returns the measure and the oracle's
+    gap."""
+    import mpmath as mp
     span = float(max(values.values()) - min(values.values()))
     p, P, gap = mp_equilibrium(phi.sft.transition, values, phi.k, t,
                                dps=30 + int(t * span / 2.3))
@@ -170,21 +169,31 @@ def _assert_matches_oracle(phi, values, t):
             assert abs(got - want) <= 1e-10 * want, (t, mu.precision, got, want)
         else:
             assert got < 1e-290
+    for got, x in zip(mu.log_stationary, p):
+        m, e = mp.frexp(x)          # mpmath's log misreads some of these mpfs
+        want = math.log(float(m)) + e * math.log(2.0)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (t, got, want)
     return mu, gap
+
+
+SEEDED_TEMPERATURES = (0.25, 1.0, 4.0, 16.0, 64.0)
+
+
+def _seeded_full_shift_potentials(rng):
+    """(phi, values) of seeded rational potentials on full shifts."""
+    for d, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
+        sft = Sft.full(d)
+        values = random_rational_values(rng, sft, k)
+        yield PotentialLC.from_block_values(sft, k, values), values
 
 
 def test_equilibrium_matches_mp_oracle_entrywise(rng):
     # seeded full-shift potentials against an independent mpmath solve of
-    # the unscaled transfer matrix; doubles are used, whatever the gap,
-    # unless a kernel entry lies below the double range
-    for d, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)):
-        sft = Sft.full(d)
-        values = random_rational_values(rng, sft, k)
-        phi = PotentialLC.from_block_values(sft, k, values)
-        for t in (0.25, 1.0, 4.0, 16.0, 64.0):
+    # the unscaled transfer matrix; doubles are used, whatever the gap
+    for phi, values in _seeded_full_shift_potentials(rng):
+        for t in SEEDED_TEMPERATURES:
             mu, gap = _assert_matches_oracle(phi, values, t)
-            if mu.transition[mu.transition > 0].min() > 1e-300:
-                assert mu.precision == "double", (d, k, t, float(gap))
+            assert mu.precision == "double", (phi.sft.d, phi.k, t, float(gap))
 
 
 def test_n64_low_temperature_solve_stays_in_doubles(rng):
@@ -200,14 +209,15 @@ def test_n64_low_temperature_solve_stays_in_doubles(rng):
 # Fixed low-temperature benchmark potentials (full3 k=3, full2 k=4, full2
 # k=2), block values in lexicographic block order.  Dense eig on the
 # unscaled transfer matrix got their t = 4 masses wrong by 1e-4 relative
-# while passing its positivity test.
+# while passing its positivity test.  At the last t of each, scaled
+# entries fall below e^-700 and masses below the double range.
 SILENT_ERROR_CASES = (
     (3, 3, "2/3 7/3 0 3/2 -5/2 -1 2 8 -5/3 -5/3 -3/2 7/3 -1 1/4 1 -4 1/3 2 0 "
-           "-1/3 -4 -2 -3/2 4 6 7 7/4", (4.0,)),
+           "-1/3 -4 -2 -3/2 4 6 7 7/4", (4.0, 64.0)),
     (2, 4, "-1/3 -3/4 4 -2/3 3/2 3/4 7/4 -1/2 1 -4 -1/2 0 3/2 2 -7/2 3/2",
-     (4.0, 16.0)),
-    (2, 2, "-1/2 3/2 -1 -8", (4.0, 16.0)),
-    (2, 2, "-2 7/2 -3 4", (4.0, 16.0)),
+     (4.0, 16.0, 128.0)),
+    (2, 2, "-1/2 3/2 -1 -8", (4.0, 16.0, 128.0)),
+    (2, 2, "-2 7/2 -3 4", (4.0, 16.0, 128.0)),
 )
 
 
@@ -256,9 +266,10 @@ def test_solves_sharing_a_potential_match_fresh_solves(name):
 
 
 # Solves at t = 64 that leave the double range (transition matrix, k and
-# block values).  On the first, the mpmath eigenvectors at the precision
-# sized from t miss their equations in the smallest entries; on the
-# second, GTH state reduction of the double kernel underflows.
+# block values), which an earlier engine reran in mpmath.  On the first,
+# mpmath eigenvectors at a precision sized from t miss their equations in
+# the smallest entries; on the second, state reduction of the double
+# kernel (Grassmann, Taksar and Heyman 1985) underflows.
 ESCALATED_CASES = {
     "tiny eigenvector entries": (
         ((1, 0, 1), (1, 1, 1), (0, 1, 1)), 3,
@@ -270,14 +281,18 @@ ESCALATED_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", ESCALATED_CASES)
-def test_escalated_solves_match_the_oracle_entrywise(name):
+def _escalated_potential(name):
+    """(phi, values) of one of ``ESCALATED_CASES``."""
     rows, k, text = ESCALATED_CASES[name]
     values = {tuple(map(int, b)): Fraction(v)
               for b, v in (item.split(":") for item in text.split())}
-    phi = PotentialLC.from_block_values(Sft.from_matrix(rows), k, values)
-    mu, _ = _assert_matches_oracle(phi, values, 64.0)
-    assert mu.precision.startswith("mp[")
+    return PotentialLC.from_block_values(Sft.from_matrix(rows), k, values), values
+
+
+@pytest.mark.parametrize("name", ESCALATED_CASES)
+def test_escalated_solves_match_the_oracle_entrywise(name):
+    mu, _ = _assert_matches_oracle(*_escalated_potential(name), 64.0)
+    assert mu.precision == "double"
 
 
 def test_nearly_uncoupled_fixed_points_stay_in_doubles():
@@ -292,6 +307,21 @@ def test_nearly_uncoupled_fixed_points_stay_in_doubles():
     for t in (4.0, 5.0):
         mu, gap = _assert_matches_oracle(phi, values, t)
         assert GAP_FLOOR < gap < 1e-3 and mu.precision == "double"
+
+
+@pytest.mark.parametrize("t", [4.0, 16.0])
+@pytest.mark.parametrize("eps", ["1/10000000", "1/1000000000"])
+def test_near_ties_match_the_oracle_in_doubles(eps, t):
+    # fixed points 00 and 11 whose values differ by eps, joined only through
+    # blocks of value -5: the relative gap is about t eps, below GAP_FLOOR,
+    # with one critical class, and the fixed point that falls short joins
+    # the aggregation as a near tie
+    values = {(0, 0): Fraction(0), (1, 1): -Fraction(eps),
+              (0, 1): Fraction(-5), (1, 0): Fraction(-5)}
+    phi = PotentialLC.from_block_values(Sft.full(2), 2, values)
+    mu, gap = _assert_matches_oracle(phi, values, t)
+    assert mu.precision == "double" and gap < GAP_FLOOR
+    assert len(phi._transfer.potentials[1]) == 1
 
 
 @pytest.mark.parametrize("t", [4.0, 8.0, 16.0, 32.0, 64.0])
@@ -318,6 +348,46 @@ def test_tied_solves_match_the_oracle(name, t):
     # or after an exact max-plus pass, the masses stay those of the oracle
     phi, values = tied_potential(name)
     _assert_matches_oracle(phi, values, t)
+
+
+def _oracle_solves():
+    """(phi, t) of every solve that the oracle tests above check at the
+    temperatures where scaled entries leave the double range: the
+    benchmark cases at their last t, the escalated cases, the planted and
+    builtin ties at t = 128, and the seeded potentials at each t."""
+    cases = [(_benchmark_potential(d, k, text), temps[-1])
+             for d, k, text, temps in SILENT_ERROR_CASES]
+    cases += [(_escalated_potential(name)[0], 64.0) for name in ESCALATED_CASES]
+    cases += [(tied_potential(name)[0], 128.0) for name in (
+        *TIED_COMPONENTS, "threefix_a", "threefix_b", "threefix_c", "twofix", "twofix_skew")]
+    # the draws of the rng fixture, as test_equilibrium_matches_mp_oracle_entrywise makes them
+    cases += [(phi, t) for phi, _ in _seeded_full_shift_potentials(random.Random(20260823))
+              for t in SEEDED_TEMPERATURES]
+    return cases
+
+
+def _solve_digest():
+    """A digest of the log masses and kernels of ``_oracle_solves``, each
+    solved in doubles with every log mass finite."""
+    digest = hashlib.sha256()
+    for phi, t in _oracle_solves():
+        mu = equilibrium_markov(phi, t)
+        assert mu.precision == "double" and np.isfinite(mu.log_stationary).all(), t
+        digest.update(mu.log_stationary.tobytes() + mu.transition.tobytes())
+    return digest.hexdigest()
+
+
+def test_solves_need_no_mpmath():
+    # with mpmath unimportable, the solves that the oracle tests check give
+    # the bits they give here, and the face curves match their oracle
+    here = Path(__file__).resolve().parent
+    code = ("import sys; sys.modules['mpmath'] = None; sys.path[:0] = sys.argv[1:]\n"
+            "import test_boundary_entropy, test_thermodynamics\n"
+            "test_boundary_entropy.test_face_curves_match_the_per_component_oracle()\n"
+            "print(test_thermodynamics._solve_digest())")
+    got = subprocess.run([sys.executable, "-c", code, str(here.parent / "src"), str(here)],
+                         check=True, capture_output=True, text=True)
+    assert got.stdout.split() == [_solve_digest()]
 
 
 def _fresh(phi):
@@ -387,7 +457,8 @@ def test_potential_transfers_match_a_pass_of_their_own():
         assert got.potentials[0].tobytes() == want.potentials[0].tobytes()
         assert [c.tolist() for c in got.potentials[1]] == [c.tolist() for c in want.potentials[1]]
         assert got._tight == want._tight
-        assert got.log_weights.tobytes() == want.log_weights.tobytes()
+        for x, y in zip(got.exponents, want.exponents):
+            assert x.tobytes() == y.tobytes()
         several += len(got.potentials[1]) > 1
     assert several >= 40
 

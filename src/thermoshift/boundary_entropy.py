@@ -110,7 +110,8 @@ def _component_curve(comp, psi, exact, n_samples, vmax):
 
     v . psi less its max cycle mean is |v| (psi - s_hi) for v >= 0 and |v|
     (s_lo - psi) for v < 0, so each sample is an anchor's transfer solved
-    at t = |v|, one lane of a stacked Perron solve.
+    at t = |v|, one lane of a stacked Perron solve.  Only samples strictly
+    between the anchors are kept.
     """
     sub = Sft(comp.matrix, comp.labels())
     hi, lo = (PotentialLC(sub, 1, 1, {(i,): (sign * x,) for i, x in enumerate(psi)},
@@ -132,8 +133,10 @@ def _component_curve(comp, psi, exact, n_samples, vmax):
     _, P, p = perron_stack([hi._transfer if x >= 0 else lo._transfer for x in v], np.abs(v))
     s = sum(p[:, i] * x for i, x in enumerate(psi))    # state by state, as p . psi sums
     h = markov_entropy(p, P)
+    # s sums masses that add to 1 only to rounding: a sample that rounds
+    # onto or past an anchor leaves the end to the exact anchor
     pts.extend(CurvePoint(float(a), float(b), comp.index, "sample", i)
-               for i, (a, b) in enumerate(zip(s, h)))
+               for i, (a, b) in enumerate(zip(s, h)) if s_lo < a < s_hi)
     return pts
 
 

@@ -104,7 +104,7 @@ class Transfer:
         n, (src, dst) = self.n, self.ends
         B, ok = _scale(right, src, dst, n)
         lam, y, gap, mu, direct = _certify(B, ok)
-        got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right, src, dst)
+        got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right)
         if not got:
             raise _unsolved(t, right)
         lam, y, gap, delta = got
@@ -112,7 +112,7 @@ class Transfer:
         def chain():
             A, ok = _scale(left, dst, src, n)
             u, done = _polish(A, _start(A, lam, ok & direct), lam, mu, ok & direct)
-            got = (None, u) if done else ok and self._tied(1, A, left, right, dst, src, delta)
+            got = (None, u) if done else ok and self._tied(1, A, left, right, delta)
             if not got:
                 raise _unsolved(t, left)
             return (_kernel(right, lam, y, src, dst, n),
@@ -120,11 +120,11 @@ class Transfer:
 
         return PerronSolve(math.log(lam) + t * self._shift, gap, chain)
 
-    def _tied(self, side, B, s, right, src, dst, delta=0.0):
+    def _tied(self, side, B, s, right, delta=0.0):
         """``_aggregate`` of B, the scaled right problem (side 0) or the
-        transposed left one (side 1) with log entries s on the edges src ->
-        dst, from delta, over the classes of the edges whose log entries in
-        the right problem are within GAP_FLOOR of 0: the critical classes,
+        transposed left one (side 1) with log entries s on the edges, from
+        delta, over the classes of the edges whose log entries in the right
+        problem are within GAP_FLOOR of 0: the critical classes,
         and a cycle that nearly ties at this t (a near tie).  Their frames
         (``_frame``) are kept per set of edges."""
         near = right > -GAP_FLOOR
@@ -132,9 +132,9 @@ class Transfer:
         if key not in self._frames:
             classes, inner = _cyclic_components([e for e, x in zip(self.edges, near) if x])
             self._frames[key] = _frame(self.n, self.potentials[1] if inner == self._tight
-                                       else classes, inner)
+                                       else classes, inner, self.edges)
         frame = self._frames[key]
-        return frame and _aggregate(B, frame[side], s, src, dst, delta)
+        return frame and _aggregate(B, frame[side], s, delta)
 
 
 def _unsolved(t, s):
@@ -223,7 +223,9 @@ def _readonly(*arrays) -> None:
 # on the first axis, as in numpy.linalg, where values with one entry per
 # lane take a trailing axis (lam[..., None]).  ``perron`` does not run as
 # a stack of one: with the indexing that needs, the single solves of the
-# low-temperature benchmark ran about a fifth slower.
+# low-temperature benchmark ran about a fifth slower.  For the same reason
+# ``_start`` gathers and scatters lanes only when some lane of a stack is
+# out, and ``_scale`` clamps exponents only when one leaves the range.
 
 def _lanes(i) -> tuple:
     """Index of every lane, to go with an index i per lane: () for one
@@ -236,9 +238,11 @@ def _scale(s: np.ndarray, src, dst, n: int):
     lanes of a stack first, and whether each stays below e^_EXP_SAFE
     (only t < 0 exceeds 1).  Entries below e^-_EXP_SAFE are left out: they
     change no certified digit."""
-    B = np.zeros(s.shape[:-1] + (n, n))
-    B[..., src, dst] = np.exp(np.where(s > -_EXP_SAFE, np.minimum(s, _EXP_SAFE), -np.inf))
-    return B, s.max(axis=-1, initial=-np.inf) < _EXP_SAFE
+    B, ok = np.zeros(s.shape[:-1] + (n, n)), s.max(axis=-1, initial=-np.inf) < _EXP_SAFE
+    if not np.abs(s).max() < _EXP_SAFE:     # the clamp changes no entry inside the range
+        s = np.where(s > -_EXP_SAFE, np.minimum(s, _EXP_SAFE), -np.inf)
+    B[..., src, dst] = np.exp(s)
+    return B, ok
 
 
 def _certify(B: np.ndarray, ok=True):
@@ -273,40 +277,51 @@ def _start(B: np.ndarray, lam, ok):
     """|x| for the solution x of (lam I - B) x = 0 whose entries sum to 1,
     from a bordered solve refined once, where ok (a gap of at least
     GAP_FLOOR keeps the bordered matrix regular), and 1 elsewhere: the
-    start of ``_polish``."""
-    n, x = B.shape[-1], np.ones(B.shape[:-1])
-    if np.count_nonzero(ok):
-        K = np.ones(B[ok].shape[:-2] + (n + 1, n + 1))
-        K[..., :n, :n] = -B[ok]
-        np.einsum("...ii->...i", K)[..., :n] += np.asarray(lam)[ok][..., None]
-        K[..., n, n] = 0.0
-        rhs = np.zeros(K.shape[:-1] + (1,))
-        rhs[..., n, 0] = 1.0
-        z = np.linalg.solve(K, rhs)
-        z += np.linalg.solve(K, rhs - K @ z)        # one step of iterative refinement
-        x[ok] = np.abs(z[..., :n, 0])
-    return x
+    start of ``_polish``.  Only a stack with some lanes out gathers the
+    live ones and scatters their starts back."""
+    live = np.count_nonzero(ok)
+    if not live:
+        return np.ones(B.shape[:-1])
+    gather = live < ok.size
+    if gather:
+        x, B, lam = np.ones(B.shape[:-1]), B[ok], lam[ok]
+    n = B.shape[-1]
+    K = np.ones(B.shape[:-2] + (n + 1, n + 1))
+    K[..., :n, :n] = -B
+    K.reshape(K.shape[:-2] + (-1,))[..., :n * (n + 2):n + 2] += lam[..., None]   # the diagonal
+    K[..., n, n] = 0.0
+    rhs = np.zeros(K.shape[:-1] + (1,))
+    rhs[..., n, 0] = 1.0
+    z = np.linalg.solve(K, rhs)
+    z += np.linalg.solve(K, rhs - K @ z)        # one step of iterative refinement
+    z = np.abs(z[..., :n, 0])
+    if gather:
+        x[ok] = z
+        return x
+    return z
 
 
-def _frame(n: int, classes, edges):
+def _frame(n: int, classes, inner, edges):
     """The parts of the aggregation of the critical classes of a graph on
     n states that do not depend on t, for ``_aggregate``, from the tight
-    edges inside the classes (``_potentials``): frames of the right
-    problem and of the transposed left one (A_i^T, l_i and s_i in the
-    places of A_i, s_i and l_i), or None when fewer than two classes
-    share the top Perron root.  Class i has the 0/1 matrix A_i of its
-    tight edges, with Perron root rho_i and vectors s_i, l_i (l_i s_i =
-    1); those within TIGHT_TOL of the top root rho are dominant.  A frame
-    is (rho, ix, back, tight, inner, of, L, member, s, shaped): ``np.ix_``
-    of the order that puts the m states of the dominant classes first, and
-    its inverse; in that order, the mask of the A_i and of the diagonal
-    blocks; the class of each of the m states; L (r x m) with l_i in row
-    i; member (m x r), 1 where a state lies in a class; the s_i stacked;
-    and (i, cut, s_i, l_i, rho_i I - A_i, I) for each class of more than
-    one state, the only ones whose shape needs correcting."""
+    edges inside the classes (``_potentials``) and the list of all edges,
+    in the order of the log entries: frames of the right problem and of
+    the transposed left one (A_i^T, l_i and s_i in the places of A_i, s_i
+    and l_i), or None when fewer than two classes share the top Perron
+    root.  Class i has the 0/1 matrix A_i of its tight edges, with Perron
+    root rho_i and vectors s_i, l_i (l_i s_i = 1); those within TIGHT_TOL
+    of the top root rho are dominant.  A frame is (rho, ix, back, tight,
+    inner, of, L, member, s, shaped): ``np.ix_`` of the order that puts
+    the m states of the dominant classes first, and its inverse; for the
+    entries of the A_i, their indices in the list of edges and their rows
+    and columns in that order; the mask of the diagonal blocks; the
+    class of each of the m states; L (r x m) with l_i in row i; member (m
+    x r), 1 where a state lies in a class; the s_i stacked; and (i, cut,
+    s_i, l_i, rho_i I - A_i, I) for each class of more than one state, the
+    only ones whose shape needs correcting."""
     where = {a: (i, j) for i, K in enumerate(classes) for j, a in enumerate(K)}
     As = [np.zeros((len(K), len(K))) for K in classes]
-    for a, b in edges:
+    for a, b in inner:
         i, j = where[a]
         As[i][j, where[b][1]] = 1.0
     top = []
@@ -330,25 +345,28 @@ def _frame(n: int, classes, edges):
     of = np.repeat(np.arange(len(Ks)), np.diff(ends))
     member = np.zeros((m, len(Ks)))
     member[np.arange(m), of] = 1.0
-    _readonly(*ix, back, of, member)
+    at = {ab: k for k, ab in enumerate(edges)}
+    on, row, col = np.array([(at[a, b], back[a], back[b]) for a, b in inner
+                             if back[a] < m]).T.copy()
+    _readonly(*ix, back, of, member, on, row, col)
 
-    def build(As, ss, ls):
-        tight, L = np.zeros((m, m), dtype=bool), np.zeros((len(Ks), m))
+    def build(As, ss, ls, tight):
+        L = np.zeros((len(Ks), m))
         shaped = []
         for i, (a, b, rho_i, A, s, l) in enumerate(zip(ends, ends[1:], rhos, As, ss, ls)):
             cut = slice(a, b)
-            tight[cut, cut], L[i, cut] = A == 1.0, l
+            L[i, cut] = l
             if len(s) > 1:
                 shaped.append((i, cut, s, l, rho_i * np.eye(len(s)) - A, np.eye(len(s))))
         frame = (rho, ix, back, tight, of[:, None] == of, of, L, member, np.concatenate(ss),
                  shaped)
-        _readonly(tight, L, frame[4], frame[8], *(x for sh in shaped for x in sh[2:]))
+        _readonly(L, frame[4], frame[8], *(x for sh in shaped for x in sh[2:]))
         return frame
 
-    return build(As, ss, ls), build([A.T for A in As], ls, ss)
+    return build(As, ss, ls, (on, row, col)), build([A.T for A in As], ls, ss, (on, col, row))
 
 
-def _aggregate(B: np.ndarray, frame, e, src, dst, delta: float = 0.0):
+def _aggregate(B: np.ndarray, frame, e, delta: float = 0.0):
     """(lam, y, gap, delta) of B by iterative aggregation-disaggregation over
     its tied classes (Koury, McAllister and Stewart 1984), or None, with
     the parts that do not depend on t from ``frame`` (``_frame``).  Each
@@ -359,8 +377,8 @@ def _aggregate(B: np.ndarray, frame, e, src, dst, delta: float = 0.0):
     shapes u_i as columns, sums of positive products (Meyer 1989), and for
     each class of more than one state a bordered solve of (rho_i - A_i) +
     (delta - E_ii + D_ii) corrects its shape u_i (a one-state class keeps
-    u_i = s_i = 1).  D is 1 - B, formed from the log entries e of B on the
-    edges src -> dst to full relative accuracy: a class that nearly ties,
+    u_i = s_i = 1).  D is 1 - B on the A_i, formed from the log entries e
+    of B on the edges to full relative accuracy: a class that nearly ties,
     or that float weights tie only to TIGHT_TOL, falls short of its A_i by
     D, and d_i = l_i D_ii u_i takes that out exactly (C plus max(d) - d on
     its diagonal is nonnegative).  lam = rho + delta; the rounds start from
@@ -368,11 +386,11 @@ def _aggregate(B: np.ndarray, frame, e, src, dst, delta: float = 0.0):
     """
     rho, ix, back, tight, inner, of, L, member, s, shaped = frame
     m = len(s)
+    on, row, col = tight
     B0 = B[ix]
-    B0[:m, :m][tight] = 0.0         # E leaves out the A_i
-    D = np.zeros_like(B)
-    D[src, dst] = -np.expm1(e)
-    D = np.where(tight, D[ix][:m, :m], 0.0)
+    B0[row, col] = 0.0              # E leaves out the A_i
+    D = np.zeros((m, m))
+    D[row, col] = -np.expm1(e[on])
     deficits, u = D.any(), s
     for _ in range(_AGG_ROUNDS):
         S = B0.copy()
@@ -403,7 +421,7 @@ def _aggregate(B: np.ndarray, frame, e, src, dst, delta: float = 0.0):
             rhs = np.append(f[cut] / c[i] + Eii @ si - new_delta * si, 0.0)
             new_u[cut] = si + np.linalg.solve(bordered, rhs)[:k]
         done = (abs(new_delta - delta) <= _CW_TOL * new_root
-                and np.all(np.abs(new_u - u) <= _CW_TOL * u))
+                and (np.abs(new_u - u) <= _CW_TOL * u).all())
         delta, u = new_delta, new_u
         if done:
             break
@@ -445,8 +463,8 @@ def _coupling(C: np.ndarray):
     B, _ = _scale(e, *ends, len(C))
     delta, c, gap, _, ok = _certify(B)
     if not ok:
-        frame = _frame(len(C), classes, inside)
-        got = frame and _aggregate(B, frame[0], e, *ends)
+        frame = _frame(len(C), classes, inside, edges)
+        got = frame and _aggregate(B, frame[0], e)
         if not got:
             return None
         delta, c, gap, _ = got
@@ -476,7 +494,7 @@ def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
         return y, ok
     if y.min() > 0.0:               # a start certified to rounding takes no step
         r = (B @ y[..., None])[..., 0] / y
-        if np.all(r.max(axis=-1) <= (1.0 + _ROUNDING) * r.min(axis=-1)):
+        if (r.max(axis=-1) <= (1.0 + _ROUNDING) * r.min(axis=-1)).all():
             return y, ok
     norm = 1.0 + _SHIFTS
     grow = np.abs(mu[..., None] * (mu[..., None] + _SHIFTS))   # |mu (mu + c)| for each c

@@ -203,10 +203,16 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
     """Coefficients of the component Parry measures in the t -> oo limit.
 
     ``method`` is "auto" (symmetry shortcut when available, else sweep),
-    "symmetry" (fail to sweep if unavailable), or "sweep".
+    "symmetry" (fail to sweep if unavailable), or "sweep".  The sweep
+    runs over ``schedule``, by default t = 1, 2, 4, ... up to t_max; the
+    limit is t -> +oo, so t_max is at least 1 and every t is positive.
     """
-    if not math.isfinite(t_max):
-        raise InvalidArgumentError(f"t_max must be finite, got {t_max}")
+    if not 1.0 <= t_max < math.inf:
+        raise InvalidArgumentError(f"t_max must be finite and at least 1, got {t_max}")
+    schedule = default_schedule(t_max) if schedule is None else list(schedule)
+    if not schedule or not all(0.0 < t < math.inf for t in schedule):
+        raise InvalidArgumentError(
+            f"a sweep schedule is a nonempty list of finite t > 0, got {schedule}")
     res = classify(phi)
     ids = res.max_entropy_ids
     if res.case != CASE_MULTI_COMPONENT:
@@ -224,8 +230,6 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
         if method == "symmetry":
             raise InvalidArgumentError(
                 "no transitive weight-preserving symmetry; use the sweep")
-    if schedule is None:
-        schedule = default_schedule(t_max)
     state_sets = [res.face.components[i].state_ids for i in ids]
     t_used, masses, boundary = [], [], []
     flags = []

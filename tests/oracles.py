@@ -692,7 +692,7 @@ def _oracle_component_curve(comp, vecs, e0, tangent, exact, n_samples, vmax):
     s = sum(p[:, i] * x for i, x in enumerate(psi))
     h = markov_entropy(p, P)
     pts.extend(CurvePoint(float(a), float(b), comp.index, "sample", i)
-               for i, (a, b) in enumerate(zip(s, h)))
+               for i, (a, b) in enumerate(zip(s, h)) if s_lo < a < s_hi)
     return pts
 
 

@@ -164,6 +164,56 @@ def test_face_curve_stacks_do_not_grow_with_samples(monkeypatch):
             assert len(calls) == len(arcs)
 
 
+def test_live_lanes_do_not_depend_on_a_lane_out(monkeypatch):
+    # _start builds the bordered matrices from B itself when every lane
+    # is live and gathers the live lanes when one is out (the tied fixed
+    # points at t = 40 close its gap): either way the live lanes come out
+    # bit for bit as in the all-live stack and as their own single solves
+    masks = []
+    start = spectral._start
+
+    def recording(B, lam, ok):
+        masks.append(np.array(ok))
+        return start(B, lam, ok)
+
+    monkeypatch.setattr(spectral, "_start", recording)
+    for name in ("twofix", "threefix_a"):
+        tr = get_potential(name)._transfer
+        masks.clear()
+        out = spectral.perron_stack([tr] * 4, [0.5, 3.0, 40.0, 1.0])
+        assert any(m.any() and not m.all() for m in masks)
+        masks.clear()
+        live = spectral.perron_stack([tr] * 3, [0.5, 3.0, 1.0])
+        assert masks and all(m.all() for m in masks)
+        for got, want in zip(out, live):
+            assert np.array_equal(got[[0, 1, 3]], want)
+        for i, t in ((0, 0.5), (1, 3.0), (3, 1.0)):
+            sol = tr.solve(t)
+            assert out[0][i] == sol.log_lam
+            assert np.array_equal(out[1][i], sol.transition)
+            assert np.array_equal(out[2][i], sol.stationary)
+
+
+def test_facet_curves_end_on_exact_points():
+    # a sample whose s rounds onto or past its component's anchor is left
+    # out, so the hull of every facet curve starts and ends on an exact
+    # anchor or point (trivec's bottom face ended on a sample at s one ulp
+    # past its anchor at 1)
+    for name in ("trivec", "kinkvec"):
+        Phi = get_potential(name)
+        poly = rotation_set(Phi)
+        for f in poly.facets:
+            curve = face_entropy_curve(Phi, f.normal, poly=poly)
+            assert {curve.hull[0].kind, curve.hull[-1].kind} <= {"anchor", "point"}
+            anchors = {}
+            for p in curve.points:
+                if p.kind == "anchor":
+                    anchors.setdefault(p.comp, []).append(p.s)
+            for p in curve.points:
+                if p.kind == "sample":
+                    assert min(anchors[p.comp]) < p.s < max(anchors[p.comp])
+
+
 def _planar_facet_curves(count, seed):
     """Face curves on every edge of the rotation polygons of seeded m = 2
     potentials."""

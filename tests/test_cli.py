@@ -233,6 +233,13 @@ def test_non_finite_tmax_exits_2(tmax):
     assert "input error" in got.stderr and "finite" in got.stderr
 
 
+def test_tmax_below_1_exits_2(capsys):
+    # no schedule toward t -> +oo: an input error, not a numeric one
+    for tmax in ("0.5", "0", "-4"):
+        rc, _, err = run(capsys, "ztsweep", "--potential", "threefix_a", f"--tmax={tmax}")
+        assert rc == 2 and "input error" in err and "at least 1" in err
+
+
 def test_numeric_errors_exit_3(capsys, monkeypatch):
     def boom(*a, **k):
         raise NumericError("spectral certificate failed")

@@ -25,6 +25,19 @@ def test_non_finite_t_max_is_an_input_error():
                 zt_coefficients(get_potential(name), t_max=t_max)
 
 
+def test_sweeps_without_a_zero_temperature_limit_are_input_errors():
+    # the limit is t -> +oo: t_max below 1 leaves the default schedule
+    # empty, and t <= 0 runs toward the minimizing limit instead
+    for kwargs in ({"t_max": 0.5}, {"t_max": -4.0}, {"schedule": []},
+                   {"schedule": [-1.0, -2.0, -4.0]}, {"schedule": [1.0, 0.0, 2.0]},
+                   {"schedule": [1.0, math.nan]}, {"schedule": [1.0, math.inf]}):
+        for name in ("threefix_a", "fix0"):
+            with pytest.raises(InvalidArgumentError, match="at least 1|t > 0"):
+                zt_coefficients(get_potential(name), method="sweep", **kwargs)
+    out = zt_coefficients(get_potential("threefix_a"), t_max=1.0, method="sweep")
+    assert out.t_values == [1.0]
+
+
 def test_fixed_point_classifications():
     for name, label in (("fix0", "00"), ("fix1", "11")):
         res = classify(get_potential(name))
@@ -202,9 +215,9 @@ def test_sweep_builds_the_aggregation_frame_once(monkeypatch):
     builds = []
     build = spectral._frame
 
-    def counting(n, cls, edges):
+    def counting(n, cls, *edges):
         builds.append(cls is classes)   # not the frames of coupling matrices
-        return build(n, cls, edges)
+        return build(n, cls, *edges)
 
     monkeypatch.setattr(spectral, "_frame", counting)
     out = zt_coefficients(phi, method="sweep")

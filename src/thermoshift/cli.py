@@ -29,8 +29,7 @@ from . import __version__
 from . import builtins as registry
 from .cache import atomic_write_text, cached_elementary_orbits
 from .core_sft import Sft, _block_label
-from .errors import (InvalidArgumentError, NumericError, ResourceLimitError,
-                     ThermoshiftError, UnderflowError)
+from .errors import InvalidArgumentError, NumericError, ThermoshiftError, UnderflowError
 
 if TYPE_CHECKING:
     from .potential import PotentialLC
@@ -468,9 +467,6 @@ def main(argv=None) -> int:
     except (UnderflowError, NumericError) as e:
         sys.stderr.write(f"thermoshift {args.command}: numeric error: {e}\n")
         return EXIT_NUMERIC
-    except (InvalidArgumentError, ResourceLimitError) as e:
-        sys.stderr.write(f"thermoshift {args.command}: input error: {e}\n")
-        return EXIT_INPUT
     except ThermoshiftError as e:
         sys.stderr.write(f"thermoshift {args.command}: input error: {e}\n")
         return EXIT_INPUT

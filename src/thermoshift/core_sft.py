@@ -16,12 +16,11 @@ import functools
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from operator import itemgetter
 
-from .errors import EmptyShiftError, InvalidArgumentError
+from .errors import EmptyShiftError, InvalidArgumentError, ResourceLimitError
 
 
 def _prune(rows: list[list[int]], labels: list[str]) -> tuple[list[list[int]], list[str]]:
@@ -167,6 +166,7 @@ def scc_of_edges(n: int, edges) -> list[SccComponent]:
 
 
 TIGHT_TOL = 1e-9    # relative slack under which float weights count as tied
+RECODE_STATE_CAP = 1 << 20      # k-blocks a recoding may hold
 
 
 def _cyclic_components(edges):
@@ -373,42 +373,34 @@ class RecodedSft:
 
     State ``(b1..bk)`` has an edge to ``(c1..ck)`` exactly when the
     overlap ``b2..bk == c1..c(k-1)`` holds and the base matrix allows
-    ``bk -> ck``.  States are listed in lexicographic order.  The graph is
-    split into its SCCs once (``_split``), whatever reads it: irreducibility
-    checks and every exact max-plus pass on the recoding.
+    ``bk -> ck``.  States are listed in lexicographic order; the graph is
+    held as its list of edges, about d n of them.  It is split into its
+    SCCs once (``_split``), whatever reads it: irreducibility checks and
+    every exact max-plus pass on the recoding.
     """
 
     base: Sft
     k: int
     states: tuple[tuple[int, ...], ...]
-    transition: tuple[tuple[int, ...], ...]
+    _edges: tuple[tuple[int, int], ...]
+    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.states)
 
     def block_index(self) -> dict[tuple[int, ...], int]:
-        """State id of each k-block, built once per recoding."""
+        """State id of each k-block."""
         return self._index
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Transitions (i, j) in row-major order, built once per recoding."""
+        """Transitions (i, j) in row-major order."""
         return self._edges
-
-    @functools.cached_property
-    def _edges(self) -> tuple[tuple[int, int], ...]:
-        n = self.n
-        return tuple((i, j) for i, row in enumerate(self.transition)
-                     for j in compress(range(n), row))
 
     @functools.cached_property
     def _split(self):
         """The nontrivial SCCs and the edges inside them (``_cyclic_components``)."""
         return _cyclic_components(self._edges)
-
-    @functools.cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {blk: i for i, blk in enumerate(self.states)}
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
@@ -426,33 +418,27 @@ def _block_label(blk) -> str:
 def recode_to_one_step(sft: Sft, k: int) -> RecodedSft:
     """Recode to the one-step shift on admissible k-blocks.
 
-    For k = 1 this is a trivial wrapper around the base matrix.
+    The blocks are counted first, as 1' T^(k-1) 1 in ints, and a count
+    over RECODE_STATE_CAP raises ResourceLimitError before any is built.
+    Extending sorted blocks by each allowed symbol in turn keeps them
+    sorted, and block i's edges go to blk[1:] + (s,) in rising order.
     """
     if k < 1:
         raise InvalidArgumentError("recoding window k must be >= 1")
-    d = sft.d
-    blocks: list[tuple[int, ...]] = [()]
-    for pos in range(k):
-        nxt = []
-        for blk in blocks:
-            if pos == 0:
-                nxt.extend((s,) for s in range(d))
-            else:
-                last = blk[-1]
-                nxt.extend(blk + (s,) for s in range(d) if sft.transition[last][s])
-        blocks = nxt
-    blocks.sort()
-    if not blocks:
+    succ = [[s for s, v in enumerate(row) if v] for row in sft.transition]
+    counts = [1] * sft.d
+    for _ in range(k - 1):
+        counts = [sum(counts[s] for s in out) for out in succ]
+    n = sum(counts)
+    if not n:
         raise EmptyShiftError("no admissible k-blocks")
+    if n > RECODE_STATE_CAP:
+        raise ResourceLimitError(f"the {k}-block recoding has {n} states, "
+                                 f"over cap {RECODE_STATE_CAP}")
+    blocks = [(s,) for s in range(sft.d)]
+    for _ in range(k - 1):
+        blocks = [blk + (s,) for blk in blocks for s in succ[blk[-1]]]
     index = {blk: i for i, blk in enumerate(blocks)}
-    n = len(blocks)
-    rows = [[0] * n for _ in range(n)]
-    for i, blk in enumerate(blocks):
-        last = blk[-1]
-        for s in range(d):
-            if sft.transition[last][s]:
-                tgt = blk[1:] + (s,)
-                j = index.get(tgt)
-                if j is not None:
-                    rows[i][j] = 1
-    return RecodedSft(sft, k, tuple(blocks), tuple(tuple(r) for r in rows))
+    edges = tuple((i, index[blk[1:] + (s,)])
+                  for i, blk in enumerate(blocks) for s in succ[blk[-1]])
+    return RecodedSft(sft, k, tuple(blocks), edges, index)

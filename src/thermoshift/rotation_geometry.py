@@ -34,11 +34,11 @@ def _state_cycles(Phi: PotentialLC, orbits):
     the last back to the first included, is an edge of the recoding: the
     orbit is then one of Phi's shift."""
     recoded = Phi._recoded
-    index, allowed = recoded.block_index(), recoded.transition
+    index, allowed = recoded.block_index(), set(recoded.edges())
     out = []
     for o in orbits:
         ids = [index.get(b) for b in o.blocks(Phi.k)]
-        if None in ids or not all(allowed[a][b] for a, b in zip(ids, ids[1:] + ids[:1])):
+        if None in ids or not allowed.issuperset(zip(ids, ids[1:] + ids[:1])):
             raise InvalidArgumentError(
                 f"orbit {o.segment} is not an orbit of the potential's shift")
         out.append(ids)
@@ -423,10 +423,11 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None,
                       tol: float = 1e-9) -> FaceFingerprint:
     """Orbits whose averages maximize alpha . rv.
 
-    Exact argmax for rational directions on exact potentials; float
-    inputs are compared after a 1e-9 snap.  Without an orbit list, the
-    census of Phi's shift; a given list must hold orbits of that shift
-    (InvalidArgumentError otherwise).
+    Exact argmax for rational directions on exact potentials.  Otherwise
+    alpha . rv is taken in doubles on each orbit's raw, unsnapped
+    ``birkhoff_average``, and the orbits within ``tol`` of the best are
+    kept.  Without an orbit list, the census of Phi's shift; a given list
+    must hold orbits of that shift (InvalidArgumentError otherwise).
     """
     census = orbits is None
     if census:

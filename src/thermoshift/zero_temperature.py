@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core_sft import recode_to_one_step
 from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
 from .max_face import FaceSubshift, face_subshift, max_entropy_components
@@ -98,7 +97,7 @@ def _weighted_automorphisms(phi: PotentialLC):
     stabiliser chain generate the group (as in Schreier-Sims).
     """
     T, d = phi.sft.transition, phi.sft.d
-    recoded = recode_to_one_step(phi.sft, phi.k)
+    recoded = phi._recoded
     index, vals = recoded.block_index(), phi.state_values()
     closing = [[(i, blk) for i, blk in enumerate(recoded.states) if max(blk) == a]
                for a in range(d)]           # blocks whose largest symbol is a

@@ -233,6 +233,22 @@ def test_non_finite_tmax_exits_2(tmax):
     assert "input error" in got.stderr and "finite" in got.stderr
 
 
+def test_window_over_the_state_cap_exits_2(tmp_path):
+    # full2 has 2^64 blocks of length 64: refused before any is built
+    pot = tmp_path / "k64.json"
+    pot.write_text('{"k": 64, "values": {"0": [1]}}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env[CACHE_ENV] = "off"
+    for args in (["orbits", "--shift", "full2", "--k", "64"],
+                 ["classify", "--shift", "full2", "--potential", str(pot)]):
+        got = subprocess.run([sys.executable, "-m", "thermoshift.cli", *args],
+                             env=env, capture_output=True, text=True, timeout=60,
+                             preexec_fn=_cap_memory)
+        assert got.returncode == 2, got.stderr
+        assert "input error" in got.stderr and "over cap" in got.stderr
+
+
 def test_tmax_below_1_exits_2(capsys):
     # no schedule toward t -> +oo: an input error, not a numeric one
     for tmax in ("0.5", "0", "-4"):

@@ -2,16 +2,17 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import (critical_edges, cyclic_components, edge_classes, karp_max_mean,
-                     kleene_potentials)
-from thermoshift import (EmptyShiftError, InvalidArgumentError, Sft, get_potential,
-                         is_transitive, recode_to_one_step,
+from oracles import (brute_recoded_graph, critical_edges, cyclic_components, edge_classes,
+                     karp_max_mean, kleene_potentials)
+from thermoshift import (EmptyShiftError, InvalidArgumentError, ResourceLimitError, Sft,
+                         core_sft, get_potential, is_transitive, recode_to_one_step,
                          strongly_connected_components)
 from thermoshift.builtins import potential_names
 from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _max_plus_pass,
@@ -144,13 +145,56 @@ def test_recode_structure():
     assert rec.states == ((0, 0), (0, 1), (1, 0), (1, 1))
     # overlap edges only
     idx = rec.block_index()
-    assert rec.transition[idx[(0, 1)]][idx[(1, 0)]] == 1
-    assert rec.transition[idx[(0, 1)]][idx[(0, 0)]] == 0
+    assert (idx[(0, 1)], idx[(1, 0)]) in rec.edges()
+    assert (idx[(0, 1)], idx[(0, 0)]) not in rec.edges()
     rec1 = recode_to_one_step(full2, 1)
     assert rec1.states == ((0,), (1,))
-    assert rec1.transition == full2.transition
+    assert rec1.edges() == tuple(full2.edges())
     with pytest.raises(InvalidArgumentError):
         recode_to_one_step(full2, 0)
+
+
+def test_recode_edges_match_the_oracle():
+    # random shifts up to d = 5, some of whose symbols prune away
+    rng = random.Random(11)
+    pruned = 0
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        rows = [[int(rng.random() < 0.6) for _ in range(d)] for _ in range(d)]
+        try:
+            sft = Sft.from_matrix(rows)
+        except EmptyShiftError:
+            continue
+        pruned += sft.d < d
+        assert recode_to_one_step(sft, 1).edges() == tuple(sft.edges())
+        k = rng.randint(1, 4)
+        blocks, succ = brute_recoded_graph(sft.transition, k)
+        rec = recode_to_one_step(sft, k)
+        assert rec.states == tuple(blocks)
+        assert rec.edges() == tuple(sorted((i, j) for i, out in succ.items() for j in out)), \
+            (rows, k)
+    assert pruned > 20
+
+
+def test_recode_memory_is_linear_in_the_edges():
+    # full2 at k = 11: 2048 states, 4096 edges; an n x n matrix alone is 32 MB
+    tracemalloc.start()
+    try:
+        recode_to_one_step.__wrapped__(Sft.full(2), 11).edges()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_recode_refuses_a_window_over_the_state_cap(monkeypatch):
+    with pytest.raises(ResourceLimitError, match=f"{2 ** 64} states"):
+        recode_to_one_step(Sft.full(2), 64)
+    assert recode_to_one_step.__wrapped__(Sft.full(2), 13).n == 8192
+    monkeypatch.setattr(core_sft, "RECODE_STATE_CAP", 8)
+    assert recode_to_one_step.__wrapped__(Sft.full(2), 3).n == 8
+    with pytest.raises(ResourceLimitError, match="16 states, over cap 8"):
+        recode_to_one_step.__wrapped__(Sft.full(2), 4)
 
 
 def test_perron_closed_forms():

@@ -46,6 +46,8 @@ from .rotation_geometry import RotationPolytope, _dot, _ints, _scale, rotation_s
 
 DEFAULT_SAMPLES = 201
 DEFAULT_VMAX = 50.0
+INTERIOR_TOL = 1e-9         # largest gradient entry of a converged dual
+INTERIOR_MAX_ITER = 80      # Newton steps before NumericError
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class FaceCurve:
         return self.hull[0].h, self.hull[-1].h
 
 
-def _component_curve(comp, psi, exact, n_samples, vmax):
+def _component_curve(comp, psi, exact, n_samples):
     """Exact anchors and tan-grid samples (s(v), h(v)) of one component
     that is not a cycle, for the tangential coordinates psi of its states.
 
@@ -128,7 +130,7 @@ def _component_curve(comp, psi, exact, n_samples, vmax):
     pts = [CurvePoint(s_lo, lo_face.entropy, comp.index, "anchor", -1),
            CurvePoint(s_hi, hi_face.entropy, comp.index, "anchor", -1)]
     psi = np.array([float(x) for x in psi])
-    th_max = math.atan(vmax)
+    th_max = math.atan(DEFAULT_VMAX)
     v = np.array([math.tan(th) for th in np.linspace(-th_max, th_max, n_samples)])
     _, P, p = perron_stack([hi._transfer if x >= 0 else lo._transfer for x in v], np.abs(v))
     s = sum(p[:, i] * x for i, x in enumerate(psi))    # state by state, as p . psi sums
@@ -161,7 +163,6 @@ def _upper_hull(points):
 
 
 def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES,
-                       vmax: float = DEFAULT_VMAX,
                        poly: RotationPolytope | None = None) -> FaceCurve:
     """Entropy profile along the face of the rotation set exposed by alpha.
 
@@ -216,16 +217,15 @@ def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES
         else:
             points.extend(_component_curve(
                 comp, [Fraction(x, Q) for x in vals] if exact else vals, exact,
-                n_samples, vmax))
+                n_samples))
     hull = _upper_hull(points)
     labels = [c.labels() for c in face.components]
     e0, e1, tangent = (tuple(Fraction(x, D) for x in v) for v in (E0, E1, T))
     return FaceCurve(alpha, e0, e1, tangent, face.beta, labels, points, hull,
-                     n_samples, vmax)
+                     n_samples, DEFAULT_VMAX)
 
 
-def differentiability_scan(curve: FaceCurve, threshold: float | None = None,
-                           margin: float | None = None) -> DiffReport:
+def differentiability_scan(curve: FaceCurve) -> DiffReport:
     """Corners of the envelope, detected as slope jumps at junctions.
 
     On an arc the slope equals -v, so consecutive samples differ by one
@@ -235,10 +235,7 @@ def differentiability_scan(curve: FaceCurve, threshold: float | None = None,
     endpoint layers where the dual parameter runs off the grid.
     """
     dtheta = 2.0 * math.atan(curve.vmax) / max(curve.n_samples - 1, 1)
-    if threshold is None:
-        threshold = 10.0 * dtheta
-    if margin is None:
-        margin = 1.0 / max(curve.n_samples, 100)
+    threshold, margin = 10.0 * dtheta, 1.0 / max(curve.n_samples, 100)
     span = curve.hull[-1].s - curve.hull[0].s
     if span <= 0:
         return DiffReport([], threshold, margin)
@@ -290,9 +287,7 @@ def _covariance(p, P, X):
     return G + G.T - DF.T @ F
 
 
-def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
-                               max_iter: int = 80,
-                               poly: RotationPolytope | None = None):
+def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | None = None):
     """Maximal entropy among measures with rotation vector w, for w in
     the relative interior of the rotation set.
 
@@ -302,7 +297,8 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
     orthonormal coordinates x: damped Newton steps on the exact Hessian
     (the asymptotic covariance of Phi under the current equilibrium
     state), or gradient steps where it is not positive definite.  Each
-    point is one Perron solve on the recoding of Phi, with no max-plus pass.
+    point is one Perron solve on the recoding of Phi, whose ``Transfer``
+    runs one exact max-plus pass on v . Phi - beta(v).
     """
     import numpy as np
     from .thermodynamics import _measure
@@ -327,9 +323,9 @@ def localized_entropy_interior(Phi: PotentialLC, w, tol: float = 1e-9,
 
     x = np.zeros(r)
     point = at(x)
-    for _ in range(max_iter):
+    for _ in range(INTERIOR_MAX_ITER):
         g, grad, beta, sol = point
-        if np.abs(grad).max(initial=0.0) < tol:
+        if np.abs(grad).max(initial=0.0) < INTERIOR_TOL:
             recoded = Phi._recoded
             return g, tuple(map(float, x @ Q)), _measure(sol, recoded.labels,
                                                           recoded.states, 1.0, beta)

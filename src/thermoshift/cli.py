@@ -377,8 +377,9 @@ _HANDLERS = {
 # -- parser ----------------------------------------------------------------
 
 def _add_common(sp, with_potential: bool):
-    sp.add_argument("--shift", help="builtin shift name or shift JSON file")
-    sp.add_argument("--k", type=int, help="cylinder window")
+    sp.add_argument("--shift", required=not with_potential,
+                    help="builtin shift name or shift JSON file")
+    sp.add_argument("--k", type=int, required=not with_potential, help="cylinder window")
     sp.add_argument("--mode", choices=("exact", "float"),
                     help="value arithmetic for file inputs (default: as stored)")
     sp.add_argument("--out", help="directory for result files")
@@ -453,12 +454,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_alpha(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code or 0)
-    # required-flag checks that depend on the command
-    if args.command == "orbits":
-        if args.shift is None or args.k is None:
-            parser.print_usage(sys.stderr)
-            sys.stderr.write("thermoshift orbits: error: --shift and --k are required\n")
-            return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
     except UsageError as e:

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import EmptyShiftError, InvalidArgumentError, ResourceLimitError
 
@@ -68,7 +68,7 @@ class Sft:
         return Sft(tuple(row for _ in range(d)), tuple(str(i) for i in range(d)))
 
     @classmethod
-    def from_matrix(cls, rows, labels=None, prune: bool = True) -> "Sft":
+    def from_matrix(cls, rows, labels=None) -> "Sft":
         mat = [[1 if v else 0 for v in row] for row in rows]
         n = len(mat)
         if n == 0 or any(len(row) != n for row in mat):
@@ -78,10 +78,7 @@ class Sft:
         labels = [str(x) for x in labels]
         if len(labels) != n:
             raise InvalidArgumentError("labels length must match matrix size")
-        if prune:
-            mat, labels = _prune(mat, labels)
-        elif not all(any(r) for r in mat) or not all(any(mat[i][j] for i in range(n)) for j in range(n)):
-            raise InvalidArgumentError("dead symbols present and prune=False")
+        mat, labels = _prune(mat, labels)
         return cls(tuple(tuple(r) for r in mat), tuple(labels))
 
     def edges(self):
@@ -418,26 +415,39 @@ def _block_label(blk) -> str:
 def recode_to_one_step(sft: Sft, k: int) -> RecodedSft:
     """Recode to the one-step shift on admissible k-blocks.
 
-    The blocks are counted first, as 1' T^(k-1) 1 in ints, and a count
-    over RECODE_STATE_CAP raises ResourceLimitError before any is built.
-    Extending sorted blocks by each allowed symbol in turn keeps them
-    sorted, and block i's edges go to blk[1:] + (s,) in rising order.
+    Where d^k exceeds RECODE_STATE_CAP the blocks are counted first, as
+    1' T^(k-1) 1 by squaring in ints, and a count over the cap raises
+    ResourceLimitError before any is built.  The L-blocks are the joins
+    x + y, in order, of the (L//2)-blocks x with the (L - L//2)-blocks y
+    whose first symbol may follow x's last, so they come sorted, each
+    length built once; block i's edges go to blk[1:] + (s,) in order.
     """
     if k < 1:
         raise InvalidArgumentError("recoding window k must be >= 1")
     succ = [[s for s, v in enumerate(row) if v] for row in sft.transition]
-    counts = [1] * sft.d
-    for _ in range(k - 1):
-        counts = [sum(counts[s] for s in out) for out in succ]
-    n = sum(counts)
-    if not n:
+    if sft.d ** k > RECODE_STATE_CAP:
+        row, power, e = [1] * sft.d, sft.transition, k - 1
+        while e:
+            if e & 1:
+                row = [sum(map(mul, row, col)) for col in zip(*power)]
+            e >>= 1
+            if e:
+                power = [[sum(map(mul, r, col)) for col in zip(*power)] for r in power]
+        if sum(row) > RECODE_STATE_CAP:
+            raise ResourceLimitError(f"the {k}-block recoding has {sum(row)} states, "
+                                     f"over cap {RECODE_STATE_CAP}")
+    built = {1: [[(s,)] for s in range(sft.d)]}
+
+    def by_first(length):       # the sorted length-blocks, listed by first symbol
+        if length not in built:
+            heads, tails = by_first(length // 2), by_first(length - length // 2)
+            built[length] = [[x + y for x in group for s in succ[x[-1]] for y in tails[s]]
+                             for group in heads]
+        return built[length]
+
+    blocks = [blk for group in by_first(k) for blk in group]
+    if not blocks:
         raise EmptyShiftError("no admissible k-blocks")
-    if n > RECODE_STATE_CAP:
-        raise ResourceLimitError(f"the {k}-block recoding has {n} states, "
-                                 f"over cap {RECODE_STATE_CAP}")
-    blocks = [(s,) for s in range(sft.d)]
-    for _ in range(k - 1):
-        blocks = [blk + (s,) for blk in blocks for s in succ[blk[-1]]]
     index = {blk: i for i, blk in enumerate(blocks)}
     edges = tuple((i, index[blk[1:] + (s,)])
                   for i, blk in enumerate(blocks) for s in succ[blk[-1]])

@@ -178,7 +178,7 @@ def face_subshift(phi: PotentialLC, alpha=None) -> FaceSubshift:
                         comps, len(rec_edges) == len(recoded.edges()), mode)
 
 
-def max_entropy_components(face: FaceSubshift, tol: float = TIGHT_TOL):
+def max_entropy_components(face: FaceSubshift):
     """Indices of components with maximal entropy, plus a near-tie flag.
 
     The flag reports an unselected component within 1e-6 of the cut,
@@ -186,8 +186,8 @@ def max_entropy_components(face: FaceSubshift, tol: float = TIGHT_TOL):
     strict gap.
     """
     top = max(c.entropy for c in face.components)
-    ids = tuple(c.index for c in face.components if c.entropy >= top - tol)
-    flagged = any(top - 1e-6 < c.entropy < top - tol for c in face.components)
+    ids = tuple(c.index for c in face.components if c.entropy >= top - TIGHT_TOL)
+    flagged = any(top - 1e-6 < c.entropy < top - TIGHT_TOL for c in face.components)
     return ids, flagged
 
 

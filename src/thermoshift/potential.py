@@ -24,7 +24,7 @@ from .max_face import _state_pass, find_cycle
 if TYPE_CHECKING:
     from .spectral import Transfer
 
-FLOAT_EQ_TOL = 1e-9
+FLOAT_EQ_TOL = 1e-9       # absolute gap under which two doubles count as equal
 SNAP_DEN = 10**9         # the grid that exact geometry puts float values on
 
 Number = object  # Fraction or float, uniform per potential
@@ -276,14 +276,13 @@ class CohomologyReport:
     spread: float
 
 
-def cohomology_test(phi: PotentialLC, psi: PotentialLC,
-                    tol: float = FLOAT_EQ_TOL) -> CohomologyReport:
+def cohomology_test(phi: PotentialLC, psi: PotentialLC) -> CohomologyReport:
     """Decide whether phi - psi is cohomologous to a constant.
 
     Livsic: the max and min cycle means of phi - psi at window
     max(k_phi, k_psi) agree, and the common value is the constant.  In
-    float mode, agreement within ``tol`` counts but is flagged, and the
-    constant is the midpoint.
+    float mode, agreement within FLOAT_EQ_TOL counts but is flagged, and
+    the constant is the midpoint.
     """
     if phi.m != 1 or psi.m != 1:
         raise InvalidArgumentError("cohomology test applies to scalar potentials")
@@ -297,7 +296,7 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC,
     neg_lo, lo_tight = _state_pass(recoded.n, recoded._split, [-x for x in w])[:2]
     lo = -neg_lo
     spread = float(hi - lo)
-    if (lo == hi) if exact else (spread <= tol):
+    if (lo == hi) if exact else (spread <= FLOAT_EQ_TOL):
         return CohomologyReport(True, hi if exact else (hi + lo) / 2, None,
                                 spread > 0.0, spread)
 

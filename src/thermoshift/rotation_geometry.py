@@ -24,7 +24,7 @@ from math import gcd, lcm
 from .errors import InvalidArgumentError, ResourceLimitError
 from .max_face import extreme_cycle
 from .orbits import birkhoff_average, elementary_orbits
-from .potential import PotentialLC, _snap
+from .potential import FLOAT_EQ_TOL, PotentialLC, _snap
 
 
 def _state_cycles(Phi: PotentialLC, orbits):
@@ -419,14 +419,13 @@ class FaceFingerprint:
     orbit_set: tuple[int, ...]
 
 
-def face_in_direction(Phi: PotentialLC, alpha, orbits=None,
-                      tol: float = 1e-9) -> FaceFingerprint:
+def face_in_direction(Phi: PotentialLC, alpha, orbits=None) -> FaceFingerprint:
     """Orbits whose averages maximize alpha . rv.
 
     Exact argmax for rational directions on exact potentials.  Otherwise
     alpha . rv is taken in doubles on each orbit's raw, unsnapped
-    ``birkhoff_average``, and the orbits within ``tol`` of the best are
-    kept.  Without an orbit list, the census of Phi's shift; a given list
+    ``birkhoff_average``, and the orbits within FLOAT_EQ_TOL of the best
+    are kept.  Without an orbit list, the census of Phi's shift; a given list
     must hold orbits of that shift (InvalidArgumentError otherwise).
     """
     census = orbits is None
@@ -448,7 +447,7 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None,
     vals = [sum(float(a) * float(x) for a, x in zip(alpha, birkhoff_average(o, Phi)))
             for o in orbits]
     best = max(vals)
-    ids = tuple(i for i, v in enumerate(vals) if v >= best - tol)
+    ids = tuple(i for i, v in enumerate(vals) if v >= best - FLOAT_EQ_TOL)
     return FaceFingerprint(alpha, best, ids)
 
 

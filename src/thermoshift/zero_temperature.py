@@ -28,6 +28,7 @@ CASE_MULTI_COMPONENT = "MultiComponent"
 CONVERGENCE_TOL = 1e-10
 UNCONVERGED_TOL = 1e-6
 BOUNDARY_MASS_TOL = 1e-3
+GROUND_STATE_TOL = 1e-8
 
 
 @dataclass
@@ -197,21 +198,16 @@ class ZtCoefficients:
 
 
 def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
-                    schedule=None, tol: float = CONVERGENCE_TOL,
                     method: str = "auto") -> ZtCoefficients:
     """Coefficients of the component Parry measures in the t -> oo limit.
 
     ``method`` is "auto" (symmetry shortcut when available, else sweep),
     "symmetry" (fail to sweep if unavailable), or "sweep".  The sweep
-    runs over ``schedule``, by default t = 1, 2, 4, ... up to t_max; the
-    limit is t -> +oo, so t_max is at least 1 and every t is positive.
+    runs over t = 1, 2, 4, ... up to t_max, which is at least 1 since
+    the limit is t -> +oo.
     """
     if not 1.0 <= t_max < math.inf:
         raise InvalidArgumentError(f"t_max must be finite and at least 1, got {t_max}")
-    schedule = default_schedule(t_max) if schedule is None else list(schedule)
-    if not schedule or not all(0.0 < t < math.inf for t in schedule):
-        raise InvalidArgumentError(
-            f"a sweep schedule is a nonempty list of finite t > 0, got {schedule}")
     res = classify(phi)
     ids = res.max_entropy_ids
     if res.case != CASE_MULTI_COMPONENT:
@@ -234,7 +230,7 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
     flags = []
     coeffs_hist = []
     est_error = math.inf
-    for t in schedule:
+    for t in default_schedule(t_max):
         try:
             p = _solve(phi, t, "equilibrium_markov")[1].stationary
         except (UnderflowError, NumericError) as exc:
@@ -249,7 +245,7 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
         if len(coeffs_hist) >= 2:
             est_error = max(abs(a - b) for a, b in
                             zip(coeffs_hist[-1], coeffs_hist[-2]))
-            if est_error < tol and boundary[-1] < BOUNDARY_MASS_TOL:
+            if est_error < CONVERGENCE_TOL and boundary[-1] < BOUNDARY_MASS_TOL:
                 break
     if not coeffs_hist:
         raise NumericError("zero-temperature sweep produced no data")
@@ -269,10 +265,10 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
                           converged, flags, limit)
 
 
-def ground_state_check(phi: PotentialLC, result=None, tol: float = 1e-8) -> dict:
+def ground_state_check(phi: PotentialLC, result=None) -> dict:
     """Consistency checks on a classification: the limit measures are
     supported on the maximizing subshift, average to beta, and agree in
-    entropy across selected components."""
+    entropy across selected components, to GROUND_STATE_TOL."""
     if result is None:
         result = classify(phi)
     if isinstance(result, ZtCoefficients):
@@ -288,12 +284,12 @@ def ground_state_check(phi: PotentialLC, result=None, tol: float = 1e-8) -> dict
     if limit is None:
         return {"undetermined": True}
     total = sum(float(w) for w, _ in limit)
-    checks["weights_sum_to_one"] = abs(total - 1.0) <= tol
+    checks["weights_sum_to_one"] = abs(total - 1.0) <= GROUND_STATE_TOL
     beta = float(face.beta)
     for _, mu in limit:
         avg = sum(float(p) * float(phi.value(b)[0])
                   for p, b in zip(mu.stationary, mu.blocks))
-        if abs(avg - beta) > tol:
+        if abs(avg - beta) > GROUND_STATE_TOL:
             checks["averages_at_beta"] = False
     if len(ids) > 1:
         hs = [face.components[i].entropy for i in ids]

@@ -186,6 +186,21 @@ def test_cohom_reports_constant(capsys):
     assert pay["witness"]
 
 
+def test_cohom_against_a_second_potential(capsys):
+    pay = run_json(capsys, "cohom", "--potential", "gold0", "--psi", "gold1")["payload"]
+    assert pay["cohomologous"] is False
+    assert pay["spread"] == 4.0
+    assert pay["witness"] == {"low_orbit": "1", "high_orbit": "0"}
+    rc, _, err = run(capsys, "cohom", "--potential", "fix0", "--psi", "hubmax")
+    assert rc == 2 and "different shifts" in err
+
+
+def test_facecurve_reports_the_kink(capsys):
+    pay = run_json(capsys, "facecurve", "--potential", "kinkvec", "--alpha", "0,-1")["payload"]
+    assert [(k["s"], k["w"], k["component"]) for k in pay["kinks"]] == [(0.5, [0.5, 0.0], 1)]
+    assert pay["smooth"] is False
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
@@ -263,6 +278,15 @@ def test_numeric_errors_exit_3(capsys, monkeypatch):
     rc, _, err = run(capsys, "ztsweep", "--potential", "twofix")
     assert rc == 3
     assert "spectral certificate failed" in err
+
+
+def test_sweep_without_data_exits_3(capsys, monkeypatch):
+    def fail(phi, t, what):
+        raise NumericError(f"no solve at t={t}")
+    monkeypatch.setattr("thermoshift.zero_temperature._solve", fail)
+    rc, _, err = run(capsys, "ztsweep", "--potential", "threefix_a")
+    assert rc == 3
+    assert "produced no data" in err
 
 
 def test_cache_env_is_honoured(capsys, monkeypatch, tmp_path):

@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -33,8 +34,6 @@ def test_from_matrix_prunes_dead_symbols():
     s = Sft.from_matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
     assert s.d == 2
     assert s.labels == ("0", "1")
-    with pytest.raises(InvalidArgumentError):
-        Sft.from_matrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]], prune=False)
     # symbol 2 only reaches the component, never returns: prune drops it
     s2 = Sft.from_matrix([[1, 1, 0], [1, 1, 0], [1, 0, 0]])
     assert s2.d == 2
@@ -155,7 +154,8 @@ def test_recode_structure():
 
 
 def test_recode_edges_match_the_oracle():
-    # random shifts up to d = 5, some of whose symbols prune away
+    # random shifts up to d = 5, some of whose symbols prune away, at
+    # windows up to 8 on up to 3 symbols: blocks joined from two halves
     rng = random.Random(11)
     pruned = 0
     for _ in range(300):
@@ -167,13 +167,24 @@ def test_recode_edges_match_the_oracle():
             continue
         pruned += sft.d < d
         assert recode_to_one_step(sft, 1).edges() == tuple(sft.edges())
-        k = rng.randint(1, 4)
+        k = rng.randint(1, 8 if sft.d <= 3 else 4)
         blocks, succ = brute_recoded_graph(sft.transition, k)
         rec = recode_to_one_step(sft, k)
         assert rec.states == tuple(blocks)
         assert rec.edges() == tuple(sorted((i, j) for i, out in succ.items() for j in out)), \
             (rows, k)
     assert pruned > 20
+
+
+def test_recode_time_follows_the_blocks():
+    # two k-blocks at every k: each length is built once from its halves,
+    # where extending every block by one symbol per step copied k^2 symbols
+    two_cycle = Sft.from_matrix([[0, 1], [1, 0]])
+    start = time.perf_counter()
+    rec = recode_to_one_step.__wrapped__(two_cycle, 200_000)
+    assert time.perf_counter() - start < 2.0
+    assert [blk[:3] for blk in rec.states] == [(0, 1, 0), (1, 0, 1)]
+    assert rec.edges() == ((0, 1), (1, 0))
 
 
 def test_recode_memory_is_linear_in_the_edges():

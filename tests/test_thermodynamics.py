@@ -13,8 +13,8 @@ import pytest
 from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, TIED_COMPONENTS,
                      mp_equilibrium, numpy_pressure, random_rational_values,
                      random_transitive_sft, tied_potential)
-from thermoshift import (InvalidArgumentError, NotTransitiveError, PotentialLC,
-                         Sft, UnderflowError, classify, equilibrium_markov,
+from thermoshift import (InvalidArgumentError, NotTransitiveError, NumericError,
+                         PotentialLC, Sft, UnderflowError, classify, equilibrium_markov,
                          get_potential, get_shift, parry_measure, potential_names,
                          pressure, recode_to_one_step)
 import thermoshift.spectral as spectral
@@ -146,6 +146,17 @@ def test_extreme_t_underflows_cleanly():
     with pytest.raises(UnderflowError):
         equilibrium_markov(get_potential("twofix"), t=2.0e4)
     with pytest.raises(UnderflowError):
+        pressure(get_potential("twofix"), t=2.0e4)
+
+
+def test_uncertified_solve_in_the_double_range_is_a_numeric_error(monkeypatch):
+    # neither the eigen solve nor the aggregation certifies: at t = 1 every
+    # scaled exponent lies in the double range, at t = 2e4 some leave it
+    monkeypatch.setattr(spectral, "_certify", lambda B, ok: (None, None, None, None, False))
+    monkeypatch.setattr(spectral.Transfer, "_tied", lambda self, *args: None)
+    with pytest.raises(NumericError, match="not certified in doubles"):
+        pressure(get_potential("twofix"), t=1.0)
+    with pytest.raises(UnderflowError, match="leaves the double range"):
         pressure(get_potential("twofix"), t=2.0e4)
 
 

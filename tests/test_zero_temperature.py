@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import thermoshift.spectral as spectral
+import thermoshift.zero_temperature as zero_temperature
 from oracles import (LOG_GOLDEN, TIED_COMPONENTS, brute_recoded_graph,
                      brute_weighted_automorphisms, random_rational_values,
                      random_transitive_sft, tied_potential)
 from thermoshift import (EmptyShiftError, InvalidArgumentError, NotTransitiveError,
-                         PotentialLC, Sft, classify, equilibrium_markov,
-                         get_potential, get_shift, ground_state_check,
+                         NumericError, PotentialLC, Sft, UnderflowError, classify,
+                         equilibrium_markov, get_potential, get_shift, ground_state_check,
                          is_transitive, pressure, recode_to_one_step,
                          symmetry_coefficients, zt_coefficients)
 from thermoshift.zero_temperature import _weighted_automorphisms
@@ -28,12 +29,10 @@ def test_non_finite_t_max_is_an_input_error():
 def test_sweeps_without_a_zero_temperature_limit_are_input_errors():
     # the limit is t -> +oo: t_max below 1 leaves the default schedule
     # empty, and t <= 0 runs toward the minimizing limit instead
-    for kwargs in ({"t_max": 0.5}, {"t_max": -4.0}, {"schedule": []},
-                   {"schedule": [-1.0, -2.0, -4.0]}, {"schedule": [1.0, 0.0, 2.0]},
-                   {"schedule": [1.0, math.nan]}, {"schedule": [1.0, math.inf]}):
+    for t_max in (0.5, -4.0):
         for name in ("threefix_a", "fix0"):
-            with pytest.raises(InvalidArgumentError, match="at least 1|t > 0"):
-                zt_coefficients(get_potential(name), method="sweep", **kwargs)
+            with pytest.raises(InvalidArgumentError, match="at least 1"):
+                zt_coefficients(get_potential(name), t_max=t_max, method="sweep")
     out = zt_coefficients(get_potential("threefix_a"), t_max=1.0, method="sweep")
     assert out.t_values == [1.0]
 
@@ -280,8 +279,32 @@ def test_classify_solves_each_face_component_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _solves_fail_from(monkeypatch, t_fail, error):
+    real = zero_temperature._solve
+
+    def solve(phi, t, what):
+        if t >= t_fail:
+            raise error(f"no solve at t={t}")
+        return real(phi, t, what)
+    monkeypatch.setattr(zero_temperature, "_solve", solve)
+
+
+def test_sweep_stops_at_the_first_failed_solve(monkeypatch):
+    _solves_fail_from(monkeypatch, 8.0, UnderflowError)
+    out = zt_coefficients(get_potential("threefix_a"), method="sweep")
+    assert out.t_values == [1.0, 2.0, 4.0]
+    assert any(f.startswith("sweep stopped at t=8.0") for f in out.flags)
+    assert sum(out.coefficients) == pytest.approx(1.0)
+
+
+def test_sweep_without_a_solve_is_a_numeric_error(monkeypatch):
+    _solves_fail_from(monkeypatch, 1.0, NumericError)
+    with pytest.raises(NumericError, match="produced no data"):
+        zt_coefficients(get_potential("threefix_a"), method="sweep")
+
+
 def test_short_schedule_reports_unconverged():
-    out = zt_coefficients(get_potential("twofix_skew"), schedule=[1.0])
+    out = zt_coefficients(get_potential("twofix_skew"), t_max=1.0)
     assert not out.converged
     assert "unconverged" in out.flags
 

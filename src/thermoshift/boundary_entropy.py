@@ -1,4 +1,4 @@
-"""Localized entropy inside and on the boundary of planar rotation sets.
+"""Localized entropy inside and on the boundary of rotation sets.
 
 Interior points go through Legendre duality: the maximal entropy at
 rotation vector w is inf_v [P(v . Phi) - v . w], minimized by a damped
@@ -166,11 +166,12 @@ def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES
                        poly: RotationPolytope | None = None) -> FaceCurve:
     """Entropy profile along the face of the rotation set exposed by alpha.
 
-    The face must be one-dimensional; its subshift components each
-    contribute a sampled equilibrium curve plus exact endpoint anchors.
+    The face must be one-dimensional: in m >= 3 alpha is any direction
+    that exposes an edge.  Its subshift components each contribute a
+    sampled equilibrium curve plus exact endpoint anchors.
     """
-    if Phi.m != 2:
-        raise UnsupportedDimensionError("face curves need a two-dimensional potential")
+    if Phi.m < 2:
+        raise UnsupportedDimensionError("face curves need a potential with m >= 2")
     if n_samples < 9:
         raise InvalidArgumentError("n_samples too small to resolve the face")
     n_samples |= 1      # odd count pins v = 0 on the grid
@@ -302,8 +303,6 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
     """
     import numpy as np
     from .thermodynamics import _measure
-    if Phi.m != 2:
-        raise UnsupportedDimensionError("interior duality implemented for m = 2")
     if poly is None:
         poly = rotation_set(Phi)
     side = poly.membership(tuple(_snap(x) for x in w))
@@ -312,7 +311,7 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
     w = np.array([float(x) for x in w])
     r = poly.affine_dim
     # rows: an orthonormal basis of the directions of the affine hull
-    Q = np.linalg.qr(np.array(poly.frame.basis, dtype=float).reshape(r, 2).T)[0].T
+    Q = np.linalg.qr(np.array(poly.frame.basis, dtype=float).reshape(r, Phi.m).T)[0].T
     X = np.array(Phi.state_values(), dtype=float)
     corners = np.array(poly.vertices, dtype=float)
     edges = Phi._recoded.edges()

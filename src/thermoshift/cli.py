@@ -289,7 +289,7 @@ def _curve_rows(curve, n: int) -> list:
         q = hull[j + 1] if 0 <= j < len(hull) - 1 and abs(p.s - s) >= 1e-12 else p
         prov = str(p.comp) if p.comp == q.comp else "bridge"
         w = tuple(a + s * (b - a) for a, b in zip(e0, e1))
-        rows.append([s, w[0], w[1], float(height), prov])
+        rows.append([s, *w, float(height), prov])
     return rows
 
 
@@ -297,8 +297,6 @@ def _cmd_facecurve(args) -> int:
     # numpy loads only when a face component needs a sampled curve
     from .boundary_entropy import differentiability_scan, face_entropy_curve
     phi = _resolve_potential(args)
-    if phi.m != 2:
-        raise InvalidArgumentError("facecurve needs a potential with m = 2")
     exact = phi.mode == "exact" and args.mode != "float"
     alpha = _parse_alpha(args.alpha, exact)
     curve = face_entropy_curve(phi, alpha, n_samples=args.samples)
@@ -325,7 +323,8 @@ def _cmd_facecurve(args) -> int:
         "kink_margin": scan.excluded_margin,
         "smooth": scan.smooth,
     }
-    header = ["s", "w_x", "w_y", "h_envelope", "component_id_or_bridge"]
+    axes = ("x", "y", "z", *range(4, phi.m + 1))[:phi.m]
+    header = ["s", *(f"w_{a}" for a in axes), "h_envelope", "component_id_or_bridge"]
     rows = _curve_rows(curve, args.samples)
     payload["csv_header"] = header
     payload["rows"] = rows
@@ -421,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("facecurve", help="entropy envelope along a face")
     _add_common(sp, with_potential=True)
     sp.add_argument("--alpha", required=True,
-                    help="face direction as comma-separated components, e.g. "
-                         "0,-1 or -2,1 (a facet normal that rotset prints)")
+                    help="direction exposing an edge, e.g. 0,-1 or -2,1: a facet "
+                         "normal that rotset prints (m = 2), or the sum of the "
+                         "normals of two facets that share the edge (m >= 3)")
     sp.add_argument("--samples", type=int, default=201,
                     help="dual grid size per component (default 201)")
 

@@ -433,8 +433,11 @@ def recode_to_one_step(sft: Sft, k: int) -> RecodedSft:
             e >>= 1
             if e:
                 power = [[sum(map(mul, r, col)) for col in zip(*power)] for r in power]
-        if sum(row) > RECODE_STATE_CAP:
-            raise ResourceLimitError(f"the {k}-block recoding has {sum(row)} states, "
+        count = sum(row)
+        if count > RECODE_STATE_CAP:
+            # str() refuses ints of over 4300 digits; a bit length never fails
+            size = count if count.bit_length() <= 1024 else f"at least 2^{count.bit_length() - 1}"
+            raise ResourceLimitError(f"the {k}-block recoding has {size} states, "
                                      f"over cap {RECODE_STATE_CAP}")
     built = {1: [[(s,)] for s in range(sft.d)]}
 

@@ -30,7 +30,7 @@ class ResourceLimitError(ThermoshiftError):
 
 
 class UnsupportedDimensionError(InvalidArgumentError):
-    """The operation is implemented only for two-dimensional potentials."""
+    """The operation is not defined for the potential's dimension m."""
 
 
 class OutOfDomainError(InvalidArgumentError):

@@ -482,10 +482,11 @@ def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
     subtraction; the shift c is chosen from the other eigenvalues mu
     (over lam) to contract fastest.  Modes that contract by less than
     half in two steps (nearly uncoupled parts) would need about 1/gap
-    steps, and with them a small excess bounds the error only by about
-    excess / gap: once the other modes are gone (the excess is certified
-    or stalls), the filter (B - m lam I) removes each such m, at a
-    cancellation cost of lam / |lam - m|.  A lane fails if that fails.  An
+    steps, and with them a small excess bounds the error in mode m only
+    by about excess / |1 - m|: once the other modes are gone, the filter
+    (B - m lam I) removes, at a cancellation cost of lam / |lam - m|,
+    every such m where the excess stalls, and where it is certified each
+    m whose bound misses _CW_TOL.  A lane fails if that fails.  An
     excess below _ROUNDING needs no filter: no filter improves on it.  The
     lanes take the same steps and leave the stack when done; each lane's
     slow modes are filtered on their own.
@@ -515,12 +516,13 @@ def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
         gone = done | ~ok
         new = By + cl * y if step % 2 else By
         if pending:
-            flat = ok & slow.any(axis=-1) & (done & (excess > _ROUNDING) | (excess > 0.9 * older))
+            need = slow & (~done[..., None] | (excess[..., None] > _CW_TOL * np.abs(1.0 - mu)))
+            flat = ok & need.any(axis=-1) & (done & (excess > _ROUNDING) | (excess > 0.9 * older))
             if np.count_nonzero(flat):
                 done, gone = done & ~flat, np.array(gone & ~flat)
                 for i in np.ndindex(flat.shape):   # () for one solve
                     if flat[i]:
-                        new[i] = _deflate(B[i], y[i], lam[i], mu[i][slow[i]])
+                        new[i] = _deflate(B[i], y[i], lam[i], mu[i][need[i]])
                         gone[i] = not new[i].min() > 0.0
                         slow[i] = False
                 pending = np.count_nonzero(slow)

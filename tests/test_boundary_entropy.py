@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -313,6 +313,54 @@ def test_face_curves_match_the_per_component_oracle():
     assert kinds[True, "point"] > 100 and kinds[False, "point"] and kinds[False, "anchor"]
 
 
+def _seeded_potentials(count, seed, m):
+    """count exact potentials in dimension m with values in {-2..2}^m, on
+    full and random transitive shifts with k = 1 or 2, whose rotation sets
+    are not a point."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sft = random_transitive_sft(rng) if rng.random() < 0.5 else Sft.full(rng.choice((2, 3)))
+        k = rng.choice((1, 2))
+        vals = {b: tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
+                for b in recode_to_one_step(sft, k).states}
+        Phi = PotentialLC.from_block_values(sft, k, vals, m=m)
+        if rotation_set(Phi).affine_dim:
+            out.append(Phi)
+    return out
+
+
+def test_edge_curves_in_three_dimensions_match_their_planar_image():
+    # an edge of a 3-d rotation set, exposed by the sum of the normals of
+    # the two facets through it, against its image under w -> (alpha . w,
+    # T . w) for its tangent T: the same face, the same tangential
+    # coordinates, so every point and the hull agree bit for bit.  A facet
+    # normal exposes a 2-face
+    def bits(points):
+        return [(p.s.hex(), p.h.hex(), p.comp, p.kind, p.idx) for p in points]
+
+    edges = 0
+    for Phi in _seeded_potentials(100, 2626, 3):
+        poly = rotation_set(Phi)
+        if poly.affine_dim != 3:
+            continue
+        with pytest.raises(InvalidArgumentError, match="non-segment"):
+            face_entropy_curve(Phi, poly.facets[0].normal, poly=poly)
+        for f, g in combinations(poly.facets, 2):
+            if len(set(f.vertex_ids) & set(g.vertex_ids)) < 2:
+                continue
+            alpha = tuple(a + b for a, b in zip(f.normal, g.normal))
+            curve = face_entropy_curve(Phi, alpha, n_samples=21, poly=poly)
+            image = PotentialLC.from_block_values(Phi.sft, Phi.k, {
+                b: tuple(sum(a * x for a, x in zip(d, v)) for d in (alpha, curve.tangent))
+                for b, v in Phi.values.items()}, m=2)
+            want = face_entropy_curve(image, (1, 0), n_samples=21)
+            assert bits(curve.points) == bits(want.points)
+            assert bits(curve.hull) == bits(want.hull)
+            edges += 1
+    assert edges >= 300
+
+
 def test_cycle_face_curve_runs_only_the_face_pass(max_plus_passes, scc_splits):
     # fixed points at the corners of a triangle and every other 2-block
     # inside it: each edge of the triangle is the face of two fixed points,
@@ -480,11 +528,24 @@ def test_interior_entropy_on_a_segment():
     assert h == pytest.approx(want, abs=1e-8)
 
 
+def _tetrahedron_potential():
+    """m = 3 on full3 with k = 2: the fixed points 0, 1, 2 at the origin, e1
+    and e2, the 2-cycle 01 at e3 and the other blocks at the origin, so
+    that the rotation set is the simplex of 0, e1, e2 and e3."""
+    corners = {(1, 1): (1, 0, 0), (2, 2): (0, 1, 0), (0, 1): (0, 0, 1), (1, 0): (0, 0, 1)}
+    return PotentialLC.from_block_values(
+        Sft.full(3), 2, {b: corners.get(b, (0, 0, 0)) for b in product(range(3), repeat=2)},
+        m=3)
+
+
 @pytest.mark.parametrize("Phi, w", [
     (get_potential("trivec"), (Fraction(1, 2), Fraction(1, 3))),
     (get_potential("trivec"), (Fraction(1, 4), Fraction(1, 10))),
     (get_potential("kinkvec"), (Fraction(1, 2), Fraction(1, 2))),
     (_segment_potential(), (Fraction(1, 3), Fraction(2, 3))),
+    (get_potential("gold0"), (Fraction(1, 2),)),
+    (get_potential("hubmax"), (Fraction(3, 2),)),
+    (_tetrahedron_potential(), (Fraction(1, 4), Fraction(1, 5), Fraction(1, 6))),
 ])
 def test_interior_certificate(Phi, w):
     # the measure has rotation vector w, and h = P(v . Phi) - v . w with
@@ -494,6 +555,18 @@ def test_interior_certificate(Phi, w):
     tilted = {b: sum(a * float(x) for a, x in zip(v, vec)) for b, vec in Phi.values.items()}
     P = numpy_pressure(Phi.sft.transition, tilted, Phi.k, 1.0)
     assert h == pytest.approx(P - sum(a * float(x) for a, x in zip(v, w)), abs=1e-9)
+
+
+def test_interior_entropy_in_every_dimension():
+    # at the vertex centroids of 120 seeded rotation sets in m = 1 and
+    # m = 3, the measure hits w and its entropy is the dual value
+    for m in (1, 3):
+        for Phi in _seeded_potentials(60, 1313, m):
+            poly = rotation_set(Phi)
+            w = tuple(sum(x) / len(x) for x in zip(*poly.vertices))
+            h, v, mu = localized_entropy_interior(Phi, w, poly=poly)
+            assert all(abs(r - float(x)) <= 1e-7 for r, x in zip(mu.rotation_vector(Phi), w))
+            assert h == pytest.approx(mu.entropy, abs=1e-8)
 
 
 @pytest.mark.parametrize("name, w, solves", [

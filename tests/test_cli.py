@@ -160,6 +160,29 @@ def test_facecurve_takes_negative_directions(capsys):
     assert negative >= 2
 
 
+def test_facecurve_in_three_dimensions(capsys, tmp_path):
+    # the simplex of 0, e1, e2 and e3: its edge from 0 to e1 is exposed by
+    # (0,-1,0) + (0,0,-1), the normals of the two facets through it; a facet
+    # normal exposes a triangle, and an m = 1 potential has no edges
+    pot = tmp_path / "simplex.json"
+    corners = {"11": ["1", "0", "0"], "22": ["0", "1", "0"], "01": ["0", "0", "1"],
+               "10": ["0", "0", "1"]}
+    pot.write_text(json.dumps({"k": 2, "m": 3, "values": {
+        f"{a}{b}": corners.get(f"{a}{b}", ["0", "0", "0"]) for a in "012" for b in "012"}}))
+    pay = run_json(capsys, "facecurve", "--shift", "full3", "--potential", str(pot),
+                   "--alpha", "0,-1,-1", "--samples", "11", "--out", str(tmp_path))["payload"]
+    assert pay["endpoints"] == [["0", "0", "0"], ["1", "0", "0"]]
+    rows = list(csv.reader(io.StringIO((tmp_path / "facecurve.csv").read_text())))
+    assert rows[0] == ["s", "w_x", "w_y", "w_z", "h_envelope", "component_id_or_bridge"]
+    assert [[float(x) for x in r[:4]] for r in rows[1:]] == [[i / 10, i / 10, 0.0, 0.0]
+                                                             for i in range(11)]
+    rc, _, err = run(capsys, "facecurve", "--shift", "full3", "--potential", str(pot),
+                     "--alpha", "0,-1,0")
+    assert rc == 2 and "non-segment face" in err
+    rc, _, err = run(capsys, "facecurve", "--potential", "fix0", "--alpha", "1")
+    assert rc == 2 and "m >= 2" in err
+
+
 def test_curve_rows_bisect_the_hull_once_each(monkeypatch):
     # a curve lists its hull abscissae once; each CSV row bisects them once
     # and reads its height and provenance from that one bisection
@@ -255,7 +278,9 @@ def test_window_over_the_state_cap_exits_2(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     env[CACHE_ENV] = "off"
+    # a block count of 6021 digits is worded by its bit length: str() refuses it
     for args in (["orbits", "--shift", "full2", "--k", "64"],
+                 ["orbits", "--shift", "full2", "--k", "20000"],
                  ["classify", "--shift", "full2", "--potential", str(pot)]):
         got = subprocess.run([sys.executable, "-m", "thermoshift.cli", *args],
                              env=env, capture_output=True, text=True, timeout=60,

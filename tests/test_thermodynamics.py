@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import (GOLDEN, LOG_GOLDEN, LOG_SILVER, TIED_COMPONENTS,
-                     mp_equilibrium, numpy_pressure, random_rational_values,
-                     random_transitive_sft, tied_potential)
+                     longdouble_equilibrium, mp_equilibrium, numpy_pressure,
+                     random_rational_values, random_transitive_sft, tied_potential)
 from thermoshift import (InvalidArgumentError, NotTransitiveError, NumericError,
                          PotentialLC, Sft, UnderflowError, classify, equilibrium_markov,
                          get_potential, get_shift, parry_measure, potential_names,
@@ -318,6 +318,23 @@ def test_nearly_uncoupled_fixed_points_stay_in_doubles():
     for t in (4.0, 5.0):
         mu, gap = _assert_matches_oracle(phi, values, t)
         assert GAP_FLOOR < gap < 1e-3 and mu.precision == "double"
+
+
+def test_a_certified_start_keeps_its_slow_modes():
+    # full2 at k = 10 with seeded values: the start certifies to 6.2e-15
+    # with a gap of 0.068, which bounds each slow mode's error below
+    # _CW_TOL; filtering all 26 slow modes anyway broke its positivity
+    rng = random.Random(15)
+    blocks = recode_to_one_step(Sft.full(2), 10).states
+    phi = PotentialLC.from_block_values(Sft.full(2), 10, {b: rng.randint(-5, 5) for b in blocks})
+    mu = equilibrium_markov(phi, 1.0)
+    recoded = phi._recoded
+    src, dst = np.array(recoded.edges()).T
+    # eps 1.1e-19 where longdouble is x87 extended; no better than the engine where it is double
+    p, K = longdouble_equilibrium(recoded.n, recoded.edges(),
+                                  [float(v[0]) for v in phi.state_values()], 1.0)
+    assert np.all(np.abs(mu.stationary - p) <= 1e-12 * p)
+    assert np.all(np.abs(mu.transition[src, dst] - K) <= 1e-12 * K)
 
 
 @pytest.mark.parametrize("t", [4.0, 16.0])

@@ -94,8 +94,8 @@ class FaceComponent:
         n = len(self.matrix)
         if self.is_cycle:       # root 1, uniform measure, gap 2 sin(pi/n) clamped to 1
             return PerronSolve(0.0, 1.0 if n <= 6 else 2.0 * math.sin(math.pi / n),
-                               lambda: (np.array(self.matrix, dtype=float),
-                                        np.full(n, 1.0 / n), np.full(n, -math.log(n))))
+                               lambda: (np.full(n, 1.0 / n), np.full(n, -math.log(n))),
+                               lambda: np.array(self.matrix, dtype=float))
         return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()
 
     @functools.cached_property

@@ -32,7 +32,6 @@ _CW_TOL = 1e-13          # accepted Collatz-Wielandt excess of the vector
 _POLISH_STEPS = 500      # bound on subtraction-free polishing steps
 _SHIFTS = np.array([0.0, 0.125, 0.5, 1.0])   # candidate power-step shifts
 _AGG_ROUNDS = 8          # bound on aggregation rounds
-_ROW_TIE = 1e-14         # row maxima of a coupling matrix this close are one top
 _ROUNDING = 1e-15        # a Collatz-Wielandt excess that rounding alone explains
 
 
@@ -40,20 +39,24 @@ class PerronSolve:
     """Perron data of the transfer matrix exp(t * w[a]) on edges a -> b:
     the log root, ``gap`` (the relative distance from the root to the rest
     of the spectrum, at most 1, estimated from the coupling matrix after
-    aggregation) and, formed by ``chain()`` when first read, so that a
-    pressure pays for the root alone, the Markov kernel it induces, its
-    stationary vector and the log of that vector, which keeps the masses
-    that underflow.  Every solve runs in doubles."""
+    aggregation) and, each formed when first read, so that a pressure pays
+    for the root alone and a sweep step for the masses alone, the Markov
+    kernel it induces (``kernel()``) and its stationary vector with the
+    log of that vector, which keeps the masses that underflow
+    (``masses()``).  Every solve runs in doubles."""
 
     precision = "double"
 
-    def __init__(self, log_lam: float, gap: float, chain):
-        self.log_lam, self.gap, self._chain = log_lam, gap, chain
+    def __init__(self, log_lam: float, gap: float, masses, kernel):
+        self.log_lam, self.gap, self._masses, self._kernel = log_lam, gap, masses, kernel
 
     def __getattr__(self, name):
-        if name not in ("transition", "stationary", "log_stationary"):
+        if name == "transition":
+            self.transition = self._kernel()
+        elif name in ("stationary", "log_stationary"):
+            self.stationary, self.log_stationary = self._masses()
+        else:
             raise AttributeError(name)
-        self.transition, self.stationary, self.log_stationary = self._chain()
         return getattr(self, name)
 
 
@@ -100,33 +103,39 @@ class Transfer:
     def solve(self, t: float = 1.0) -> PerronSolve:
         """The Perron data of exp(t * w), as ``perron`` describes it: the
         right problem now, the left one when the masses are first read."""
-        right, left = (t * x for x in self.exponents)
+        right = t * self.exponents[0]
         n, (src, dst) = self.n, self.ends
         B, ok = _scale(right, src, dst, n)
         lam, y, gap, mu, direct = _certify(B, ok)
-        got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right)
+        got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right, lam)
         if not got:
             raise _unsolved(t, right)
         lam, y, gap, delta = got
 
-        def chain():
+        def masses():
+            left = t * self.exponents[1]
             A, ok = _scale(left, dst, src, n)
             u, done = _polish(A, _start(A, lam, ok & direct), lam, mu, ok & direct)
             got = (None, u) if done else ok and self._tied(1, A, left, right, delta)
             if not got:
                 raise _unsolved(t, left)
-            return (_kernel(right, lam, y, src, dst, n),
-                    *_masses(t * self.potentials[0] + np.log(got[1]) + np.log(y)))
+            return _masses(t * self.potentials[0] + np.log(got[1]) + np.log(y))
 
-        return PerronSolve(math.log(lam) + t * self._shift, gap, chain)
+        return PerronSolve(math.log(lam) + t * self._shift, gap, masses,
+                           lambda: _kernel(right, lam, y, src, dst, n))
 
-    def _tied(self, side, B, s, right, delta=0.0):
+    def _tied(self, side, B, s, right, start):
         """``_aggregate`` of B, the scaled right problem (side 0) or the
-        transposed left one (side 1) with log entries s on the edges, from
-        delta, over the classes of the edges whose log entries in the right
-        problem are within GAP_FLOOR of 0: the critical classes,
-        and a cycle that nearly ties at this t (a near tie).  Their frames
-        (``_frame``) are kept per set of edges."""
+        transposed left one (side 1) with log entries s on the edges, over
+        the classes of the edges whose log entries in the right problem are
+        within GAP_FLOOR of 0: the critical classes, and a cycle that
+        nearly ties at this t (a near tie).  Their frames (``_frame``) are
+        kept per set of edges.  A right problem whose classes are all
+        single states starts from delta = start - rho, start the root its
+        eigenvalue solve found, where that exceeds rounding (_CW_TOL start):
+        its rounds settle on the double rho + delta, which that root mostly
+        is already.  Any other starts from 0, and the left one from delta =
+        start, the offset its right problem settled on."""
         near = right > -GAP_FLOOR
         key = near.tobytes()
         if key not in self._frames:
@@ -134,7 +143,13 @@ class Transfer:
             self._frames[key] = _frame(self.n, self.potentials[1] if inner == self._tight
                                        else classes, inner, self.edges)
         frame = self._frames[key]
-        return frame and _aggregate(B, frame[side], s, delta)
+        if not frame:
+            return None
+        if not side:
+            rho, shaped = frame[0][0], frame[0][-1]
+            delta = float(start) - rho
+            start = delta if delta > _CW_TOL * start and not shaped else 0.0
+        return _aggregate(B, frame[side], s, start)
 
 
 def _unsolved(t, s):
@@ -245,15 +260,16 @@ def _scale(s: np.ndarray, src, dst, n: int):
     return B, ok
 
 
-def _certify(B: np.ndarray, ok=True):
-    """(lam, y, gap, mu, ok) of B: one eigenvalue solve gives the root, the
-    relative gap and the other eigenvalues over the root (mu, the root's
-    own entry 0); y starts from ``_start`` and ``_polish`` certifies it
-    where the gap is at least GAP_FLOOR (ok)."""
+def _certify(B: np.ndarray, ok=True, least=1.0):
+    """(lam, y, gap, mu, ok) of B: one eigenvalue solve gives the root, at
+    least ``least``, a lower bound of it (1 where B has a cycle of 1s),
+    the relative gap and the other eigenvalues over the root (mu, the
+    root's own entry 0); y starts from ``_start`` and ``_polish``
+    certifies it where the gap is at least GAP_FLOOR (ok)."""
     evals = np.linalg.eigvals(B)
     i = evals.real.argmax(axis=-1)
     lanes = _lanes(i)
-    lam = np.maximum(evals[(*lanes, i)].real, 1.0)     # B has a cycle of 1s
+    lam = np.maximum(evals[(*lanes, i)].real, least)
     mu = evals / lam[..., None]
     mu[(*lanes, i)] = 0.0           # the root's own mode: every step removes it
     gap = np.abs(mu - 1.0).min(axis=-1, initial=1.0)
@@ -381,8 +397,11 @@ def _aggregate(B: np.ndarray, frame, e, delta: float = 0.0):
     of B on the edges to full relative accuracy: a class that nearly ties,
     or that float weights tie only to TIGHT_TOL, falls short of its A_i by
     D, and d_i = l_i D_ii u_i takes that out exactly (C plus max(d) - d on
-    its diagonal is nonnegative).  lam = rho + delta; the rounds start from
-    delta, the root the right problem found.
+    its diagonal is nonnegative).  lam = rho + delta.  The rounds start
+    from delta (``Transfer._tied``) and stop once delta and the shapes
+    change by at most _CW_TOL relative, or, where every class is a single
+    state, once rho + delta repeats in doubles: the next round's pivots, E,
+    C and coupling would repeat bit for bit.
     """
     rho, ix, back, tight, inner, of, L, member, s, shaped = frame
     m = len(s)
@@ -420,7 +439,8 @@ def _aggregate(B: np.ndarray, frame, e, delta: float = 0.0):
             bordered[:k, k], bordered[k, :k] = si, li
             rhs = np.append(f[cut] / c[i] + Eii @ si - new_delta * si, 0.0)
             new_u[cut] = si + np.linalg.solve(bordered, rhs)[:k]
-        done = (abs(new_delta - delta) <= _CW_TOL * new_root
+        done = (not shaped and rho + new_delta == rho + delta
+                or abs(new_delta - delta) <= _CW_TOL * new_root
                 and (np.abs(new_u - u) <= _CW_TOL * u).all())
         delta, u = new_delta, new_u
         if done:
@@ -439,17 +459,29 @@ def _aggregate(B: np.ndarray, frame, e, delta: float = 0.0):
 
 def _coupling(C: np.ndarray):
     """(delta, c, gap): the Perron root, right vector and relative gap
-    of a coupling matrix C of ``_aggregate``, or None.  Where the rows
-    of C share their largest entry to _ROW_TIE (the transfer's balanced
-    potentials mostly leave it so), C / max(C) has a flat max-plus
-    eigenvector and a cycle of 1s to rounding, and is solved as it is:
-    its root is at least its least row maximum, so the clamp of
-    ``_certify`` at 1 errs by less than _ROW_TIE.  Otherwise, or if its
-    own gap collapses, C is scaled by an exact max-plus pass and solved
-    by the same engine, aggregating recursively."""
+    of a coupling matrix C of ``_aggregate``, or None.  A 2 x 2 C = [[a,
+    b], [c, d]] takes its closed form, free of subtraction: with h = |a -
+    d| / 2 and q = hypot(h, sqrt(b c)), delta = max(a, d) + b c / (h + q),
+    the vector is (1, c / (h + q)) where a >= d and (b / (h + q), 1)
+    otherwise, and the gap is 2 q / delta, at most 1.  Where the row
+    maxima of a larger C agree to GAP_FLOOR (the transfer's balanced
+    potentials mostly leave them so), C / max(C) is solved as it is: its
+    root is at least its least row sum, where ``_certify`` clamps it.
+    Otherwise, or if that does not certify, C is scaled by an exact
+    max-plus pass and solved by the same engine, aggregating
+    recursively."""
+    if len(C) == 2:
+        (a, b), (c, d) = C.tolist()
+        if not (b > 0.0 and c > 0.0):
+            return None                 # a coupling underflowed
+        h, bc = abs(a - d) / 2.0, math.sqrt(b) * math.sqrt(c)
+        q = math.hypot(h, bc)
+        lam = max(a, d) + bc * (bc / (h + q))
+        vec = (1.0, c / (h + q)) if a >= d else (b / (h + q), 1.0)
+        return lam, np.array(vec), min(1.0, 2.0 * q / lam)
     top = float(C.max())
-    if top > 0.0 and C.max(axis=1).min() >= (1.0 - _ROW_TIE) * top:
-        lam, c, gap, _, ok = _certify(C / top)
+    if top > 0.0 and C.max(axis=1).min() >= (1.0 - GAP_FLOOR) * top:
+        lam, c, gap, _, ok = _certify(C / top, True, C.sum(axis=1).min() / top)
         if ok:
             return float(lam) * top, c, float(gap)
     W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)

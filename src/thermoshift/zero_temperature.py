@@ -208,14 +208,14 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
     """
     if not 1.0 <= t_max < math.inf:
         raise InvalidArgumentError(f"t_max must be finite and at least 1, got {t_max}")
+    if method not in ("auto", "symmetry", "sweep"):
+        raise InvalidArgumentError(f"unknown method {method!r}")
     res = classify(phi)
     ids = res.max_entropy_ids
     if res.case != CASE_MULTI_COMPONENT:
         limit = res.limit
         return ZtCoefficients(res.case, ids, (Fraction(1),), "trivial",
                               limit=limit)
-    if method not in ("auto", "symmetry", "sweep"):
-        raise InvalidArgumentError(f"unknown method {method!r}")
     if method in ("auto", "symmetry"):
         sym = symmetry_coefficients(phi, res)
         if sym is not None:

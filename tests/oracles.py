@@ -338,28 +338,35 @@ def longdouble_equilibrium(n: int, edges, weights, t: float):
     right and left vectors, each step shifted by the largest
     Collatz-Wielandt ratio, in np.longdouble until those ratios agree to
     100 eps, within 100000 steps.  That bounds each entry's error only by about 100 eps / gap,
-    so it cannot split tied critical classes.  Where longdouble is double,
-    it is no more accurate than the engine it checks."""
+    so it cannot split tied critical classes: it runs from two positive
+    starts and refuses masses on which they disagree beyond 1e-12
+    relative.  Where longdouble is double, it is no more accurate than
+    the engine it checks."""
     src, dst = np.array(edges).T
     w = np.array(weights, dtype=np.longdouble) * t
     M = np.exp(w - w.max())[src]
-    vecs = []
-    for a, b in ((src, dst), (dst, src)):
-        x = np.ones(n, dtype=np.longdouble)
-        for _ in range(100000):
-            y = np.zeros(n, dtype=np.longdouble)
-            np.add.at(y, a, M * x[b])
-            r = y / x
-            if r.max() / r.min() - 1 <= 100 * np.finfo(np.longdouble).eps:
-                break
-            y += r.max() * x
-            x = y / y.max()
-        else:
-            raise AssertionError("power iteration did not converge")
-        vecs.append(x)
-    y, u = vecs
-    p = u * y
-    return p / p.sum(), M * y[dst] / (r.max() * y[src])
+    runs = []
+    for start in (np.ones(n, dtype=np.longdouble), np.linspace(1, 2, n, dtype=np.longdouble)):
+        vecs = []
+        for a, b in ((src, dst), (dst, src)):
+            x = start
+            for _ in range(100000):
+                y = np.zeros(n, dtype=np.longdouble)
+                np.add.at(y, a, M * x[b])
+                r = y / x
+                if r.max() / r.min() - 1 <= 100 * np.finfo(np.longdouble).eps:
+                    break
+                y += r.max() * x
+                x = y / y.max()
+            else:
+                raise AssertionError("power iteration did not converge")
+            vecs.append(x)
+        y, u = vecs
+        runs.append((u * y / (u * y).sum(), M * y[dst] / (r.max() * y[src])))
+    (p, K), (q, _) = runs
+    if not np.all(np.abs(p - q) <= 1e-12 * p):
+        raise AssertionError("the two starts disagree: the masses are not settled")
+    return p, K
 
 
 def dual_grid_entropy(transition, values: dict, k: int, w, lo=-10.0, hi=10.0,

@@ -337,6 +337,17 @@ def test_a_certified_start_keeps_its_slow_modes():
     assert np.all(np.abs(mu.transition[src, dst] - K) <= 1e-12 * K)
 
 
+@pytest.mark.parametrize("t", [16.0, 32.0])
+def test_the_long_double_oracle_refuses_an_unsettled_split(t):
+    # threefix_a's three fixed points decouple: each start meets the
+    # Collatz-Wielandt stop long before the split between them settles,
+    # and the two starts disagree on it
+    phi = get_potential("threefix_a")
+    rec = phi._recoded
+    with pytest.raises(AssertionError, match="the two starts disagree"):
+        longdouble_equilibrium(rec.n, rec.edges(), [float(v[0]) for v in phi.state_values()], t)
+
+
 @pytest.mark.parametrize("t", [4.0, 16.0])
 @pytest.mark.parametrize("eps", ["1/10000000", "1/1000000000"])
 def test_near_ties_match_the_oracle_in_doubles(eps, t):
@@ -529,8 +540,22 @@ def test_coupling_rows_sharing_their_top_skip_the_max_plus_pass(monkeypatch,
 @pytest.mark.parametrize("C, delta, c", [
     # the rows do not share their top
     ([[1.0, 0.5], [0.25, 0.5]], (3.0 + math.sqrt(3.0)) / 4.0, (1.0, (math.sqrt(3.0) - 1.0) / 2.0)),
-    # they do, but the gap collapses: the pass finds two classes, which aggregate
+    # they do, but the gap collapses
     ([[1.0, 1e-20], [1e-20, 1.0]], 1.0, (1.0, 1.0)),
+], ids=["rows without a shared top", "collapsed gap"])
+def test_two_by_two_coupling_matrices_take_the_closed_form(coupling_passes, C, delta, c):
+    got_delta, got_c, _ = spectral._coupling(np.array(C))
+    assert not coupling_passes
+    assert got_delta == pytest.approx(delta, rel=1e-14)
+    assert got_c / got_c[0] == pytest.approx(c, rel=1e-14)
+
+
+@pytest.mark.parametrize("C, delta, c", [
+    # diag(1, 2, 4)^-1 J diag(1, 2, 4), J all ones: row maxima 4, 2 and 1
+    ([[1.0, 2.0, 4.0], [0.5, 1.0, 2.0], [0.25, 0.5, 1.0]], 3.0, (1.0, 0.5, 0.25)),
+    # the rows share their top, but the gap collapses: the pass finds
+    # three classes, which aggregate
+    ([[1.0, 1e-20, 1e-20], [1e-20, 1.0, 1e-20], [1e-20, 1e-20, 1.0]], 1.0, (1.0, 1.0, 1.0)),
 ], ids=["rows without a shared top", "collapsed gap"])
 def test_coupling_matrices_outside_the_direct_case_take_the_exact_pass(
         coupling_passes, C, delta, c):
@@ -538,6 +563,125 @@ def test_coupling_matrices_outside_the_direct_case_take_the_exact_pass(
     assert len(coupling_passes) == 1
     assert got_delta == pytest.approx(delta, rel=1e-14)
     assert got_c / got_c[0] == pytest.approx(c, rel=1e-14)
+
+
+def test_tied_solves_take_one_coupling_round_where_one_settles(monkeypatch, coupling_passes):
+    # a round whose classes are single states stops once rho + delta
+    # repeats, and the right problem starts from the root its eigenvalue
+    # solve found: from t = 16 the three fixed points of each threefix
+    # settle in one round per side; at t = 4 and 8 threefix_c's coupling
+    # rows agree to GAP_FLOOR and need no exact pass
+    rounds = []
+    coupling = spectral._coupling
+    monkeypatch.setattr(spectral, "_coupling", lambda C: rounds.append(len(C)) or coupling(C))
+    for name in ("threefix_a", "threefix_b", "threefix_c"):
+        phi = get_potential(name)
+        phi._transfer                   # the transfer's own pass is not counted
+        coupling_passes.clear()
+        for t in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0):
+            rounds.clear()
+            phi._transfer.solve(t).stationary
+            assert len(rounds) == 2 or t < 16.0 and 2 <= len(rounds) <= 3, (name, t, rounds)
+        assert not coupling_passes, name
+
+
+def _aggregate_by_the_old_rule(B, frame, e, delta=0.0):
+    """``spectral._aggregate`` as it ran with the old round rule: every
+    round, single-state classes too, stops only once delta and the shapes
+    change by at most _CW_TOL relative."""
+    rho, ix, back, tight, inner, of, L, member, s, shaped = frame
+    m = len(s)
+    on, row, col = tight
+    B0 = B[ix]
+    B0[row, col] = 0.0
+    D = np.zeros((m, m))
+    D[row, col] = -np.expm1(e[on])
+    deficits, u = D.any(), s
+    for _ in range(spectral._AGG_ROUNDS):
+        S = B0.copy()
+        for k in range(len(B) - 1, m - 1, -1):
+            piv = rho + delta - S[k, k]
+            if not piv > 0.0:
+                return None
+            S[k, :k] /= piv
+            S[:k, :k] += S[:k, k, None] * S[k, :k]
+        E = S[:m, :m]
+        U = member * u[:, None]
+        C, shift = L @ E @ U, 0.0
+        if deficits:
+            d = (L @ D @ U).diagonal()
+            C, shift = C + np.diag(d.max() - d), d.max()
+        got = spectral._coupling(C)
+        if got is None:
+            return None
+        new_root, c, gap = got
+        new_delta = new_root - shift
+        f = np.where(inner, 0.0, E) @ (c[of] * u)
+        new_u = s.copy()
+        for i, cut, si, li, base, eye in shaped:
+            k, Eii = len(si), E[cut, cut] - D[cut, cut]
+            bordered = np.zeros((k + 1, k + 1))
+            bordered[:k, :k] = base + (new_delta * eye - Eii)
+            bordered[:k, k], bordered[k, :k] = si, li
+            rhs = np.append(f[cut] / c[i] + Eii @ si - new_delta * si, 0.0)
+            new_u[cut] = si + np.linalg.solve(bordered, rhs)[:k]
+        done = (abs(new_delta - delta) <= spectral._CW_TOL * new_root
+                and (np.abs(new_u - u) <= spectral._CW_TOL * u).all())
+        delta, u = new_delta, new_u
+        if done:
+            break
+    else:
+        return None
+    x = np.concatenate([c[of] * u, np.zeros(len(B) - m)])
+    for k in range(m, len(B)):
+        x[k] = S[k, :k] @ x[:k]
+    y = x[back]
+    r = B @ y / y
+    if not (y.min() > 0.0 and r.max() / r.min() - 1.0 <= spectral._CW_TOL):
+        return None
+    return rho + delta, y, gap * new_root / (rho + delta), delta
+
+
+def test_the_round_rule_changes_no_bit(monkeypatch):
+    # the warm start, the exact stop of single-state rounds and the kernel
+    # formed when read give the bits of the old rule, which starts the
+    # right problem from delta = 0 and stops only on _CW_TOL: solves of
+    # the oracle tests, of the builtins and planted ties, and of seeded
+    # potentials from t = 2 to 128, and the sweeps of the ties
+    from thermoshift import zt_coefficients
+    phis = [get_potential(name) for name in potential_names() if get_potential(name).m == 1]
+    phis += [tied_potential(name)[0] for name in TIED_COMPONENTS]
+    seeded = _seeded_scalar_potentials(400, 21)
+    sweeps = [phi for phi in phis if classify(phi).case == "MultiComponent"]
+    rounds = []
+    coupling = spectral._coupling
+    monkeypatch.setattr(spectral, "_coupling", lambda C: rounds.append(1) or coupling(C))
+
+    def run():
+        rounds.clear()
+        out = []
+        for phi, t in [*_oracle_solves(), *((phi, 2.0 ** j) for phi in phis for j in range(-2, 8)),
+                       *((phi, 2.0 ** j) for phi in seeded for j in range(1, 8))]:
+            try:
+                mu = equilibrium_markov(phi, t)
+            except (NumericError, UnderflowError) as exc:
+                out.append(repr(exc))
+                continue
+            out.append((mu.pressure, mu.gap, mu.log_stationary.tobytes(),
+                        mu.transition.tobytes()))
+        for phi in sweeps:
+            z = zt_coefficients(phi, method="sweep")
+            out.append((z.t_values, z.mass_history, z.coefficients))
+        return out, len(rounds)
+
+    new, new_rounds = run()
+    tied = spectral.Transfer._tied
+    monkeypatch.setattr(spectral.Transfer, "_tied", lambda self, side, B, s, right, start:
+                        tied(self, side, B, s, right, start if side else 0.0))
+    monkeypatch.setattr(spectral, "_aggregate", _aggregate_by_the_old_rule)
+    old, old_rounds = run()
+    assert len(sweeps) >= 7 and new == old
+    assert new_rounds < 0.8 * old_rounds
 
 
 @pytest.mark.parametrize("t", [4.0, 16.0, 64.0])

@@ -338,6 +338,14 @@ def test_input_validation():
         zt_coefficients(get_potential("twofix"), method="bogus")
 
 
+@pytest.mark.parametrize("name", ["gold0", "fix0", "twofix"])
+def test_an_unknown_method_is_refused_in_every_case(name):
+    # the method is checked before classify: a case whose limit needs no
+    # coefficients (gold0, fix0) refuses it as a tie does
+    with pytest.raises(InvalidArgumentError, match="unknown method 'bogus'"):
+        zt_coefficients(get_potential(name), method="bogus")
+
+
 def test_the_recoding_decides_transitivity():
     # the k-block recoding of a pruned shift is irreducible exactly when
     # the shift is transitive, so classify and pressure read its split

@@ -164,6 +164,7 @@ def scc_of_edges(n: int, edges) -> list[SccComponent]:
 
 TIGHT_TOL = 1e-9    # relative slack under which float weights count as tied
 RECODE_STATE_CAP = 1 << 20      # k-blocks a recoding may hold
+RECODE_SYMBOL_CAP = 1 << 22     # symbols n * k its blocks may hold together
 
 
 def _cyclic_components(edges):
@@ -411,34 +412,52 @@ def _block_label(blk) -> str:
     return "".join(map(str, blk)) if max(blk) < 10 else ",".join(map(str, blk))
 
 
+def _block_count(transition, k: int) -> int:
+    """The number of admissible k-blocks, 1' T^(k-1) 1 by squaring in
+    ints, or 2^1024 where it is larger: every entry is held at 2^1024 at
+    most, which leaves it exact below that, and no int outgrows it."""
+    top = 1 << 1024
+
+    def times(rows, cols):
+        cols = list(cols)
+        return [[min(sum(map(mul, r, c)), top) for c in cols] for r in rows]
+
+    row, power, e = [[1] * len(transition)], transition, k - 1
+    while e:
+        if e & 1:
+            row = times(row, zip(*power))
+        e >>= 1
+        if e:
+            power = times(power, zip(*power))
+    return min(sum(row[0]), top)
+
+
 @functools.lru_cache(maxsize=256)
 def recode_to_one_step(sft: Sft, k: int) -> RecodedSft:
     """Recode to the one-step shift on admissible k-blocks.
 
-    Where d^k exceeds RECODE_STATE_CAP the blocks are counted first, as
-    1' T^(k-1) 1 by squaring in ints, and a count over the cap raises
-    ResourceLimitError before any is built.  The L-blocks are the joins
-    x + y, in order, of the (L//2)-blocks x with the (L - L//2)-blocks y
-    whose first symbol may follow x's last, so they come sorted, each
+    Where the d^k blocks, or the k d^k symbols they hold, could pass
+    RECODE_STATE_CAP or RECODE_SYMBOL_CAP, the blocks are counted first
+    (``_block_count``), and a count over either cap raises
+    ResourceLimitError before any block is built.  The L-blocks are the
+    joins x + y, in order, of the (L//2)-blocks x with the (L - L//2)-blocks
+    y whose first symbol may follow x's last, so they come sorted, each
     length built once; block i's edges go to blk[1:] + (s,) in order.
     """
     if k < 1:
         raise InvalidArgumentError("recoding window k must be >= 1")
     succ = [[s for s, v in enumerate(row) if v] for row in sft.transition]
-    if sft.d ** k > RECODE_STATE_CAP:
-        row, power, e = [1] * sft.d, sft.transition, k - 1
-        while e:
-            if e & 1:
-                row = [sum(map(mul, row, col)) for col in zip(*power)]
-            e >>= 1
-            if e:
-                power = [[sum(map(mul, r, col)) for col in zip(*power)] for r in power]
-        count = sum(row)
+    reach = sft.d ** min(k, 64)     # d^k, or over both caps once k passes 64
+    if reach > RECODE_STATE_CAP or reach * k > RECODE_SYMBOL_CAP:
+        count = _block_count(sft.transition, k)
         if count > RECODE_STATE_CAP:
-            # str() refuses ints of over 4300 digits; a bit length never fails
-            size = count if count.bit_length() <= 1024 else f"at least 2^{count.bit_length() - 1}"
+            # _block_count stops at 2^1024
+            size = count if count.bit_length() <= 1024 else "at least 2^1024"
             raise ResourceLimitError(f"the {k}-block recoding has {size} states, "
                                      f"over cap {RECODE_STATE_CAP}")
+        if count * k > RECODE_SYMBOL_CAP:
+            raise ResourceLimitError(f"the {k}-block recoding holds {count * k} symbols, "
+                                     f"over cap {RECODE_SYMBOL_CAP}")
     built = {1: [[(s,)] for s in range(sft.d)]}
 
     def by_first(length):       # the sorted length-blocks, listed by first symbol

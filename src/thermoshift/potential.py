@@ -54,8 +54,11 @@ class PotentialLC:
     is kept with it, each piece built on first use: the recoding, the
     state values and their integer rows, the irreducibility of the
     recoding, the one max-plus pass of a scalar potential with its
-    maximum cycle mean beta and tight edges, and the transfer matrix of
-    phi - beta scaled by that pass (``spectral.Transfer``).
+    maximum cycle mean beta and tight edges, the transfer matrix of
+    phi - beta scaled by that pass (``spectral.Transfer``), and the
+    rotation polytope of a vector potential, which whichever of
+    ``rotation_set`` and ``genericity_check`` comes first builds
+    (``rotation_geometry._kept_hull``).
     """
 
     sft: Sft

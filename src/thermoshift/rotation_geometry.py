@@ -11,7 +11,10 @@ ints; Fractions are made only for what is returned.  Without an orbit
 list, support queries (one max-cycle-mean run per integer direction)
 grow the affine span and then certify every facet.  One builder, double
 description in the chart of the affine span, gives vertices and facets
-for every m and every affine dimension.
+for every m and every affine dimension.  A potential keeps its own
+polytope once built, by rotation_set from support queries or by
+genericity_check from its census, in a form that holds nothing but the
+vertices and facets (``_canonical``); every later call reads it.
 """
 
 from __future__ import annotations
@@ -387,27 +390,58 @@ def _support_hull(Phi: PotentialLC):
         pts |= beyond
 
 
+def _canonical(points, den, hull):
+    """The hull (frame, vertex ids, facets) = ``_build_hull(points, den)``
+    as a potential keeps it: (vertices, facets, den, affine dim), with the
+    vertices in canonical order as int vectors over their own common
+    denominator den and each facet as (vertex positions, normal, offset
+    over den).  No point of the hull but its vertices shows in it, so it
+    is the same whichever points it was built from."""
+    frame, verts, facets = hull
+    g = gcd(den, *(x for i in verts for x in points[i]))
+    return (tuple(tuple(x // g for x in points[i]) for i in verts),
+            tuple((ids, a, b // g) for ids, a, b in facets), den // g, frame.dim)
+
+
+def _kept_hull(Phi: PotentialLC, build):
+    """Phi's rotation hull in ``_canonical`` form, made by build() on
+    first use and kept with Phi, like the rest of its shared data
+    (``PotentialLC``)."""
+    kept = vars(Phi)
+    if "_rotation_hull" not in kept:
+        kept["_rotation_hull"] = build()
+    return kept["_rotation_hull"]
+
+
+def _polytope(m: int, hull, gens=()) -> RotationPolytope:
+    """A fresh RotationPolytope of a ``_canonical`` hull, with its frame
+    built from the sorted vertices alone."""
+    verts, facets, den, dim = hull
+    return RotationPolytope(
+        m, list(gens), dim, [_ratios(v, den) for v in verts],
+        [Facet(ids, tuple(map(Fraction, a)), Fraction(b, den)) for ids, a, b in facets],
+        _AffineFrame(sorted(verts), den))
+
+
 def rotation_set(Phi: PotentialLC, orbits=None) -> RotationPolytope:
     """Rotation polytope of a vector potential.
 
-    Given an orbit list, the hull of its averages, which generator_points
-    lists; InvalidArgumentError for an orbit that is not one of Phi's
-    shift.  Otherwise the hull comes from exact support queries and no
-    orbit is enumerated; generator_points is then empty.
+    Without an orbit list, Phi's own polytope, built once per potential
+    by whichever of rotation_set and genericity_check comes first and
+    kept with Phi: here from exact support queries, with no orbit
+    enumerated.  Every call returns a fresh polytope, whose
+    generator_points is empty.  Given an orbit list, the hull of its own
+    averages, which generator_points lists; it neither reads nor fills
+    the kept polytope.  InvalidArgumentError for an orbit that is not
+    one of Phi's shift.
     """
-    gens = []
     if orbits is None:
-        points, den, (frame, verts, facets) = _support_hull(Phi)
-    else:
-        sums = _orbit_sums(Phi, orbits)
-        gens = [(i, _ratios(s, e)) for i, (s, e) in enumerate(sums)]
-        X, den = _scale(sums)
-        points = sorted(set(X))
-        frame, verts, facets = _build_hull(points, den)
-    return RotationPolytope(
-        Phi.m, gens, frame.dim, [_ratios(points[i], den) for i in verts],
-        [Facet(ids, tuple(map(Fraction, a)), Fraction(b, den)) for ids, a, b in facets],
-        frame)
+        return _polytope(Phi.m, _kept_hull(Phi, lambda: _canonical(*_support_hull(Phi))))
+    sums = _orbit_sums(Phi, orbits)
+    X, den = _scale(sums)
+    points = sorted(set(X))
+    return _polytope(Phi.m, _canonical(points, den, _build_hull(points, den)),
+                     [(i, _ratios(s, e)) for i, (s, e) in enumerate(sums)])
 
 
 @dataclass
@@ -464,19 +498,30 @@ def genericity_check(Phi: PotentialLC, orbits=None) -> GenericityReport:
 
     (a) orbits at a common hull vertex must share their cylinder set;
     (b) no orbit average may sit on the relative boundary off a vertex.
-    Without an orbit list, the census of Phi's shift; a given list must
-    hold orbits of that shift (InvalidArgumentError otherwise).
+    Without an orbit list, the census of Phi's shift, classified against
+    Phi's own polytope: it is built once per potential by whichever of
+    rotation_set and genericity_check comes first and kept with Phi, here
+    from the hull of the census averages.  A given list must hold orbits
+    of that shift (InvalidArgumentError otherwise); the hull of its own
+    averages is taken, and the kept polytope is neither read nor filled.
     """
     census = orbits is None
     if census:
         orbits = elementary_orbits(Phi.sft, Phi.k)
     X, den = _scale(_orbit_sums(Phi, orbits, census))
-    points = sorted(set(X))
-    frame, verts, facets = _build_hull(points, den)
+
+    def build():
+        points = sorted(set(X))
+        return _canonical(points, den, _build_hull(points, den))
+
+    verts, facets, D, dim = _kept_hull(Phi, build) if census else build()
+    # every vertex is one of the averages, so D divides den
+    c = den // D
+    vertices = [tuple(x * c for x in v) for v in verts]
+    facets = [(a, b * c) for _, a, b in facets]
     at = {}                         # orbit indices by average
     for i, x in enumerate(X):
         at.setdefault(x, []).append(i)
-    vertices = [points[i] for i in verts]
     vertex_violations = [(vidx, (a, b)) for vidx, v in enumerate(vertices)
                          for a, b in combinations(at[v], 2)
                          if orbits[a].cylinders != orbits[b].cylinders]
@@ -484,6 +529,6 @@ def genericity_check(Phi: PotentialLC, orbits=None) -> GenericityReport:
     vertices = set(vertices)
     boundary_violations = sorted(
         i for x, ids in at.items() if x not in vertices
-        and any(_dot(a, x) == b for _, a, b in facets) for i in ids)
+        and any(_dot(a, x) == b for a, b in facets) for i in ids)
     ok = not vertex_violations and not boundary_violations
-    return GenericityReport(ok, vertex_violations, boundary_violations, frame.dim)
+    return GenericityReport(ok, vertex_violations, boundary_violations, dim)

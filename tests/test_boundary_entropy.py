@@ -108,6 +108,9 @@ def test_face_curve_samples_are_equilibrium_states(Phi, alpha):
 
 def test_face_curve_max_plus_passes_do_not_grow_with_samples(max_plus_passes):
     Phi = get_potential("trivec")
+    # the potential keeps its polytope: build it before counting, or the
+    # first curve's count would also pay for it
+    rotation_set(Phi)
     counts = []
     for n_samples in (9, 201):
         max_plus_passes.clear()

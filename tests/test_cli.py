@@ -271,20 +271,31 @@ def test_non_finite_tmax_exits_2(tmax):
     assert "input error" in got.stderr and "finite" in got.stderr
 
 
+def _cap_memory_and_time():
+    _cap_memory()
+    resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+
 def test_window_over_the_state_cap_exits_2(tmp_path):
     # full2 has 2^64 blocks of length 64: refused before any is built
     pot = tmp_path / "k64.json"
     pot.write_text('{"k": 64, "values": {"0": [1]}}')
+    # the 2-cycle has two blocks at every k; at k = 3 * 10^6 they hold
+    # 6 * 10^6 symbols, over RECODE_SYMBOL_CAP
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text('{"transition": [[0, 1], [1, 0]]}')
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     env[CACHE_ENV] = "off"
-    # a block count of 6021 digits is worded by its bit length: str() refuses it
+    # each is refused within 1 s of CPU: the counts never form d^k in full
     for args in (["orbits", "--shift", "full2", "--k", "64"],
                  ["orbits", "--shift", "full2", "--k", "20000"],
+                 ["orbits", "--shift", "full3", "--k", str(10 ** 7)],
+                 ["orbits", "--shift", str(cycle), "--k", str(3 * 10 ** 6)],
                  ["classify", "--shift", "full2", "--potential", str(pot)]):
         got = subprocess.run([sys.executable, "-m", "thermoshift.cli", *args],
                              env=env, capture_output=True, text=True, timeout=60,
-                             preexec_fn=_cap_memory)
+                             preexec_fn=_cap_memory_and_time)
         assert got.returncode == 2, got.stderr
         assert "input error" in got.stderr and "over cap" in got.stderr
 

@@ -208,6 +208,29 @@ def test_recode_refuses_a_window_over_the_state_cap(monkeypatch):
         recode_to_one_step.__wrapped__(Sft.full(2), 4)
 
 
+def test_recode_refuses_a_window_over_the_symbol_cap(monkeypatch):
+    # the count is held at 2^1024, exact below it; n * k symbols over
+    # RECODE_SYMBOL_CAP are refused before any block is built
+    golden = Sft.from_matrix([[1, 1], [1, 0]])
+    counts = [2, 3]                 # golden-mean k-blocks, k = 1, 2, ...
+    while len(counts) < 3000:
+        counts.append(counts[-1] + counts[-2])
+    past = next(k for k, c in enumerate(counts, 1) if c >= 1 << 1024)
+    for k in (1, 2, 3, 10, 64, past - 1, past, past + 1, 3000):
+        want = min(counts[k - 1], 1 << 1024)
+        assert core_sft._block_count(golden.transition, k) == want
+    cycle = Sft.from_matrix([[0, 1], [1, 0]])
+    with pytest.raises(ResourceLimitError, match="6000000 symbols, over cap 4194304"):
+        recode_to_one_step.__wrapped__(cycle, 3 * 10 ** 6)
+    assert recode_to_one_step.__wrapped__(cycle, 1000).n == 2
+    monkeypatch.setattr(core_sft, "RECODE_SYMBOL_CAP", 20)
+    assert recode_to_one_step.__wrapped__(Sft.full(2), 2).n == 4
+    with pytest.raises(ResourceLimitError, match="24 symbols, over cap 20"):
+        recode_to_one_step.__wrapped__(Sft.full(2), 3)
+    with pytest.raises(ResourceLimitError, match="2000 symbols, over cap 20"):
+        recode_to_one_step.__wrapped__(cycle, 1000)
+
+
 def test_perron_closed_forms():
     # zero weights: the Perron root of the 0/1 matrix and its Parry kernel
     for rows, lam in (([[1, 1], [1, 0]], (1 + math.sqrt(5)) / 2),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -546,3 +547,180 @@ def test_vertex_direction_edge_cases():
             assert d == tuple(map(sum, zip(*(n for ids, n, _ in oracle.facets if i in ids))))
             vals = [sum(a * x for a, x in zip(d, u)) for u in poly.vertices]
             assert [j for j, x in enumerate(vals) if x == max(vals)] == [i]
+
+
+# -- one polytope per potential ---------------------------------------------
+
+def _fresh(Phi):
+    """A copy of Phi that keeps none of its built data."""
+    return PotentialLC(Phi.sft, Phi.k, Phi.m, dict(Phi.values), Phi.mode)
+
+
+def _built_rotation_set(Phi):
+    """Phi's support-query polytope built afresh, bypassing the kept
+    copy; its frame spans every support point over their common
+    denominator."""
+    points, den, (frame, verts, facets) = rotation_geometry._support_hull(Phi)
+    return RotationPolytope(
+        Phi.m, [], frame.dim, [tuple(Fraction(x, den) for x in points[i]) for i in verts],
+        [rotation_geometry.Facet(ids, tuple(map(Fraction, a)), Fraction(b, den))
+         for ids, a, b in facets], frame)
+
+
+def _built_genericity(Phi):
+    """genericity_check(Phi) on a census hull built afresh, bypassing the
+    kept copy: each average is classified against it over the census's
+    common denominator."""
+    orbits = elementary_orbits(Phi.sft, Phi.k)
+    X, den = rotation_geometry._scale(rotation_geometry._orbit_sums(Phi, orbits, True))
+    points = sorted(set(X))
+    frame, verts, facets = rotation_geometry._build_hull(points, den)
+    at = {}
+    for i, x in enumerate(X):
+        at.setdefault(x, []).append(i)
+    vertices = [points[i] for i in verts]
+    vertex_violations = [(vidx, (a, b)) for vidx, v in enumerate(vertices)
+                         for a, b in itertools.combinations(at[v], 2)
+                         if orbits[a].cylinders != orbits[b].cylinders]
+    boundary_violations = sorted(
+        i for x, ids in at.items() if x not in vertices
+        and any(sum(map(int.__mul__, a, x)) == b for _, a, b in facets) for i in ids)
+    return (not vertex_violations and not boundary_violations, vertex_violations,
+            boundary_violations, frame.dim)
+
+
+def _polytope_data(poly):
+    """Vertices, facets, affine dimension, generators, and the frame as
+    rationals: its origin and basis over its denominator."""
+    f = poly.frame
+    return (poly.vertices, poly.facets, poly.affine_dim, poly.generator_points,
+            tuple(Fraction(x, f.den) for x in f.origin),
+            [tuple(Fraction(x, f.den) for x in b) for b in f.basis], f.pivots)
+
+
+_SLOTS = ((2, 2, 2, "narrow"), (2, 2, 2, "wide"), (2, 2, 3, "narrow"),
+          (2, 2, 3, "wide"), (2, 3, 1, "wide"), (2, 3, 2, "narrow"),
+          (2, 3, 2, "wide"), (3, 2, 4, "narrow"), (3, 3, 2, "wide"))
+
+
+def _slot_potentials():
+    """The benchmark's vector slot shapes (m, d, k, palette) on the full
+    d-shift, each with small-integer or rational values, and their
+    float copies."""
+    rng = random.Random(28)
+    out = []
+    for m, d, k, palette in _SLOTS:
+        blocks = recode_to_one_step(Sft.full(d), k).states
+        vals = {b: tuple(Fraction(rng.choice((0, 1, 2))) if palette == "narrow" else
+                         Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 4)))
+                         for _ in range(m)) for b in blocks}
+        out.append(PotentialLC.from_block_values(Sft.full(d), k, vals, m=m))
+        out.append(PotentialLC.from_block_values(
+            Sft.full(d), k, {b: tuple(map(float, v)) for b, v in vals.items()},
+            m=m, mode="float"))
+    return out
+
+
+def _seeded_by_dimension(per_dim=6):
+    """Seeded potentials whose rotation sets have affine dimension 0, 1, 2
+    and 3, per_dim of each: values on a point, a line, a plane or in
+    general position in Q^3."""
+    rng = random.Random(2828)
+    out = {r: [] for r in range(4)}
+    while any(len(v) < per_dim for v in out.values()):
+        sft = random_transitive_sft(rng)
+        k = rng.choice((1, 2))
+        r = rng.randint(0, 3)
+        base = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(3)]
+        dirs = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(r)]
+        vals = {b: tuple(x + sum(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) * d[c]
+                                 for d in dirs) for c, x in enumerate(base))
+                for b in recode_to_one_step(sft, k).states}
+        Phi = PotentialLC.from_block_values(sft, k, vals, m=3)
+        dim = _built_rotation_set(Phi).affine_dim
+        if len(out[dim]) < per_dim:
+            out[dim].append(Phi)
+    return [Phi for r in range(4) for Phi in out[r]]
+
+
+def _censused_builtins():
+    out = []
+    for name in potential_names():
+        Phi = get_potential(name)
+        try:
+            elementary_orbits(Phi.sft, Phi.k, cap=20000)
+        except ResourceLimitError:      # trivec and kinkvec
+            continue
+        out.append(Phi)
+    return out
+
+
+def test_kept_polytope_changes_no_result():
+    # rotation_set(Phi) and genericity_check(Phi), alone or either after
+    # the other, give what the two built on their own: the same vertices,
+    # facets, affine dimension, rational frame and report
+    cases = _censused_builtins() + _slot_potentials() + _seeded_by_dimension()
+    assert len(cases) >= 10 + 18 + 24
+    dims = set()
+    for Phi in cases:
+        want_poly = _polytope_data(_built_rotation_set(_fresh(Phi)))
+        want_rep = _built_genericity(_fresh(Phi))
+        dims.add(want_poly[2])
+        a, b = _fresh(Phi), _fresh(Phi)
+        got = [_polytope_data(rotation_set(a)), dataclasses.astuple(genericity_check(a)),
+               dataclasses.astuple(genericity_check(b)), _polytope_data(rotation_set(b)),
+               _polytope_data(rotation_set(a)), dataclasses.astuple(genericity_check(b))]
+        assert got == [want_poly, want_rep, want_rep, want_poly, want_poly, want_rep]
+        assert dataclasses.astuple(genericity_check(_fresh(Phi))) == want_rep
+        # the frame is built over the vertices' own common denominator
+        poly = rotation_set(b)
+        assert poly.frame.den == math.lcm(*(x.denominator for v in poly.vertices for x in v))
+    assert dims == {0, 1, 2, 3}
+
+
+def test_an_orbit_sub_list_hulls_its_own_averages():
+    # a strict sub-list that misses a vertex gets its own smaller hull,
+    # whether or not the potential's own polytope is kept yet, and does
+    # not become the potential's polytope
+    for Phi in _slot_potentials()[::2] + _seeded_by_dimension(2)[2:]:
+        orbits = elementary_orbits(Phi.sft, Phi.k)
+        top = _built_rotation_set(_fresh(Phi))
+        avgs = orbit_averages(Phi, orbits)
+        sub = [o for o, a in zip(orbits, avgs) if a != top.vertices[0]]
+        before = (_polytope_data(rotation_set(Phi, sub)),
+                  dataclasses.astuple(genericity_check(Phi, sub)))
+        assert top.vertices[0] not in before[0][0]
+        assert set(before[0][0]) <= set(a for a in avgs if a != top.vertices[0])
+        assert _polytope_data(rotation_set(Phi)) == _polytope_data(top)
+        after = (_polytope_data(rotation_set(Phi, sub)),
+                 dataclasses.astuple(genericity_check(Phi, sub)))
+        assert after == before
+        assert _polytope_data(rotation_set(Phi)) == _polytope_data(top)
+        assert rotation_set(Phi, orbits).vertices == top.vertices
+
+
+def test_returned_polytopes_are_fresh():
+    # what a caller does to one polytope's lists leaves the next unchanged
+    Phi = get_potential("trivec")
+    want = _polytope_data(rotation_set(_fresh(Phi)))
+    poly = rotation_set(Phi)
+    poly.vertices.reverse()
+    poly.vertices.append((Fraction(9), Fraction(9)))
+    poly.facets.pop()
+    poly.generator_points.append((0, (Fraction(0), Fraction(0))))
+    poly.frame.basis.clear()
+    assert _polytope_data(rotation_set(Phi)) == want
+    assert rotation_set(Phi) is not rotation_set(Phi)
+
+
+def test_rotation_set_after_genericity_runs_no_pass(max_plus_passes):
+    # the census hull of genericity_check is the polytope rotation_set
+    # reads: no support query runs
+    for Phi in _slot_potentials()[:4]:
+        genericity_check(Phi)
+        max_plus_passes.clear()
+        rotation_set(Phi)
+        assert max_plus_passes == []
+    Phi = _slot_potentials()[0]
+    rotation_set(Phi)
+    assert max_plus_passes

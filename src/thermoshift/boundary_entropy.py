@@ -282,9 +282,10 @@ def _covariance(p, P, X):
     F' D F with G = F' D Z F, for the centred values F = X - p X, D =
     diag(p) and the fundamental matrix Z = (I - P + 1 p)^-1."""
     import numpy as np
+    from .spectral import _solve
     F = X - p @ X
     DF = p[:, None] * F
-    G = DF.T @ np.linalg.solve(np.eye(len(p)) - P + p, F)
+    G = DF.T @ _solve(np.eye(len(p)) - P + p, F)
     return G + G.T - DF.T @ F
 
 
@@ -302,6 +303,7 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
     runs one exact max-plus pass on v . Phi - beta(v).
     """
     import numpy as np
+    from .spectral import _solve1
     from .thermodynamics import _measure
     if poly is None:
         poly = rotation_set(Phi)
@@ -331,7 +333,7 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
         H = Q @ _covariance(sol.stationary, sol.transition, X) @ Q.T
         try:
             np.linalg.cholesky(H)
-            dx = np.linalg.solve(H, -grad)
+            dx = _solve1(H, -grad)
         except np.linalg.LinAlgError:
             dx = -grad
         step, point = _damped(lambda s: at(x + s * dx), g)

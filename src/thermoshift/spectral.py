@@ -11,7 +11,11 @@ exponents, so that masses far below the double range keep their
 relative accuracy in log form.  A solve that doubles cannot certify
 raises UnderflowError or NumericError.  This is the one module of the
 graph core and the engine that imports numpy, so that the commands which
-never solve a Perron problem do not load it.
+never solve a Perron problem do not load it.  Its eigenvalue and linear
+solves (``_eigvals``, ``_solve``, ``_solve1``) call the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` directly, with every check of numpy's
+public wrappers that can change a result or an error, and not the rest,
+which costs more than the LAPACK work at the engine's sizes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from itertools import chain
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _max_plus_pass,
                        _potentials, matrix_edges)
@@ -234,6 +239,44 @@ def _readonly(*arrays) -> None:
         a.setflags(write=False)
 
 
+# np.linalg.eigvals and np.linalg.solve on float arrays, less their input
+# conversions: each runs its gufunc under the errstate numpy's wrapper
+# enters, so that a LAPACK failure raises numpy's LinAlgError and no
+# RuntimeWarning escapes.
+_LAPACK_ERRORS = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _unconverged(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_unconverged, **_LAPACK_ERRORS)
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a square float matrix or a stack of them, real
+    where none in the whole stack has an imaginary part, as
+    np.linalg.eigvals gives them."""
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    w = _umath_linalg.eigvals(a, signature="d->D")
+    return w if np.count_nonzero(w.imag) else w.real
+
+
+@np.errstate(call=_singular, **_LAPACK_ERRORS)
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for float arrays whose b has a column axis."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+@np.errstate(call=_singular, **_LAPACK_ERRORS)
+def _solve1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float matrix a and vector b."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 # The stages below take one solve, or a stack of them (``perron_stack``)
 # on the first axis, as in numpy.linalg, where values with one entry per
 # lane take a trailing axis (lam[..., None]).  ``perron`` does not run as
@@ -266,7 +309,7 @@ def _certify(B: np.ndarray, ok=True, least=1.0):
     the relative gap and the other eigenvalues over the root (mu, the
     root's own entry 0); y starts from ``_start`` and ``_polish``
     certifies it where the gap is at least GAP_FLOOR (ok)."""
-    evals = np.linalg.eigvals(B)
+    evals = _eigvals(B)
     i = evals.real.argmax(axis=-1)
     lanes = _lanes(i)
     lam = np.maximum(evals[(*lanes, i)].real, least)
@@ -308,8 +351,8 @@ def _start(B: np.ndarray, lam, ok):
     K[..., n, n] = 0.0
     rhs = np.zeros(K.shape[:-1] + (1,))
     rhs[..., n, 0] = 1.0
-    z = np.linalg.solve(K, rhs)
-    z += np.linalg.solve(K, rhs - K @ z)        # one step of iterative refinement
+    z = _solve(K, rhs)
+    z += _solve(K, rhs - K @ z)     # one step of iterative refinement
     z = np.abs(z[..., :n, 0])
     if gather:
         x[ok] = z
@@ -438,7 +481,7 @@ def _aggregate(B: np.ndarray, frame, e, delta: float = 0.0):
             bordered[:k, :k] = base + (new_delta * eye - Eii)
             bordered[:k, k], bordered[k, :k] = si, li
             rhs = np.append(f[cut] / c[i] + Eii @ si - new_delta * si, 0.0)
-            new_u[cut] = si + np.linalg.solve(bordered, rhs)[:k]
+            new_u[cut] = si + _solve1(bordered, rhs)[:k]
         done = (not shaped and rho + new_delta == rho + delta
                 or abs(new_delta - delta) <= _CW_TOL * new_root
                 and (np.abs(new_u - u) <= _CW_TOL * u).all())

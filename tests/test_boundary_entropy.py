@@ -599,6 +599,41 @@ def test_interior_solves_each_point_once(monkeypatch, max_plus_passes, name, w, 
     assert sum(n == Phi._recoded.n for n, *_ in max_plus_passes) == solves
 
 
+@pytest.mark.parametrize("cholesky", [True, False])
+def test_a_singular_hessian_takes_a_gradient_step(monkeypatch, cholesky):
+    # a Hessian that is singular at the first iterate fails the Cholesky
+    # test, or with that test skipped, the engine's solve, whose
+    # LinAlgError the step catches: it falls back to the gradient and the
+    # duality still converges to the same entropy and measure
+    Phi, w = get_potential("trivec"), (Fraction(1, 2), Fraction(1, 3))
+    want, _, nu = localized_entropy_interior(Phi, w)
+    covariance, solve1 = boundary_entropy._covariance, spectral._solve1
+    singular, failed = [], []
+
+    def first_singular(p, P, X):
+        G = covariance(p, P, X)
+        if not singular:
+            singular.append(G)
+            return np.zeros_like(G)
+        return G
+
+    def recording(a, b):
+        try:
+            return solve1(a, b)
+        except np.linalg.LinAlgError as exc:
+            failed.append(str(exc))
+            raise
+
+    monkeypatch.setattr(boundary_entropy, "_covariance", first_singular)
+    monkeypatch.setattr(spectral, "_solve1", recording)
+    if not cholesky:
+        monkeypatch.setattr(np.linalg, "cholesky", lambda H: H)
+    h, _, mu = localized_entropy_interior(Phi, w)
+    assert singular and failed == ([] if cholesky else ["Singular matrix"])
+    assert h == pytest.approx(want, abs=1e-9)
+    assert mu.rotation_vector(Phi) == pytest.approx(nu.rotation_vector(Phi), abs=1e-8)
+
+
 def test_interior_entropy_domain_errors():
     Phi = get_potential("trivec")
     with pytest.raises(OutOfDomainError):

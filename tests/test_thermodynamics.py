@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -682,6 +683,107 @@ def test_the_round_rule_changes_no_bit(monkeypatch):
     old, old_rounds = run()
     assert len(sweeps) >= 7 and new == old
     assert new_rounds < 0.8 * old_rounds
+
+
+def test_lapack_helpers_change_no_bit(monkeypatch):
+    # the engine's direct LAPACK calls give the bits of np.linalg.eigvals
+    # and np.linalg.solve: the scalar builtins and planted ties at t =
+    # 0.25 ... 128, seeded potentials, the builtin sweeps, the trivec and
+    # kinkvec face curves and interior points, and stacks whose lanes mix
+    # real and complex spectra.  Each run builds its potentials afresh,
+    # so that their aggregation frames are solved again too
+    from test_boundary_entropy import _bits
+    from thermoshift import (face_entropy_curve, localized_entropy_interior, rotation_set,
+                             zt_coefficients)
+    names = [name for name in potential_names() if get_potential(name).m == 1]
+    stacked = [0.25, 1.0, 2.0, 40.0]
+    tr = get_potential("twofix")._transfer
+    spectra = [spectral._eigvals(spectral._scale(t * tr.exponents[0], *tr.ends, tr.n)[0])
+               for t in stacked]
+    assert not np.iscomplexobj(spectra[0]) and np.iscomplexobj(spectra[1])
+
+    def run():
+        phis = [get_potential(name) for name in names]
+        phis += [tied_potential(name)[0] for name in TIED_COMPONENTS]
+        out = []
+        for phi, t in [*((phi, 2.0 ** j) for phi in phis for j in range(-2, 8)),
+                       *((phi, t) for phi in _seeded_scalar_potentials(300, 29)
+                         for t in (0.5, 4.0, 32.0))]:
+            try:
+                mu = equilibrium_markov(phi, t)
+            except (NumericError, UnderflowError) as exc:
+                out.append(repr(exc))
+                continue
+            out.append((mu.pressure, mu.gap, mu.stationary.tobytes(),
+                        mu.log_stationary.tobytes(), mu.transition.tobytes()))
+        for phi in phis[:len(names)]:
+            if classify(phi).case == "MultiComponent":
+                z = zt_coefficients(phi, method="sweep")
+                out.append((z.t_values, z.mass_history, z.coefficients, z.flags))
+        for name in ("trivec", "kinkvec"):
+            Phi = get_potential(name)
+            poly = rotation_set(Phi)
+            out += [_bits(face_entropy_curve(Phi, f.normal, poly=poly)) for f in poly.facets]
+            w = tuple(sum(x) / len(x) for x in zip(*poly.vertices))
+            h, v, mu = localized_entropy_interior(Phi, w, poly=poly)
+            out.append((h, v, mu.stationary.tobytes(), mu.transition.tobytes()))
+        for name in ("twofix", "threefix_a", "gold1"):
+            stack = spectral.perron_stack([get_potential(name)._transfer] * 4, stacked)
+            out.append(tuple(x.tobytes() for x in stack))
+        return out
+
+    new = run()
+    monkeypatch.setattr(spectral, "_eigvals", np.linalg.eigvals)
+    monkeypatch.setattr(spectral, "_solve", np.linalg.solve)
+    monkeypatch.setattr(spectral, "_solve1", np.linalg.solve)
+    assert new == run()
+
+
+SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("a, b", [(SINGULAR, np.ones(2)), (SINGULAR, np.ones((2, 1))),
+                                  (np.stack([np.eye(2), SINGULAR]), np.ones((2, 2, 1)))])
+def test_lapack_solves_raise_numpys_error(a, b):
+    # a singular solve, with a vector, a column or a stack with one
+    # singular lane, raises numpy's LinAlgError with its message, and no
+    # RuntimeWarning escapes
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.solve(a, b)
+    helper = spectral._solve1 if b.ndim == 1 else spectral._solve
+    with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError) as got:
+        warnings.simplefilter("error")
+        helper(a, b)
+    assert str(got.value) == str(want.value) == "Singular matrix"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lapack_eigenvalues_refuse_what_numpy_refuses(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    for x in (a, np.stack([np.eye(3), a])):
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigvals(x)
+        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError) as got:
+            warnings.simplefilter("error")
+            spectral._eigvals(x)
+        assert str(got.value) == str(want.value)
+
+
+def test_numpy_keeps_the_lapack_gufuncs_the_engine_calls():
+    # the engine calls these private gufuncs of numpy.linalg by name and
+    # signature: a numpy release that moves them fails here, not in a solve
+    from numpy.linalg import _umath_linalg
+    for name, shape, types in (("eigvals", "(m,m)->(m)", "d->D"),
+                               ("solve", "(m,m),(m,n)->(m,n)", "dd->d"),
+                               ("solve1", "(m,m),(m)->(m)", "dd->d")):
+        gufunc = getattr(_umath_linalg, name)
+        assert isinstance(gufunc, np.ufunc)
+        assert gufunc.signature == shape and types in gufunc.types
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
+    assert np.array_equal(spectral._eigvals(a), np.linalg.eigvals(a))
+    assert np.array_equal(spectral._solve(a, a), np.linalg.solve(a, a))
+    assert np.array_equal(spectral._solve1(a, a[0]), np.linalg.solve(a, a[0]))
 
 
 @pytest.mark.parametrize("t", [4.0, 16.0, 64.0])

@@ -55,9 +55,11 @@ class PotentialLC:
     state values and their integer rows, the irreducibility of the
     recoding, the one max-plus pass of a scalar potential with its
     maximum cycle mean beta and tight edges, the transfer matrix of
-    phi - beta scaled by that pass (``spectral.Transfer``), and the
-    rotation polytope of a vector potential, which whichever of
-    ``rotation_set`` and ``genericity_check`` comes first builds
+    phi - beta scaled by that pass (``spectral.Transfer``) with its Perron
+    solves of the last 16 temperatures, so that a pressure and an
+    equilibrium state at one t solve once, and the rotation polytope of a
+    vector potential, which whichever of ``rotation_set`` and
+    ``genericity_check`` comes first builds
     (``rotation_geometry._kept_hull``).
     """
 

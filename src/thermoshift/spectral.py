@@ -38,30 +38,38 @@ _POLISH_STEPS = 500      # bound on subtraction-free polishing steps
 _SHIFTS = np.array([0.0, 0.125, 0.5, 1.0])   # candidate power-step shifts
 _AGG_ROUNDS = 8          # bound on aggregation rounds
 _ROUNDING = 1e-15        # a Collatz-Wielandt excess that rounding alone explains
+# solves a transfer keeps, the latest by t: the 15 temperatures of the
+# default zero-temperature sweep (t = 1 ... 2^14) and one more
+_KEPT_SOLVES = 16
 
 
 class PerronSolve:
     """Perron data of the transfer matrix exp(t * w[a]) on edges a -> b:
     the log root, ``gap`` (the relative distance from the root to the rest
     of the spectrum, at most 1, estimated from the coupling matrix after
-    aggregation) and, each formed when first read, so that a pressure pays
-    for the root alone and a sweep step for the masses alone, the Markov
-    kernel it induces (``kernel()``) and its stationary vector with the
-    log of that vector, which keeps the masses that underflow
-    (``masses()``).  Every solve runs in doubles."""
+    aggregation); the stationary vector of the Markov kernel it induces
+    and the log of that vector, which keeps the masses that underflow,
+    formed by ``masses()`` when first read and kept read-only, so that a
+    pressure pays for the root alone; and that kernel, ``transition``,
+    formed by ``kernel()`` anew on each read, so that a solve that its
+    transfer keeps (``Transfer.solve``) holds O(n + edges) doubles and no
+    n x n matrix.  Every solve runs in doubles."""
 
     precision = "double"
 
     def __init__(self, log_lam: float, gap: float, masses, kernel):
         self.log_lam, self.gap, self._masses, self._kernel = log_lam, gap, masses, kernel
 
+    @property
+    def transition(self) -> np.ndarray:
+        return self._kernel()
+
     def __getattr__(self, name):
-        if name == "transition":
-            self.transition = self._kernel()
-        elif name in ("stationary", "log_stationary"):
-            self.stationary, self.log_stationary = self._masses()
-        else:
+        if name not in ("stationary", "log_stationary"):
             raise AttributeError(name)
+        self.stationary, self.log_stationary = masses = self._masses()
+        _readonly(*masses)
+        self._masses = None             # the left problem's parts are not kept
         return getattr(self, name)
 
 
@@ -75,7 +83,8 @@ class Transfer:
     edge, all <= 0; ``potentials``, g + h on each state and the critical
     classes, whose tight edges are kept too; and the aggregation frames
     (``_frame``), built by the first solve that aggregates.  All are
-    read-only, so ``solve`` runs only the stages that depend on t.
+    read-only, so ``solve`` runs only the stages that depend on t, and it
+    keeps the solves of the last _KEPT_SOLVES temperatures it solved.
     """
 
     def __init__(self, n: int, edges, weights):
@@ -103,18 +112,32 @@ class Transfer:
                                     for (a, b), x in zip(edges, slack)]))
         self.potentials = (np.array([x / unit for x in mass]), list(map(np.array, classes)))
         _readonly(src, dst, *self.exponents, self.potentials[0], *self.potentials[1])
-        self._frames = {}
+        self._frames, self._solves = {}, {}
 
     def solve(self, t: float = 1.0) -> PerronSolve:
         """The Perron data of exp(t * w), as ``perron`` describes it: the
-        right problem now, the left one when the masses are first read."""
+        right problem now, the left one when the masses are first read.
+        A solve is kept by float(t) and returned when asked for again; a
+        solve that raises is not kept, and past _KEPT_SOLVES temperatures
+        the oldest is dropped."""
+        key = float(t)
+        sol = self._solves.get(key)
+        if sol is None:
+            sol = self._solve_at(key, t)
+            if len(self._solves) == _KEPT_SOLVES:
+                del self._solves[next(iter(self._solves))]
+            self._solves[key] = sol
+        return sol
+
+    def _solve_at(self, t: float, asked) -> PerronSolve:
+        """``solve`` at the float t, whose errors name t as ``asked``."""
         right = t * self.exponents[0]
         n, (src, dst) = self.n, self.ends
         B, ok = _scale(right, src, dst, n)
         lam, y, gap, mu, direct = _certify(B, ok)
         got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right, lam)
         if not got:
-            raise _unsolved(t, right)
+            raise _unsolved(asked, right)
         lam, y, gap, delta = got
 
         def masses():
@@ -123,7 +146,7 @@ class Transfer:
             u, done = _polish(A, _start(A, lam, ok & direct), lam, mu, ok & direct)
             got = (None, u) if done else ok and self._tied(1, A, left, right, delta)
             if not got:
-                raise _unsolved(t, left)
+                raise _unsolved(asked, left)
             return _masses(t * self.potentials[0] + np.log(got[1]) + np.log(y))
 
         return PerronSolve(math.log(lam) + t * self._shift, gap, masses,
@@ -185,8 +208,8 @@ def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     keeps its relative accuracy, in log form where it underflows.  A
     solve that doubles cannot certify raises UnderflowError where an
     entry left the double range, NumericError otherwise.  A ``Transfer``
-    keeps the parts that do not depend on t; ``perron_stack`` runs the
-    same stages on many solves at once.
+    keeps the parts that do not depend on t, and its latest solves;
+    ``perron_stack`` runs the same stages on many solves at once.
     """
     return Transfer(n, edges, weights).solve(t)
 

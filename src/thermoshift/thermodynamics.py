@@ -21,10 +21,14 @@ solve builds the recoding, the irreducibility check, beta (one exact
 max-plus pass, as in ``max_face.max_mean_data``) and the scaled log
 weights of phi - beta from that same pass (``spectral.Transfer``), and
 every later ``pressure`` or ``equilibrium_markov`` call, at any finite
-t, runs only the stages that depend on t.  The engine's stages also
-take a stack axis: ``spectral.perron_stack`` solves transfers on one
-edge set, each at its t, at once (face-curve samples);
-``markov_entropy`` takes stacks.
+t, runs only the stages that depend on t.  The transfer keeps its
+solves of the last 16 temperatures, so a pressure, an equilibrium state
+and a sweep step of one potential at one t share one solve, in any
+order; a kept solve holds its root, gap, right vector and, once read,
+its masses, and each measure gets its own copy of the masses and a
+kernel formed for it.  The engine's stages also take a stack axis:
+``spectral.perron_stack`` solves transfers on one edge set, each at its
+t, at once (face-curve samples); ``markov_entropy`` takes stacks.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def markov_entropy(p, P) -> float:
 def _solve(phi: PotentialLC, t: float, what: str):
     """(beta, Perron solve) of t * phi on the one-step recoding; the
     recoding, the irreducibility check, beta and the max-plus scaling
-    are the potential's own, built by its first solve."""
+    are the potential's own, built by its first solve, and the Perron
+    solve is its transfer's, kept by t."""
     if not np.isfinite(t):
         raise InvalidArgumentError(f"{what} needs a finite t, got {t}")
     if phi.m != 1:
@@ -119,12 +124,14 @@ def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
 def _measure(sol, labels, blocks, t=None, beta=None) -> MarkovMeasure:
     """The Markov measure of a Perron solve on states with these labels
     and blocks, whose pressure is the solve's log root, plus t * beta for
-    an equilibrium state of t * phi."""
-    return MarkovMeasure(tuple(labels), tuple(blocks), sol.stationary, sol.transition,
-                         markov_entropy(sol.stationary, sol.transition),
+    an equilibrium state of t * phi.  The measure owns its arrays: the
+    masses are copied out of the solve, which its transfer may keep, and
+    the kernel is formed for it."""
+    p, P = sol.stationary.copy(), sol.transition
+    return MarkovMeasure(tuple(labels), tuple(blocks), p, P, markov_entropy(p, P),
                          pressure=sol.log_lam if beta is None else sol.log_lam + t * float(beta),
                          beta=beta, t=t, gap=sol.gap, precision=sol.precision,
-                         log_stationary=sol.log_stationary)
+                         log_stationary=sol.log_stationary.copy())
 
 
 def parry_measure(sft: Sft) -> MarkovMeasure:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -275,6 +276,146 @@ def test_solves_sharing_a_potential_match_fresh_solves(name):
     shared = make()
     for what, t in calls:
         assert _fingerprint(shared, what, t) == _fingerprint(make(), what, t), (what, t)
+
+
+def _outputs(phi, what, t):
+    """Every output of one pressure or equilibrium state as bytes or exact
+    text, or the error it raised."""
+    try:
+        if what == "pressure":
+            return repr(pressure(phi, t))
+        mu = equilibrium_markov(phi, t)
+    except (NumericError, UnderflowError) as exc:
+        return repr(exc)
+    return (mu.stationary.tobytes(), mu.log_stationary.tobytes(), mu.transition.tobytes(),
+            repr(mu.pressure), repr(mu.gap), mu.precision, repr(mu.entropy))
+
+
+def _scalar_makers(seeded):
+    """Builders of new equal potentials: the scalar builtins, the planted
+    ties and ``seeded`` seeded potentials."""
+    makers = [functools.partial(get_potential, name) for name in potential_names()
+              if get_potential(name).m == 1]
+    makers += [lambda name=name: tied_potential(name)[0] for name in TIED_COMPONENTS]
+    return makers + [functools.partial(_fresh, phi) for phi in _seeded_scalar_potentials(seeded, 30)]
+
+
+def test_kept_solves_give_the_bits_of_fresh_solves_in_either_order():
+    # a pressure and an equilibrium state at one t share one kept solve,
+    # pressure first or equilibrium first, and each gives the bits of a
+    # new equal potential that solves it alone
+    for make in _scalar_makers(60):
+        first, second = make(), make()
+        for t in SEEDED_TEMPERATURES:
+            want = [_outputs(make(), what, t) for what in ("pressure", "equilibrium")]
+            assert [_outputs(first, what, t) for what in ("pressure", "equilibrium")] == want
+            assert [_outputs(second, what, t) for what in ("equilibrium", "pressure")] == want[::-1]
+        assert len(first._transfer._solves) == len(SEEDED_TEMPERATURES)
+
+
+def test_equilibria_after_a_sweep_give_the_bits_of_fresh_solves():
+    # a sweep keeps its solves, and an equilibrium state at one of its t
+    # reads the kept masses: the bits of a new equal potential
+    from thermoshift import zt_coefficients
+    swept = 0
+    for make in _scalar_makers(0):
+        phi = make()
+        if classify(phi).case != "MultiComponent":
+            continue
+        z = zt_coefficients(phi, method="sweep")
+        assert len(phi._transfer._solves) >= len(z.t_values) > 1
+        for t in (z.t_values[0], z.t_values[len(z.t_values) // 2], z.t_values[-1]):
+            assert _outputs(phi, "equilibrium", t) == _outputs(make(), "equilibrium", t), t
+        swept += 1
+    assert swept >= 7
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """A list that grows by one on each eigenvalue stage of the spectral
+    engine (``spectral._certify``)."""
+    calls = []
+    certify = spectral._certify
+    monkeypatch.setattr(spectral, "_certify", lambda *args: calls.append(1) or certify(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["gold0", "twofix", "threefix_c"])
+def test_a_repeated_t_runs_no_stage(name, certify_calls):
+    phi = tied_potential(name)[0]
+    equilibrium_markov(phi, 8.0)
+    pressure(phi, 2.0)
+    assert certify_calls
+    certify_calls.clear()
+    for solve, t in ((pressure, 8.0), (equilibrium_markov, 8.0), (equilibrium_markov, 2.0),
+                     (pressure, 2), (equilibrium_markov, np.float64(8.0))):
+        solve(phi, t)
+    assert not certify_calls
+
+
+def test_an_unsolved_t_raises_on_every_call():
+    phi = get_potential("twofix")
+    for solve in (equilibrium_markov, pressure, equilibrium_markov, pressure):
+        with pytest.raises(UnderflowError, match="t=20000.0 leaves the double range"):
+            solve(phi, 2.0e4)
+    assert not phi._transfer._solves
+
+
+def test_kept_solves_are_bounded_and_hold_no_kernel(certify_calls):
+    # the oldest t is dropped first, and a dropped t solves again to the
+    # same bits; no kept solve holds a kernel, read or not
+    phi = tied_potential("threefix_a")[0]
+    temps = [0.5 * (i + 1) for i in range(40)]
+    first = _outputs(phi, "equilibrium", temps[0])
+    for t in temps[1:]:
+        pressure(phi, t)
+        if t < 10.0:
+            equilibrium_markov(phi, t)
+    kept = phi._transfer._solves
+    assert list(kept) == temps[-spectral._KEPT_SOLVES:]
+    assert not any("transition" in vars(sol) for sol in kept.values())
+    certify_calls.clear()
+    assert _outputs(phi, "equilibrium", temps[0]) == first
+    assert certify_calls and temps[0] in kept and len(kept) == spectral._KEPT_SOLVES
+    assert not any("transition" in vars(sol) for sol in kept.values())
+
+
+def test_equal_temperatures_share_one_kept_solve():
+    phi = get_potential("threefix_a")
+    tr = phi._transfer
+    got = [pressure(phi, 1), equilibrium_markov(phi, 1.0).pressure, pressure(phi, np.float64(1.0))]
+    assert len(tr._solves) == 1 and tr.solve(1) is tr.solve(1.0) is tr.solve(np.float64(1.0))
+    assert got[0] == got[1] == got[2] == pressure(get_potential("threefix_a"), 1.0)
+
+
+def test_measures_own_their_arrays():
+    # component Parry measures, the limit of a classification and
+    # equilibrium states at a kept t each own their arrays: a write into
+    # one leaves the others, and later results, unchanged; the arrays a
+    # solve keeps are read-only
+    from thermoshift.zero_temperature import component_parry
+    phi = get_potential("hubmax")
+    res = classify(phi)
+    i = res.max_entropy_ids[0]
+    pressure(phi, 2.0)
+
+    def measures():
+        return [component_parry(res.face, i), component_parry(res.face, i), res.limit[0][1],
+                equilibrium_markov(phi, 2.0), equilibrium_markov(phi, 2.0)]
+
+    def arrays(mu):
+        return mu.stationary, mu.log_stationary, mu.transition
+
+    got = measures()
+    want = [tuple(a.tobytes() for a in arrays(mu)) for mu in got]
+    for j, mu in enumerate(got):
+        for a in arrays(mu):
+            a.flat[0] = 99.0
+        assert [tuple(a.tobytes() for a in arrays(x)) for x in got[j + 1:]] == want[j + 1:]
+    assert [tuple(a.tobytes() for a in arrays(mu)) for mu in measures()[:2]] == want[:2]
+    assert [tuple(a.tobytes() for a in arrays(mu)) for mu in measures()[3:]] == want[3:]
+    for sol in (phi._transfer.solve(2.0), res.face.components[i].perron_solve):
+        assert not (sol.stationary.flags.writeable or sol.log_stationary.flags.writeable)
 
 
 # Solves at t = 64 that leave the double range (transition matrix, k and
@@ -648,12 +789,18 @@ def test_the_round_rule_changes_no_bit(monkeypatch):
     # formed when read give the bits of the old rule, which starts the
     # right problem from delta = 0 and stops only on _CW_TOL: solves of
     # the oracle tests, of the builtins and planted ties, and of seeded
-    # potentials from t = 2 to 128, and the sweeps of the ties
+    # potentials from t = 2 to 128, and the sweeps of the ties.  Each run
+    # builds its potentials afresh, and the sweeps have potentials of their
+    # own, so that no solve is read from a kept one
     from thermoshift import zt_coefficients
-    phis = [get_potential(name) for name in potential_names() if get_potential(name).m == 1]
-    phis += [tied_potential(name)[0] for name in TIED_COMPONENTS]
-    seeded = _seeded_scalar_potentials(400, 21)
-    sweeps = [phi for phi in phis if classify(phi).case == "MultiComponent"]
+
+    def scalar_potentials():
+        phis = [get_potential(name) for name in potential_names()
+                if get_potential(name).m == 1]
+        return phis + [tied_potential(name)[0] for name in TIED_COMPONENTS]
+
+    sweeps = [i for i, phi in enumerate(scalar_potentials())
+              if classify(phi).case == "MultiComponent"]
     rounds = []
     coupling = spectral._coupling
     monkeypatch.setattr(spectral, "_coupling", lambda C: rounds.append(1) or coupling(C))
@@ -661,6 +808,7 @@ def test_the_round_rule_changes_no_bit(monkeypatch):
     def run():
         rounds.clear()
         out = []
+        phis, seeded = scalar_potentials(), _seeded_scalar_potentials(400, 21)
         for phi, t in [*_oracle_solves(), *((phi, 2.0 ** j) for phi in phis for j in range(-2, 8)),
                        *((phi, 2.0 ** j) for phi in seeded for j in range(1, 8))]:
             try:
@@ -670,8 +818,9 @@ def test_the_round_rule_changes_no_bit(monkeypatch):
                 continue
             out.append((mu.pressure, mu.gap, mu.log_stationary.tobytes(),
                         mu.transition.tobytes()))
-        for phi in sweeps:
-            z = zt_coefficients(phi, method="sweep")
+        phis = scalar_potentials()
+        for i in sweeps:
+            z = zt_coefficients(phis[i], method="sweep")
             out.append((z.t_values, z.mass_history, z.coefficients))
         return out, len(rounds)
 
@@ -691,7 +840,8 @@ def test_lapack_helpers_change_no_bit(monkeypatch):
     # 0.25 ... 128, seeded potentials, the builtin sweeps, the trivec and
     # kinkvec face curves and interior points, and stacks whose lanes mix
     # real and complex spectra.  Each run builds its potentials afresh,
-    # so that their aggregation frames are solved again too
+    # so that their aggregation frames and solves are solved again too,
+    # and the sweeps have potentials of their own
     from test_boundary_entropy import _bits
     from thermoshift import (face_entropy_curve, localized_entropy_interior, rotation_set,
                              zt_coefficients)
@@ -716,7 +866,7 @@ def test_lapack_helpers_change_no_bit(monkeypatch):
                 continue
             out.append((mu.pressure, mu.gap, mu.stationary.tobytes(),
                         mu.log_stationary.tobytes(), mu.transition.tobytes()))
-        for phi in phis[:len(names)]:
+        for phi in map(get_potential, names):    # sweeps that solve again
             if classify(phi).case == "MultiComponent":
                 z = zt_coefficients(phi, method="sweep")
                 out.append((z.t_values, z.mass_history, z.coefficients, z.flags))

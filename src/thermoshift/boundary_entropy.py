@@ -42,7 +42,7 @@ from .errors import (DegenerateFaceError, InvalidArgumentError, NumericError,
                      OutOfDomainError, UnsupportedDimensionError)
 from .max_face import face_subshift
 from .potential import PotentialLC, _snap
-from .rotation_geometry import RotationPolytope, _dot, _ints, _scale, rotation_set
+from .rotation_geometry import RotationPolytope, _dot, _scale, rotation_set
 
 DEFAULT_SAMPLES = 201
 DEFAULT_VMAX = 50.0
@@ -181,8 +181,8 @@ def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES
     if poly.affine_dim == 0:
         raise DegenerateFaceError("rotation set is a single point")
     # alpha as ints a / c and the vertices as int points over one denominator D
-    a, _ = _ints(alpha)
-    verts, D = _scale([_ints(v) for v in poly.vertices])
+    a = _int_weights(alpha)[0]
+    verts, D = _scale([_int_weights(v)[:2] for v in poly.vertices])
     vals = [_dot(a, v) for v in verts]
     top = max(vals)
     face_verts = [v for v, x in zip(verts, vals) if x == top]

@@ -1,10 +1,9 @@
-"""On-disk JSON cache for orbit enumerations.
-
-Enumerating elementary orbits is the one operation worth persisting:
-the result depends only on the transition matrix and the window k, and
-large windows take seconds to minutes.  Entries are written atomically
-and serialized canonically, so a cache hit is byte-identical to a fresh
-computation.
+"""On-disk JSON cache for CLI ``orbits``, keyed by the transition data
+and the window k.  ``THERMOSHIFT_CACHE`` is its only setting: unset, the
+entries go to ``~/.cache/thermoshift``; '', '0', 'off' or 'none' (any
+case, spaces stripped) turn it off; any other value names the directory.
+Entries are written atomically and serialized canonically, so a hit is
+byte-identical to a fresh computation.
 """
 
 from __future__ import annotations
@@ -26,68 +25,29 @@ SCHEMA_VERSION = 1
 _DISABLED_VALUES = {"", "0", "off", "none"}
 
 
-def matrix_digest(sft: Sft) -> str:
-    """Stable digest of the transition data (labels included)."""
-    return hashlib.sha256(sft.to_json().encode("ascii")).hexdigest()
-
-
-def cache_key(sft: Sft, k: int) -> tuple[str, int]:
-    return (matrix_digest(sft), k)
-
-
-def resolve_cache_dir(override: str | os.PathLike | None = None) -> Path | None:
-    """Cache directory, or None when caching is disabled.
-
-    Precedence: explicit override, then the environment variable, then
-    a per-user default.  Setting the variable to one of
-    '', '0', 'off', 'none' disables caching.
-    """
-    if override is not None:
-        return Path(override)
-    env = os.environ.get(CACHE_ENV)
-    if env is not None:
-        if env.strip().lower() in _DISABLED_VALUES:
-            return None
-        return Path(env)
-    return Path.home() / ".cache" / "thermoshift"
-
-
-def entry_path(cache_dir: Path, sft: Sft, k: int) -> Path:
-    digest, _ = cache_key(sft, k)
-    return cache_dir / f"orbits-{digest[:24]}-k{k}.json"
-
-
-def orbits_payload(sft: Sft, k: int, orbits) -> str:
-    """Canonical JSON text for an orbit list (sorted, no whitespace)."""
-    return json.dumps({
-        "schema": SCHEMA_VERSION,
-        "digest": matrix_digest(sft),
-        "k": k,
-        "orbits": [list(o.segment) for o in orbits],
-    }, sort_keys=True, separators=(",", ":"))
-
-
-def _rebuild_orbit(index, k: int, segment) -> ElementaryOrbit:
-    seg = tuple(segment)
-    n, word = len(seg), seg * k         # long enough to read the k-block at each position
-    ids = tuple(index[word[i:i + k]] for i in range(n))
-    return ElementaryOrbit(k=k, period=n, segment=seg,
-                           state_cycle=ids, cylinders=frozenset(ids))
-
-
-def orbits_from_payload(text: str, sft: Sft, k: int) -> tuple[ElementaryOrbit, ...]:
-    """Parse a cache entry back into orbit objects.
-
-    Raises ValueError on any structural mismatch; callers treat that as
-    a corrupt entry.
-    """
+def _read(text: str, sft: Sft, k: int, digest: str) -> tuple[ElementaryOrbit, ...]:
+    """The orbits of an entry's text; ValueError, KeyError or TypeError
+    on an entry that is malformed or written for another (sft, k)."""
     obj = json.loads(text)
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported cache schema {obj.get('schema')!r}")
-    if obj.get("digest") != matrix_digest(sft) or obj.get("k") != k:
+    if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
+        raise ValueError("unsupported cache schema")
+    if obj.get("digest") != digest or obj.get("k") != k:
         raise ValueError("cache entry does not match the requested shift/window")
     index = recode_to_one_step(sft, k).block_index()
-    out = [_rebuild_orbit(index, k, seg) for seg in obj["orbits"]]
+    out = []
+    for segment in obj["orbits"]:
+        seg = tuple(segment)
+        n, word = len(seg), seg * k     # long enough to read the k-block at each position
+        ids = tuple(index[word[i:i + k]] for i in range(n))
+        cylinders = frozenset(ids)
+        # each k-block read above checks k - 1 steps of the cycle, so none at k = 1
+        steps = zip(seg[-1:] + seg, seg) if k == 1 else ()
+        if not n or len(cylinders) != n or not all(sft.transition[a][b] for a, b in steps):
+            raise ValueError(f"{list(seg)} is not an elementary orbit")
+        out.append(ElementaryOrbit(k=k, period=n, segment=seg,
+                                   state_cycle=ids, cylinders=cylinders))
+    if not out:     # every shift has a periodic orbit
+        raise ValueError("cache entry lists no orbits")
     out.sort(key=lambda o: (o.period, o.segment))
     return tuple(out)
 
@@ -109,31 +69,34 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def cached_elementary_orbits(sft: Sft, k: int, cap: int = DEFAULT_ORBIT_CAP,
-                             cache_dir: str | os.PathLike | None = None,
-                             enabled: bool = True) -> tuple[ElementaryOrbit, ...]:
-    """Orbit enumeration backed by the JSON cache.
+def cached_elementary_orbits(sft: Sft, k: int) -> tuple[ElementaryOrbit, ...]:
+    """``elementary_orbits(sft, k)`` through the cache that
+    ``THERMOSHIFT_CACHE`` selects.
 
     A corrupt entry triggers a warning, a recompute and an overwrite.
-    With caching disabled (flag or environment) this is a plain call to
-    the enumerator.
+    A hit over ``DEFAULT_ORBIT_CAP`` orbits raises ResourceLimitError.
     """
-    directory = resolve_cache_dir(cache_dir) if enabled else None
-    if directory is None:
-        return elementary_orbits(sft, k, cap)
-    path = entry_path(directory, sft, k)
-    if path.exists():
-        try:
-            orbits = orbits_from_payload(path.read_text(), sft, k)
-            if len(orbits) > cap:
-                raise ResourceLimitError(
-                    f"cached enumeration holds {len(orbits)} orbits, over cap {cap}")
-            return orbits
-        except ResourceLimitError:
-            raise
-        except (ValueError, KeyError, OSError) as e:
-            warnings.warn(f"corrupt orbit cache entry {path}: {e}; recomputing",
-                          RuntimeWarning, stacklevel=2)
-    orbits = elementary_orbits(sft, k, cap)
-    atomic_write_text(path, orbits_payload(sft, k, orbits))
+    env = os.environ.get(CACHE_ENV)
+    if env is not None and env.strip().lower() in _DISABLED_VALUES:
+        return elementary_orbits(sft, k)
+    directory = Path.home() / ".cache" / "thermoshift" if env is None else Path(env)
+    digest = hashlib.sha256(sft.to_json().encode("ascii")).hexdigest()
+    path = directory / f"orbits-{digest[:24]}-k{k}.json"
+    try:
+        orbits = _read(path.read_text(), sft, k, digest)
+    except FileNotFoundError:
+        pass
+    except (ValueError, KeyError, TypeError, OSError) as e:
+        warnings.warn(f"corrupt orbit cache entry {path}: {e}; recomputing",
+                      RuntimeWarning, stacklevel=2)
+    else:
+        if len(orbits) > DEFAULT_ORBIT_CAP:
+            raise ResourceLimitError(f"cached enumeration holds {len(orbits)} "
+                                     f"orbits, over cap {DEFAULT_ORBIT_CAP}")
+        return orbits
+    orbits = elementary_orbits(sft, k)
+    atomic_write_text(path, json.dumps({
+        "schema": SCHEMA_VERSION, "digest": digest, "k": k,
+        "orbits": [list(o.segment) for o in orbits],
+    }, sort_keys=True, separators=(",", ":")))
     return orbits

@@ -176,7 +176,7 @@ def _emit(args, command: str, input_hash: str, payload: dict, warnings: list,
 
 def _cmd_orbits(args) -> int:
     sft = _resolve_shift(args.shift)
-    orbits = cached_elementary_orbits(sft, args.k, enabled=not args.no_cache)
+    orbits = cached_elementary_orbits(sft, args.k)
     hist: dict[int, int] = {}
     for o in orbits:
         hist[o.period] = hist.get(o.period, 0) + 1
@@ -401,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbits", help="enumerate elementary periodic orbits")
     _add_common(sp, with_potential=False)
-    sp.add_argument("--no-cache", action="store_true",
-                    help="skip the on-disk orbit cache")
 
     sp = sub.add_parser("rotset", help="rotation-set polytope of a potential")
     _add_common(sp, with_potential=True)

@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+from .core_sft import _int_weights
 from .errors import InvalidArgumentError, ResourceLimitError
 from .max_face import extreme_cycle
 from .orbits import birkhoff_average, elementary_orbits
@@ -60,12 +61,6 @@ def _orbit_sums(Phi: PotentialLC, orbits, census: bool = False):
 
 def _ratios(s, e) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, e) for x in s)
-
-
-def _ints(vec):
-    """(y, e) with the rational vector vec equal to y / e."""
-    e = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (e // x.denominator) for x in vec], e
 
 
 def _scale(points):
@@ -255,7 +250,7 @@ class RotationPolytope:
 
     def membership(self, point) -> str:
         """'interior', 'boundary', or 'outside' relative to the affine hull."""
-        y, e = _ints([_snap(x) for x in point])
+        y, e = _int_weights([_snap(x) for x in point])[:2]
         if not self.frame.contains(y, e):
             return "outside"
         on_facet = False
@@ -470,7 +465,7 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None) -> FaceFingerprint:
         raise InvalidArgumentError("direction length must equal potential dimension")
     exact = Phi.mode == "exact" and all(isinstance(a, (int, Fraction)) for a in alpha)
     if exact:
-        a, c = _ints([Fraction(x) for x in alpha])
+        a, c = _int_weights([Fraction(x) for x in alpha])[:2]
         X, D = _scale(_orbit_sums(Phi, orbits, census))
         vals = [_dot(a, x) for x in X]
         best = max(vals)

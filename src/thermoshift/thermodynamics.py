@@ -33,6 +33,7 @@ t, at once (face-curve samples); ``markov_entropy`` takes stacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,12 @@ def _solve(phi: PotentialLC, t: float, what: str):
     recoding, the irreducibility check, beta and the max-plus scaling
     are the potential's own, built by its first solve, and the Perron
     solve is its transfer's, kept by t."""
-    if not np.isfinite(t):
-        raise InvalidArgumentError(f"{what} needs a finite t, got {t}")
+    try:
+        finite = math.isfinite(t)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidArgumentError(f"{what} needs a finite real t, got {t!r}")
     if phi.m != 1:
         raise InvalidArgumentError(f"{what} takes a scalar potential")
     if not phi._irreducible:

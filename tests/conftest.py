@@ -4,6 +4,14 @@ import sys
 import pytest
 
 import thermoshift.core_sft as core_sft
+from thermoshift.cache import CACHE_ENV
+
+
+@pytest.fixture(autouse=True)
+def no_cache(monkeypatch):
+    """No test reads or writes the on-disk orbit cache unless it sets
+    THERMOSHIFT_CACHE itself."""
+    monkeypatch.setenv(CACHE_ENV, "off")
 
 
 @pytest.fixture

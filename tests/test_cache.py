@@ -1,74 +1,137 @@
+"""The orbit cache, driven only through THERMOSHIFT_CACHE."""
+
+import json
 import os
 
 import pytest
 
-from thermoshift import ResourceLimitError, Sft, cached_elementary_orbits, elementary_orbits
-from thermoshift.cache import (CACHE_ENV, atomic_write_text, entry_path,
-                               matrix_digest, orbits_from_payload,
-                               orbits_payload, resolve_cache_dir)
+import thermoshift.cache as cache
+from thermoshift import ResourceLimitError, Sft, cached_elementary_orbits, elementary_orbits, get_shift
+from thermoshift.cache import CACHE_ENV, atomic_write_text
+from thermoshift.cli import main
+
+# full2's entry at k = 1, as schema 1 names and writes it
+FULL2_K1_NAME = "orbits-43eaa739d78ad1ae0c1a6eaa-k1.json"
+FULL2_K1 = ('{"digest":"43eaa739d78ad1ae0c1a6eaa1b432a78281844effa0e7dfee47810f48ea8db46",'
+            '"k":1,"orbits":[[0],[1],[0,1]],"schema":1}')
 
 
-def test_round_trip_is_byte_identical(tmp_path):
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    return tmp_path
+
+
+def _forbid(monkeypatch, *names):
+    """Makes each named function of the cache module fail: a hit calls none."""
+    def fail(*args):
+        raise AssertionError("a cache hit enumerated or wrote")
+    for name in names:
+        monkeypatch.setattr(cache, name, fail)
+
+
+def _entries(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def _entry(directory):
+    (path,) = directory.glob("orbits-*.json")
+    return path
+
+
+def test_round_trip_is_byte_identical(cache_dir, monkeypatch):
     sft = Sft.full(3)
-    first = cached_elementary_orbits(sft, 2, cache_dir=tmp_path)
-    path = entry_path(tmp_path, sft, 2)
-    assert path.exists()
-    blob = path.read_bytes()
-    second = cached_elementary_orbits(sft, 2, cache_dir=tmp_path)
-    assert first == second
+    first = cached_elementary_orbits(sft, 2)
     assert first == elementary_orbits(sft, 2)
-    assert orbits_payload(sft, 2, second).encode() == blob
-    parsed = orbits_from_payload(blob.decode(), sft, 2)
-    assert parsed == first
-
-
-def test_corrupt_entry_recomputes_and_repairs(tmp_path):
-    sft = Sft.full(2)
-    good = cached_elementary_orbits(sft, 2, cache_dir=tmp_path)
-    path = entry_path(tmp_path, sft, 2)
+    path = _entry(cache_dir)
     blob = path.read_bytes()
-    path.write_text('{"schema": 1, "digest": "feed", "k": 2, "orbits": []}')
-    with pytest.warns(RuntimeWarning, match="corrupt orbit cache"):
-        again = cached_elementary_orbits(sft, 2, cache_dir=tmp_path)
-    assert again == good
+    _forbid(monkeypatch, "elementary_orbits", "atomic_write_text")
+    assert cached_elementary_orbits(sft, 2) == first
     assert path.read_bytes() == blob
-    path.write_text("not json at all")
-    with pytest.warns(RuntimeWarning, match="recomputing"):
-        cached_elementary_orbits(sft, 2, cache_dir=tmp_path)
+
+
+def test_full2_entry_bytes_are_pinned(cache_dir):
+    sft = get_shift("full2")
+    cached_elementary_orbits(sft, 1)
+    assert _entries(cache_dir) == [FULL2_K1_NAME]
+    assert (cache_dir / FULL2_K1_NAME).read_text() == FULL2_K1
+
+
+def test_pinned_entry_is_a_hit(cache_dir, monkeypatch):
+    (cache_dir / FULL2_K1_NAME).write_text(FULL2_K1)
+    _forbid(monkeypatch, "elementary_orbits", "atomic_write_text")
+    sft = get_shift("full2")
+    assert cached_elementary_orbits(sft, 1) == elementary_orbits(sft, 1)
+
+
+def test_corrupt_entry_recomputes_and_repairs(cache_dir):
+    sft = Sft.full(2)
+    good = cached_elementary_orbits(sft, 2)
+    path = _entry(cache_dir)
+    blob = path.read_bytes()
+    for text in ('{"schema": 1, "digest": "feed", "k": 2, "orbits": []}',
+                 "not json at all", "[1]"):
+        path.write_text(text)
+        with pytest.warns(RuntimeWarning, match="corrupt orbit cache.*recomputing"):
+            assert cached_elementary_orbits(sft, 2) == good
+        assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("k, orbits", [(2, [5]), (2, None), (2, [[]]), (2, []), (2, [[0, 7]]),
+                                        (2, [["a"]]), (2, "xx"), (1, [[0], [1]])],
+                         ids=["int", "null", "empty-orbit", "empty-list", "bad-symbol",
+                              "string-symbol", "string", "forbidden-step"])
+def test_malformed_orbits_are_repaired_by_the_cli(cache_dir, capsys, k, orbits):
+    argv = ["orbits", "--shift", "golden", "--k", str(k)]
+    assert main(argv) == 0
+    census = json.loads(capsys.readouterr().out)["payload"]
+    path = _entry(cache_dir)
+    blob = path.read_bytes()
+    entry = json.loads(blob)
+    entry["orbits"] = orbits
+    path.write_text(json.dumps(entry))
+    with pytest.warns(RuntimeWarning, match="corrupt orbit cache"):
+        assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["payload"] == census
     assert path.read_bytes() == blob
 
 
 def test_disabled_cache_writes_nothing(tmp_path, monkeypatch):
-    sft = Sft.full(2)
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    cached_elementary_orbits(sft, 2, enabled=False)
-    assert list(tmp_path.iterdir()) == []
-    monkeypatch.setenv(CACHE_ENV, "off")
-    cached_elementary_orbits(sft, 2)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    for off in ("", "0", "off", "none", " OFF ", "None"):
+        monkeypatch.setenv(CACHE_ENV, off)
+        assert cached_elementary_orbits(Sft.full(2), 2) == elementary_orbits(Sft.full(2), 2)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
-    assert resolve_cache_dir(tmp_path) == tmp_path
+    home = tmp_path / "home"
+    monkeypatch.setenv("HOME", str(home))
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "sub"))
-    assert resolve_cache_dir() == tmp_path / "sub"
-    for off in ("", "0", "off", "none", " OFF "):
-        monkeypatch.setenv(CACHE_ENV, off)
-        assert resolve_cache_dir() is None
+    cached_elementary_orbits(get_shift("full2"), 1)
+    assert _entries(tmp_path / "sub") == [FULL2_K1_NAME]
+    assert not home.exists()
     monkeypatch.delenv(CACHE_ENV)
-    assert resolve_cache_dir() == resolve_cache_dir()
+    cached_elementary_orbits(get_shift("full2"), 1)
+    assert _entries(home / ".cache" / "thermoshift") == [FULL2_K1_NAME]
 
 
-def test_cached_entry_still_respects_cap(tmp_path):
+def test_cached_entry_still_respects_cap(cache_dir, monkeypatch):
     sft = Sft.full(3)
-    cached_elementary_orbits(sft, 2, cache_dir=tmp_path)
-    with pytest.raises(ResourceLimitError):
-        cached_elementary_orbits(sft, 2, cap=10, cache_dir=tmp_path)
+    cached_elementary_orbits(sft, 2)
+    monkeypatch.setattr(cache, "DEFAULT_ORBIT_CAP", 10)
+    with pytest.raises(ResourceLimitError, match="over cap 10"):
+        cached_elementary_orbits(sft, 2)
 
 
-def test_digest_depends_on_matrix():
-    assert matrix_digest(Sft.full(2)) != matrix_digest(Sft.full(3))
-    assert matrix_digest(Sft.full(2)) == matrix_digest(Sft.full(2))
+def test_digest_depends_on_matrix(cache_dir):
+    cached_elementary_orbits(Sft.full(2), 2)
+    cached_elementary_orbits(Sft.full(3), 2)
+    cached_elementary_orbits(Sft.full(2), 2)
+    names = _entries(cache_dir)
+    assert len(names) == 2
+    assert {json.loads((cache_dir / n).read_text())["digest"][:24] for n in names} \
+        == {n[len("orbits-"):-len("-k2.json")] for n in names}
 
 
 def test_atomic_write_leaves_no_droppings(tmp_path):

@@ -11,13 +11,8 @@ import pytest
 
 import thermoshift.boundary_entropy as boundary_entropy
 from thermoshift import NumericError, face_entropy_curve, get_potential
-from thermoshift.cache import CACHE_ENV, entry_path
+from thermoshift.cache import CACHE_ENV
 from thermoshift.cli import _curve_rows, main
-
-
-@pytest.fixture(autouse=True)
-def no_cache(monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, "off")
 
 
 def run(capsys, *args):
@@ -326,15 +321,13 @@ def test_sweep_without_data_exits_3(capsys, monkeypatch):
 
 
 def test_cache_env_is_honoured(capsys, monkeypatch, tmp_path):
-    from thermoshift import get_shift
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     run_json(capsys, "orbits", "--shift", "golden", "--k", "3")
-    assert entry_path(tmp_path, get_shift("golden"), 3).exists()
+    assert [p.name[-8:] for p in tmp_path.glob("orbits-*.json")] == ["-k3.json"]
 
 
-def test_only_orbits_takes_no_cache(capsys):
-    assert run_json(capsys, "orbits", "--shift", "golden", "--k", "2",
-                    "--no-cache")["payload"]["count"] == 3
+def test_no_cache_flag_is_a_usage_error(capsys):
+    assert run(capsys, "orbits", "--shift", "golden", "--k", "2", "--no-cache")[0] == 1
     assert run(capsys, "rotset", "--potential", "trivec", "--no-cache")[0] == 1
 
 

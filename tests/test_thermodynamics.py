@@ -137,11 +137,23 @@ def test_reducible_and_vector_inputs_are_rejected():
         pressure(get_potential("trivec"), 1.0)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "1", None, 1 + 0j, 10**400],
+                         ids=["nan", "inf", "-inf", "str", "None", "complex", "huge-int"])
 def test_non_finite_t_is_an_input_error(t):
     for solve in (pressure, equilibrium_markov):
         with pytest.raises(InvalidArgumentError, match="finite"):
             solve(get_potential("twofix"), t)
+
+
+@pytest.mark.parametrize("name", ["twofix", "gold0", "threefix_a"])
+def test_exact_t_solves_as_its_float(name):
+    # each potential is fresh, so neither result is the other's kept solve
+    exact, double = get_potential(name), get_potential(name)
+    assert pressure(exact, Fraction(1, 3)) == pressure(double, 1 / 3)
+    mu, nu = equilibrium_markov(exact, Fraction(1, 3)), equilibrium_markov(double, 1 / 3)
+    assert mu.stationary.tobytes() == nu.stationary.tobytes()
+    assert mu.transition.tobytes() == nu.transition.tobytes()
+    assert mu.pressure == nu.pressure
 
 
 def test_extreme_t_underflows_cleanly():

@@ -87,6 +87,13 @@ class Sft:
                 if v:
                     yield (i, j)
 
+    @functools.cached_property
+    def _transitive(self) -> bool:
+        """Whether the transition graph is one nontrivial SCC, found once
+        per shift: ``is_transitive`` and the split of every recoding of
+        it (``RecodedSft._split``) read this."""
+        return _is_irreducible(self.d, self.edges())
+
     def to_json(self) -> str:
         return json.dumps(
             {"d": self.d, "transition": [list(r) for r in self.transition],
@@ -268,7 +275,8 @@ def _max_plus_pass(n: int, split, scaled):
     scale) (``unit`` at beta), and slack[i] = w q - p + h[b] - h[a] on
     inner[i].  An edge is tight when its SCC has mean beta and its slack
     is 0, or for floats when they fall short by at most TIGHT_TOL (1 +
-    max |w|); the tight edges come unsplit, and a walk on them never stops
+    max |w|), a shortfall past the double range never (``_below``); the
+    tight edges come unsplit, and a walk on them never stops
     (each source leaves by its tight policy edge)."""
     sccs, inner = split
     if not sccs:
@@ -286,12 +294,22 @@ def _max_plus_pass(n: int, split, scaled):
         beta, tol = Fraction(bp, bq * scale), 0.0
     else:
         beta, tol = bp / (bq * scale), TIGHT_TOL * (1.0 + max(map(abs, wi)) / scale)
-        gap = {m: float((Fraction(*m) - Fraction(bp, bq)) / scale) for m in means}
+        gap = {m: _below(*((Fraction(*m) - Fraction(bp, bq)) / scale).as_integer_ratio())
+               for m in means}
     slack = [x * q[a] - p[a] + h[b] - h[a] for (a, b), x in zip(inner, wi)]
     tight = [e for e, s in zip(inner, slack)
              if not s and p[e[0]] == bp and q[e[0]] == bq
-             or tol and gap[p[e[0]], q[e[0]]] + s / (q[e[0]] * scale) >= -tol]
+             or tol and gap[p[e[0]], q[e[0]]] + _below(s, q[e[0]] * scale) >= -tol]
     return beta, tight, h, bq * scale, slack
+
+
+def _below(a: int, b: int) -> float:
+    """a / b for ints a <= 0 < b, as a double, or -inf where the quotient
+    leaves the double range: a float slack that far below 0 is not tight."""
+    try:
+        return a / b
+    except OverflowError:
+        return -math.inf
 
 
 def _cheapest(adj, c):
@@ -357,7 +375,7 @@ def strongly_connected_components(sft: Sft) -> list[SccComponent]:
 
 def is_transitive(sft: Sft) -> bool:
     """True when the transition graph is a single (nontrivial) SCC."""
-    return _is_irreducible(sft.d, sft.edges())
+    return sft._transitive
 
 
 def _is_irreducible(n: int, edges) -> bool:
@@ -372,9 +390,10 @@ class RecodedSft:
     State ``(b1..bk)`` has an edge to ``(c1..ck)`` exactly when the
     overlap ``b2..bk == c1..c(k-1)`` holds and the base matrix allows
     ``bk -> ck``.  States are listed in lexicographic order; the graph is
-    held as its list of edges, about d n of them.  It is split into its
-    SCCs once (``_split``), whatever reads it: irreducibility checks and
-    every exact max-plus pass on the recoding.
+    held as its list of edges, about d n of them.  Its SCC split
+    (``_split``) is kept, whatever reads it: irreducibility checks and
+    every exact max-plus pass on the recoding.  A recoding of a transitive
+    shift is never searched for SCCs, since it is one SCC.
     """
 
     base: Sft
@@ -397,7 +416,13 @@ class RecodedSft:
 
     @functools.cached_property
     def _split(self):
-        """The nontrivial SCCs and the edges inside them (``_cyclic_components``)."""
+        """The nontrivial SCCs and the edges inside them, as
+        ``_cyclic_components`` gives them.  Where the base shift is
+        transitive (``Sft._transitive``) that is every state and every
+        edge with no search, since a higher-block presentation of an
+        irreducible graph is irreducible (Lind and Marcus 1995, section 2.3)."""
+        if self.base._transitive:
+            return [list(range(self.n))], list(self._edges)
         return _cyclic_components(self._edges)
 
     @functools.cached_property

@@ -66,6 +66,12 @@ def find_cycle(edges):
     return path[seen[cur]:]
 
 
+def cycle_gap(n: int) -> float:
+    """The gap of the Perron root 1 of an n-cycle's matrix: 2 sin(pi/n),
+    its distance to the next n-th root of unity, clamped to 1."""
+    return 1.0 if n <= 6 else 2.0 * math.sin(math.pi / n)
+
+
 @dataclass(frozen=True)
 class FaceComponent:
     """One transitive component of a maximizing subshift.  The Perron
@@ -92,8 +98,8 @@ class FaceComponent:
         import numpy as np                  # numpy loads only for Perron solves
         from .spectral import PerronSolve, Transfer
         n = len(self.matrix)
-        if self.is_cycle:       # root 1, uniform measure, gap 2 sin(pi/n) clamped to 1
-            return PerronSolve(0.0, 1.0 if n <= 6 else 2.0 * math.sin(math.pi / n),
+        if self.is_cycle:       # root 1, uniform measure
+            return PerronSolve(0.0, cycle_gap(n),
                                lambda: (np.full(n, 1.0 / n), np.full(n, -math.log(n))),
                                lambda: np.array(self.matrix, dtype=float))
         return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()

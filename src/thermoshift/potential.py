@@ -50,17 +50,19 @@ class PotentialLC:
     """A locally constant m-vector potential with window k.
 
     A potential is immutable: its fields cannot be assigned and
-    ``values`` is a read-only mapping.  So the data that its solves share
-    is kept with it, each piece built on first use: the recoding, the
-    state values and their integer rows, the irreducibility of the
+    ``values`` is a read-only mapping of finite numbers (a NaN or an
+    infinity raises InvalidArgumentError).  So the data that its solves
+    share is kept with it, each piece built on first use: the recoding,
+    the state values and their integer rows, the irreducibility of the
     recoding, the one max-plus pass of a scalar potential with its
-    maximum cycle mean beta and tight edges, the transfer matrix of
-    phi - beta scaled by that pass (``spectral.Transfer``) with its Perron
-    solves of the last 16 temperatures, so that a pressure and an
-    equilibrium state at one t solve once, and the rotation polytope of a
-    vector potential, which whichever of ``rotation_set`` and
-    ``genericity_check`` comes first builds
-    (``rotation_geometry._kept_hull``).
+    maximum cycle mean beta and tight edges, which ``classify`` and the
+    max side of a ``cohomology_test`` against a constant share, the
+    transfer matrix of phi - beta scaled by that pass
+    (``spectral.Transfer``) with its Perron solves of the last 16
+    temperatures, so that a pressure and an equilibrium state at one t
+    solve once, and the rotation polytope of a vector potential, which
+    whichever of ``rotation_set`` and ``genericity_check`` comes first
+    builds (``rotation_geometry._kept_hull``).
     """
 
     sft: Sft
@@ -90,6 +92,8 @@ class PotentialLC:
                     raise InvalidArgumentError("exact potential holds a non-rational value")
                 if self.mode == "float" and not isinstance(x, float):
                     raise InvalidArgumentError("float potential holds a non-float value")
+                if self.mode == "float" and not math.isfinite(x):
+                    raise InvalidArgumentError(f"float potential holds {x} at block {blk}")
 
     def __reduce__(self):
         # a read-only mapping does not pickle; the copy rebuilds its own data
@@ -170,10 +174,12 @@ class PotentialLC:
             blk = tuple(blk)
             if not isinstance(vec, (tuple, list)):
                 vec = (vec,)
-            if mode == "exact":
-                conv[blk] = tuple(_as_fraction(x) for x in vec)
-            else:
-                conv[blk] = tuple(float(x) for x in vec)
+            try:
+                conv[blk] = tuple(map(_as_fraction if mode == "exact" else float, vec))
+            except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+                # a NaN or an infinity as exact, unparsable text, "1/0"
+                raise InvalidArgumentError(
+                    f"value {vec!r} at block {blk} is not a finite {mode} number") from None
         if m is None:
             m = len(next(iter(conv.values())))
         return cls(sft=sft, k=k, m=m, values=conv, mode=mode)
@@ -230,14 +236,8 @@ class PotentialLC:
             blk = cls._parse_block_key(key)
             if not isinstance(vec, list):
                 vec = [vec]
-            if mode == "exact":
-                try:
-                    vals[blk] = tuple(Fraction(str(x)) for x in vec)
-                except ValueError as e:
-                    raise InvalidArgumentError(
-                        f"value {vec} at block '{key}' is not rational; use float mode") from e
-            else:
-                vals[blk] = tuple(float(x) for x in vec)
+            # an exact value is read from its text, so 0.1 is 1/10
+            vals[blk] = [str(x) for x in vec] if mode == "exact" else vec
         return cls.from_block_values(sft, obj["k"], vals, m=obj.get("m"), mode=mode)
 
 
@@ -281,13 +281,28 @@ class CohomologyReport:
     spread: float
 
 
+def _constant_shift(phi: PotentialLC, psi: PotentialLC, exact: bool):
+    """c where psi is the constant c at a window at most phi's, so that
+    the pass of phi - psi on phi's recoding is phi's own less c (exact
+    values, or c = 0 on float phi, whose weights are then phi's); else None."""
+    (c,), *rest = psi.values.values()
+    if (psi.k <= phi.k and all(v == (c,) for v in rest)
+            and (exact or phi.mode == "float" and c == 0)):
+        return c if exact else 0.0
+    return None
+
+
 def cohomology_test(phi: PotentialLC, psi: PotentialLC) -> CohomologyReport:
     """Decide whether phi - psi is cohomologous to a constant.
 
     Livsic: the max and min cycle means of phi - psi at window
     max(k_phi, k_psi) agree, and the common value is the constant.  In
     float mode, agreement within FLOAT_EQ_TOL counts but is flagged, and
-    the constant is the midpoint.
+    the constant is the midpoint.  Where psi is a constant c of window at
+    most k_phi (exact, or c = 0 in float mode), the max side is phi's
+    kept pass (``PotentialLC._pass``) less c, with its tight edges and
+    their split: shifting every weight by c leaves Howard's choices as
+    they are.  Only the min side takes a pass of its own.
     """
     if phi.m != 1 or psi.m != 1:
         raise InvalidArgumentError("cohomology test applies to scalar potentials")
@@ -297,7 +312,11 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC) -> CohomologyReport:
     exact = phi.mode == "exact" and psi.mode == "exact"
     w = [phi.value(b)[0] - psi.value(b)[0] if exact
          else float(phi.value(b)[0]) - float(psi.value(b)[0]) for b in recoded.states]
-    hi, hi_tight = _state_pass(recoded.n, recoded._split, w)[:2]
+    c = _constant_shift(phi, psi, exact)
+    if c is not None:
+        hi = phi._pass[0] - c
+    else:
+        hi, hi_tight = _state_pass(recoded.n, recoded._split, w)[:2]
     neg_lo, lo_tight = _state_pass(recoded.n, recoded._split, [-x for x in w])[:2]
     lo = -neg_lo
     spread = float(hi - lo)
@@ -305,10 +324,11 @@ def cohomology_test(phi: PotentialLC, psi: PotentialLC) -> CohomologyReport:
         return CohomologyReport(True, hi if exact else (hi + lo) / 2, None,
                                 spread > 0.0, spread)
 
-    def segment(tight):
+    def segment(rec_edges):
         # the walk on the recurrent tight edges: only a witness splits them
-        seg = tuple(recoded.states[v][0] for v in find_cycle(_cyclic_components(tight)[1]))
+        seg = tuple(recoded.states[v][0] for v in find_cycle(rec_edges))
         return min(seg[r:] + seg[:r] for r in range(len(seg)))
 
-    return CohomologyReport(False, None, (segment(lo_tight), segment(hi_tight)),
-                            False, spread)
+    hi_edges = phi._max_plus[1] if c is not None else _cyclic_components(hi_tight)[1]
+    return CohomologyReport(False, None, (segment(_cyclic_components(lo_tight)[1]),
+                                          segment(hi_edges)), False, spread)

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
-from .max_face import FaceSubshift, face_subshift, max_entropy_components
+from .max_face import FaceSubshift, cycle_gap, face_subshift, max_entropy_components
 from .potential import PotentialLC
 from .thermodynamics import MarkovMeasure, _measure, _solve
 
@@ -49,8 +51,16 @@ class ClassificationResult:
 
 
 def component_parry(face: FaceSubshift, index: int) -> MarkovMeasure:
+    """The Parry measure of one face component.  A cycle's is exact and
+    formed directly, with no Perron solve: the uniform masses on its n
+    states, its 0/1 matrix as the kernel, entropy and pressure 0."""
     comp = face.components[index]
-    return _measure(comp.perron_solve, comp.labels(), comp.blocks)
+    if not comp.is_cycle:
+        return _measure(comp.perron_solve, comp.labels(), comp.blocks)
+    n = len(comp.matrix)
+    return MarkovMeasure(comp.labels(), comp.blocks, np.full(n, 1.0 / n),
+                         np.array(comp.matrix, dtype=float), 0.0, pressure=0.0,
+                         gap=cycle_gap(n), log_stationary=np.full(n, -math.log(n)))
 
 
 def classify(phi: PotentialLC) -> ClassificationResult:

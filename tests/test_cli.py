@@ -240,6 +240,39 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, values", [
+    (["rotset", "--mode", "float"], '"m": 2, "values": {"0": [NaN, 0], "1": [0, 1]}'),
+    (["rotset", "--mode", "float"], '"m": 2, "values": {"0": [1, 0], "1": [Infinity, 1]}'),
+    (["facecurve", "--alpha", "1,0", "--mode", "float"],
+     '"m": 2, "values": {"0": [NaN, 0], "1": [0, 1]}'),
+    (["facecurve", "--alpha", "1,0", "--mode", "float"],
+     '"m": 2, "values": {"0": [-Infinity, 0], "1": [0, 1]}'),
+    (["classify"], '"values": {"0": ["1/0"], "1": ["1"]}'),
+    (["classify"], '"values": {"0": [NaN], "1": ["1"]}'),
+    (["classify"], '"mode": "float", "values": {"0": ["abc"], "1": [1]}'),
+    (["cohom", "--mode", "float"], '"values": {"0": [1e400], "1": [1]}')])
+def test_values_that_are_not_finite_numbers_exit_2(capsys, tmp_path, argv, values):
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"k": 1, %s}' % values)
+    rc, out, err = run(capsys, *argv, "--shift", "full2", "--potential", str(pot))
+    assert rc == 2 and not out and "input error" in err and "at block" in err
+
+
+@pytest.mark.parametrize("cmd", ["classify", "cohom", "ztsweep"])
+def test_weights_at_the_ends_of_the_double_range_run(capsys, tmp_path, cmd):
+    # the edges out of 1 fall 2e308 short of beta = 1e308: not tight
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"k": 1, "mode": "float", "values": {"0": [1e308], "1": [-1e308]}}')
+    payload = run_json(capsys, cmd, "--shift", "full2", "--potential", str(pot))["payload"]
+    if cmd == "cohom":
+        assert not payload["cohomologous"] and payload["witness"] == {
+            "high_orbit": "0", "low_orbit": "1"}
+    elif cmd == "classify":
+        assert payload["case"] == "VertexPeriodic" and payload["beta"] == 1e308
+    else:
+        assert payload["case"] == "VertexPeriodic" and payload["coefficients"] == ["1"]
+
+
 def test_malformed_shift_json_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for text in ('{"transition": 5}', '{"transition": [[1]], "labels": 3}'):

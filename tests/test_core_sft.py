@@ -368,3 +368,39 @@ def test_potentials_match_the_kleene_oracle():
         vals = [x for (x,) in phi.state_values()]
         beta = karp_max_mean(rec.n, rec.edges(), vals)
         _check_potentials(rec.n, rec.edges(), [x - beta for x in vals])
+
+
+def test_the_recoding_split_matches_a_search(rng, scc_splits):
+    # a recoding of a transitive shift is one SCC and is never searched;
+    # any other recoding is, and both splits are what the search gives
+    kinds = set()
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        try:
+            sft = Sft.from_matrix([[int(rng.random() < 0.45) for _ in range(d)]
+                                   for _ in range(d)])
+        except EmptyShiftError:
+            continue
+        transitive = is_transitive(sft)
+        assert transitive == _is_irreducible_oracle(sft.d, list(sft.edges()))
+        assert sft.__dict__["_transitive"] is transitive       # kept with the shift
+        for k in (1, 2, 3):
+            recoded = recode_to_one_step.__wrapped__(sft, k)    # not split yet
+            del scc_splits[:]
+            got = recoded._split
+            assert (len(scc_splits) == 1) != transitive
+            assert got == _cyclic_components(list(recoded.edges()))
+            kinds.add((transitive, got[0] == [list(range(recoded.n))]))
+    assert kinds == {(True, True), (False, False)}
+
+
+def test_float_slack_past_the_double_range_is_not_tight():
+    # the float tight test divides the slack, and each SCC's mean gap, by
+    # the unit: on finite weights these may leave the double range
+    big = [1e308, 1e308, -1e308, -1e308]    # the full 2-shift's edges, by source
+    full = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    beta, tight = _max_plus_pass(2, ([[0, 1]], full), _int_weights(big))[:2]
+    assert beta == 1e308 and tight == [(0, 0), (1, 0)]    # (0, 1) falls 2e308 short
+    beta, tight = _max_plus_pass(2, ([[0], [1]], [(0, 0), (1, 1)]),
+                                 _int_weights([1e308, -1e308]))[:2]
+    assert beta == 1e308 and tight == [(0, 0)]

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 import thermoshift.core_sft as core_sft
+import thermoshift.potential as potential
 from oracles import (brute_max_cycle_mean, random_rational_values,
                      random_transitive_sft, word_average)
 from property_suites import suite_potentials
-from thermoshift import (CohomologyReport, InvalidArgumentError, PotentialLC,
-                         Sft, classify, cohomology_test, get_potential,
-                         max_mean_data, potential_names, pressure,
+from thermoshift import (CohomologyReport, InvalidArgumentError, NotTransitiveError,
+                         PotentialLC, Sft, classify, cohomology_test, face_subshift,
+                         get_potential, max_mean_data, potential_names, pressure,
                          recode_to_one_step, rotation_set, scalarize,
                          universal_potential)
-from thermoshift.max_face import extreme_cycle
+from thermoshift.max_face import _state_pass, extreme_cycle
 
 
 def test_block_coverage_is_validated():
@@ -51,6 +52,37 @@ def test_mode_enforcement():
                     "float")
     with pytest.raises(InvalidArgumentError):
         PotentialLC(full2, 1, 1, {(0,): (0.0,), (1,): (0.0,)}, "fuzzy")
+
+
+BAD_VALUES = [("float", math.nan), ("float", math.inf), ("float", -math.inf),
+              ("float", "abc"), ("float", "1e400"), ("float", None),
+              ("exact", math.nan), ("exact", math.inf), ("exact", -math.inf),
+              ("exact", "abc"), ("exact", "1/0"), ("exact", None)]
+
+
+@pytest.mark.parametrize("mode, value", BAD_VALUES)
+def test_values_that_are_not_finite_numbers_are_input_errors(mode, value):
+    full2 = Sft.full(2)
+    with pytest.raises(InvalidArgumentError, match="at block"):
+        PotentialLC.from_block_values(full2, 1, {(0,): value, (1,): 0}, mode=mode)
+    with pytest.raises(InvalidArgumentError, match="at block"):
+        PotentialLC.from_block_values(full2, 1, {(0,): (1, value), (1,): (0, 0)}, mode=mode)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_constructor_refuses_non_finite_floats(value):
+    with pytest.raises(InvalidArgumentError, match="float potential holds"):
+        PotentialLC(Sft.full(2), 1, 1, {(0,): (0.5,), (1,): (value,)}, "float")
+
+
+@pytest.mark.parametrize("mode, text", [
+    ("exact", '"1/0"'), ("exact", '"abc"'), ("exact", '"nan"'), ("exact", "NaN"),
+    ("exact", "Infinity"), ("float", '"abc"'), ("float", "NaN"), ("float", "Infinity"),
+    ("float", "-Infinity"), ("float", "1e400"), ("float", "[]")])
+def test_potential_json_with_a_bad_value_is_an_input_error(mode, text):
+    doc = '{"k": 1, "mode": "%s", "values": {"0": [%s], "1": [0]}}' % (mode, text)
+    with pytest.raises(InvalidArgumentError):
+        PotentialLC.from_json(doc, Sft.full(2))
 
 
 def test_potentials_are_immutable():
@@ -270,15 +302,64 @@ def test_cohomology_and_rotation_sets_do_not_depend_on_the_split(monkeypatch):
     assert outputs() == cached and len(fresh) > len(cached)
 
 
-def test_classify_and_cohomology_split_the_recoding_once(scc_splits):
-    recode_to_one_step.cache_clear()    # a recoding no earlier test has split
+def _bits(rep):
+    return tuple(map(repr, dataclasses.astuple(rep)))
+
+
+def test_cohomology_against_a_constant_matches_the_general_path_and_the_oracle(monkeypatch):
+    # against a constant c of window <= k_phi (exact, or 0 in float mode)
+    # the max side is phi's kept pass less c, and only the min side runs a
+    # pass; the report is bit for bit the general path's, and its max and
+    # min are the oracle's cycle means of phi - c
+    scalars = _split_cases()[0]
+    phis = scalars[:700] + scalars[-700:]       # the first exact, the last float ones
+    cases = []
+    for phi in phis:
+        phi._pass
+        for c in (Fraction(0), Fraction(1, 3)):
+            for k in sorted({1, phi.k}):
+                psi = PotentialLC.constant(phi.sft, c if phi.mode == "exact" else float(c),
+                                           k=k, mode=phi.mode)
+                cases.append((phi, psi, phi.mode == "exact" or c == 0))
+    passes = []
+    monkeypatch.setattr(potential, "_state_pass",
+                        lambda *a: passes.append(1) or _state_pass(*a))
+    fast = [_bits(cohomology_test(phi, psi)) for phi, psi, _ in cases]
+    assert len(passes) == sum(1 if kept else 2 for *_, kept in cases)
+    assert {(phi.mode, kept, psi.k < phi.k) for phi, psi, kept in cases} == {
+        (mode, kept, lower) for mode in ("exact", "float") for kept in (True, False)
+        for lower in (True, False)} - {("exact", False, True), ("exact", False, False)}
+    monkeypatch.setattr(potential, "_constant_shift", lambda *a: None)
+    assert [_bits(cohomology_test(phi, psi)) for phi, psi, _ in cases] == fast
+    for (phi, psi, _), got in zip(cases, fast):
+        if phi.mode == "float" or phi.sft.d > 3 or phi.k > 2:
+            continue
+        (c,) = next(iter(psi.values.values()))
+        w = {b: x - c for b, (x,) in phi.values.items()}
+        hi = brute_max_cycle_mean(phi.sft.transition, w, phi.k)
+        lo = -brute_max_cycle_mean(phi.sft.transition, {b: -x for b, x in w.items()}, phi.k)
+        rep = cohomology_test(phi, psi)
+        assert (rep.cohomologous, rep.spread) == (lo == hi, float(hi - lo))
+        assert rep.constant == (hi if lo == hi else None)
+
+
+def test_a_transitive_recoding_is_never_split_and_a_reducible_one_once(scc_splits):
+    recode_to_one_step.cache_clear()    # recodings no earlier test has split
     phi = get_potential("gold0")
     recoded = phi._recoded
     assert classify(phi).case == "UniqueTransitive"
     assert not cohomology_test(phi, PotentialLC.constant(phi.sft, 0, k=2)).cohomologous
     pressure(phi, 1.0)
-    splits = [edges is recoded.edges() for edges, in scc_splits]
-    assert splits.count(True) == 1 and len(splits) > 1
+    assert "_split" in vars(recoded)
+    assert scc_splits and recoded.edges() not in [tuple(e) for e, in scc_splits]
+    # two fixed points and the transient words between them
+    sft = Sft.from_matrix([[1, 1], [0, 1]])
+    psi = PotentialLC.from_block_values(sft, 2, {(0, 0): 1, (0, 1): 0, (1, 1): 2})
+    with pytest.raises(NotTransitiveError):
+        classify(psi)
+    assert not cohomology_test(psi, PotentialLC.constant(sft, 0, k=2)).cohomologous
+    assert face_subshift(psi).beta == 2 and face_subshift(psi, (1,)).beta == 2
+    assert [tuple(e) for e, in scc_splits].count(psi._recoded.edges()) == 1
 
 
 def test_a_transfer_takes_the_split_of_its_potential(scc_splits):

@@ -10,12 +10,14 @@ import thermoshift.zero_temperature as zero_temperature
 from oracles import (LOG_GOLDEN, TIED_COMPONENTS, brute_recoded_graph,
                      brute_weighted_automorphisms, random_rational_values,
                      random_transitive_sft, tied_potential)
+from property_suites import suite_potentials
 from thermoshift import (EmptyShiftError, InvalidArgumentError, NotTransitiveError,
                          NumericError, PotentialLC, Sft, UnderflowError, classify,
                          equilibrium_markov, get_potential, get_shift, ground_state_check,
-                         is_transitive, pressure, recode_to_one_step,
+                         is_transitive, potential_names, pressure, recode_to_one_step,
                          symmetry_coefficients, zt_coefficients)
-from thermoshift.zero_temperature import _weighted_automorphisms
+from thermoshift.thermodynamics import _measure
+from thermoshift.zero_temperature import _weighted_automorphisms, component_parry
 
 
 def test_non_finite_t_max_is_an_input_error():
@@ -277,6 +279,45 @@ def test_classify_solves_each_face_component_once(monkeypatch):
     assert res.case == "UniqueTransitive"
     assert res.components[0].entropy == res.limit[0][1].pressure == pytest.approx(LOG_GOLDEN)
     assert len(calls) == 1
+
+
+def _measure_bits(mu):
+    arrays = (mu.stationary, mu.transition, mu.log_stationary)
+    return (type(mu.state_labels), mu.state_labels, type(mu.blocks), mu.blocks,
+            [(a.dtype, a.shape, a.tobytes(), a.flags.writeable, a.base is None) for a in arrays],
+            [repr(x) for x in (mu.entropy, mu.pressure, mu.beta, mu.t, mu.gap, mu.precision)])
+
+
+def test_periodic_limit_measures_are_those_of_the_exact_solve():
+    # a cycle component's Parry measure is formed directly, with no
+    # solve: it is the measure of the component's exact Perron solve,
+    # bit for bit, and so is every VertexPeriodic limit
+    cycles, vertex = 0, 0
+    named = [get_potential(name) for name in potential_names()]
+    # a 9-cycle with a loop at 0, with the cycle on top or the whole shift
+    # one cycle: n > 6, where the gap 2 sin(pi/n) is not clamped
+    loop = Sft.from_matrix([[int(j == (i + 1) % 9 or i == j == 0) for j in range(9)]
+                            for i in range(9)])
+    long = [PotentialLC.from_block_values(loop, 2, {b: int(b != (0, 0)) for b in
+                                                    recode_to_one_step(loop, 2).states}),
+            PotentialLC.constant(Sft.from_matrix([[int(j == (i + 1) % 7) for j in range(7)]
+                                                  for i in range(7)]), 0)]
+    for phi in long + named + [p for p, alpha in suite_potentials(500) if alpha is None]:
+        if phi.m != 1 or not phi._irreducible:
+            continue
+        res = classify(phi)
+        for i, comp in enumerate(res.face.components):
+            if comp.is_cycle:
+                got = component_parry(res.face, i)
+                want = _measure(comp.perron_solve, comp.labels(), comp.blocks)
+                assert _measure_bits(got) == _measure_bits(want), (phi, i)
+                cycles += 1
+        if res.case == "VertexPeriodic":
+            (_, comp), = [(i, res.face.components[i]) for i in res.max_entropy_ids]
+            want = _measure(comp.perron_solve, comp.labels(), comp.blocks)
+            assert _measure_bits(res.limit[0][1]) == _measure_bits(want)
+            vertex += 1
+    assert cycles > 400 and vertex > 200
 
 
 def _solves_fail_from(monkeypatch, t_fail, error):

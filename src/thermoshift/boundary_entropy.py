@@ -263,16 +263,21 @@ def differentiability_scan(curve: FaceCurve) -> DiffReport:
 
 # -- interior duality ------------------------------------------------------
 
-def _dual_value_grad(X, edges, corners, w, v):
+def _dual_value_grad(X, graph, on_edges, corners, w, v):
     """P(v . Phi) - v . w, its gradient (the rotation error of the
     equilibrium state of v . Phi), beta(v) and the Perron solve of
-    v . Phi - beta(v) on the recoding of Phi, whose states have the value
-    rows X and the given edges.  beta(v), the maximum cycle mean of
-    v . Phi, is the largest v . x over the corners x of the rotation set."""
+    v . Phi - beta(v), for the value rows X of the k-blocks of Phi, on the
+    graph (n, edges, weighs) of its recoding's ``_transfer_graph``, whose
+    measures lie on its edges where ``on_edges``.  beta(v), the maximum
+    cycle mean of v . Phi, is the largest v . x over the corners x of the
+    rotation set."""
     from .spectral import perron
+    from .thermodynamics import _chain
+    n, edges, weighs = graph
     beta = float((corners @ v).max())
-    sol = perron(len(X), edges, X @ v - beta)
-    return float(sol.log_lam + beta - v @ w), sol.stationary @ X - w, beta, sol
+    sol = perron(n, edges, (X @ v - beta)[weighs])
+    p = _chain(sol, on_edges, False)[0]
+    return float(sol.log_lam + beta - v @ w), p @ X - w, beta, sol
 
 
 def _covariance(p, P, X):
@@ -299,12 +304,13 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
     orthonormal coordinates x: damped Newton steps on the exact Hessian
     (the asymptotic covariance of Phi under the current equilibrium
     state), or gradient steps where it is not positive definite.  Each
-    point is one Perron solve on the recoding of Phi, whose ``Transfer``
-    runs one exact max-plus pass on v . Phi - beta(v).
+    point is one Perron solve of v . Phi - beta(v), on the graph of the
+    recoding's ``_transfer_graph``, whose ``Transfer`` runs one exact
+    max-plus pass.
     """
     import numpy as np
     from .spectral import _solve1
-    from .thermodynamics import _measure
+    from .thermodynamics import _chain, _measure
     if poly is None:
         poly = rotation_set(Phi)
     side = poly.membership(tuple(_snap(x) for x in w))
@@ -316,10 +322,10 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
     Q = np.linalg.qr(np.array(poly.frame.basis, dtype=float).reshape(r, Phi.m).T)[0].T
     X = np.array(Phi.state_values(), dtype=float)
     corners = np.array(poly.vertices, dtype=float)
-    edges = Phi._recoded.edges()
+    graph, on_edges = Phi._recoded._transfer_graph, Phi.k > 1
 
     def at(x):
-        g, grad, beta, sol = _dual_value_grad(X, edges, corners, w, x @ Q)
+        g, grad, beta, sol = _dual_value_grad(X, graph, on_edges, corners, w, x @ Q)
         return g, Q @ grad, beta, sol
 
     x = np.zeros(r)
@@ -328,9 +334,10 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
         g, grad, beta, sol = point
         if np.abs(grad).max(initial=0.0) < INTERIOR_TOL:
             recoded = Phi._recoded
-            return g, tuple(map(float, x @ Q)), _measure(sol, recoded.labels,
-                                                          recoded.states, 1.0, beta)
-        H = Q @ _covariance(sol.stationary, sol.transition, X) @ Q.T
+            return g, tuple(map(float, x @ Q)), _measure(sol, recoded.labels, recoded.states,
+                                                          1.0, beta, on_edges)
+        p, _, P = _chain(sol, on_edges)
+        H = Q @ _covariance(p, P, X) @ Q.T
         try:
             np.linalg.cholesky(H)
             dx = _solve1(H, -grad)

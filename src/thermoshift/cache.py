@@ -3,7 +3,9 @@ and the window k.  ``THERMOSHIFT_CACHE`` is its only setting: unset, the
 entries go to ``~/.cache/thermoshift``; '', '0', 'off' or 'none' (any
 case, spaces stripped) turn it off; any other value names the directory.
 Entries are written atomically and serialized canonically, so a hit is
-byte-identical to a fresh computation.
+byte-identical to a fresh computation.  An entry records its census
+count, so that an entry cut short is a corrupt one, not a smaller census;
+an entry that cannot be written is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from .errors import ResourceLimitError
 from .orbits import DEFAULT_ORBIT_CAP, ElementaryOrbit, elementary_orbits
 
 CACHE_ENV = "THERMOSHIFT_CACHE"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _DISABLED_VALUES = {"", "0", "off", "none"}
 
 
 def _read(text: str, sft: Sft, k: int, digest: str) -> tuple[ElementaryOrbit, ...]:
     """The orbits of an entry's text; ValueError, KeyError or TypeError
-    on an entry that is malformed or written for another (sft, k)."""
+    on an entry that is malformed, lists other than its count of orbits
+    or is written for another (sft, k)."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
         raise ValueError("unsupported cache schema")
@@ -48,6 +51,9 @@ def _read(text: str, sft: Sft, k: int, digest: str) -> tuple[ElementaryOrbit, ..
                                    state_cycle=ids, cylinders=cylinders))
     if not out:     # every shift has a periodic orbit
         raise ValueError("cache entry lists no orbits")
+    count = obj.get("count")
+    if type(count) is not int or count != len(out):
+        raise ValueError(f"cache entry lists {len(out)} orbits, its count is {count!r}")
     out.sort(key=lambda o: (o.period, o.segment))
     return tuple(out)
 
@@ -73,8 +79,9 @@ def cached_elementary_orbits(sft: Sft, k: int) -> tuple[ElementaryOrbit, ...]:
     """``elementary_orbits(sft, k)`` through the cache that
     ``THERMOSHIFT_CACHE`` selects.
 
-    A corrupt entry triggers a warning, a recompute and an overwrite.
-    A hit over ``DEFAULT_ORBIT_CAP`` orbits raises ResourceLimitError.
+    A corrupt entry triggers a warning, a recompute and an overwrite; an
+    entry that cannot be written (the directory is a file, say) a warning
+    only.  A hit over ``DEFAULT_ORBIT_CAP`` orbits raises ResourceLimitError.
     """
     env = os.environ.get(CACHE_ENV)
     if env is not None and env.strip().lower() in _DISABLED_VALUES:
@@ -84,7 +91,7 @@ def cached_elementary_orbits(sft: Sft, k: int) -> tuple[ElementaryOrbit, ...]:
     path = directory / f"orbits-{digest[:24]}-k{k}.json"
     try:
         orbits = _read(path.read_text(), sft, k, digest)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         pass
     except (ValueError, KeyError, TypeError, OSError) as e:
         warnings.warn(f"corrupt orbit cache entry {path}: {e}; recomputing",
@@ -95,8 +102,12 @@ def cached_elementary_orbits(sft: Sft, k: int) -> tuple[ElementaryOrbit, ...]:
                                      f"orbits, over cap {DEFAULT_ORBIT_CAP}")
         return orbits
     orbits = elementary_orbits(sft, k)
-    atomic_write_text(path, json.dumps({
-        "schema": SCHEMA_VERSION, "digest": digest, "k": k,
-        "orbits": [list(o.segment) for o in orbits],
-    }, sort_keys=True, separators=(",", ":")))
+    try:
+        atomic_write_text(path, json.dumps({
+            "schema": SCHEMA_VERSION, "digest": digest, "k": k, "count": len(orbits),
+            "orbits": [list(o.segment) for o in orbits],
+        }, sort_keys=True, separators=(",", ":")))
+    except OSError as e:
+        warnings.warn(f"cannot write orbit cache entry {path}: {e}", RuntimeWarning,
+                      stacklevel=2)
     return orbits

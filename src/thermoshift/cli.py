@@ -4,7 +4,10 @@ Every command prints one JSON result envelope to stdout and, with
 ``--out DIR``, also writes it to ``DIR/<command>.json`` (plus a CSV for
 the curve and sweep commands).  The ``payload`` object inside the
 envelope is deterministic for a fixed invocation; run metadata such as
-the timestamp lives only in the envelope.
+the timestamp lives only in the envelope.  Envelopes are strict JSON: a
+float that is not finite is written as the string "inf", "-inf" or
+"nan", which float() reads back.  An ``--out`` that cannot be written is
+an input error.
 
 Exit codes: 0 success, 1 usage, 2 bad input or violated precondition,
 3 numeric failure.
@@ -17,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import numbers
 import re
 import sys
@@ -157,19 +161,38 @@ def _emit(args, command: str, input_hash: str, payload: dict, warnings: list,
         "warnings": warnings,
         "payload": payload,
     }
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:          # strict JSON has no inf or nan: they go as text
+        text = json.dumps(_finite(envelope), indent=2, sort_keys=True, allow_nan=False)
+    text += "\n"
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(outdir / f"{command}.json", text)
-        if csv_header is not None:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows or [])
-            atomic_write_text(outdir / f"{command}.csv", buf.getvalue())
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(outdir / f"{command}.json", text)
+            if csv_header is not None:
+                buf = io.StringIO()
+                writer = csv.writer(buf, lineterminator="\n")
+                writer.writerow(csv_header)
+                writer.writerows(csv_rows or [])
+                atomic_write_text(outdir / f"{command}.csv", buf.getvalue())
+        except OSError as e:
+            raise InvalidArgumentError(f"cannot write {outdir}: {e}") from None
     sys.stdout.write(text)
     return EXIT_OK
+
+
+def _finite(x):
+    """x with each float that is not finite written as the text that
+    float() reads back: "inf", "-inf" or "nan"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
 
 
 # -- commands --------------------------------------------------------------

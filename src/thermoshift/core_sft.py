@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain
 from operator import itemgetter, mul
 
 from .errors import EmptyShiftError, InvalidArgumentError, ResourceLimitError
@@ -424,6 +425,56 @@ class RecodedSft:
         if self.base._transitive:
             return [list(range(self.n))], list(self._edges)
         return _cyclic_components(self._edges)
+
+    @functools.cached_property
+    def _block_graph(self):
+        """(n, edges) of the (k-1)-block graph of a recoding at k >= 2 (the
+        higher block presentation, Lind and Marcus 1995, section 2.3): its
+        vertices are the (k-1)-blocks in order, and its edge i runs from
+        state i's prefix to its suffix, so that its edges are the states in
+        order and the recoding is its line graph.  Read off the recoding:
+        its states are sorted, so those of one prefix are consecutive, and
+        a state's suffix is the prefix of each of its successors."""
+        states = self.states
+        pre = list(accumulate((a[:-1] != b[:-1] for a, b in zip(states, states[1:])),
+                              initial=0))
+        succ = dict(self._edges)
+        return pre[-1] + 1, [(u, pre[succ[i]]) for i, u in enumerate(pre)]
+
+    @functools.cached_property
+    def _transfer_graph(self):
+        """(n, edges, weighs): the graph that the transfers of weights w on
+        the states run on, its edge i weighing w[weighs[i]]: the recoding at
+        k = 1, each edge weighing its target as in a pass, and at k >= 2
+        ``_block_graph``, d times smaller, whose edge i is state i, so that
+        the measures of its solves lie on its edges."""
+        if self.k == 1:
+            return self.n, self._edges, [b for _, b in self._edges]
+        return (*self._block_graph, range(self.n))
+
+    def _block_pass(self, mx, split):
+        """(mx, split) on ``_block_graph``: the pass mx of weights w on
+        the states of an irreducible recoding at k >= 2, each edge a -> b
+        weighing w[b] (``max_face._state_pass``), and the split of its
+        tight edges, mapped to the graph whose edge b weighs w[b], with no
+        pass of its own.  A state's successors are the blocks whose
+        prefix is its suffix, so h[a] = max over them of (w[b] q - p + h[b])
+        depends on a's suffix alone: H[suffix a] = h[a] is the graph's
+        max-plus eigenvector in the same units, and the slack of edge b is
+        that of each edge into b.  The tight edges inside its critical
+        classes are the states of the recoding's classes, and each class's
+        vertices are their prefixes."""
+        n, edges = self._block_graph
+        beta, _, h, unit, slack = mx
+        H, s = [0] * n, [0] * len(edges)
+        for (_, v), x in zip(edges, h):
+            H[v] = x
+        for (_, b), x in zip(self._split[1], slack):
+            s[b] = x
+        sccs = split[0]
+        inner = [edges[b] for b in sorted(chain.from_iterable(sccs))]
+        classes = [list(dict.fromkeys(edges[b][0] for b in comp)) for comp in sccs]
+        return (beta, inner, H, unit, s), (classes, inner)
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:

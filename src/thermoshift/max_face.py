@@ -96,13 +96,13 @@ class FaceComponent:
     @functools.cached_property
     def perron_solve(self) -> PerronSolve:
         import numpy as np                  # numpy loads only for Perron solves
-        from .spectral import PerronSolve, Transfer
-        n = len(self.matrix)
-        if self.is_cycle:       # root 1, uniform measure
+        from .spectral import PerronSolve, Transfer, _ends
+        n, edges = len(self.matrix), matrix_edges(self.matrix)
+        if self.is_cycle:       # root 1, uniform measure, each edge taken surely
             return PerronSolve(0.0, cycle_gap(n),
                                lambda: (np.full(n, 1.0 / n), np.full(n, -math.log(n))),
-                               lambda: np.array(self.matrix, dtype=float))
-        return Transfer(n, matrix_edges(self.matrix), [0] * n).solve()
+                               lambda: np.zeros(n), (*_ends(edges), n))
+        return Transfer(n, edges, [0] * len(edges)).solve()
 
     @functools.cached_property
     def entropy(self) -> float:

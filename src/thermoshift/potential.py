@@ -150,11 +150,19 @@ class PotentialLC:
 
     @functools.cached_property
     def _transfer(self) -> Transfer:
-        """The transfer matrix of a scalar phi - beta on the recoding."""
+        """The transfer matrix of a scalar phi - beta from ``_pass``: on the
+        recoding at k = 1, each edge weighing its target as in the pass;
+        at k >= 2 on the (k-1)-block graph, whose edges are the k-blocks,
+        each weighing its own value (``RecodedSft._block_pass``): d times
+        fewer states and the same nonzero spectrum, since both matrices
+        factor through the maps from a k-block to its prefix and suffix."""
         from .spectral import Transfer     # numpy loads only for Perron solves
-        _, inner, sccs = self._max_plus
-        return Transfer._of_pass(self._recoded.n, self._recoded.edges(),
-                                 [x for (x,) in self._state_values], self._pass, (sccs, inner))
+        rec, (_, inner, sccs) = self._recoded, self._max_plus
+        n, edges, weighs = rec._transfer_graph
+        mx, split = (self._pass, (sccs, inner)) if self.k == 1 else \
+            rec._block_pass(self._pass, (sccs, inner))
+        phi = [x for (x,) in self._state_values]
+        return Transfer._of_pass(n, edges, [phi[i] for i in weighs], mx, split)
 
     def value(self, block: tuple[int, ...]) -> tuple:
         """Value on the cylinder of the leading k symbols of ``block``."""

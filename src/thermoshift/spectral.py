@@ -1,4 +1,5 @@
-"""The Perron engine: certified Perron data of exp(t * w) on a digraph.
+"""The Perron engine: certified Perron data of exp(t * w), for weights w
+on the edges of a digraph.
 
 Every spectral solve of the package runs here, in doubles.  The transfer
 matrix is scaled on both sides by exact max-plus potentials of w
@@ -29,7 +30,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _max_plus_pass,
                        _potentials, matrix_edges)
 from .errors import NumericError, UnderflowError
-from .max_face import _state_pass
 
 GAP_FLOOR = 1e-5         # below this relative gap, doubles are not trusted
 _EXP_SAFE = 700.0        # |exponent| beyond which doubles underflow
@@ -44,25 +44,29 @@ _KEPT_SOLVES = 16
 
 
 class PerronSolve:
-    """Perron data of the transfer matrix exp(t * w[a]) on edges a -> b:
-    the log root, ``gap`` (the relative distance from the root to the rest
-    of the spectrum, at most 1, estimated from the coupling matrix after
+    """Perron data of the transfer matrix exp(t * w) on the edges src ->
+    dst of a graph on n states (``graph``, as (src, dst, n)): the log root,
+    ``gap`` (the relative distance from the root to the rest of the
+    spectrum, at most 1, estimated from the coupling matrix after
     aggregation); the stationary vector of the Markov kernel it induces
-    and the log of that vector, which keeps the masses that underflow,
-    formed by ``masses()`` when first read and kept read-only, so that a
-    pressure pays for the root alone; and that kernel, ``transition``,
-    formed by ``kernel()`` anew on each read, so that a solve that its
-    transfer keeps (``Transfer.solve``) holds O(n + edges) doubles and no
-    n x n matrix.  Every solve runs in doubles."""
+    on the states and the log of that vector, which keeps the masses that
+    underflow, formed by ``masses()`` when first read and kept read-only,
+    so that a pressure pays for the root alone; ``log_kernel()``, the log
+    of that kernel on each edge, log(B[a, b] y[b] / (lam y[a])), formed
+    anew on each call; and the kernel as a matrix, ``transition``, formed
+    from it on each read, so that a solve that its transfer keeps
+    (``Transfer.solve``) holds O(n + edges) doubles and no n x n matrix.
+    Every solve runs in doubles."""
 
     precision = "double"
 
-    def __init__(self, log_lam: float, gap: float, masses, kernel):
-        self.log_lam, self.gap, self._masses, self._kernel = log_lam, gap, masses, kernel
+    def __init__(self, log_lam: float, gap: float, masses, log_kernel, graph):
+        self.log_lam, self.gap, self._masses = log_lam, gap, masses
+        self.log_kernel, self.graph = log_kernel, graph
 
     @property
     def transition(self) -> np.ndarray:
-        return self._kernel()
+        return _kernel(self.log_kernel(), *self.graph)
 
     def __getattr__(self, name):
         if name not in ("stationary", "log_stationary"):
@@ -74,13 +78,13 @@ class PerronSolve:
 
 
 class Transfer:
-    """The transfer matrix exp(t * w[a]) on the edges a -> b of an
-    irreducible digraph, for weights w with maximum cycle mean 0, with the
-    parts of its Perron solves that do not depend on t, from one exact
-    pass (``_max_plus_pass``) and its right and left potentials h and g
-    (``_potentials``): the edge arrays; ``exponents``, the log entries of
-    B = exp(w[a] + h[b] - h[a]) and C = exp(g[a] + w[a] - g[b]) on each
-    edge, all <= 0; ``potentials``, g + h on each state and the critical
+    """The transfer matrix exp(t * w) on the edges a -> b of an
+    irreducible digraph, for weights w on the edges with maximum cycle
+    mean 0, with the parts of its Perron solves that do not depend on t,
+    from one exact pass (``_max_plus_pass``) and its right and left
+    potentials h and g (``_potentials``): the edge arrays; ``exponents``,
+    the log entries of B = exp(w + h[b] - h[a]) and C = exp(g[a] + w -
+    g[b]) on each edge, all <= 0; ``potentials``, g + h on each state and the critical
     classes, whose tight edges are kept too; and the aggregation frames
     (``_frame``), built by the first solve that aggregates.  All are
     read-only, so ``solve`` runs only the stages that depend on t, and it
@@ -88,14 +92,13 @@ class Transfer:
     """
 
     def __init__(self, n: int, edges, weights):
-        # edges weigh their targets, as in max_mean_data: the same cycle sums
-        mx = _state_pass(n, ([list(range(n))], edges), weights)
+        mx = _max_plus_pass(n, ([list(range(n))], edges), _int_weights(weights))
         self._set_up(n, edges, weights, mx, None, float(mx[0]))
 
     @classmethod
     def _of_pass(cls, n, edges, phi, mx, split):
-        """The transfer of phi - beta from the pass mx of phi, which found
-        beta, and the split of its tight edges."""
+        """The transfer of phi - beta, for phi on the edges, from the pass
+        mx of phi, which found beta, and the split of its tight edges."""
         tr = cls.__new__(cls)
         tr._set_up(n, edges, [x - mx[0] for x in phi], mx, split, 0.0)
         return tr
@@ -150,7 +153,7 @@ class Transfer:
             return _masses(t * self.potentials[0] + np.log(got[1]) + np.log(y))
 
         return PerronSolve(math.log(lam) + t * self._shift, gap, masses,
-                           lambda: _kernel(right, lam, y, src, dst, n))
+                           lambda: _log_kernel(right, lam, y, src, dst), (src, dst, n))
 
     def _tied(self, side, B, s, right, start):
         """``_aggregate`` of B, the scaled right problem (side 0) or the
@@ -190,12 +193,13 @@ def _unsolved(t, s):
 
 def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
     """Perron data of exp(t * w) on an irreducible digraph, each entry to
-    relative accuracy; the weights w have maximum cycle mean 0.
+    relative accuracy; the weights w, one per edge, have maximum cycle
+    mean 0.
 
     The matrix M is scaled on both sides by exact max-plus eigenvectors
-    of w (Akian, Bapat and Gaubert 1998; ``_potentials``): B = exp(t (w[a]
-    + h[b] - h[a])), whose rows have a 1, and C = exp(t (g[a] + w[a] -
-    g[b])), whose columns have a 1, every entry at most 1; entries below
+    of w (Akian, Bapat and Gaubert 1998; ``_potentials``): B = exp(t (w +
+    h[b] - h[a])), whose rows have a 1, and C = exp(t (g[a] + w - g[b])),
+    whose columns have a 1, every entry at most 1; entries below
     e^-700 are left out.  Diagonal scalings are exact similarities, so
     the Perron vectors of M are exp(t h) y and exp(t g) u for the right
     one y of B and the left one u of C.  One eigenvalue solve of B gives
@@ -241,7 +245,7 @@ def perron_stack(transfers, t):
     kernel = np.zeros((len(t), n, n))
     p = np.full((len(t), n), np.nan)
     log_lam[lanes] = np.log(lam) + shift[lanes]
-    kernel[lanes] = _kernel(right[lanes], lam, y, src, dst, n)
+    kernel[lanes] = _kernel(_log_kernel(right[lanes], lam, y, src, dst), src, dst, n)
     p[lanes] = _masses(mass[lanes] + np.log(u) + np.log(y))[0]
     for i in np.flatnonzero(np.isnan(log_lam)):
         sol = transfers[i].solve(t[i])
@@ -657,15 +661,21 @@ def _deflate(B: np.ndarray, y: np.ndarray, lam: float, modes) -> np.ndarray:
     return y
 
 
-def _kernel(s: np.ndarray, lam, y: np.ndarray, src, dst, n: int) -> np.ndarray:
-    """Row-stochastic kernels exp(s[a -> b]) y[b] / (lam y[a]) of the
-    scaled matrices with log entries s on the edges, lanes first; lam has
-    one entry per lane.  Formed from the exponents, so that an entry the
-    scaled matrix left out keeps its value where y lifts it back into the
-    double range."""
+def _log_kernel(s: np.ndarray, lam, y: np.ndarray, src, dst) -> np.ndarray:
+    """The log kernels s[a -> b] + log y[b] - log(lam y[a]) on the edges of
+    the scaled matrices with log entries s, lanes first; lam has one entry
+    per lane.  Formed from the exponents, so that an entry the scaled
+    matrix left out keeps its value where y lifts it back into the double
+    range."""
     ly = np.log(y)
-    P = np.zeros(s.shape[:-1] + (n, n))
-    P[..., src, dst] = np.exp(s + ly[..., dst] - ly[..., src] - np.log(lam)[..., None])
+    return s + ly[..., dst] - ly[..., src] - np.log(lam)[..., None]
+
+
+def _kernel(lk: np.ndarray, src, dst, n: int) -> np.ndarray:
+    """The row-stochastic matrices of log kernels lk on the edges src ->
+    dst of n states, lanes first."""
+    P = np.zeros(lk.shape[:-1] + (n, n))
+    P[..., src, dst] = np.exp(lk)
     P /= P.sum(axis=-1, keepdims=True)
     return P
 

@@ -1,9 +1,13 @@
 """Pressure, equilibrium states, and Parry measures.
 
-Transfer operators here are weighted adjacency matrices on the one-step
-recoding, with the weight of an edge attached to its source block.  The
-maximum cycle mean beta is subtracted from the potential, and the
-pressure gains t*beta back.
+Transfer operators here are weighted adjacency matrices: at window 1 on
+the one-step recoding, and at window k >= 2 on the (k-1)-block graph,
+whose edges are the k-blocks, each weighted by the potential's value on
+it, which has d times fewer states and the same nonzero spectrum as the
+k-block recoding (``PotentialLC._transfer``); the measures on the
+k-blocks are formed from that solve (``_chain``).  The maximum cycle
+mean beta is subtracted from the potential, and the pressure gains
+t*beta back.
 
 Every spectral solve goes through one engine, ``spectral.perron``, in
 doubles.  It scales the transfer matrix on both sides by max-plus
@@ -123,20 +127,39 @@ def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     The solve runs in doubles, whatever the spectral gap (``spectral.perron``).
     """
     beta, sol = _solve(phi, t, "equilibrium_markov")
-    return _measure(sol, phi._recoded.labels, phi._recoded.states, t, beta)
+    return _measure(sol, phi._recoded.labels, phi._recoded.states, t, beta, phi.k > 1)
 
 
-def _measure(sol, labels, blocks, t=None, beta=None) -> MarkovMeasure:
-    """The Markov measure of a Perron solve on states with these labels
-    and blocks, whose pressure is the solve's log root, plus t * beta for
-    an equilibrium state of t * phi.  The measure owns its arrays: the
-    masses are copied out of the solve, which its transfer may keep, and
-    the kernel is formed for it."""
-    p, P = sol.stationary.copy(), sol.transition
+def _chain(sol, on_edges: bool = False, kernel: bool = True):
+    """(p, log p, P) of the Markov chain that a Perron solve induces, each
+    array its own (P None unless ``kernel``): on the states of its graph,
+    or, ``on_edges``, on its edges, as for a potential of window k >= 2,
+    whose transfer runs on its (k-1)-block graph (``PotentialLC._transfer``),
+    whose edges are its k-blocks.  There, with p' the masses of the states
+    and K(b) = B(b) y(suffix b) / (lam y(prefix b)) the kernel on edge b,
+    p(b) = p'(prefix b) K(b) and P[a, b] = K(b) wherever b follows a,
+    formed in log form, so that log p keeps the masses that underflow."""
+    if not on_edges:
+        return (sol.stationary.copy(), sol.log_stationary.copy(),
+                sol.transition if kernel else None)
+    src, dst, n = sol.graph
+    lk = sol.log_kernel()
+    lk -= np.log(np.bincount(src, np.exp(lk), n))[src]     # each state's edges sum to 1
+    lp = sol.log_stationary[src] + lk
+    return np.exp(lp), lp, np.where(dst[:, None] == src, np.exp(lk), 0.0) if kernel else None
+
+
+def _measure(sol, labels, blocks, t=None, beta=None, on_edges=False) -> MarkovMeasure:
+    """The Markov measure of a Perron solve on states, or on edges
+    (``_chain``), with these labels and blocks, whose pressure is the
+    solve's log root, plus t * beta for an equilibrium state of t * phi.
+    The measure owns its arrays: the masses are copied out of the solve,
+    which its transfer may keep, and the kernel is formed for it."""
+    p, lp, P = _chain(sol, on_edges)
     return MarkovMeasure(tuple(labels), tuple(blocks), p, P, markov_entropy(p, P),
                          pressure=sol.log_lam if beta is None else sol.log_lam + t * float(beta),
                          beta=beta, t=t, gap=sol.gap, precision=sol.precision,
-                         log_stationary=sol.log_stationary.copy())
+                         log_stationary=lp)
 
 
 def parry_measure(sft: Sft) -> MarkovMeasure:

@@ -20,7 +20,7 @@ from .errors import (InvalidArgumentError, NotTransitiveError, NumericError,
                      UnderflowError)
 from .max_face import FaceSubshift, cycle_gap, face_subshift, max_entropy_components
 from .potential import PotentialLC
-from .thermodynamics import MarkovMeasure, _measure, _solve
+from .thermodynamics import MarkovMeasure, _chain, _measure, _solve
 
 CASE_COHOMOLOGOUS = "CohomologousToConstant"
 CASE_VERTEX_PERIODIC = "VertexPeriodic"
@@ -242,7 +242,7 @@ def zt_coefficients(phi: PotentialLC, t_max: float = 2.0 ** 14,
     est_error = math.inf
     for t in default_schedule(t_max):
         try:
-            p = _solve(phi, t, "equilibrium_markov")[1].stationary
+            p = _chain(_solve(phi, t, "equilibrium_markov")[1], phi.k > 1, False)[0]
         except (UnderflowError, NumericError) as exc:
             flags.append(f"sweep stopped at t={t}: {exc}")
             break

@@ -439,8 +439,12 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     assert lanes > 10000
 
     def tied(n, edges, row):
-        # critical classes to the engine's tolerance for float weights
-        crit = critical_edges(n, edges, row, karp_max_mean(n, edges, row),
+        # critical classes to the engine's tolerance for float weights, of
+        # edges that weigh row[i]: the oracles weigh each edge by its source,
+        # so they run on the line graph, whose states are the edges
+        line = [(i, j) for i, (_, b) in enumerate(edges) for j, (a, _) in enumerate(edges)
+                if a == b]
+        crit = critical_edges(len(edges), line, row, karp_max_mean(len(edges), line, row),
                               TIGHT_TOL * (1 + max(map(abs, row))))
         return len(edge_classes(crit)) > 1
 
@@ -581,8 +585,9 @@ def test_interior_solves_each_point_once(monkeypatch, max_plus_passes, name, w, 
     # the point a damped step accepts is the next Newton iterate, and its
     # equilibrium state is reused rather than solved again; the Hessian
     # comes from that state, not from more solves; each solve runs one
-    # max-plus pass on the recoding, its transfer's, and none for beta (a
-    # corner value), and the other passes balance a transfer's classes
+    # max-plus pass on the graph of its transfer, the (k-1)-block graph of
+    # the recoding, and none for beta (a corner value), and the other
+    # passes balance a transfer's classes
     Phi = get_potential(name)
     poly = rotation_set(Phi)
     max_plus_passes.clear()
@@ -596,7 +601,9 @@ def test_interior_solves_each_point_once(monkeypatch, max_plus_passes, name, w, 
     monkeypatch.setattr(boundary_entropy, "_dual_value_grad", counting)
     localized_entropy_interior(Phi, w, poly=poly)
     assert len(set(points)) == len(points) == solves
-    assert sum(n == Phi._recoded.n for n, *_ in max_plus_passes) == solves
+    size = Phi._recoded._block_graph[0]
+    assert all(n <= size for n, *_ in max_plus_passes)
+    assert sum(n == size for n, *_ in max_plus_passes) == solves
 
 
 @pytest.mark.parametrize("cholesky", [True, False])

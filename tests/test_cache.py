@@ -10,10 +10,13 @@ from thermoshift import ResourceLimitError, Sft, cached_elementary_orbits, eleme
 from thermoshift.cache import CACHE_ENV, atomic_write_text
 from thermoshift.cli import main
 
-# full2's entry at k = 1, as schema 1 names and writes it
+# full2's entry at k = 1, as schema 2 names and writes it, and as schema 1,
+# which held no count, wrote it
 FULL2_K1_NAME = "orbits-43eaa739d78ad1ae0c1a6eaa-k1.json"
-FULL2_K1 = ('{"digest":"43eaa739d78ad1ae0c1a6eaa1b432a78281844effa0e7dfee47810f48ea8db46",'
-            '"k":1,"orbits":[[0],[1],[0,1]],"schema":1}')
+FULL2_K1 = ('{"count":3,"digest":"43eaa739d78ad1ae0c1a6eaa1b432a78281844effa0e7dfee47810f48ea8db46",'
+            '"k":1,"orbits":[[0],[1],[0,1]],"schema":2}')
+FULL2_K1_SCHEMA_1 = ('{"digest":"43eaa739d78ad1ae0c1a6eaa1b432a78281844effa0e7dfee47810f48ea8db46",'
+                     '"k":1,"orbits":[[0],[1],[0,1]],"schema":1}')
 
 
 @pytest.fixture
@@ -62,6 +65,37 @@ def test_pinned_entry_is_a_hit(cache_dir, monkeypatch):
     _forbid(monkeypatch, "elementary_orbits", "atomic_write_text")
     sft = get_shift("full2")
     assert cached_elementary_orbits(sft, 1) == elementary_orbits(sft, 1)
+
+
+def test_a_schema_1_entry_is_rewritten(cache_dir):
+    (cache_dir / FULL2_K1_NAME).write_text(FULL2_K1_SCHEMA_1)
+    sft = get_shift("full2")
+    with pytest.warns(RuntimeWarning, match="unsupported cache schema"):
+        assert cached_elementary_orbits(sft, 1) == elementary_orbits(sft, 1)
+    assert (cache_dir / FULL2_K1_NAME).read_text() == FULL2_K1
+
+
+def test_a_truncated_entry_is_no_hit(cache_dir, capsys):
+    # an entry cut to its first orbit still reads as orbits of the shift:
+    # only its count tells it from a census of one orbit
+    argv = ["orbits", "--shift", "golden", "--k", "2"]
+    assert main(argv) == 0
+    census = json.loads(capsys.readouterr().out)["payload"]
+    assert census["count"] == 3
+    path = _entry(cache_dir)
+    blob = path.read_bytes()
+    for count in (3, 2, "1", None):
+        entry = json.loads(blob)
+        entry["orbits"] = [[0]]
+        if count is None:
+            del entry["count"]
+        else:
+            entry["count"] = count
+        path.write_text(json.dumps(entry))
+        with pytest.warns(RuntimeWarning, match="corrupt orbit cache.*count"):
+            assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["payload"] == census
+        assert path.read_bytes() == blob
 
 
 def test_corrupt_entry_recomputes_and_repairs(cache_dir):

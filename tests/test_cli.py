@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -271,6 +272,46 @@ def test_weights_at_the_ends_of_the_double_range_run(capsys, tmp_path, cmd):
         assert payload["case"] == "VertexPeriodic" and payload["beta"] == 1e308
     else:
         assert payload["case"] == "VertexPeriodic" and payload["coefficients"] == ["1"]
+
+
+def _strict(text):
+    """JSON as a strict parser reads it: no NaN or Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_envelopes_are_strict_json(capsys, tmp_path):
+    # the cycle means 1e308 and -1e308 are finite, their spread is not: it
+    # goes as the text float() reads back, and both outputs parse strictly
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"k": 1, "mode": "float", "values": {"0": [1e308], "1": [-1e308]}}')
+    rc, out, err = run(capsys, "cohom", "--shift", "full2", "--potential", str(pot),
+                       "--out", str(tmp_path / "out"))
+    assert rc == 0, err
+    payload = _strict(out)["payload"]
+    assert payload["spread"] == "inf" and float(payload["spread"]) == math.inf
+    assert _strict((tmp_path / "out" / "cohom.json").read_text()) == _strict(out)
+
+
+def test_an_out_that_cannot_be_written_exits_2(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    rc, out, err = run(capsys, "orbits", "--shift", "full2", "--k", "3", "--out", str(taken))
+    assert rc == 2 and not out
+    assert f"input error: cannot write {taken}" in err and "Traceback" not in err
+    assert taken.read_text() == "a file, not a directory"
+
+
+def test_a_cache_that_cannot_be_written_warns(capsys, monkeypatch, tmp_path):
+    census = run_json(capsys, "orbits", "--shift", "full2", "--k", "3")["payload"]
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    monkeypatch.setenv(CACHE_ENV, str(taken))
+    with pytest.warns(RuntimeWarning, match="cannot write orbit cache entry") as seen:
+        assert run_json(capsys, "orbits", "--shift", "full2", "--k", "3")["payload"] == census
+    assert len(seen) == 1 and census["count"] == 19
+    assert taken.read_text() == "a file, not a directory"
 
 
 def test_malformed_shift_json_exits_2(capsys, tmp_path):

@@ -236,8 +236,8 @@ def test_perron_closed_forms():
     for rows, lam in (([[1, 1], [1, 0]], (1 + math.sqrt(5)) / 2),
                       ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], 1 + math.sqrt(2)),
                       ([[1, 1, 1]] * 3, 3.0)):
-        n = len(rows)
-        sol = perron(n, matrix_edges(rows), [0] * n)
+        n, edges = len(rows), matrix_edges(rows)
+        sol = perron(n, edges, [0] * len(edges))
         assert abs(math.exp(sol.log_lam) - lam) < 1e-12
         assert sol.precision == "double" and sol.stationary.min() > 0
         P = sol.transition
@@ -392,6 +392,25 @@ def test_the_recoding_split_matches_a_search(rng, scc_splits):
             assert got == _cyclic_components(list(recoded.edges()))
             kinds.add((transitive, got[0] == [list(range(recoded.n))]))
     assert kinds == {(True, True), (False, False)}
+
+
+def test_the_block_graph_is_the_recoding_one_window_down(rng):
+    # the (k-1)-block graph read off a k-block recoding: its vertices are
+    # the states of the recoding at k - 1, and edge i runs from state i's
+    # prefix to its suffix, so its edge list is that recoding's, in order
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        try:
+            sft = Sft.from_matrix([[int(rng.random() < 0.55) for _ in range(d)]
+                                   for _ in range(d)])
+        except EmptyShiftError:
+            continue
+        for k in (2, 3, 4):
+            rec, down = recode_to_one_step(sft, k), recode_to_one_step(sft, k - 1)
+            index = down.block_index()
+            n, edges = rec._block_graph
+            assert n == down.n and edges == list(down.edges())
+            assert edges == [(index[b[:-1]], index[b[1:]]) for b in rec.states]
 
 
 def test_float_slack_past_the_double_range_is_not_tight():

@@ -245,7 +245,7 @@ def _assert_cycle_matches_engine(comp):
     n = len(comp.matrix)
     assert comp.is_cycle and comp.entropy == 0.0
     got = comp.perron_solve
-    want = Transfer(n, matrix_edges(comp.matrix), [0] * n).solve()
+    want = Transfer(n, matrix_edges(comp.matrix), [0] * sum(map(sum, comp.matrix))).solve()
     tol = max(1e-15, n * 2.0 ** -52)
     assert got.log_lam == 0.0 and abs(want.log_lam) <= tol
     assert abs(got.gap - want.gap) <= tol * want.gap
@@ -389,7 +389,7 @@ def test_regular_components_take_log_r_without_the_engine():
         n = len(comp.matrix)
         assert comp.entropy == math.log(r)
         assert "perron_solve" not in vars(comp)        # no solve was run
-        want = Transfer(n, matrix_edges(comp.matrix), [0] * n).solve().log_lam
+        want = Transfer(n, matrix_edges(comp.matrix), [0] * sum(map(sum, comp.matrix))).solve().log_lam
         assert abs(comp.entropy - want) <= _CW_TOL
         comps += 1
     assert comps == 66
@@ -407,6 +407,6 @@ def test_irregular_components_call_the_engine():
         comp = _whole_component(rows)
         h = comp.entropy
         assert "perron_solve" in vars(comp)            # entropy ran the solve
-        want = Transfer(n, matrix_edges(comp.matrix), [0] * n).solve().log_lam
+        want = Transfer(n, matrix_edges(comp.matrix), [0] * sum(map(sum, comp.matrix))).solve().log_lam
         assert h == comp.perron_solve.log_lam == want
         count += 1

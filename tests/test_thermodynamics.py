@@ -628,32 +628,118 @@ def test_a_scalar_potential_runs_one_howard_pass(howard_runs):
         for t in (1.0, 4.0, 16.0):
             pressure(phi, t)
             equilibrium_markov(phi, t)
-        r, n = len(phi._transfer.potentials[1]), phi._recoded.n
+        # the transfer runs on the (k-1)-block graph, from the same pass
+        tr, n = phi._transfer, phi._recoded.n
+        r = len(tr.potentials[1])
         runs = [len(succ) for succ, _ in howard_runs]
-        assert runs[0] == n and all(x <= r < n for x in runs[1:])
+        assert runs[0] == n and all(x <= r <= tr.n < n for x in runs[1:])
         assert len(runs) > 1 if r > 1 else runs == [n]
         classes.append(r)
     assert classes.count(1) >= 5 and max(classes) == 3
 
 
+def _block_transfer(phi):
+    """The transfer of a scalar phi - beta on its k-block recoding, each
+    edge weighing its target, as the engine built it at every window
+    before it ran windows k >= 2 on the (k-1)-block graph: the reference
+    of those transfers."""
+    rec, beta = phi._recoded, phi._max_plus[0]
+    w = [x - beta for (x,) in phi.state_values()]
+    return spectral.Transfer(rec.n, rec.edges(), [w[b] for _, b in rec.edges()])
+
+
 def test_potential_transfers_match_a_pass_of_their_own():
     # the transfer of phi - beta scaled by the potential's pass, which
-    # found beta, is the transfer that runs its own pass on phi - beta,
-    # bit for bit, with one critical class or several
+    # found beta, is the transfer that runs its own pass on phi - beta on
+    # the same graph, bit for bit, with one critical class or several: the
+    # recoding at k = 1, and at k >= 2 the (k-1)-block graph, to which the
+    # pass and the split of its tight edges are mapped
     cases = [_fresh(get_potential(name)) for name in potential_names()
              if get_potential(name).m == 1] + _seeded_scalar_potentials(400, 21)
-    several = 0
+    several, compressed = 0, 0
     for phi in cases:
         rec, beta = phi._recoded, phi._max_plus[0]
         got = phi._transfer
-        want = spectral.Transfer(rec.n, rec.edges(), [x - beta for (x,) in phi.state_values()])
+        w = [x - beta for (x,) in phi.state_values()]
+        if phi.k == 1:
+            n, edges, w = rec.n, rec.edges(), [w[b] for _, b in rec.edges()]
+        else:
+            n, edges = rec._block_graph
+            assert n <= rec.n == len(edges)
+            compressed += 1
+        want = spectral.Transfer(n, edges, w)
+        assert (got.n, list(got.edges)) == (n, list(edges))
         assert got.potentials[0].tobytes() == want.potentials[0].tobytes()
         assert [c.tolist() for c in got.potentials[1]] == [c.tolist() for c in want.potentials[1]]
         assert got._tight == want._tight
         for x, y in zip(got.exponents, want.exponents):
             assert x.tobytes() == y.tobytes()
         several += len(got.potentials[1]) > 1
-    assert several >= 40
+    assert several >= 40 and compressed >= 250
+
+
+def _planted_ties(count, seed):
+    """Window-2 potentials on the full 2-, 3- and 4-shifts whose maximum
+    is attained on two or more fixed points of one value and on no other
+    cycle, as the low-temperature benchmark plants them."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        d = 2 + i % 3
+        tied = rng.sample(range(d), rng.randint(2, d))
+        vals = {b: Fraction(4) if b[0] == b[1] in tied else Fraction(rng.randint(-2, 3))
+                for b in itertools.product(range(d), repeat=2)}
+        out.append(PotentialLC.from_block_values(Sft.full(d), 2, vals))
+    return out
+
+
+def test_block_graph_solves_match_the_k_block_transfer():
+    # a potential of window k >= 2 solves on its (k-1)-block graph, and
+    # its measures on the k-blocks are formed from that solve; against the
+    # k-block transfer (``_block_transfer``): every solve that certifies
+    # there certifies here, the log roots agree to 1e-14 and the pressures
+    # to that plus an ulp, and the masses, the log masses and the kernel
+    # agree entry by entry to the certified accuracy of either solve,
+    # 1e-13 (1 + 1 / gap) relative (the gap at least GAP_FLOOR unless the
+    # solve aggregated), plus the rounding of exponents as large as t M,
+    # M the largest scaled log weight or mass of either transfer, in the
+    # log masses; window-1 solves are the reference's, bit for bit
+    from thermoshift.thermodynamics import _measure
+    eps = np.finfo(float).eps
+    cases = [_fresh(get_potential(name)) for name in potential_names()
+             if get_potential(name).m == 1] + _seeded_scalar_potentials(400, 21)
+    cases += [tied_potential(name)[0] for name in TIED_COMPONENTS] + _planted_ties(12, 33)
+    compared, refused, bits = 0, 0, 0
+    for phi in cases:
+        rec, beta, ref, tr = phi._recoded, phi._max_plus[0], _block_transfer(phi), phi._transfer
+        M = max(np.abs(x).max() for x in (*ref.exponents, ref.potentials[0], *tr.exponents,
+                                          tr.potentials[0]))
+        for t in (0.25, 1.0, 4.0, 16.0, 64.0, 256.0):
+            try:
+                sol = ref.solve(t)
+                want = _measure(sol, rec.labels, rec.states, t, beta)
+            except (NumericError, UnderflowError):
+                refused += 1
+                continue
+            got = equilibrium_markov(phi, t)
+            compared += 1
+            if phi.k == 1:
+                assert got.pressure == want.pressure and got.gap == want.gap
+                assert all(a.tobytes() == b.tobytes() for a, b in (
+                    (got.stationary, want.stationary), (got.log_stationary, want.log_stationary),
+                    (got.transition, want.transition)))
+                bits += 1
+                continue
+            assert abs(tr.solve(t).log_lam - sol.log_lam) <= 1e-14
+            assert abs(got.pressure - want.pressure) <= 1e-14 + np.spacing(abs(want.pressure))
+            tol = 1e-13 * (1.0 + 1.0 / max(min(got.gap, want.gap), GAP_FLOOR)) + 8 * eps * t * M
+            for a, b in ((got.stationary, want.stationary), (got.transition, want.transition)):
+                assert np.array_equal(a > 0.0, b > 0.0)
+                normal = b >= np.finfo(float).tiny      # subnormal masses keep no relative accuracy
+                assert np.all(np.abs(a - b)[normal] <= tol * b[normal]), (phi, t)
+            assert np.all(np.abs(got.log_stationary - want.log_stationary) <= tol), (phi, t)
+            assert abs(got.entropy - want.entropy) <= tol * max(1.0, want.entropy)
+    assert compared > 2400 and bits > 900 and refused < 60
 
 
 @pytest.fixture
@@ -851,15 +937,17 @@ def test_lapack_helpers_change_no_bit(monkeypatch):
     # and np.linalg.solve: the scalar builtins and planted ties at t =
     # 0.25 ... 128, seeded potentials, the builtin sweeps, the trivec and
     # kinkvec face curves and interior points, and stacks whose lanes mix
-    # real and complex spectra.  Each run builds its potentials afresh,
-    # so that their aggregation frames and solves are solved again too,
-    # and the sweeps have potentials of their own
+    # real and complex spectra: those of k-block transfers (``_block_transfer``),
+    # whose zero eigenvalues come out as complex pairs, beside the potentials'
+    # own.  Each run builds its potentials afresh, so that their aggregation
+    # frames and solves are solved again too, and the sweeps have potentials
+    # of their own
     from test_boundary_entropy import _bits
     from thermoshift import (face_entropy_curve, localized_entropy_interior, rotation_set,
                              zt_coefficients)
     names = [name for name in potential_names() if get_potential(name).m == 1]
     stacked = [0.25, 1.0, 2.0, 40.0]
-    tr = get_potential("twofix")._transfer
+    tr = _block_transfer(get_potential("twofix"))
     spectra = [spectral._eigvals(spectral._scale(t * tr.exponents[0], *tr.ends, tr.n)[0])
                for t in stacked]
     assert not np.iscomplexobj(spectra[0]) and np.iscomplexobj(spectra[1])
@@ -890,8 +978,9 @@ def test_lapack_helpers_change_no_bit(monkeypatch):
             h, v, mu = localized_entropy_interior(Phi, w, poly=poly)
             out.append((h, v, mu.stationary.tobytes(), mu.transition.tobytes()))
         for name in ("twofix", "threefix_a", "gold1"):
-            stack = spectral.perron_stack([get_potential(name)._transfer] * 4, stacked)
-            out.append(tuple(x.tobytes() for x in stack))
+            for tr in (get_potential(name)._transfer, _block_transfer(get_potential(name))):
+                stack = spectral.perron_stack([tr] * 4, stacked)
+                out.append(tuple(x.tobytes() for x in stack))
         return out
 
     new = run()

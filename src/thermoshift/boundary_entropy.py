@@ -176,6 +176,8 @@ def face_entropy_curve(Phi: PotentialLC, alpha, n_samples: int = DEFAULT_SAMPLES
         raise InvalidArgumentError("n_samples too small to resolve the face")
     n_samples |= 1      # odd count pins v = 0 on the grid
     alpha = tuple(_snap(a) for a in alpha)
+    if len(alpha) != Phi.m:
+        raise InvalidArgumentError("direction length must equal potential dimension")
     if poly is None:
         poly = rotation_set(Phi)
     if poly.affine_dim == 0:
@@ -271,11 +273,11 @@ def _dual_value_grad(X, graph, on_edges, corners, w, v):
     measures lie on its edges where ``on_edges``.  beta(v), the maximum
     cycle mean of v . Phi, is the largest v . x over the corners x of the
     rotation set."""
-    from .spectral import perron
+    from .spectral import Transfer
     from .thermodynamics import _chain
     n, edges, weighs = graph
     beta = float((corners @ v).max())
-    sol = perron(n, edges, (X @ v - beta)[weighs])
+    sol = Transfer(n, edges, (X @ v - beta)[weighs]).solve()
     p = _chain(sol, on_edges, False)[0]
     return float(sol.log_lam + beta - v @ w), p @ X - w, beta, sol
 
@@ -309,7 +311,7 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
     max-plus pass.
     """
     import numpy as np
-    from .spectral import _solve1
+    from .spectral import _solve
     from .thermodynamics import _chain, _measure
     if poly is None:
         poly = rotation_set(Phi)
@@ -340,7 +342,7 @@ def localized_entropy_interior(Phi: PotentialLC, w, poly: RotationPolytope | Non
         H = Q @ _covariance(p, P, X) @ Q.T
         try:
             np.linalg.cholesky(H)
-            dx = _solve1(H, -grad)
+            dx = _solve(H, -grad)
         except np.linalg.LinAlgError:
             dx = -grad
         step, point = _damped(lambda s: at(x + s * dx), g)

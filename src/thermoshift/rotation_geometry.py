@@ -249,7 +249,11 @@ class RotationPolytope:
     frame: _AffineFrame | None = field(default=None, repr=False)
 
     def membership(self, point) -> str:
-        """'interior', 'boundary', or 'outside' relative to the affine hull."""
+        """'interior', 'boundary', or 'outside' relative to the affine hull;
+        InvalidArgumentError for a point whose length is not m."""
+        point = tuple(point)
+        if len(point) != self.m:
+            raise InvalidArgumentError("point length must equal potential dimension")
         y, e = _int_weights([_snap(x) for x in point])[:2]
         if not self.frame.contains(y, e):
             return "outside"
@@ -457,12 +461,12 @@ def face_in_direction(Phi: PotentialLC, alpha, orbits=None) -> FaceFingerprint:
     are kept.  Without an orbit list, the census of Phi's shift; a given list
     must hold orbits of that shift (InvalidArgumentError otherwise).
     """
-    census = orbits is None
-    if census:
-        orbits = elementary_orbits(Phi.sft, Phi.k)
     alpha = tuple(alpha)
     if len(alpha) != Phi.m:
         raise InvalidArgumentError("direction length must equal potential dimension")
+    census = orbits is None
+    if census:
+        orbits = elementary_orbits(Phi.sft, Phi.k)
     exact = Phi.mode == "exact" and all(isinstance(a, (int, Fraction)) for a in alpha)
     if exact:
         a, c = _int_weights([Fraction(x) for x in alpha])[:2]

@@ -13,7 +13,7 @@ relative accuracy in log form.  A solve that doubles cannot certify
 raises UnderflowError or NumericError.  This is the one module of the
 graph core and the engine that imports numpy, so that the commands which
 never solve a Perron problem do not load it.  Its eigenvalue and linear
-solves (``_eigvals``, ``_solve``, ``_solve1``) call the LAPACK gufuncs of
+solves (``_eigvals``, ``_solve``) call the LAPACK gufuncs of
 ``numpy.linalg._umath_linalg`` directly, with every check of numpy's
 public wrappers that can change a result or an error, and not the rest,
 which costs more than the LAPACK work at the engine's sizes.
@@ -27,8 +27,8 @@ from itertools import chain
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _max_plus_pass,
-                       _potentials, matrix_edges)
+from .core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _is_irreducible,
+                       _max_plus_pass, _potentials, matrix_edges)
 from .errors import NumericError, UnderflowError
 
 GAP_FLOOR = 1e-5         # below this relative gap, doubles are not trusted
@@ -78,17 +78,22 @@ class PerronSolve:
 
 
 class Transfer:
-    """The transfer matrix exp(t * w) on the edges a -> b of an
-    irreducible digraph, for weights w on the edges with maximum cycle
-    mean 0, with the parts of its Perron solves that do not depend on t,
-    from one exact pass (``_max_plus_pass``) and its right and left
-    potentials h and g (``_potentials``): the edge arrays; ``exponents``,
-    the log entries of B = exp(w + h[b] - h[a]) and C = exp(g[a] + w -
-    g[b]) on each edge, all <= 0; ``potentials``, g + h on each state and the critical
-    classes, whose tight edges are kept too; and the aggregation frames
-    (``_frame``), built by the first solve that aggregates.  All are
-    read-only, so ``solve`` runs only the stages that depend on t, and it
-    keeps the solves of the last _KEPT_SOLVES temperatures it solved.
+    """The transfer matrix M = exp(t * w) on the edges a -> b of an
+    irreducible digraph, for weights w, one per edge, of maximum cycle
+    mean beta, with the parts of its Perron solves that do not depend on
+    t, from one exact pass (``_max_plus_pass``) and its right and left
+    max-plus eigenvectors h and g of w - beta (Akian, Bapat and Gaubert
+    1998; ``_potentials``): the edge arrays; ``exponents``, the log
+    entries of B = exp(w - beta + h[b] - h[a]), whose rows have a 1, and
+    C = exp(g[a] + w - beta - g[b]), whose columns have a 1, on each edge,
+    all <= 0;
+    ``potentials``, g + h on each state and the critical classes, whose
+    tight edges are kept too; h on each state, which weighs the right
+    vector (``_coupling``); and the aggregation frames (``_frame``), built
+    by the first solve that aggregates.  All are read-only, so ``solve``
+    runs only the stages that depend on t, and it keeps the solves of the
+    last _KEPT_SOLVES temperatures it solved.  ``perron_stack`` runs the
+    same stages on many solves at once.
     """
 
     def __init__(self, n: int, edges, weights):
@@ -114,15 +119,30 @@ class Transfer:
                           np.array([(x + mass[a] - mass[b]) / unit
                                     for (a, b), x in zip(edges, slack)]))
         self.potentials = (np.array([x / unit for x in mass]), list(map(np.array, classes)))
-        _readonly(src, dst, *self.exponents, self.potentials[0], *self.potentials[1])
+        self._h = np.array([x / unit for x in h])
+        _readonly(src, dst, *self.exponents, self.potentials[0], *self.potentials[1], self._h)
         self._frames, self._solves = {}, {}
 
     def solve(self, t: float = 1.0) -> PerronSolve:
-        """The Perron data of exp(t * w), as ``perron`` describes it: the
-        right problem now, the left one when the masses are first read.
-        A solve is kept by float(t) and returned when asked for again; a
-        solve that raises is not kept, and past _KEPT_SOLVES temperatures
-        the oldest is dropped."""
+        """The Perron data of exp(t * w), each entry to relative accuracy:
+        the right problem now, the left one when the masses are first read.
+
+        The scalings B^t and C^t, entries below e^-700 left out, are exact
+        similarities of M / e^(t beta), so the Perron vectors of M are
+        exp(t h) y and exp(t g) u for the right one y of B^t and the left
+        one u of C^t.  One eigenvalue solve of B^t gives the root and the
+        gap; bordered solves from the root start y and u, and power steps
+        polish each until its Collatz-Wielandt bounds, as min(By/y) <= lam
+        <= max(By/y), agree to _CW_TOL.  Below GAP_FLOOR, or if that fails,
+        tied critical classes go to ``_aggregate``.  The kernel B[a, b]
+        y[b] / (lam y[a]) and the masses exp(t (g + h)) u y are formed from
+        their exponents, so that an entry far below the double range keeps
+        its relative accuracy, in log form where it underflows.  A solve
+        that doubles cannot certify raises UnderflowError where an entry
+        left the double range, NumericError otherwise.  A solve is kept by
+        float(t) and returned when asked for again; a solve that raises is
+        not kept, and past _KEPT_SOLVES temperatures the oldest is
+        dropped."""
         key = float(t)
         sol = self._solves.get(key)
         if sol is None:
@@ -134,14 +154,11 @@ class Transfer:
 
     def _solve_at(self, t: float, asked) -> PerronSolve:
         """``solve`` at the float t, whose errors name t as ``asked``."""
-        right = t * self.exponents[0]
-        n, (src, dst) = self.n, self.ends
-        B, ok = _scale(right, src, dst, n)
-        lam, y, gap, mu, direct = _certify(B, ok)
-        got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right, lam)
+        right, got, mu, direct = self._right(t)
         if not got:
             raise _unsolved(asked, right)
         lam, y, gap, delta = got
+        n, (src, dst) = self.n, self.ends
 
         def masses():
             left = t * self.exponents[1]
@@ -154,6 +171,18 @@ class Transfer:
 
         return PerronSolve(math.log(lam) + t * self._shift, gap, masses,
                            lambda: _log_kernel(right, lam, y, src, dst), (src, dst, n))
+
+    def _right(self, t: float):
+        """(right, got, mu, direct): the log entries of the scaled right
+        problem at the float t; (lam, y, gap, delta) of its root, vector,
+        gap and aggregation offset (0 unless it aggregated), or None where
+        doubles cannot certify it; the other eigenvalues over the root; and
+        whether ``_certify`` solved it without aggregation."""
+        right = t * self.exponents[0]
+        B, ok = _scale(right, *self.ends, self.n)
+        lam, y, gap, mu, direct = _certify(B, ok)
+        got = (lam, y, gap, 0.0) if direct else ok and self._tied(0, B, right, right, lam)
+        return right, got, mu, direct
 
     def _tied(self, side, B, s, right, start):
         """``_aggregate`` of B, the scaled right problem (side 0) or the
@@ -191,43 +220,16 @@ def _unsolved(t, s):
     return UnderflowError(f"Perron solve at t={t} leaves the double range")
 
 
-def perron(n: int, edges, weights, t: float = 1.0) -> PerronSolve:
-    """Perron data of exp(t * w) on an irreducible digraph, each entry to
-    relative accuracy; the weights w, one per edge, have maximum cycle
-    mean 0.
-
-    The matrix M is scaled on both sides by exact max-plus eigenvectors
-    of w (Akian, Bapat and Gaubert 1998; ``_potentials``): B = exp(t (w +
-    h[b] - h[a])), whose rows have a 1, and C = exp(t (g[a] + w - g[b])),
-    whose columns have a 1, every entry at most 1; entries below
-    e^-700 are left out.  Diagonal scalings are exact similarities, so
-    the Perron vectors of M are exp(t h) y and exp(t g) u for the right
-    one y of B and the left one u of C.  One eigenvalue solve of B gives
-    the root and the gap; bordered solves from the root start y and u,
-    and power steps polish each until its Collatz-Wielandt bounds, as
-    min(By/y) <= lam <= max(By/y), agree to _CW_TOL.  Below GAP_FLOOR, or
-    if that fails, tied critical classes go to ``_aggregate``.  The kernel
-    B[a, b] y[b] / (lam y[a]) and the masses exp(t (g + h)) u y are formed
-    from their exponents, so that an entry far below the double range
-    keeps its relative accuracy, in log form where it underflows.  A
-    solve that doubles cannot certify raises UnderflowError where an
-    entry left the double range, NumericError otherwise.  A ``Transfer``
-    keeps the parts that do not depend on t, and its latest solves;
-    ``perron_stack`` runs the same stages on many solves at once.
-    """
-    return Transfer(n, edges, weights).solve(t)
-
-
 def perron_stack(transfers, t):
     """(log_lam, transition, stationary) of ``transfers[i].solve(t[i])``
     for each lane i, as stacked arrays; the transfers share one edge set.
 
     Max-plus eigenvectors are homogeneous, so each lane's exponents are
     t[i] times its transfer's, with no max-plus pass, and the lanes take
-    the steps of their own solves together, stage by stage.  A lane
-    leaves the stack and is solved alone by its transfer (aggregation)
-    when a scaled entry exceeds the double range, its gap is below
-    GAP_FLOOR or a polish does not certify.
+    the steps of their own solves together, stage by stage.  A lane whose
+    scaled entry exceeds the double range, whose gap is below GAP_FLOOR or
+    whose polish does not certify keeps its place in the stack and is
+    solved again alone by its transfer (aggregation).
     """
     t = np.asarray(t, dtype=float)
     n, (src, dst) = transfers[0].n, transfers[0].ends
@@ -238,9 +240,9 @@ def perron_stack(transfers, t):
         *((*tr.exponents, tr.potentials[0]) for tr in distinct)))
     shift = np.array([tr._shift for tr in distinct])[which] * t
     (B, ok_b), (A, ok_a) = _scale(right, src, dst, n), _scale(left, dst, src, n)
-    lanes = np.flatnonzero(ok_b & ok_a)
-    lam, y, u, _, ok = _vectors(B[lanes], A[lanes], True)
-    lanes, lam, y, u = lanes[ok], lam[ok], y[ok], u[ok]
+    lam, y, u, _, ok = _vectors(B, A, ok_b & ok_a)
+    lanes = np.flatnonzero(ok)
+    lam, y, u = lam[lanes], y[lanes], u[lanes]
     log_lam = np.full(len(t), np.nan)
     kernel = np.zeros((len(t), n, n))
     p = np.full((len(t), n), np.nan)
@@ -294,23 +296,23 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
 
 @np.errstate(call=_singular, **_LAPACK_ERRORS)
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for float arrays whose b has a column axis."""
+    """np.linalg.solve(a, b) for float arrays: b has a column axis, or is
+    a vector, solved as one column (LAPACK's gesv gives the same bits)."""
+    if b.ndim == 1:
+        return _umath_linalg.solve(a, b[:, None], signature="dd->d")[:, 0]
     return _umath_linalg.solve(a, b, signature="dd->d")
-
-
-@np.errstate(call=_singular, **_LAPACK_ERRORS)
-def _solve1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for a float matrix a and vector b."""
-    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 # The stages below take one solve, or a stack of them (``perron_stack``)
 # on the first axis, as in numpy.linalg, where values with one entry per
-# lane take a trailing axis (lam[..., None]).  ``perron`` does not run as
-# a stack of one: with the indexing that needs, the single solves of the
-# low-temperature benchmark ran about a fifth slower.  For the same reason
-# ``_start`` gathers and scatters lanes only when some lane of a stack is
-# out, and ``_scale`` clamps exponents only when one leaves the range.
+# lane take a trailing axis (lam[..., None]).  A lane keeps its place in
+# the stack through every stage, whether it is out or done, so that it
+# takes the same steps whatever its neighbours do.  ``Transfer.solve``
+# does not run as a stack of one: with the indexing that needs, the single
+# solves of the low-temperature benchmark ran about a fifth slower.  For
+# the same reason ``_start`` gathers and scatters lanes only when some
+# lane of a stack is out, and ``_scale`` clamps exponents only when one
+# leaves the range.
 
 def _lanes(i) -> tuple:
     """Index of every lane, to go with an index i per lane: () for one
@@ -508,7 +510,7 @@ def _aggregate(B: np.ndarray, frame, e, delta: float = 0.0):
             bordered[:k, :k] = base + (new_delta * eye - Eii)
             bordered[:k, k], bordered[k, :k] = si, li
             rhs = np.append(f[cut] / c[i] + Eii @ si - new_delta * si, 0.0)
-            new_u[cut] = si + _solve1(bordered, rhs)[:k]
+            new_u[cut] = si + _solve(bordered, rhs)[:k]
         done = (not shaped and rho + new_delta == rho + delta
                 or abs(new_delta - delta) <= _CW_TOL * new_root
                 and (np.abs(new_u - u) <= _CW_TOL * u).all())
@@ -537,9 +539,9 @@ def _coupling(C: np.ndarray):
     maxima of a larger C agree to GAP_FLOOR (the transfer's balanced
     potentials mostly leave them so), C / max(C) is solved as it is: its
     root is at least its least row sum, where ``_certify`` clamps it.
-    Otherwise, or if that does not certify, C is scaled by an exact
-    max-plus pass and solved by the same engine, aggregating
-    recursively."""
+    Otherwise, or if that does not certify, the ``Transfer`` of log C
+    solves it at t = 1, aggregating recursively, and its right vector
+    takes the weights exp(h) of the transfer's right potential."""
     if len(C) == 2:
         (a, b), (c, d) = C.tolist()
         if not (b > 0.0 and c > 0.0):
@@ -554,24 +556,15 @@ def _coupling(C: np.ndarray):
         lam, c, gap, _, ok = _certify(C / top, True, C.sum(axis=1).min() / top)
         if ok:
             return float(lam) * top, c, float(gap)
-    W = np.log(C, out=np.full(C.shape, -np.inf), where=C > 0.0)
     edges = matrix_edges(C)
-    split = _cyclic_components(edges)
-    if split[0] != [list(range(len(C)))]:
+    if not _is_irreducible(len(C), edges):
         return None                     # a coupling underflowed
-    mx = _max_plus_pass(len(C), split, _int_weights(W[C > 0]))
-    h, _, unit, classes, inside, slack = _potentials(len(C), edges, mx)
-    e, ends = np.array([x / unit for x in slack]), _ends(edges)
-    B, _ = _scale(e, *ends, len(C))
-    delta, c, gap, _, ok = _certify(B)
-    if not ok:
-        frame = _frame(len(C), classes, inside, edges)
-        got = frame and _aggregate(B, frame[0], e)
-        if not got:
-            return None
-        delta, c, gap, _ = got
-    h = np.array([x / unit for x in h])
-    return float(delta) * math.exp(mx[0]), np.exp(h - h.max()) * c, float(gap)
+    tr = Transfer(len(C), edges, np.log(C[C > 0.0]))
+    got = tr._right(1.0)[1]
+    if not got:
+        return None
+    delta, c, gap, _ = got
+    return float(delta) * math.exp(tr._shift), np.exp(tr._h - tr._h.max()) * c, float(gap)
 
 
 def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
@@ -590,8 +583,9 @@ def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
     every such m where the excess stalls, and where it is certified each
     m whose bound misses _CW_TOL.  A lane fails if that fails.  An
     excess below _ROUNDING needs no filter: no filter improves on it.  The
-    lanes take the same steps and leave the stack when done; each lane's
-    slow modes are filtered on their own.
+    lanes of a stack stay in place and take the same steps, each lane's
+    slow modes filtered on their own; a lane's vector is frozen once it
+    certifies or fails.
     """
     if not np.count_nonzero(ok):
         return y, ok
@@ -607,19 +601,21 @@ def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
     pending = np.count_nonzero(slow)    # slow modes still in y
     cl = (_SHIFTS[j] * lam)[..., None]
     older = last = np.inf * lam     # the last two excesses: a stall spans two steps
-    out = None                      # y of a stack, once lanes have left it
+    # y is renormalised in place, live lanes only: a copy, so that the
+    # caller's start is not written
+    live, certified, y = ok, np.zeros_like(ok), np.array(y)
     for step in range(_POLISH_STEPS):
         By = (B @ y[..., None])[..., 0]
         # a zero in y (only before y first turns positive) gives a nan
         # excess: neither certified nor a stall
         r = By / (y if y.min() > 0.0 else np.where(y > 0.0, y, np.nan))
         excess = r.max(axis=-1) / r.min(axis=-1) - 1.0
-        done = ok & (excess <= _CW_TOL)
-        gone = done | ~ok
+        done = live & (excess <= _CW_TOL)
+        gone = done | ~live
         new = By + cl * y if step % 2 else By
         if pending:
             need = slow & (~done[..., None] | (excess[..., None] > _CW_TOL * np.abs(1.0 - mu)))
-            flat = ok & need.any(axis=-1) & (done & (excess > _ROUNDING) | (excess > 0.9 * older))
+            flat = live & need.any(axis=-1) & (done & (excess > _ROUNDING) | (excess > 0.9 * older))
             if np.count_nonzero(flat):
                 done, gone = done & ~flat, np.array(gone & ~flat)
                 for i in np.ndindex(flat.shape):   # () for one solve
@@ -629,24 +625,11 @@ def _polish(B: np.ndarray, y: np.ndarray, lam, mu: np.ndarray, ok):
                         slow[i] = False
                 pending = np.count_nonzero(slow)
         older, last = last, excess
-        left = np.count_nonzero(gone)
-        if left == gone.size:
+        certified, live = certified | done, ~gone
+        if not np.count_nonzero(live):
             break
-        if left:                    # some lanes of a stack leave
-            if out is None:
-                out, certified = np.empty_like(y), np.zeros(len(y), dtype=bool)
-                live = np.arange(len(y))
-            out[live[done]], certified[live[done]] = y[done], True
-            keep = ~gone
-            B, new, lam, mu, slow, cl, older, last, ok, live = (
-                x[keep] for x in (B, new, lam, mu, slow, cl, older, last, ok, live))
-        y = new / new.max(axis=-1, keepdims=True)
-    else:
-        done = np.zeros_like(ok)
-    if out is None:
-        return y, done
-    out[live], certified[live] = y, done
-    return out, certified
+        np.divide(new, new.max(axis=-1, keepdims=True), out=y, where=live[..., None])
+    return y, certified
 
 
 def _deflate(B: np.ndarray, y: np.ndarray, lam: float, modes) -> np.ndarray:

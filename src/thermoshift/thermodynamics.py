@@ -9,7 +9,7 @@ k-blocks are formed from that solve (``_chain``).  The maximum cycle
 mean beta is subtracted from the potential, and the pressure gains
 t*beta back.
 
-Every spectral solve goes through one engine, ``spectral.perron``, in
+Every spectral solve goes through one engine, ``spectral.Transfer``, in
 doubles.  It scales the transfer matrix on both sides by max-plus
 potentials (from the exact Howard pass that found beta), so that each
 entry is at most 1, certifies the right and left Perron vectors of the
@@ -124,7 +124,7 @@ def pressure(phi: PotentialLC, t: float = 1.0) -> float:
 def equilibrium_markov(phi: PotentialLC, t: float = 1.0) -> MarkovMeasure:
     """Equilibrium state of t * phi as a Markov measure on k-blocks.
 
-    The solve runs in doubles, whatever the spectral gap (``spectral.perron``).
+    The solve runs in doubles, whatever the spectral gap (``spectral.Transfer``).
     """
     beta, sol = _solve(phi, t, "equilibrium_markov")
     return _measure(sol, phi._recoded.labels, phi._recoded.states, t, beta, phi.k > 1)

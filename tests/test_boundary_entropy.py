@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -197,6 +198,53 @@ def test_live_lanes_do_not_depend_on_a_lane_out(monkeypatch):
             assert np.array_equal(out[2][i], sol.stationary)
 
 
+def test_a_lane_polishes_as_it_would_alone(monkeypatch):
+    # _polish on a recorded stack returns, for each lane, the flag and, where
+    # certified, the bits of that lane polished as a stack of one.  The
+    # stacks hold lanes that certify at different steps, lanes whose slow
+    # modes are deflated, and lanes that are out on entry (twofix's tied
+    # fixed points at t = 40 close its gap)
+    calls = []
+    polish = spectral._polish
+
+    def recording(B, y, lam, mu, ok):
+        if B.ndim == 3:             # not the single solves of lanes that are out
+            calls.append((B, np.array(y), lam, mu, np.array(ok)))
+        return polish(B, y, lam, mu, ok)
+
+    monkeypatch.setattr(spectral, "_polish", recording)
+    spectral.perron_stack([get_potential("twofix")._transfer] * 6,
+                          [0.5, 1.0, 4.0, 16.0, 40.0, 3.0])
+    spectral.perron_stack([tied_potential("two golden means")[0]._transfer] * 3,
+                          [2.0, 4.0, 0.75])
+    spectral.perron_stack([get_potential("gold1")._transfer] * 3, [0.25, 2.0, 8.0])
+    monkeypatch.undo()
+    deflated = []
+    deflate = spectral._deflate
+    monkeypatch.setattr(spectral, "_deflate", lambda *args: deflated.append(1) or deflate(*args))
+
+    def run(B, y, lam, mu, ok, lanes=slice(None), steps=spectral._POLISH_STEPS):
+        monkeypatch.setattr(spectral, "_POLISH_STEPS", steps)
+        return polish(B[lanes], y[lanes].copy(), lam[lanes], mu[lanes], ok[lanes].copy())
+
+    steps, out, deflating = set(), 0, 0
+    # from the recorded starts, which mostly certify at once, and from 1s
+    for B, y, lam, mu, ok in calls + [(B, np.ones_like(y), *rest) for B, y, *rest in calls]:
+        got, certified = run(B, y, lam, mu, ok)
+        for i in range(len(B)):
+            deflated.clear()
+            want, flag = run(B, y, lam, mu, ok, slice(i, i + 1))
+            assert certified[i] == flag[0], i
+            if flag[0]:
+                assert got[i].tobytes() == want[0].tobytes(), i
+                # the step at which it certifies alone: with fewer steps it fails
+                steps.add(bisect_left(range(spectral._POLISH_STEPS + 1), True, key=lambda s:
+                                      bool(run(B, y, lam, mu, ok, slice(i, i + 1), s)[1][0])))
+            out += not ok[i]
+            deflating += bool(deflated)
+    assert len(steps) >= 6 and out and deflating
+
+
 def test_facet_curves_end_on_exact_points():
     # a sample whose s rounds onto or past its component's anchor is left
     # out, so the hull of every facet curve starts and ends on an exact
@@ -386,7 +434,7 @@ def test_cycle_face_curve_runs_only_the_face_pass(max_plus_passes, scc_splits):
 
 def test_stacked_lanes_match_single_solves(monkeypatch):
     # every lane of every stacked solve a face curve makes agrees entry by
-    # entry with perron on that lane's weights and t alone.  The inputs include
+    # entry with a transfer of that lane's weights solved at t alone.  The inputs include
     # lanes with tied critical classes, which stay in the stack unless
     # their gap collapses (then they leave for aggregation), and lanes
     # whose slow modes are deflated inside the stack
@@ -414,7 +462,7 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
         deflated.append(1)
         return deflate(*args)
 
-    stack, perron, deflate = spectral.perron_stack, spectral.perron, spectral._deflate
+    stack, deflate = spectral.perron_stack, spectral._deflate
     solve = spectral.Transfer.solve
     monkeypatch.setattr(spectral, "perron_stack", recording)
     monkeypatch.setattr(spectral, "_deflate", counting_deflate)
@@ -431,7 +479,7 @@ def test_stacked_lanes_match_single_solves(monkeypatch):
     lanes = 0
     for transfers, t, (log_lam, P, p) in stacks:
         for tr, ti, a, A, x in zip(transfers, t, log_lam, P, p):
-            sol = perron(tr.n, tr.edges, tr.weights, ti)
+            sol = spectral.Transfer(tr.n, tr.edges, tr.weights).solve(ti)
             assert abs(a - sol.log_lam) <= 1e-13 * abs(sol.log_lam)
             assert np.all(np.abs(A - sol.transition) <= 1e-13 * sol.transition)
             assert np.all(np.abs(x - sol.stationary) <= 1e-13 * sol.stationary)
@@ -500,6 +548,11 @@ def test_face_curve_validation():
         face_entropy_curve(get_potential("trivec"), (0, -1), n_samples=5)
     with pytest.raises(UnsupportedDimensionError):
         face_entropy_curve(get_potential("fix0"), (0, -1))
+    # in its first coordinates, (-1,) would expose the vertex (0, 0) and
+    # (0, -1, 5) the bottom edge: alpha's length is checked before the face
+    for alpha in ((-1,), (0, -1, 5)):
+        with pytest.raises(InvalidArgumentError, match="direction length"):
+            face_entropy_curve(get_potential("trivec"), alpha)
 
 
 def test_interior_entropy_at_the_parry_vector():
@@ -614,7 +667,7 @@ def test_a_singular_hessian_takes_a_gradient_step(monkeypatch, cholesky):
     # duality still converges to the same entropy and measure
     Phi, w = get_potential("trivec"), (Fraction(1, 2), Fraction(1, 3))
     want, _, nu = localized_entropy_interior(Phi, w)
-    covariance, solve1 = boundary_entropy._covariance, spectral._solve1
+    covariance, solve = boundary_entropy._covariance, spectral._solve
     singular, failed = [], []
 
     def first_singular(p, P, X):
@@ -626,13 +679,13 @@ def test_a_singular_hessian_takes_a_gradient_step(monkeypatch, cholesky):
 
     def recording(a, b):
         try:
-            return solve1(a, b)
+            return solve(a, b)
         except np.linalg.LinAlgError as exc:
             failed.append(str(exc))
             raise
 
     monkeypatch.setattr(boundary_entropy, "_covariance", first_singular)
-    monkeypatch.setattr(spectral, "_solve1", recording)
+    monkeypatch.setattr(spectral, "_solve", recording)
     if not cholesky:
         monkeypatch.setattr(np.linalg, "cholesky", lambda H: H)
     h, _, mu = localized_entropy_interior(Phi, w)
@@ -647,3 +700,7 @@ def test_interior_entropy_domain_errors():
         localized_entropy_interior(Phi, (Fraction(0), Fraction(0)))
     with pytest.raises(OutOfDomainError):
         localized_entropy_interior(Phi, (2.0, 0.0))
+    poly = rotation_set(Phi)
+    for w in ((Fraction(1, 4),), (Fraction(1, 4), Fraction(1, 10), 9)):
+        with pytest.raises(InvalidArgumentError, match="point length"):
+            localized_entropy_interior(Phi, w, poly=poly)

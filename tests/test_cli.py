@@ -177,6 +177,8 @@ def test_facecurve_in_three_dimensions(capsys, tmp_path):
     assert rc == 2 and "non-segment face" in err
     rc, _, err = run(capsys, "facecurve", "--potential", "fix0", "--alpha", "1")
     assert rc == 2 and "m >= 2" in err
+    rc, _, err = run(capsys, "facecurve", "--potential", "trivec", "--alpha", "-1")
+    assert rc == 2 and "input error: direction length must equal potential dimension" in err
 
 
 def test_curve_rows_bisect_the_hull_once_each(monkeypatch):

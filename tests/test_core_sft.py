@@ -18,7 +18,7 @@ from thermoshift import (EmptyShiftError, InvalidArgumentError, ResourceLimitErr
 from thermoshift.builtins import potential_names
 from thermoshift.core_sft import (TIGHT_TOL, _cyclic_components, _int_weights, _max_plus_pass,
                                   _potentials, matrix_edges, scc_of_edges)
-from thermoshift.spectral import perron
+from thermoshift.spectral import Transfer
 
 
 def test_full_shift_basics():
@@ -237,7 +237,7 @@ def test_perron_closed_forms():
                       ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], 1 + math.sqrt(2)),
                       ([[1, 1, 1]] * 3, 3.0)):
         n, edges = len(rows), matrix_edges(rows)
-        sol = perron(n, edges, [0] * len(edges))
+        sol = Transfer(n, edges, [0] * len(edges)).solve()
         assert abs(math.exp(sol.log_lam) - lam) < 1e-12
         assert sol.precision == "double" and sol.stationary.min() > 0
         P = sol.transition

@@ -41,6 +41,21 @@ def test_membership_queries():
     assert poly.membership((Fraction(1, 4), Fraction(0))) == "boundary"
     assert poly.membership((Fraction(0), Fraction(0))) == "boundary"
     assert poly.membership((Fraction(2), Fraction(0))) == "outside"
+    # the frame and the facet normals have m = 2 coordinates: a point of
+    # another length is refused, not read in its first two
+    for point in ((Fraction(1, 4),), (Fraction(1, 4), Fraction(1, 10), 9)):
+        with pytest.raises(InvalidArgumentError, match="point length"):
+            poly.membership(point)
+
+
+def test_face_in_direction_checks_the_direction_before_the_census(monkeypatch):
+    def census(*args):
+        raise AssertionError("census enumerated")
+
+    monkeypatch.setattr(rotation_geometry, "elementary_orbits", census)
+    for alpha in ((1,), (1, 0, 0)):
+        with pytest.raises(InvalidArgumentError, match="direction length"):
+            face_in_direction(get_potential("trivec"), alpha)
 
 
 def test_scalar_interval():

@@ -805,6 +805,43 @@ def test_coupling_matrices_outside_the_direct_case_take_the_exact_pass(
     assert got_c / got_c[0] == pytest.approx(c, rel=1e-14)
 
 
+def _mp_perron(C, dps: int = 40):
+    """(root, right vector over its largest entry) of a positive matrix of
+    doubles, taken as exact, from mpmath eigenpairs at dps digits."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        E, ER = mp.eig(mp.matrix(C.tolist()))
+        top = max(range(len(C)), key=lambda i: mp.re(E[i]))
+        v = [abs(mp.re(ER[i, top])) for i in range(len(C))]
+        return float(mp.re(E[top])), np.array([float(x / max(v)) for x in v])
+
+
+def test_coupling_matrices_outside_the_direct_case_match_mpmath(coupling_passes):
+    # the general case of _coupling, which solves a transfer of log C:
+    # seeded positive C of size 3 to 6 whose row maxima differ by more than
+    # GAP_FLOOR, entries over twelve decades, and C whose rows share their
+    # top on a diagonal of 1s above couplings of 1e-20 to 1e-12, whose
+    # collapsed gap fails the direct solve, so that the transfer aggregates
+    rng = random.Random(34)
+    spread, collapsed = [], []
+    while len(spread) < 200:
+        n = rng.randint(3, 6)
+        C = np.array([[10.0 ** rng.uniform(-12.0, 0.0) for _ in range(n)] for _ in range(n)])
+        if C.max(axis=1).min() < (1.0 - GAP_FLOOR) * C.max():
+            spread.append(C)
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        collapsed.append(np.array([[1.0 if i == j else 10.0 ** rng.uniform(-20.0, -12.0)
+                                    for j in range(n)] for i in range(n)]))
+    for C in spread + collapsed:
+        passes = len(coupling_passes)
+        delta, c, _ = spectral._coupling(C)
+        assert len(coupling_passes) > passes
+        root, v = _mp_perron(C)
+        assert abs(delta - root) <= 1e-13 * root, C
+        assert np.all(np.abs(c / c.max() - v) <= 1e-13 * v), C
+
+
 def test_tied_solves_take_one_coupling_round_where_one_settles(monkeypatch, coupling_passes):
     # a round whose classes are single states stops once rho + delta
     # repeats, and the right problem starts from the root its eigenvalue
@@ -986,7 +1023,6 @@ def test_lapack_helpers_change_no_bit(monkeypatch):
     new = run()
     monkeypatch.setattr(spectral, "_eigvals", np.linalg.eigvals)
     monkeypatch.setattr(spectral, "_solve", np.linalg.solve)
-    monkeypatch.setattr(spectral, "_solve1", np.linalg.solve)
     assert new == run()
 
 
@@ -1001,10 +1037,9 @@ def test_lapack_solves_raise_numpys_error(a, b):
     # RuntimeWarning escapes
     with pytest.raises(np.linalg.LinAlgError) as want:
         np.linalg.solve(a, b)
-    helper = spectral._solve1 if b.ndim == 1 else spectral._solve
     with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError) as got:
         warnings.simplefilter("error")
-        helper(a, b)
+        spectral._solve(a, b)
     assert str(got.value) == str(want.value) == "Singular matrix"
 
 
@@ -1026,15 +1061,14 @@ def test_numpy_keeps_the_lapack_gufuncs_the_engine_calls():
     # signature: a numpy release that moves them fails here, not in a solve
     from numpy.linalg import _umath_linalg
     for name, shape, types in (("eigvals", "(m,m)->(m)", "d->D"),
-                               ("solve", "(m,m),(m,n)->(m,n)", "dd->d"),
-                               ("solve1", "(m,m),(m)->(m)", "dd->d")):
+                               ("solve", "(m,m),(m,n)->(m,n)", "dd->d")):
         gufunc = getattr(_umath_linalg, name)
         assert isinstance(gufunc, np.ufunc)
         assert gufunc.signature == shape and types in gufunc.types
     a = np.array([[2.0, 1.0], [0.5, 3.0]])
     assert np.array_equal(spectral._eigvals(a), np.linalg.eigvals(a))
     assert np.array_equal(spectral._solve(a, a), np.linalg.solve(a, a))
-    assert np.array_equal(spectral._solve1(a, a[0]), np.linalg.solve(a, a[0]))
+    assert np.array_equal(spectral._solve(a, a[0]), np.linalg.solve(a, a[0]))
 
 
 @pytest.mark.parametrize("t", [4.0, 16.0, 64.0])
